@@ -12,6 +12,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +64,68 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.regime not in _REGIMES:
             raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label must be a string, got {self.label!r}")
+        for name in _FLOAT_FIELDS:
+            _require_finite(name, getattr(self, name))
         if self.K < 0.0:
             raise ConfigError("K must be non-negative")
-        if self.t < 1:
-            raise ConfigError("t must be at least 1")
-        if any(n < 2 for n in self.N_list):
-            raise ConfigError("every N must be at least 2")
-        if self.image_range < 0:
-            raise ConfigError("image_range must be non-negative")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        if self.prune_threshold < 0.0:
+            raise ConfigError("prune_threshold must be non-negative")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("alpha_center", "beta_center"):
+            center = getattr(self, name)
+            if not _is_sequence(center) or len(center) != 2:
+                raise ConfigError(f"{name} must be a (p, q) pair, got {center!r}")
+            for x in center:
+                _require_finite(name, x)
+        _require_int("t", self.t, 1)
+        _require_int("image_range", self.image_range, 0)
+        _require_int("max_iter", self.max_iter, 1)
+        if not _is_sequence(self.N_list):
+            raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
+        for n in self.N_list:
+            _require_int("every N", n, 2)
+        odd = [n for n in self.N_list if n % 2]
+        if odd:
+            raise ConfigError(
+                f"odd N {odd} is refused: the torus boundary phase for odd N "
+                "is not implemented yet in the semiclassical image sum"
+            )
         object.__setattr__(self, "alpha_center", tuple(map(float, self.alpha_center)))
         object.__setattr__(self, "beta_center", tuple(map(float, self.beta_center)))
         object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
+
+
+_FLOAT_FIELDS = (
+    "K", "tol", "prune_threshold", "capture_sigma", "capture_radius",
+    "halfwidth_sigma", "arc_budget",
+)
+_POSITIVE_FIELDS = (
+    "tol", "capture_sigma", "capture_radius", "halfwidth_sigma", "arc_budget",
+)
+
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _require_finite(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 PRESETS: dict[str, ExperimentConfig] = {

@@ -28,6 +28,7 @@ stable/unstable manifolds of hyperbolic fixed points for chaotic
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,8 @@ def propagate(
     params : RotorParams
     runaway_bound : float
         Abort with :class:`RunawayError` when an imaginary part exceeds
-        this magnitude; diverging imaginary parts signal a trajectory
+        this magnitude, or when P or Q stops being finite (NaN passes any
+        magnitude test); diverging imaginary parts signal a trajectory
         escaping through a branch cut, not recoverable state.
     branch_substeps : int
         Number of checkpoints recorded within each kick and each drift
@@ -209,7 +211,13 @@ def propagate(
             )
         M = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex) @ M
         P, Q = P1, Q1
-        if abs(P.imag) > runaway_bound or abs(Q.imag) > runaway_bound:
+        # NaN fails every comparison, so finiteness is tested on its own;
+        # the sum is NaN or inf when any part is (or overflows past 1e308)
+        if (
+            abs(P.imag) > runaway_bound
+            or abs(Q.imag) > runaway_bound
+            or not math.isfinite(abs(P) + abs(Q))
+        ):
             raise RunawayError(step + 1, (P, Q))
         pts.append(ComplexPhasePoint(P, Q))
     return ComplexTrajectory(

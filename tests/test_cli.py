@@ -59,6 +59,22 @@ def test_malformed_config_returns_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"N_list": [50, 101]}, "boundary phase"),
+        ({"N_list": "ab"}, "N_list"),
+        ({"t": 2.5}, "t must be an integer"),
+    ],
+)
+def test_sweep_refuses_bad_config_values_with_exit_2(tmp_path, capsys, override, message):
+    """Odd N would give a silently wrong sign, and a wrongly typed value
+    used to crash with exit 1, the gate-failure code."""
+    cfg = _write_json(tmp_path, "bad.json", {**MINI_INTEGRABLE, **override})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep end-to-end
 # ---------------------------------------------------------------------------

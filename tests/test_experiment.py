@@ -69,6 +69,38 @@ def test_config_validation_rejects_bad_values():
         config_from_dict({**base, "max_iter": 0})
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"K": float("nan")},
+        {"K": float("inf")},
+        {"K": "0.05"},
+        {"tol": float("nan")},
+        {"prune_threshold": -1.0},
+        {"capture_sigma": -3.0},
+        {"capture_radius": 0.0},
+        {"halfwidth_sigma": float("inf")},
+        {"arc_budget": 0.0},
+        {"alpha_center": [0.815]},
+        {"beta_center": ["a", 0.8]},
+        {"beta_center": [0.77, float("nan")]},
+        {"t": 2.5},
+        {"t": True},
+        {"image_range": 1.0},
+        {"max_iter": 25.0},
+        {"N_list": "ab"},
+        {"N_list": 50},
+        {"N_list": [50, 100.0]},
+        {"N_list": [50, 101]},
+        {"label": 7},
+    ],
+)
+def test_config_rejects_wrong_types_and_non_finite_values(override):
+    base = dataclasses.asdict(preset("integrable-fig2"))
+    with pytest.raises(ConfigError):
+        config_from_dict({**base, **override})
+
+
 def test_config_from_dict_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"kick_strengthh": 1.0}, base=preset("integrable-fig2"))

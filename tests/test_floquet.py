@@ -1,6 +1,8 @@
 """Exact quantum reference: one-kick unitary and packet discretization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggwpd.errors import ConfigError
 from ggwpd.floquet import (
@@ -101,3 +103,66 @@ def test_correlation_at_t0_is_discrete_overlap():
     vb = discretize_packet(beta, N, image_range=2)
     c = quantum_correlation(alpha, beta, 0, N, RotorParams(8.25), image_range=2)
     assert abs(c - np.vdot(vb, va)) < 1e-14
+
+
+def _dense_correlation(alpha, beta, t, N, params):
+    """<beta|F^t|alpha> by |t| products with the dense oracle matrix."""
+    F = floquet_matrix(N, params)
+    if t < 0:
+        F = F.conj().T
+    v = discretize_packet(alpha, N)
+    for _ in range(abs(t)):
+        v = F @ v
+    return np.vdot(discretize_packet(beta, N), v)
+
+
+_centers = st.tuples(
+    st.floats(-1.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
+)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(1, 149),
+    K=st.floats(0.0, 10.0, allow_nan=False),
+    t=st.integers(-4, 4),
+    a=_centers,
+    b=_centers,
+)
+def test_fft_correlation_matches_dense_oracle(parity, half, K, t, a, b):
+    """The FFT step equals the dense matrix for even and odd N alike."""
+    N = 2 * half + parity
+    params = RotorParams(K)
+    alpha, beta = _packet(*a, N), _packet(*b, N)
+    c = quantum_correlation(alpha, beta, t, N, params)
+    assert abs(c - _dense_correlation(alpha, beta, t, N, params)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 300),
+    K=st.floats(0.0, 10.0, allow_nan=False),
+    t=st.integers(-4, 4),
+    a=_centers,
+    b=_centers,
+)
+def test_correlation_time_reversal_property(N, K, t, a, b):
+    """<beta|F^t|alpha> = conj <alpha|F^-t|beta> at random N, K and t."""
+    params = RotorParams(K)
+    alpha, beta = _packet(*a, N), _packet(*b, N)
+    forward = quantum_correlation(alpha, beta, t, N, params)
+    backward = quantum_correlation(beta, alpha, -t, N, params)
+    assert abs(forward - np.conj(backward)) < 1e-12
+
+
+def test_fft_correlation_matches_dense_oracle_at_n4096():
+    """beta sits on the classical image of alpha after t = 2 kicks, so the
+    correlation is of order one rather than exponentially small."""
+    N = 4096
+    params = RotorParams(0.05)
+    alpha, beta = _packet(0.815, 0.2, N), _packet(0.8070603, 0.8144920, N)
+    c = quantum_correlation(alpha, beta, 2, N, params)
+    ref = _dense_correlation(alpha, beta, 2, N, params)
+    assert abs(ref) > 0.5
+    assert abs(c - ref) < 1e-12

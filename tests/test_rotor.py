@@ -136,6 +136,17 @@ def test_runaway_complex_trajectory_raises():
     assert err.value.step >= 1
 
 
+@pytest.mark.parametrize(
+    "P0, Q0", [(0.1 + 2.0j, 0.3 + 1.5j), (0.4 - 1.2j, 0.7 + 1.9j), (-0.6 + 1.7j, 0.1 - 1.4j)]
+)
+def test_runaway_raises_when_the_trajectory_stops_being_finite(P0, Q0):
+    """NaN fails every magnitude comparison, so a bound too large to trip
+    must still not let a NaN or infinite trajectory through."""
+    with np.errstate(all="ignore"), pytest.raises(RunawayError) as err:
+        propagate(ComplexPhasePoint(P0, Q0), 6, K_CHAOTIC, runaway_bound=1e300)
+    assert err.value.step <= 6
+
+
 def test_unstable_manifold_contracts_backwards():
     """Unstable-curve samples converge to the fixed point under the inverse map."""
     curve = unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0)
