@@ -78,13 +78,13 @@ def offcenter_initial_conditions(
 
 
 def free_trajectory(
-    ic: ComplexPhasePoint, t: float, mass: float = 1.0, substeps: int = 16
+    ic: ComplexPhasePoint, t: float, mass: float = 1.0
 ) -> ComplexTrajectory:
     """Free-motion trajectory packaged for the generic evaluators.
 
-    The whole evolution is one drift leg; stability checkpoints
-    interpolate the drift block linearly in time, which is the exact
-    intermediate stability.
+    The whole evolution is one drift leg, so its two endpoint stability
+    matrices are the checkpoints: the drift block is linear in time,
+    which keeps the branch tracking exact.
     """
     P0 = ic.p1
     Q0 = ic.q1
@@ -96,13 +96,12 @@ def free_trajectory(
             m12=0j,
             m21=0j,
             m22=1.0 + 0j,
-            checkpoints=(np.eye(2, dtype=complex),),
+            checkpoints=np.eye(2, dtype=complex)[None],
         )
     Qt = Q0 + t * P0 / mass
     action = mass * (Qt - Q0) ** 2 / (2.0 * t)
-    checkpoints = tuple(
-        np.array([[1.0, 0.0], [tau, 1.0]], dtype=complex)
-        for tau in np.linspace(0.0, t / mass, substeps + 1)
+    checkpoints = np.array(
+        [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [t / mass, 1.0]]], dtype=complex
     )
     return ComplexTrajectory(
         points=(ic, ComplexPhasePoint(P0, Qt)),

@@ -2,136 +2,95 @@
 
 The packet parametrization used everywhere in this package is
 
-    <x|alpha> = (2^D Det[b]/pi^D)^(1/4) exp[-(x-q).b.(x-q) + (i/hbar) p.(x-q)]
+    <x|alpha> = (2 b/pi)^(1/4) exp[-b (x-q)^2 + (i/hbar) p (x-q)]
 
-with a real symmetric positive definite width matrix ``b``.  A complex
-phase-space point (P, Q) represents the same state when it satisfies the
-linear constraint relation solved by :func:`manifold_point`; the
-normalization-and-phase exponents returned by :func:`ket_norm_exponent`
+with a real positive width ``b``; everything is one-dimensional.  A
+complex phase-space point (P, Q) represents the same state when it
+satisfies the linear constraint relation solved by :func:`manifold_point`;
+the normalization-and-phase exponents returned by :func:`ket_norm_exponent`
 and :func:`bra_norm_exponent` make the complex-center Gaussian form agree
 pointwise with the real-center one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _as_vector(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _as_complex_vector(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=complex))
 
 
+def _scalar(name: str, x, kind=float):
+    """``x`` as a Python ``kind``; arrays of any shape are refused."""
+    if np.ndim(x) != 0:
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(x)}")
+    return kind(x)
+
+
 @dataclass(frozen=True)
 class GaussianPacket:
-    """A unit-normalized Gaussian coherent state.
+    """A unit-normalized one-dimensional Gaussian coherent state.
 
     Parameters
     ----------
-    center_p, center_q : float or (D,) array_like
-        Real phase-space center.
-    b : float or (D, D) array_like
-        Width matrix (inverse length squared); must be real symmetric with
-        strictly positive eigenvalues.
+    p1, q1 : float
+        Real phase-space center (momentum, position).
+    b1 : float
+        Width (inverse length squared); must be positive.
     hbar : float
         Action scale.  For the rotor experiments ``hbar = 1/(2 pi N)`` and
-        ``b = pi N`` so that position and momentum uncertainties coincide.
+        ``b1 = pi N`` so that position and momentum uncertainties coincide.
+
+    Every value must be a finite real scalar; anything else raises
+    ``ValueError``.
     """
 
-    center_p: np.ndarray
-    center_q: np.ndarray
-    b: np.ndarray
+    p1: float
+    q1: float
+    b1: float
     hbar: float
 
-    def __init__(self, center_p, center_q, b, hbar: float) -> None:
-        object.__setattr__(self, "center_p", _as_vector(center_p))
-        object.__setattr__(self, "center_q", _as_vector(center_q))
-        bm = np.asarray(b, dtype=float)
-        if bm.ndim == 0:
-            bm = bm.reshape(1, 1)
-        object.__setattr__(self, "b", bm)
-        object.__setattr__(self, "hbar", float(hbar))
-        self._validate()
-
-    def _validate(self) -> None:
-        d = self.center_q.shape[0]
-        if self.center_p.shape != (d,) or self.b.shape != (d, d):
-            raise ValueError("inconsistent dimensions among p, q, b")
-        if not np.allclose(self.b, self.b.T, rtol=0.0, atol=1e-14):
-            raise ValueError("width matrix must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.b) <= 0.0):
-            raise ValueError("width matrix must be positive definite")
+    def __post_init__(self) -> None:
+        for name in ("p1", "q1", "b1", "hbar"):
+            value = _scalar(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.b1 <= 0.0:
+            raise ValueError("width b must be positive")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
 
     @property
-    def dim(self) -> int:
-        return self.center_q.shape[0]
-
-    @property
-    def b1(self) -> float:
-        """Scalar width for one-dimensional packets."""
-        if self.dim != 1:
-            raise ValueError("scalar width only defined for D=1")
-        return float(self.b[0, 0])
-
-    @property
     def sigma(self) -> float:
-        """Position uncertainty sigma = 1/(2 sqrt(b)) for D=1."""
+        """Position uncertainty sigma = 1/(2 sqrt(b))."""
         return 1.0 / (2.0 * np.sqrt(self.b1))
 
-    @property
-    def p1(self) -> float:
-        if self.dim != 1:
-            raise ValueError("scalar center only defined for D=1")
-        return float(self.center_p[0])
-
-    @property
-    def q1(self) -> float:
-        if self.dim != 1:
-            raise ValueError("scalar center only defined for D=1")
-        return float(self.center_q[0])
-
     def norm_constant(self) -> float:
-        """The real prefactor (2^D Det[b]/pi^D)^(1/4)."""
-        d = self.dim
-        det = float(np.linalg.det(self.b))
-        return (2.0**d * det / np.pi**d) ** 0.25
+        """The real prefactor (2 b/pi)^(1/4)."""
+        return (2.0 * self.b1 / np.pi) ** 0.25
 
     def with_center(self, p, q) -> "GaussianPacket":
         """Same width and hbar, new real center (used for lattice images)."""
-        return GaussianPacket(p, q, self.b, self.hbar)
+        return GaussianPacket(p, q, self.b1, self.hbar)
 
 
 @dataclass(frozen=True)
 class ComplexPhasePoint:
-    """A point (P, Q) in complexified phase space."""
+    """A point (P, Q) = (p1, q1) in complexified phase space."""
 
-    P: np.ndarray
-    Q: np.ndarray
+    p1: complex
+    q1: complex
 
-    def __init__(self, P, Q) -> None:
-        object.__setattr__(self, "P", _as_complex_vector(P))
-        object.__setattr__(self, "Q", _as_complex_vector(Q))
-        if self.P.shape != self.Q.shape:
-            raise ValueError("P and Q must have the same dimension")
-
-    @property
-    def p1(self) -> complex:
-        return complex(self.P[0])
-
-    @property
-    def q1(self) -> complex:
-        return complex(self.Q[0])
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p1", _scalar("P", self.p1, complex))
+        object.__setattr__(self, "q1", _scalar("Q", self.q1, complex))
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(self.P.imag) <= tol) and np.all(np.abs(self.Q.imag) <= tol)
-        )
+        return abs(self.p1.imag) <= tol and abs(self.q1.imag) <= tol
 
 
 @dataclass(frozen=True)
@@ -158,23 +117,11 @@ class ResidualPair:
         )
 
 
-def packet_evaluate(packet: GaussianPacket, x) -> complex:
-    """Amplitude <x|alpha> of the packet at a real position.
-
-    Parameters
-    ----------
-    packet : GaussianPacket
-    x : float or (D,) array_like
-
-    Returns
-    -------
-    complex
-    """
-    xv = _as_vector(x)
-    dq = xv - packet.center_q
-    quad = dq @ packet.b @ dq
-    phase = packet.center_p @ dq / packet.hbar
-    return packet.norm_constant() * np.exp(-quad + 1j * phase)
+def packet_evaluate(packet: GaussianPacket, x: float) -> complex:
+    """Amplitude <x|alpha> of the packet at a real position x."""
+    dq = x - packet.q1
+    phase = packet.p1 * dq / packet.hbar
+    return packet.norm_constant() * np.exp(-packet.b1 * dq**2 + 1j * phase)
 
 
 def manifold_point(packet: GaussianPacket, Q) -> ComplexPhasePoint:
@@ -188,30 +135,29 @@ def manifold_point(packet: GaussianPacket, Q) -> ComplexPhasePoint:
     :func:`residuals`, and for an origin-centered packet with
     ``2 sigma^2 = hbar`` the relation reduces to ``P = i Q``.
     """
-    Qv = _as_complex_vector(Q)
-    P = packet.center_p + 2j * packet.hbar * (packet.b @ (Qv - packet.center_q))
-    return ComplexPhasePoint(P, Qv)
+    P = packet.p1 + 2j * packet.hbar * (packet.b1 * (Q - packet.q1))
+    return ComplexPhasePoint(P, Q)
 
 
 def ket_norm_exponent(packet: GaussianPacket, point: ComplexPhasePoint) -> complex:
     """Exponent restoring normalization and phase for a complex-center ket.
 
-    With ``N0 = (2^D Det[b]/pi^D)^(1/4) exp[ket_norm_exponent]`` the form
-    ``N0 exp[-(x-Q).b.(x-Q) + (i/hbar) P.(x-Q)]`` reproduces <x|alpha>
+    With ``N0 = (2 b/pi)^(1/4) exp[ket_norm_exponent]`` the form
+    ``N0 exp[-b (x-Q)^2 + (i/hbar) P (x-Q)]`` reproduces <x|alpha>
     pointwise whenever (P, Q) lies on the packet's constraint set.
 
     Vanishes exactly for real points.
     """
-    b = packet.b
+    b = packet.b1
+    binv = 1.0 / b
     hbar = packet.hbar
-    PR, PI = point.P.real, point.P.imag
-    QI = point.Q.imag
-    binv = np.linalg.inv(b)
+    PR, PI = point.p1.real, point.p1.imag
+    QI = point.q1.imag
     return complex(
-        1j / (2.0 * hbar**2) * (PR @ binv @ PI)
-        - (PI @ binv @ PI) / (4.0 * hbar**2)
-        - QI @ b @ QI
-        - (PR @ QI) / hbar
+        1j / (2.0 * hbar**2) * (PR * binv * PI)
+        - (PI * binv * PI) / (4.0 * hbar**2)
+        - QI * b * QI
+        - (PR * QI) / hbar
     )
 
 
@@ -219,19 +165,14 @@ def bra_norm_exponent(packet: GaussianPacket, point: ComplexPhasePoint) -> compl
     """Bra-side companion of :func:`ket_norm_exponent`.
 
     Identical except for the sign of the real-momentum/imaginary-position
-    cross term: ``bra - ket = (2/hbar) P_real . Q_imag``.
+    cross term: ``bra - ket = (2/hbar) P_real Q_imag``.  Conjugating the
+    point flips the signs of both imaginary parts, which flips exactly
+    that term and the imaginary part, so the bra exponent is the
+    conjugated ket exponent at the conjugated point -- rounding included,
+    unlike adding the cross term to the ket exponent.
     """
-    b = packet.b
-    hbar = packet.hbar
-    PR, PI = point.P.real, point.P.imag
-    QI = point.Q.imag
-    binv = np.linalg.inv(b)
-    return complex(
-        1j / (2.0 * hbar**2) * (PR @ binv @ PI)
-        - (PI @ binv @ PI) / (4.0 * hbar**2)
-        - QI @ b @ QI
-        + (PR @ QI) / hbar
-    )
+    conj = ComplexPhasePoint(point.p1.conjugate(), point.q1.conjugate())
+    return ket_norm_exponent(packet, conj).conjugate()
 
 
 def residuals(
@@ -249,38 +190,34 @@ def residuals(
         initial = 2 b_a (Q0 - q_a) + (i/hbar)(P0 - p_a)
         final   = 2 b_b (Qt - q_b) - (i/hbar)(Pt - p_b)
     """
-    c_init = 2.0 * (alpha.b @ (point0.Q - alpha.center_q)) + (
+    c_init = 2.0 * (alpha.b1 * (point0.q1 - alpha.q1)) + (
         1j / alpha.hbar
-    ) * (point0.P - alpha.center_p)
-    c_fin = 2.0 * (beta.b @ (point_t.Q - beta.center_q)) - (
+    ) * (point0.p1 - alpha.p1)
+    c_fin = 2.0 * (beta.b1 * (point_t.q1 - beta.q1)) - (
         1j / beta.hbar
-    ) * (point_t.P - beta.center_p)
+    ) * (point_t.p1 - beta.p1)
     return ResidualPair(c_init, c_fin)
 
 
 def gaussian_overlap(alpha: GaussianPacket, beta: GaussianPacket) -> complex:
     """Closed-form overlap <beta|alpha> of two real-center packets.
 
-    Both packets must share hbar and dimension.  Reduces to 1 for
-    identical packets; magnitude is bounded by 1 (Cauchy-Schwarz).
+    Both packets must share hbar.  Reduces to 1 for identical packets;
+    magnitude is bounded by 1 (Cauchy-Schwarz).
     """
-    if alpha.dim != beta.dim:
-        raise ValueError("dimension mismatch")
     if alpha.hbar != beta.hbar:
         raise ValueError("hbar mismatch")
     hbar = alpha.hbar
-    A = alpha.b + beta.b
-    Bv = (
-        2.0 * (alpha.b @ alpha.center_q)
-        + 2.0 * (beta.b @ beta.center_q)
-        + 1j / hbar * (alpha.center_p - beta.center_p)
+    A = alpha.b1 + beta.b1
+    B = (
+        2.0 * (alpha.b1 * alpha.q1)
+        + 2.0 * (beta.b1 * beta.q1)
+        + 1j / hbar * (alpha.p1 - beta.p1)
     )
     C = (
-        -alpha.center_q @ alpha.b @ alpha.center_q
-        - beta.center_q @ beta.b @ beta.center_q
-        - 1j / hbar * (alpha.center_p @ alpha.center_q - beta.center_p @ beta.center_q)
+        -alpha.q1 * alpha.b1 * alpha.q1
+        - beta.q1 * beta.b1 * beta.q1
+        - 1j / hbar * (alpha.p1 * alpha.q1 - beta.p1 * beta.q1)
     )
-    Ainv = np.linalg.inv(A)
-    d = alpha.dim
-    gauss = (np.pi**d / np.linalg.det(A)) ** 0.5 * np.exp(Bv @ Ainv @ Bv / 4.0 + C)
+    gauss = (np.pi / A) ** 0.5 * np.exp(B * B / A / 4.0 + C)
     return complex(alpha.norm_constant() * beta.norm_constant() * gauss)

@@ -15,10 +15,12 @@ and the left-multiplied product of per-step stability matrices
 
     M_n = [[1, -K cos(2pi Q_n)], [1, 1 - K cos(2pi Q_n)]]
 
-acting on column displacement vectors (dP, dQ).  A finely subdivided
-kick/drift checkpoint path of cumulative stability matrices is stored so
-that downstream square-root prefactors can follow their determinant's
-phase continuously from the identity.
+acting on column displacement vectors (dP, dQ).  The cumulative
+stability matrix is recorded at the end of every kick and every drift
+leg, 2t+1 matrices from the identity on.  Along a leg M is affine in the
+leg's fraction, so any determinant linear in M moves on a straight
+segment between two recorded values; the endpoints alone therefore fix
+the branch of the square-root prefactors downstream.
 
 The module also constructs the three curve families used to locate real
 seed trajectories: shearing lines for near-integrable transport, and
@@ -80,9 +82,9 @@ class ComplexTrajectory:
         Accumulated generating action S(Q_t, Q_0).
     m11, m12, m21, m22 : complex
         Blocks of the accumulated stability matrix (momentum row first).
-    checkpoints : list of (2, 2) complex ndarray
-        Cumulative stability matrices sampled along a subdivided
-        kick/drift path from the identity; consumed by branch tracking.
+    checkpoints : (n, 2, 2) complex ndarray
+        Cumulative stability matrices at the ends of the kick and drift
+        legs, starting from the identity; consumed by branch tracking.
     """
 
     points: tuple[ComplexPhasePoint, ...]
@@ -91,7 +93,7 @@ class ComplexTrajectory:
     m12: complex
     m21: complex
     m22: complex
-    checkpoints: tuple[np.ndarray, ...]
+    checkpoints: np.ndarray
 
     @property
     def t(self) -> int:
@@ -126,12 +128,12 @@ def map_step(
     Folding (mod 1 in both coordinates) is permitted only for real points;
     complexified propagation always stays on the covering space.
     """
-    p = point.P[0]
-    q = point.Q[0]
+    p = point.p1
+    q = point.q1
     p1 = p - (params.K / TWO_PI) * np.sin(TWO_PI * q)
     q1 = q + p1
     if fold:
-        if point.P.imag.any() or point.Q.imag.any():
+        if not point.is_real():
             raise ValueError("folding is only defined for real points")
         p1 = complex(p1.real % 1.0)
         q1 = complex(q1.real % 1.0)
@@ -142,8 +144,8 @@ def inverse_map_step(
     point: ComplexPhasePoint, params: RotorParams
 ) -> ComplexPhasePoint:
     """Exact inverse of :func:`map_step` (drift back, then unkick)."""
-    p1 = point.P[0]
-    q1 = point.Q[0]
+    p1 = point.p1
+    q1 = point.q1
     q = q1 - p1
     p = p1 + (params.K / TWO_PI) * np.sin(TWO_PI * q)
     return ComplexPhasePoint(p, q)
@@ -158,7 +160,6 @@ def propagate(
     t: int,
     params: RotorParams,
     runaway_bound: float = 10.0,
-    branch_substeps: int = 16,
 ) -> ComplexTrajectory:
     """Iterate the unfolded map for t steps from a complex initial point.
 
@@ -175,9 +176,6 @@ def propagate(
         this magnitude, or when P or Q stops being finite (NaN passes any
         magnitude test); diverging imaginary parts signal a trajectory
         escaping through a branch cut, not recoverable state.
-    branch_substeps : int
-        Number of checkpoints recorded within each kick and each drift
-        factor of the stability product.
 
     Returns
     -------
@@ -185,31 +183,22 @@ def propagate(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    P = complex(ic.P[0])
-    Q = complex(ic.Q[0])
-    pts = [ComplexPhasePoint(P, Q)]
-    M = np.eye(2, dtype=complex)
-    checkpoints = [M.copy()]
+    P = ic.p1
+    Q = ic.q1
+    pts = [ic]
+    m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    legs = [(m11, m12, m21, m22)]
     S = 0.0 + 0.0j
     for step in range(t):
         c = _kick_cos(Q, params)
         P1 = P - (params.K / TWO_PI) * np.sin(TWO_PI * Q)
         Q1 = Q + P1
         S += (Q1 - Q) ** 2 / 2.0 + (params.K / (4.0 * np.pi**2)) * np.cos(TWO_PI * Q)
-        # kick factor, subdivided for continuous branch tracking
-        for k in range(1, branch_substeps + 1):
-            frac = k / branch_substeps
-            checkpoints.append(
-                np.array([[1.0, -frac * c], [0.0, 1.0]], dtype=complex) @ M
-            )
-        M = np.array([[1.0, -c], [0.0, 1.0]], dtype=complex) @ M
-        # drift factor
-        for k in range(1, branch_substeps + 1):
-            frac = k / branch_substeps
-            checkpoints.append(
-                np.array([[1.0, 0.0], [frac, 1.0]], dtype=complex) @ M
-            )
-        M = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex) @ M
+        # kick leg [[1, -c], [0, 1]] M, then drift leg [[1, 0], [1, 1]] M
+        m11, m12 = m11 - c * m21, m12 - c * m22
+        legs.append((m11, m12, m21, m22))
+        m21, m22 = m21 + m11, m22 + m12
+        legs.append((m11, m12, m21, m22))
         P, Q = P1, Q1
         # NaN fails every comparison, so finiteness is tested on its own;
         # the sum is NaN or inf when any part is (or overflows past 1e308)
@@ -223,11 +212,11 @@ def propagate(
     return ComplexTrajectory(
         points=tuple(pts),
         action=S,
-        m11=complex(M[0, 0]),
-        m12=complex(M[0, 1]),
-        m21=complex(M[1, 0]),
-        m22=complex(M[1, 1]),
-        checkpoints=tuple(checkpoints),
+        m11=complex(m11),
+        m12=complex(m12),
+        m21=complex(m21),
+        m22=complex(m22),
+        checkpoints=np.array(legs, dtype=complex).reshape(-1, 2, 2),
     )
 
 

@@ -16,8 +16,8 @@ Three evaluators of increasing sophistication share this module:
 All evaluators consume :class:`~ggwpd.rotor.ComplexTrajectory` objects and
 are therefore dynamics-agnostic: trajectories built analytically (e.g. for
 free motion) can be fed to the same code paths exercised by the rotor.
-Everything here is one-dimensional; packets of higher dimension are
-rejected up front.
+Every square-root prefactor is continued from t = 0 through the
+trajectory's leg-endpoint stability matrices (:func:`_tracked_sqrt`).
 """
 from __future__ import annotations
 
@@ -46,12 +46,17 @@ from .rotor import (
 class BranchPhase:
     """Streaming accumulator for a continuously unwrapped square root.
 
-    Feed successive determinant values along a sufficiently fine path via
-    :func:`branch_sqrt`; the accumulated argument never jumps by more than
-    pi between samples, so the returned root follows the analytic branch
-    instead of the principal one.  The first sample fixes the branch with
-    the principal argument, which for the positive-real determinants
-    arising at zero elapsed time selects the root with positive real part.
+    Feed successive determinant values of a path via :func:`branch_sqrt`.
+    Each step adds the principal argument of the ratio of consecutive
+    samples, so the returned root follows the analytic branch instead of
+    the principal one whenever the true argument changes by less than pi
+    between samples.  The first sample fixes the branch with the principal
+    argument, which for the positive-real determinants arising at zero
+    elapsed time selects the root with positive real part.
+
+    The evaluators in this module do not need it: their determinants are
+    exact on straight segments between the trajectory's leg endpoints,
+    which :func:`_tracked_sqrt` handles in one pass.
     """
 
     __slots__ = ("_angle", "_last")
@@ -77,6 +82,26 @@ def branch_sqrt(det: complex, state: BranchPhase) -> complex:
     Raises :class:`CausticError` on a vanishing determinant.
     """
     return state.advance(det)
+
+
+def _tracked_sqrt(dets: np.ndarray) -> complex:
+    """Square root of ``dets[-1]`` continued from the principal root of ``dets[0]``.
+
+    ``dets`` holds a determinant linear in the stability matrix at every
+    leg endpoint of a trajectory.  The stability matrix is affine along
+    each leg, so the determinant runs on the straight segment between two
+    consecutive values, and its change in argument there is exactly the
+    principal angle of their ratio -- unless the segment passes through
+    zero, i.e. ``z1 * conj(z0)`` is real and not positive.  That is a
+    caustic, and raises :class:`CausticError`.
+    """
+    legs = dets[1:] * np.conj(dets[:-1])
+    # a zero sample makes its neighbouring legs vanish; only a lone sample
+    # (a trajectory without legs) needs its own test
+    if dets[-1] == 0 or np.any((legs.imag == 0.0) & (legs.real <= 0.0)):
+        raise CausticError("determinant passes through zero: caustic encountered")
+    angle = sum(np.angle(dets[1:] / dets[:-1]).tolist(), float(np.angle(dets[0])))
+    return complex(np.sqrt(abs(dets[-1])) * np.exp(0.5j * angle))
 
 
 @dataclass(frozen=True)
@@ -144,12 +169,6 @@ class CorrelationResult:
     branches: tuple
 
 
-def _require_1d(*packets: GaussianPacket) -> None:
-    for p in packets:
-        if p.dim != 1:
-            raise ConfigError("rotor semiclassics is one-dimensional")
-
-
 def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianPacket:
     """The lattice image of the bra packet selected by a winding pair."""
     n_p, n_q = winding
@@ -175,32 +194,6 @@ def _correlation_jacobian(
     )
 
 
-def newton_step(
-    alpha: GaussianPacket, beta: GaussianPacket, current: ComplexTrajectory
-) -> tuple[ComplexPhasePoint, ResidualPair]:
-    """One Newton update of the initial point of a candidate trajectory.
-
-    Solves the linearized pair of endpoint constraints using the
-    trajectory's stability blocks and returns the updated initial
-    condition together with the residuals *before* the update.  ``beta``
-    must already be the winding-shifted image the trajectory targets.
-    """
-    _require_1d(alpha, beta)
-    res = residuals(alpha, beta, current.initial, current.final)
-    jac = _correlation_jacobian(alpha, beta, current)
-    rhs = -np.array([res.initial[0], res.final[0]])
-    try:
-        delta = np.linalg.solve(jac, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise CausticError(
-            "singular Newton system (coalescing saddles or caustic)"
-        ) from exc
-    updated = ComplexPhasePoint(
-        current.initial.p1 + delta[0], current.initial.q1 + delta[1]
-    )
-    return updated, res
-
-
 def _newton_solve(
     ic: ComplexPhasePoint,
     t: int,
@@ -210,14 +203,13 @@ def _newton_solve(
     tol: float,
     max_iter: int,
     runaway_bound: float,
-    branch_substeps: int,
 ):
     """Damped Newton iteration shared by the two saddle searches.
 
     A step that fails to reduce the residual norm is halved up to six
     times before the search is abandoned.
     """
-    traj = propagate(ic, t, params, runaway_bound, branch_substeps)
+    traj = propagate(ic, t, params, runaway_bound)
     res = residual_of(traj)
     history = [res.max_norm]
     iterations = 0
@@ -240,7 +232,7 @@ def _newton_solve(
                 traj.initial.p1 + scale * delta[0],
                 traj.initial.q1 + scale * delta[1],
             )
-            cand = propagate(cand_ic, t, params, runaway_bound, branch_substeps)
+            cand = propagate(cand_ic, t, params, runaway_bound)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
                 accepted = True
@@ -266,7 +258,6 @@ def find_saddle(
     tol: float = 1e-12,
     max_iter: int = 25,
     runaway_bound: float = 10.0,
-    branch_substeps: int = 16,
 ) -> SaddleTrajectory:
     """Refine a real seed trajectory onto the complex saddle trajectory.
 
@@ -285,7 +276,6 @@ def find_saddle(
     CausticError
         On a singular Newton system.
     """
-    _require_1d(alpha, beta)
     target = _shifted_target(beta, seed.winding)
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
 
@@ -297,7 +287,7 @@ def find_saddle(
 
     traj, iterations, res, history = _newton_solve(
         ic, seed.t, params, residual_of, jacobian_of,
-        tol, max_iter, runaway_bound, branch_substeps,
+        tol, max_iter, runaway_bound,
     )
     return SaddleTrajectory(
         trajectory=traj,
@@ -321,23 +311,19 @@ def saddle_contribution(
     """Steepest-descent correlation term of one saddle trajectory.
 
     ``beta`` must be the winding-shifted image the trajectory connects to;
-    the branch of the square-root prefactor is tracked continuously along
-    the trajectory's stability checkpoints starting from the positive root
-    at zero elapsed time.
+    the branch of the square-root prefactor is continued along the
+    trajectory's stability checkpoints from the positive root at zero
+    elapsed time.
     """
-    _require_1d(alpha, beta)
     hbar = alpha.hbar
     ba, bb = alpha.b1, beta.b1
-    state = BranchPhase()
-    root = 0j
-    for M in trajectory.checkpoints:
-        det = (
-            M[0, 0] * ba
-            + bb * M[1, 1]
-            + 2j * hbar * bb * M[1, 0] * ba
-            - (0.5j / hbar) * M[0, 1]
-        )
-        root = branch_sqrt(det, state)
+    M = trajectory.checkpoints
+    root = _tracked_sqrt(
+        M[:, 0, 0] * ba
+        + bb * M[:, 1, 1]
+        + 2j * hbar * bb * M[:, 1, 0] * ba
+        - (0.5j / hbar) * M[:, 0, 1]
+    )
     fm = ket_norm_exponent(alpha, trajectory.initial)
     fp = bra_norm_exponent(beta, trajectory.final)
     value = (
@@ -369,7 +355,6 @@ def ggwpd_correlation(
     targets is taken from its seed, and the action accumulated on the
     unfolded torus carries the corresponding phase without correction.
     """
-    _require_1d(alpha, beta)
     contributions: list[SaddleContribution] = []
     weights: list[float] = []
     for sad in saddles:
@@ -410,13 +395,10 @@ def wavefunction_contribution(
     replaced by a position eigenvector at the trajectory's (real) final
     position; the bra-side exponent is identically zero.
     """
-    _require_1d(alpha)
     hbar = alpha.hbar
     ba = alpha.b1
-    state = BranchPhase()
-    root = 0j
-    for M in trajectory.checkpoints:
-        root = branch_sqrt(M[1, 1] + 2j * hbar * M[1, 0] * ba, state)
+    M = trajectory.checkpoints
+    root = _tracked_sqrt(M[:, 1, 1] + 2j * hbar * M[:, 1, 0] * ba)
     fm = ket_norm_exponent(alpha, trajectory.initial)
     value = (
         (2.0 * ba / np.pi) ** 0.25
@@ -443,14 +425,12 @@ def find_position_saddle(
     tol: float = 1e-12,
     max_iter: int = 25,
     runaway_bound: float = 10.0,
-    branch_substeps: int = 16,
 ) -> SaddleTrajectory:
     """Saddle search with the bra constraint replaced by Q_t = x_target.
 
     ``x_target`` must already include any lattice shift; ``winding_q``
     merely records it.  Seeded from the real point (seed_momentum, q_alpha).
     """
-    _require_1d(alpha)
     hbar = alpha.hbar
     ba = alpha.b1
 
@@ -458,8 +438,7 @@ def find_position_saddle(
         c0 = 2.0 * ba * (traj.initial.q1 - alpha.q1) + (1j / hbar) * (
             traj.initial.p1 - alpha.p1
         )
-        ct = traj.final.q1 - x_target
-        return ResidualPair(np.array([c0]), np.array([ct]))
+        return ResidualPair(c0, traj.final.q1 - x_target)
 
     def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
         return np.array([[1j / hbar, 2.0 * ba], [traj.m21, traj.m22]])
@@ -467,7 +446,7 @@ def find_position_saddle(
     ic = ComplexPhasePoint(complex(seed_momentum), complex(alpha.q1))
     traj, iterations, res, history = _newton_solve(
         ic, t, params, residual_of, jacobian_of,
-        tol, max_iter, runaway_bound, branch_substeps,
+        tol, max_iter, runaway_bound,
     )
     seed = SeedTrajectory(
         ic=(float(seed_momentum), alpha.q1),
@@ -502,7 +481,6 @@ def ggwpd_wavefunction(
     manifold-based seeding as in the correlation case).  One saddle is
     refined per crossing per lattice image of x.
     """
-    _require_1d(alpha)
     if t < 1:
         raise ValueError("position saddles need at least one step")
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
@@ -584,7 +562,6 @@ def offcenter_contribution(
     ``beta`` must be the winding-shifted image (equal widths and hbar are
     required — the underlying expression assumes a common sigma).
     """
-    _require_1d(alpha, beta)
     if not np.isclose(alpha.b1, beta.b1, rtol=1e-12) or alpha.hbar != beta.hbar:
         raise ConfigError(
             "off-center evaluation requires equal packet widths and hbar"
@@ -599,12 +576,10 @@ def offcenter_contribution(
     r2 = 1.0 / (2.0 * hbar * b)
     sx = np.sqrt(1.0 / (2.0 * b))  # sqrt(2 sigma^2)
 
-    state = BranchPhase()
-    root = 0j
-    a0 = 0j
-    for M in trajectory.checkpoints:
-        a0 = M[0, 0] + M[1, 1] + 1j * (r1 * M[1, 0] - r2 * M[0, 1])
-        root = branch_sqrt(a0, state)
+    M = trajectory.checkpoints
+    sums = M[:, 0, 0] + M[:, 1, 1] + 1j * (r1 * M[:, 1, 0] - r2 * M[:, 0, 1])
+    root = _tracked_sqrt(sums)
+    a0 = complex(sums[-1])
 
     p0, q0 = trajectory.initial.p1.real, trajectory.initial.q1.real
     pt, qt = trajectory.final.p1.real, trajectory.final.q1.real
@@ -655,17 +630,15 @@ def offcenter_correlation(
     params: RotorParams,
     t: int,
     prune_threshold: float = 1e-12,
-    branch_substeps: int = 16,
 ) -> CorrelationResult:
     """Off-center real-trajectory correlation summed over transport seeds."""
-    _require_1d(alpha, beta)
     contributions: list[OffCenterContribution] = []
     weights: list[float] = []
     for seed in seeds:
         if seed.t != t:
             raise ConfigError(f"seed has t = {seed.t}, expected {t}")
         ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
-        traj = propagate(ic, t, params, branch_substeps=branch_substeps)
+        traj = propagate(ic, t, params)
         target = _shifted_target(beta, seed.winding)
         contrib = offcenter_contribution(
             alpha, target, traj, winding=seed.winding
@@ -688,7 +661,6 @@ def linearized_correlation(
     beta: GaussianPacket,
     params: RotorParams,
     t: int,
-    branch_substeps: int = 16,
 ) -> complex:
     """Single-trajectory linearized estimate of the correlation.
 
@@ -697,9 +669,8 @@ def linearized_correlation(
     the endpoint.  At t = 0 this reproduces the closed-form packet overlap
     exactly.
     """
-    _require_1d(alpha, beta)
     ic = ComplexPhasePoint(complex(alpha.p1), complex(alpha.q1))
-    traj = propagate(ic, t, params, branch_substeps=branch_substeps)
+    traj = propagate(ic, t, params)
     n_p = int(np.round(traj.final.p1.real - beta.p1))
     n_q = int(np.round(traj.final.q1.real - beta.q1))
     target = _shifted_target(beta, (n_p, n_q))

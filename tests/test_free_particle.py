@@ -7,6 +7,8 @@ an approximation artifact.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggwpd import free_particle as fp
 from ggwpd.packets import (
@@ -54,6 +56,34 @@ def test_all_three_methods_match_exact_on_grid():
                 fp.ggwpd_wavefunction,
             ):
                 assert abs(method(ALPHA, x, t) - exact) < 1e-12 * peak
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.floats(-2.0, 2.0),
+    q=st.floats(-2.0, 2.0),
+    b=st.floats(0.1, 10.0),
+    hbar=st.floats(0.1, 2.0),
+    t=st.just(0.0) | st.floats(0.1, 10.0),
+    u=st.floats(-6.0, 6.0),
+)
+def test_all_three_methods_match_exact_for_random_packets(p, q, b, hbar, t, u):
+    """The grid test above, over random packets, times and positions
+    x = q_t + u * width within six evolved widths.  Times in (0, 0.1) are
+    left out: there the off-center form divides by t and its phase,
+    ~ 1/(t hbar), outgrows the 1e-12 budget in rounding alone."""
+    alpha = GaussianPacket(p, q, b, hbar)
+    _, q_t = fp.evolved_center(alpha, t)
+    width = alpha.sigma * np.sqrt(1.0 + fp.kappa(alpha, t) ** 2)
+    peak = (2 * np.pi * width**2) ** -0.25
+    x = q_t + u * width
+    exact = fp.exact_wavefunction(alpha, x, t)
+    for method in (
+        fp.linearized_wavefunction,
+        fp.offcenter_wavefunction,
+        fp.ggwpd_wavefunction,
+    ):
+        assert abs(method(alpha, x, t) - exact) < 1e-12 * peak
 
 
 def test_saddle_initial_conditions_sit_on_the_ket_manifold():

@@ -134,6 +134,22 @@ def test_packet_validation_rejects_bad_input():
         GaussianPacket([0.0, 0.1], [0.0, 0.2], [[1.0, 0.5], [0.4, 1.0]], 0.1)
 
 
+@pytest.mark.parametrize(
+    "p, q, b, hbar",
+    [
+        (0.0, 0.0, 1.0, np.nan),
+        (np.nan, 0.0, 1.0, 0.1),
+        (0.0, np.inf, 1.0, 0.1),
+        (0.0, 0.0, 1.0, np.inf),
+        (0.0, 0.0, np.nan, 0.1),
+        (0.0, 0.0, np.inf, 0.1),
+    ],
+)
+def test_packet_rejects_non_finite_values(p, q, b, hbar):
+    with pytest.raises(ValueError):
+        GaussianPacket(p, q, b, hbar)
+
+
 def test_complex_point_shape_check_and_is_real():
     with pytest.raises(ValueError):
         ComplexPhasePoint([0.1, 0.2], 0.3)

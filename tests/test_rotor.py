@@ -1,6 +1,8 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ggwpd.errors import ConfigError, RunawayError
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
@@ -50,6 +52,42 @@ def test_inverse_map_round_trip():
         assert abs(again.p1 - z.p1) < 1e-13
 
 
+_complex = st.complex_numbers(max_magnitude=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    re=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    im=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+    K=st.floats(0.0, 10.0),
+)
+def test_inverse_map_undoes_map_on_complex_points(re, im, K):
+    """Imaginary parts stay at the saddles' scale: the kick grows like
+    K sinh(2 pi Im Q), and the round trip's rounding with it."""
+    P, Q = complex(re[0], im[0]), complex(re[1], im[1])
+    z = ComplexPhasePoint(P, Q)
+    back = inverse_map_step(map_step(z, RotorParams(K)), RotorParams(K))
+    assert abs(back.p1 - P) < 1e-12
+    assert abs(back.q1 - Q) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_complex, Q=_complex, t=st.integers(0, 6), K=st.sampled_from([0.05, 8.25]))
+def test_unit_determinant_at_every_leg_endpoint_property(P, Q, t, K):
+    """Kick and drift factors are unit triangular, so every recorded
+    matrix -- there are 2t + 1 -- has determinant one up to the
+    cancellation noise of its own entries."""
+    try:
+        traj = propagate(ComplexPhasePoint(P, Q), t, RotorParams(K))
+    except RunawayError:
+        reject()
+    assert traj.checkpoints.shape == (2 * t + 1, 2, 2)
+    for m in traj.checkpoints:
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        scale = max(abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0]), 1.0)
+        assert abs(det - 1.0) < 1e-14 * scale
+
+
 def test_folding_requires_real_points():
     folded = map_step(ComplexPhasePoint(1.3, 2.8), K_CHAOTIC, fold=True)
     assert 0.0 <= folded.p1.real < 1.0
@@ -72,7 +110,7 @@ def test_iterate_map_matches_scalar_steps():
 def test_unit_determinant_along_trajectories():
     """Every accumulated stability checkpoint has determinant one.
 
-    The map is area preserving, and both the kick and drift substep
+    The map is area preserving, and both the kick and drift leg
     factors are unit triangular, so any deviation flags an assembly bug.
     """
     for ic, t in (

@@ -1,16 +1,25 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from ggwpd.errors import CausticError, ConfigError, ConvergenceError
+from ggwpd.errors import CausticError, ConfigError, ConvergenceError, RunawayError
+from ggwpd.experiment import packets_for
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
     grid_hbar,
     quantum_correlation,
 )
-from ggwpd.packets import ComplexPhasePoint, GaussianPacket, gaussian_overlap, residuals
-from ggwpd.rotor import RotorParams, SeedTrajectory, find_seeds, propagate
+from ggwpd.packets import ComplexPhasePoint, GaussianPacket, gaussian_overlap
+from ggwpd.rotor import (
+    ComplexTrajectory,
+    RotorParams,
+    SeedTrajectory,
+    find_seeds,
+    propagate,
+)
 from ggwpd.semiclassics import (
     BranchPhase,
     branch_sqrt,
@@ -18,10 +27,10 @@ from ggwpd.semiclassics import (
     ggwpd_correlation,
     ggwpd_wavefunction,
     linearized_correlation,
-    newton_step,
     offcenter_contribution,
     offcenter_correlation,
     saddle_contribution,
+    wavefunction_contribution,
 )
 
 
@@ -69,19 +78,6 @@ def test_branch_sqrt_rejects_zero():
 # ---------------------------------------------------------------------------
 # Newton refinement
 # ---------------------------------------------------------------------------
-
-def test_newton_step_returns_pre_update_residual():
-    N = 50
-    alpha = _packet(0.815, 0.2, N)
-    beta = _packet(0.77, 1.8, N)
-    traj = propagate(ComplexPhasePoint(0.8075682672865, 0.2), 2, RotorParams(0.05))
-    updated, pair = newton_step(alpha, beta, traj)
-    before = residuals(alpha, beta, traj.initial, traj.final)
-    assert abs(pair.max_norm - before.max_norm) < 1e-15
-    after = propagate(updated, 2, RotorParams(0.05))
-    now = residuals(alpha, beta, after.initial, after.final)
-    assert now.max_norm < 0.1 * pair.max_norm
-
 
 def test_find_saddle_converges_quadratically_from_real_seed():
     N = 50
@@ -142,20 +138,93 @@ def test_saddle_location_is_width_scaling_invariant():
 # correlation evaluators against the exact quantum reference
 # ---------------------------------------------------------------------------
 
-def test_branch_tracking_is_substep_resolution_independent():
-    N = 50
-    alpha = _packet(0.0, 0.0, N)
-    beta = _packet(0.0, 0.5, N)
-    params = RotorParams(8.25)
-    seeds = find_seeds(alpha, beta, 2, params, image_range=1, regime="chaotic")
-    seed = next(s for s in seeds if s.winding == (0, 0))
-    values = []
-    for sub in (16, 160):
-        sad = find_saddle(alpha, beta, seed, params, branch_substeps=sub)
-        target = beta.with_center(beta.p1, beta.q1 + 0)  # winding (0, 0)
-        contrib = saddle_contribution(alpha, target, sad.trajectory, winding=(0, 0))
-        values.append(contrib.value)
-    assert abs(values[0] - values[1]) < 1e-12 * abs(values[1])
+def _subdivided_root(traj, K, det_of, n=256):
+    """Reference branch: det_of(M) tracked with every kick and drift leg cut
+    into n pieces, the stability matrix rebuilt from the orbit's points."""
+    state = BranchPhase()
+    M = np.eye(2, dtype=complex)
+    root = branch_sqrt(det_of(M), state)
+    for z in traj.points[:-1]:
+        c = K * np.cos(2.0 * np.pi * z.q1)
+        for leg in (np.array([[0.0, -c], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])):
+            for f in np.arange(1, n + 1) / n:
+                root = branch_sqrt(det_of((np.eye(2) + f * leg) @ M), state)
+            M = (np.eye(2) + leg) @ M
+    return root
+
+
+def _saddle_det(alpha, beta):
+    ba, bb, hbar = alpha.b1, beta.b1, alpha.hbar
+    return lambda M: (
+        M[0, 0] * ba + bb * M[1, 1] + 2j * hbar * bb * M[1, 0] * ba - (0.5j / hbar) * M[0, 1]
+    )
+
+
+def _wavefunction_det(alpha):
+    return lambda M: M[1, 1] + 2j * alpha.hbar * M[1, 0] * alpha.b1
+
+
+def _assert_prefactors_match_subdivided_legs(traj, K, alpha, beta):
+    # values of far-complex trajectories may overflow; only prefactors count
+    with np.errstate(over="ignore", invalid="ignore"):
+        saddle = saddle_contribution(alpha, beta, traj).prefactor
+        wave = wavefunction_contribution(alpha, traj).prefactor
+    for value, det_of in ((saddle, _saddle_det(alpha, beta)), (wave, _wavefunction_det(alpha))):
+        reference = 1.0 / _subdivided_root(traj, K, det_of)
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def test_endpoint_branch_tracking_matches_subdivided_legs(chaotic_bundle):
+    """Tracking the prefactor branch through the leg endpoints alone gives
+    the root a 256-fold subdivision of every leg gives, on the chaotic
+    preset's saddles (complex) and seed trajectories (real)."""
+    config, setup = chaotic_bundle.config, chaotic_bundle.setup
+    params = RotorParams(config.K)
+    trajectories = [sad.trajectory for sad in setup.saddles] + [
+        propagate(ComplexPhasePoint(*seed.ic), config.t, params) for seed in setup.seeds
+    ]
+    for N in (config.N_list[0], config.N_list[-1]):
+        alpha, beta = packets_for(config, N)
+        for traj in trajectories:
+            _assert_prefactors_match_subdivided_legs(traj, config.K, alpha, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    P=st.complex_numbers(max_magnitude=1.0),
+    Q=st.complex_numbers(max_magnitude=1.0),
+    t=st.integers(1, 6),
+    N=st.integers(50, 700),
+)
+def test_endpoint_branch_tracking_matches_subdivided_legs_property(P, Q, t, N):
+    """The same claim on random complex K = 8.25 trajectories; starts that
+    run away are not trajectories the evaluators ever see."""
+    K = 8.25
+    try:
+        traj = propagate(ComplexPhasePoint(P, Q), t, RotorParams(K))
+    except RunawayError:
+        reject()
+    _assert_prefactors_match_subdivided_legs(traj, K, _packet(0.0, 0.0, N), _packet(0.0, 0.5, N))
+
+
+@pytest.mark.parametrize("evaluator", ["saddle", "wavefunction", "offcenter"])
+def test_determinant_leg_through_zero_is_a_caustic(evaluator):
+    """Checkpoints I then -I put every tracked determinant on a segment
+    through zero, where no principal angle is the true change in argument."""
+    alpha = _packet(0.1, 0.2, 50)
+    z = ComplexPhasePoint(0.1, 0.2)
+    I = np.eye(2, dtype=complex)
+    traj = ComplexTrajectory(
+        points=(z, z), action=0j, m11=-1.0 + 0j, m12=0j, m21=0j, m22=-1.0 + 0j,
+        checkpoints=np.array([I, -I]),
+    )
+    with pytest.raises(CausticError):
+        if evaluator == "saddle":
+            saddle_contribution(alpha, alpha, traj)
+        elif evaluator == "wavefunction":
+            wavefunction_contribution(alpha, traj)
+        else:
+            offcenter_contribution(alpha, alpha, traj)
 
 
 def test_zero_kick_correlation_matches_quantum():
