@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .packets import ComplexPhasePoint, GaussianPacket, manifold_point, packet_evaluate
+from .packets import ComplexPhasePoint, GaussianPacket, manifold_point
 from .rotor import ComplexTrajectory
 from .semiclassics import saddle_contribution, wavefunction_contribution
 
@@ -146,19 +146,19 @@ def offcenter_wavefunction(
     momentum reaches x in time t; its action supplies the phase and the
     momentum offset from the center enters a complex Gaussian weight.
     """
-    if t == 0.0:
-        return packet_evaluate(alpha, x)
     hbar = alpha.hbar
     b = alpha.b1
-    p0, q0 = offcenter_initial_conditions(alpha, x, t, mass)
+    p_t, q_t = evolved_center(alpha, t, mass)
     m21 = t / mass
-    action = mass * (x - q0) ** 2 / (2.0 * t)
-    a = b - 1j / (2.0 * hbar * m21)
-    return complex(
-        (2.0 * b / np.pi) ** 0.25
-        / np.sqrt(1.0 + 2j * hbar * m21 * b)
-        * np.exp(1j * action / hbar - (alpha.p1 - p0) ** 2 / (4.0 * hbar**2 * a))
-    )
+    u = x - q_t
+    spread = 1.0 + 2j * hbar * m21 * b
+    # The exponent is i S/hbar - (p_alpha - p0)^2 / (4 hbar^2 a) with action
+    # S = (u + m21 p_t)^2 / (2 m21), offset p_alpha - p0 = -u/m21 and
+    # a = b - i/(2 hbar m21).  Its two u^2/m21 terms both diverge as t -> 0;
+    # summed in closed form they are -b u^2 / spread, which stays exact there
+    # and leaves the linearized exponent, as free motion makes both exact.
+    exponent = -b * u**2 / spread + 1j * p_t * (u + 0.5 * m21 * p_t) / hbar
+    return complex((2.0 * b / np.pi) ** 0.25 / np.sqrt(spread) * np.exp(exponent))
 
 
 def ggwpd_wavefunction(

@@ -29,7 +29,6 @@ stable/unstable manifolds of hyperbolic fixed points for chaotic
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -298,6 +297,11 @@ def _grow_invariant_curve(
     are refined by inserting log-midpoints until consecutive points are
     closer than ``spacing``.  Iterating with the map itself keeps every
     emitted point on the manifold to machine precision.
+
+    Refinement is breadth-first: each round splits every interval that is
+    still too long, mapping all of their midpoints in one call.  Whether
+    an interval splits depends only on its two endpoints, so the point set
+    is the one a left-to-right walk inserting one midpoint at a time gives.
     """
     lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, params.K)
     if inverse:
@@ -319,53 +323,48 @@ def _grow_invariant_curve(
     def signed_param(side: float, n: int, s_vals: np.ndarray) -> np.ndarray:
         return side * s_vals * lam**n
 
-    entries: list[tuple[float, float, float]] = []  # (param, p, q)
-    entries.append((0.0, float(anchor[0]), float(anchor[1])))
+    # curve parameters and points, one array each per (level, side) in
+    # growth order; the anchor comes first
+    param_parts = [np.zeros(1)]
+    point_parts = [anchor[None, :]]
+    curve = anchor[None, :]
     total_len = 0.0
     n_base = 48
     for n in range(n_levels):
         if total_len >= arc_budget:
             break
         for side in (+1.0, -1.0):
-            log_lo, log_hi = np.log(s0), np.log(abs(lam) * s0)
-            logs = list(np.linspace(log_lo, log_hi, n_base))
-            pts = list(level_points(side, n, np.exp(np.array(logs))))
-            # adaptive insertion until spacing bound holds
-            i = 0
-            while i < len(pts) - 1:
+            logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
+            pts = level_points(side, n, np.exp(logs))
+            while True:
                 if len(pts) > max_points:
                     raise NumericalError(
                         "manifold refinement exceeded the point-count cap"
                     )
-                gap = np.hypot(*(pts[i + 1] - pts[i]))
-                if gap > spacing and logs[i + 1] - logs[i] > 1e-14:
-                    mid = 0.5 * (logs[i] + logs[i + 1])
-                    pmid = level_points(side, n, np.exp(np.array([mid])))[0]
-                    logs.insert(i + 1, mid)
-                    pts.insert(i + 1, pmid)
-                else:
-                    i += 1
-            params_arr = signed_param(side, n, np.exp(np.array(logs)))
-            for par, pt in zip(params_arr, pts):
-                entries.append((float(par), float(pt[0]), float(pt[1])))
-        # track accumulated length level by level (ordered later; estimate
-        # with the level's own arc which dominates the total)
-        lv = np.array(
-            [e[1:] for e in sorted(entries, key=lambda e: e[0])], dtype=float
-        )
-        total_len = float(np.sum(np.hypot(*np.diff(lv, axis=0).T)))
-    entries.sort(key=lambda e: e[0])
-    pts = np.array([e[1:] for e in entries], dtype=float)
+                gaps = np.hypot(*np.diff(pts, axis=0).T)
+                split = np.nonzero((gaps > spacing) & (np.diff(logs) > 1e-14))[0]
+                if split.size == 0:
+                    break
+                mids = 0.5 * (logs[split] + logs[split + 1])
+                logs = np.insert(logs, split + 1, mids)
+                pts = np.insert(pts, split + 1, level_points(side, n, np.exp(mids)), 0)
+            param_parts.append(signed_param(side, n, np.exp(logs)))
+            point_parts.append(pts)
+        # arc length of everything grown so far, summed in curve order; the
+        # sort is stable so equal parameters keep their growth order
+        order = np.argsort(np.concatenate(param_parts), kind="stable")
+        curve = np.concatenate(point_parts)[order]
+        total_len = float(np.sum(np.hypot(*np.diff(curve, axis=0).T)))
     # truncate symmetrically in parameter once the budget is exceeded
     if total_len > arc_budget:
-        seglen = np.hypot(*np.diff(pts, axis=0).T)
+        seglen = np.hypot(*np.diff(curve, axis=0).T)
         cum = np.concatenate([[0.0], np.cumsum(seglen)])
         # keep the centered window of the requested length
         excess = (cum[-1] - arc_budget) / 2.0
         lo = int(np.searchsorted(cum, excess))
         hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
-        pts = pts[max(lo, 0) : min(hi + 1, len(pts))]
-    return pts
+        curve = curve[max(lo, 0) : min(hi + 1, len(curve))]
+    return curve
 
 
 def unstable_manifold(
@@ -433,11 +432,11 @@ def propagate_curve(curve: ManifoldCurve, t: int, params: RotorParams) -> Manifo
 
 def curve_to_csv(curve: ManifoldCurve, path) -> None:
     """Dump a curve as a plot-ready CSV with columns index, p, q."""
+    rows = "".join(
+        f"{i},{p:.17g},{q:.17g}\n" for i, (p, q) in enumerate(curve.points.tolist())
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "p", "q"])
-        for i, (p, q) in enumerate(curve.points):
-            writer.writerow([i, format(p, ".17g"), format(q, ".17g")])
+        fh.write("index,p,q\n" + rows)
 
 
 # ---------------------------------------------------------------------------

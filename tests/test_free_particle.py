@@ -70,9 +70,37 @@ def test_all_three_methods_match_exact_on_grid():
 def test_all_three_methods_match_exact_for_random_packets(p, q, b, hbar, t, u):
     """The grid test above, over random packets, times and positions
     x = q_t + u * width within six evolved widths.  Times in (0, 0.1) are
-    left out: there the off-center form divides by t and its phase,
-    ~ 1/(t hbar), outgrows the 1e-12 budget in rounding alone."""
+    the next test's."""
     alpha = GaussianPacket(p, q, b, hbar)
+    _, q_t = fp.evolved_center(alpha, t)
+    width = alpha.sigma * np.sqrt(1.0 + fp.kappa(alpha, t) ** 2)
+    peak = (2 * np.pi * width**2) ** -0.25
+    x = q_t + u * width
+    exact = fp.exact_wavefunction(alpha, x, t)
+    for method in (
+        fp.linearized_wavefunction,
+        fp.offcenter_wavefunction,
+        fp.ggwpd_wavefunction,
+    ):
+        assert abs(method(alpha, x, t) - exact) < 1e-12 * peak
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.floats(-2.0, 2.0),
+    q=st.floats(-2.0, 2.0),
+    b=st.floats(0.1, 10.0),
+    hbar=st.floats(0.1, 2.0),
+    log10_t=st.floats(-300.0, -1.0),
+    u=st.floats(-6.0, 6.0),
+)
+def test_all_three_methods_match_exact_at_small_times(p, q, b, hbar, log10_t, u):
+    """Times log-uniform in [1e-300, 1e-1], the range the test above leaves
+    out.  The off-center action phase and its momentum-offset Gaussian each
+    grow like 1/t; unless they cancel in closed form, rounding the two
+    loses all precision, and below t ~ 1e-200 they overflow."""
+    alpha = GaussianPacket(p, q, b, hbar)
+    t = 10.0**log10_t
     _, q_t = fp.evolved_center(alpha, t)
     width = alpha.sigma * np.sqrt(1.0 + fp.kappa(alpha, t) ** 2)
     peak = (2 * np.pi * width**2) ** -0.25

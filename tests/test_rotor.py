@@ -1,13 +1,21 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ggwpd.errors import ConfigError, RunawayError
+from ggwpd.errors import ConfigError, NumericalError, RunawayError
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
+    _GERM_OFFSET,
+    ManifoldCurve,
     RotorParams,
+    _backward_many,
+    _forward_many,
+    _hyperbolic_frame,
     curve_to_csv,
     find_seeds,
     inverse_map_step,
@@ -209,6 +217,90 @@ def test_stable_manifold_contracts_forwards():
         assert np.hypot(z.p1.real, z.q1.real - 0.5) < 1e-3
 
 
+def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
+    """Reference growth: one midpoint at a time, left to right, and a full
+    re-sort of every point grown so far after each level.  Returns the
+    curve and each (level, side) as its (log-offsets, points) pair."""
+    lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, params.K)
+    lam, v = (1.0 / lam_s, v_s) if inverse else (lam_u, v_u)
+    step = _backward_many if inverse else _forward_many
+    s0 = _GERM_OFFSET
+    anchor = np.asarray(fp, dtype=float)
+    n_levels = max(4, int(np.ceil(np.log(64.0 / s0) / np.log(abs(lam)))))
+
+    def level_points(side, n, s_vals):
+        return step(anchor[None, :] + side * s_vals[:, None] * v[None, :], n, params.K)
+
+    entries = [(0.0, float(anchor[0]), float(anchor[1]))]
+    levels = []
+    total_len = 0.0
+    for n in range(n_levels):
+        if total_len >= arc_budget:
+            break
+        for side in (+1.0, -1.0):
+            logs = list(np.linspace(np.log(s0), np.log(abs(lam) * s0), 48))
+            pts = list(level_points(side, n, np.exp(np.array(logs))))
+            i = 0
+            while i < len(pts) - 1:
+                gap = np.hypot(*(pts[i + 1] - pts[i]))
+                if gap > spacing and logs[i + 1] - logs[i] > 1e-14:
+                    mid = 0.5 * (logs[i] + logs[i + 1])
+                    logs.insert(i + 1, mid)
+                    pts.insert(i + 1, level_points(side, n, np.exp(np.array([mid])))[0])
+                else:
+                    i += 1
+            levels.append((np.array(logs), np.array(pts)))
+            params_arr = side * np.exp(np.array(logs)) * lam**n
+            for par, pt in zip(params_arr, pts):
+                entries.append((float(par), float(pt[0]), float(pt[1])))
+        lv = np.array([e[1:] for e in sorted(entries, key=lambda e: e[0])])
+        total_len = float(np.sum(np.hypot(*np.diff(lv, axis=0).T)))
+    entries.sort(key=lambda e: e[0])
+    pts = np.array([e[1:] for e in entries], dtype=float)
+    if total_len > arc_budget:
+        cum = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+        excess = (cum[-1] - arc_budget) / 2.0
+        lo = int(np.searchsorted(cum, excess))
+        hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
+        pts = pts[max(lo, 0) : min(hi + 1, len(pts))]
+    return pts, levels
+
+
+@pytest.mark.parametrize(
+    "grow, fp, inverse",
+    [(unstable_manifold, (0.0, 0.0), False), (stable_manifold, (0.0, 0.5), True)],
+)
+def test_level_at_a_time_growth_matches_depth_first_reference(grow, fp, inverse):
+    """Breadth-first refinement gives the reference's curve bit for bit, and
+    within every level only intervals stopped by the log-width floor are
+    longer than the spacing."""
+    spacing = 1e-3
+    ref, levels = _grow_depth_first(fp, K_CHAOTIC, 2.0, spacing, inverse)
+    curve = grow(fp, K_CHAOTIC, arc_budget=2.0, spacing=spacing)
+    assert np.array_equal(curve.points, ref)
+    floor_stopped = set()
+    for logs, pts in levels:
+        long = np.hypot(*np.diff(pts, axis=0).T) > spacing
+        assert np.all(np.diff(logs)[long] <= 1e-14)
+        floor_stopped.update(
+            (tuple(a), tuple(b)) for a, b in zip(pts[:-1][long], pts[1:][long])
+        )
+    long = np.hypot(*np.diff(curve.points, axis=0).T) > spacing
+    pairs = zip(curve.points[:-1][long], curve.points[1:][long])
+    assert all((tuple(a), tuple(b)) in floor_stopped for a, b in pairs)
+
+
+def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it():
+    _, levels = _grow_depth_first((0.0, 0.0), K_CHAOTIC, 2.0, 1e-3, False)
+    largest = max(len(pts) for _, pts in levels)
+    with pytest.raises(NumericalError):
+        unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=500)
+    with pytest.raises(NumericalError):
+        unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=largest - 1)
+    curve = unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=largest)
+    assert len(curve.points) > largest
+
+
 def test_manifold_needs_hyperbolic_fixed_point():
     with pytest.raises(ConfigError):
         unstable_manifold((0.0, 0.0), K_MILD)
@@ -247,6 +339,21 @@ def test_curve_to_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == curve.points[0, 0]
+
+
+def test_curve_to_csv_matches_csv_writer_bytes(tmp_path):
+    """Signed zero, subnormals, tiny and huge magnitudes and repeating
+    fractions render exactly as csv.writer with format(v, ".17g") did."""
+    values = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
+    points = np.array(list(zip(values, values[::-1])))
+    path = tmp_path / "curve.csv"
+    curve_to_csv(ManifoldCurve(kind="shearing", points=points, anchor=(0.0, 0.0)), path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["index", "p", "q"])
+    for i, (p, q) in enumerate(points):
+        writer.writerow([i, format(p, ".17g"), format(q, ".17g")])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_integrable_seed_search_recovers_intersection():
