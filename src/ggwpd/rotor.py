@@ -443,6 +443,66 @@ def curve_to_csv(curve: ManifoldCurve, path) -> None:
 # seed trajectories
 # ---------------------------------------------------------------------------
 
+def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and brackets of a function sampled on scan nodes.
+
+    Returns the indices i with ``g[i] == 0`` (roots on a node, which a
+    strict sign-change test would miss; symmetric configurations hit them
+    reliably) and the indices i with ``g[i]`` and ``g[i + 1]`` of strictly
+    opposite sign.  NaN entries (unsampled nodes) take part in neither.
+    """
+    sign = np.sign(g)
+    return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+
+
+def _shearing_roots(
+    p_lo: float,
+    p_hi: float,
+    q0: float,
+    targets: list[float],
+    end_q,
+) -> list[list[float]]:
+    """Momenta on the line q = q0 whose end position meets each target.
+
+    ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
+    each row.  The line is scanned at 1025 nodes and every sign change of
+    ``end_q - target`` is bisected to a 1e-13 wide bracket.  Per target
+    the node roots come first, then one root per bracket in scan order.
+
+    The bisection stays scalar.  Refining a call's brackets together with
+    :func:`_bisect_brackets` finds the same roots but is slower: a call
+    has 0 or 1 bracket per target (233 brackets over the 700 positions of
+    an N = 700, t = 2, K = 0.05 wavefunction), so numpy's per-iteration
+    row bookkeeping is never paid back.  That wavefunction took 0.36-0.39 s
+    with the scalar loop against 0.44-0.53 s in lockstep (best of 5, one
+    pinned core of a 2-vCPU Xeon).
+    """
+    n_scan = 1025
+    p_grid = np.linspace(p_lo, p_hi, n_scan)
+    ends = end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
+    roots = []
+    for target in targets:
+        g = ends - target
+        nodes, brackets = _sign_change_brackets(g)
+        found = [float(p_grid[i]) for i in nodes]
+        for i in brackets:
+            lo, hi = p_grid[i], p_grid[i + 1]
+            glo = g[i]
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                gm = end_q(np.array([[mid, q0]]))[0] - target
+                if gm == 0.0 or (hi - lo) < 1e-13:
+                    lo = hi = mid
+                    break
+                if np.sign(gm) == np.sign(glo):
+                    lo, glo = mid, gm
+                else:
+                    hi = mid
+            found.append(0.5 * (lo + hi))
+        roots.append(found)
+    return roots
+
+
 def _integrable_seeds(
     alpha: GaussianPacket,
     beta: GaussianPacket,
@@ -456,41 +516,24 @@ def _integrable_seeds(
     sigma = alpha.sigma
     sig_p = alpha.hbar / (2.0 * sigma)
     w = halfwidth_sigma * sig_p
-    p_lo, p_hi = alpha.p1 - w, alpha.p1 + w
     q0 = alpha.q1
 
     def end_state(p: float) -> tuple[float, float]:
         out = _forward_many(np.array([[p, q0]]), t, params.K)[0]
         return float(out[0]), float(out[1])
 
-    n_scan = 1025
-    p_grid = np.linspace(p_lo, p_hi, n_scan)
-    ends = _forward_many(
-        np.column_stack([p_grid, np.full(n_scan, q0)]), t, params.K
+    windings = range(-image_range, image_range + 1)
+    targets = [beta.q1 + n_q for n_q in windings]
+    roots = _shearing_roots(
+        alpha.p1 - w,
+        alpha.p1 + w,
+        q0,
+        targets,
+        lambda pts: _forward_many(pts, t, params.K)[:, 1],
     )
     seeds: list[SeedTrajectory] = []
-    for n_q in range(-image_range, image_range + 1):
-        target = beta.q1 + n_q
-        g = ends[:, 1] - target
-        sign = np.sign(g)
-        # a root can land exactly on a scan node (symmetric configurations
-        # do this reliably); a strict sign-change test would then miss it
-        roots = [float(p_grid[i]) for i in np.nonzero(sign == 0.0)[0]]
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            lo, hi = p_grid[i], p_grid[i + 1]
-            glo = g[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = end_state(mid)[1] - target
-                if gm == 0.0 or (hi - lo) < 1e-13:
-                    lo = hi = mid
-                    break
-                if np.sign(gm) == np.sign(glo):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-        for p_star in roots:
+    for n_q, target, found in zip(windings, targets, roots):
+        for p_star in found:
             p_end, q_end = end_state(p_star)
             n_p = int(np.round(p_end - beta.p1))
             if abs(n_p) > image_range:
@@ -513,14 +556,73 @@ def _integrable_seeds(
     return seeds
 
 
+def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
+    """Forward map applied steps[i] times to row i of an (m, 2) array.
+
+    Rows are stepped in lockstep while their count lasts, each one with
+    exactly the operations :func:`_forward_many` would apply to it alone.
+    """
+    p = pts[:, 0].copy()
+    q = pts[:, 1].copy()
+    for k in range(int(steps.max(initial=0))):
+        rows = steps > k
+        p[rows] -= (K / TWO_PI) * np.sin(TWO_PI * q[rows])
+        q[rows] += p[rows]
+    return np.column_stack([p, q])
+
+
+def _bisect_brackets(
+    g,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    glo: np.ndarray,
+    max_iter: int,
+    width: float,
+) -> np.ndarray:
+    """Bisect many sign-change brackets in lockstep; returns one root each.
+
+    ``g(x, rows)`` evaluates the function of each listed bracket row at
+    x.  Every row follows the scalar rule: halve toward the sign change,
+    and stop at the midpoint once g vanishes there or the bracket is
+    narrower than ``width``.  A row also stops once its midpoint rounds
+    onto an endpoint: from then on every halving keeps or collapses the
+    bracket onto that same midpoint, so the scalar loop would return it
+    too.  A row still open after ``max_iter`` halvings returns the
+    midpoint of its last bracket.
+    """
+    lo, hi, glo = lo.copy(), hi.copy(), glo.copy()
+    root = np.empty_like(lo)
+    rows = np.arange(lo.size)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        stop = (mid == lo[rows]) | (mid == hi[rows]) | (hi[rows] - lo[rows] < width)
+        root[rows[stop]] = mid[stop]
+        rows, mid = rows[~stop], mid[~stop]
+        if not rows.size:
+            break
+        gm = g(mid, rows)
+        zero = gm == 0.0
+        root[rows[zero]] = mid[zero]
+        rows, mid, gm = rows[~zero], mid[~zero], gm[~zero]
+        same = np.sign(gm) == np.sign(glo[rows])
+        lo[rows[same]] = mid[same]
+        glo[rows[same]] = gm[same]
+        hi[rows[~same]] = mid[~same]
+    root[rows] = 0.5 * (lo[rows] + hi[rows])
+    return root
+
+
 def _unstable_coefficient(
-    point: np.ndarray,
-    center: np.ndarray,
+    points: np.ndarray,
+    centers: np.ndarray,
     frame_inv: np.ndarray,
-) -> float:
-    """Coefficient along the local unstable direction at a fixed point."""
-    coeffs = frame_inv @ (point - center)
-    return float(coeffs[0])
+) -> np.ndarray:
+    """Coefficient along the local unstable direction, one per row.
+
+    One 2x2 matrix-vector product per row, so each row rounds exactly as
+    it would if projected on its own.
+    """
+    return (frame_inv @ (points - centers)[:, :, None])[:, 0, 0]
 
 
 def _heteroclinic_seeds(
@@ -542,6 +644,11 @@ def _heteroclinic_seeds(
     few contraction steps deeper into the linear neighborhood (depth fixed
     per bracket so the refined function stays smooth) removes the
     curvature bias of the frame.
+
+    Every bracket of every level, side and image is gathered first and
+    all of them are bisected together; the capture filter and the
+    duplicate test then run in scan order, so the first of several
+    merging connectors is the one kept.
     """
     K = params.K
     fa = (alpha.p1, alpha.q1)
@@ -553,114 +660,133 @@ def _heteroclinic_seeds(
     frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
     sigma = alpha.sigma
     max_depth = 4
+    depth_scale = np.array([lam_u_b**m for m in range(max_depth + 1)])
 
     s0 = _GERM_OFFSET
     n_levels = max(10, int(np.ceil(np.log(50.0 / s0) / np.log(abs(lam_u)))))
     n_scan = 2048
+    logs = np.linspace(np.log(s0), np.log(abs(lam_u) * s0), n_scan)
+    anchor = np.array(fa, dtype=float)
 
-    def curve_point(side: float, n: int, s: np.ndarray) -> np.ndarray:
-        germ = np.array(fa, dtype=float)[None, :] + side * s[:, None] * v_u[None, :]
-        return _forward_many(germ, n, K)
+    def germ(side: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return anchor[None, :] + (side * s)[:, None] * v_u[None, :]
 
-    def capture_depth(end: np.ndarray, orbit: np.ndarray) -> int | None:
-        """Deepest extra-step count keeping the walked endpoint captured."""
-        if np.hypot(*(end - orbit[0])) > capture_radius:
-            return None
-        w = end
-        m = 0
-        while m < max_depth:
-            w = _forward_many(w[None, :], 1, K)[0]
-            if np.hypot(*(w - orbit[m + 1])) > capture_radius:
-                break
-            m += 1
-        return m
-
-    def g_at_depth(z: np.ndarray, m: int, orbit: np.ndarray) -> float:
-        w = _forward_many(z[None, :], t + m, K)[0]
-        return _unstable_coefficient(w, orbit[m], frame_inv) / lam_u_b**m
-
-    images = [
-        (n_p, n_q)
-        for n_p in range(-image_range, image_range + 1)
-        for n_q in range(-image_range, image_range + 1)
-    ]
+    shifts = range(-image_range, image_range + 1)
+    image_index = [(i, j) for i in range(len(shifts)) for j in range(len(shifts))]
+    images = [(shifts[i], shifts[j]) for i, j in image_index]
     # unfolded orbit of each image center, for the deeper-frame evaluation
-    orbits = {}
-    for n_p, n_q in images:
-        c = np.array([beta.p1 + n_p, beta.q1 + n_q])
-        orbit = [c]
-        for _ in range(max_depth):
-            orbit.append(_forward_many(orbit[-1][None, :], 1, K)[0])
-        orbits[(n_p, n_q)] = np.array(orbit)
+    orbits = np.empty((len(images), max_depth + 1, 2))
+    for k, (n_p, n_q) in enumerate(images):
+        orbits[k, 0] = (beta.p1 + n_p, beta.q1 + n_q)
+        for m in range(max_depth):
+            orbits[k, m + 1] = _forward_many(orbits[k, m][None, :], 1, K)[0]
 
+    def coefficient(w: np.ndarray, k, m: np.ndarray) -> np.ndarray:
+        """Unstable coefficient of w in the depth-m frame of image k."""
+        return _unstable_coefficient(w, orbits[k, m], frame_inv) / depth_scale[m]
+
+    # per (level, side, image) in scan order, node roots before brackets:
+    # curve log-offset (a bracket's lower end), side, level, image and
+    # whether the candidate is a bracket still to refine
+    cands: list[tuple[np.ndarray, ...]] = []
+    # per bracket: upper end, value at the lower end and frozen frame depth
+    brackets: list[tuple[np.ndarray, ...]] = []
+    # scan points of the current level on each side, one map step per level
+    level = {side: germ(np.full(n_scan, side), np.exp(logs)) for side in (+1.0, -1.0)}
+    for n in range(n_levels):
+        for side in (+1.0, -1.0):
+            ends = _forward_many(level[side], t, K)
+            level[side] = _forward_many(level[side], 1, K)
+            # offsets of every endpoint from each image's p and q, and
+            # whether they fall inside the capture box; the distance is
+            # only taken inside the box, since hypot(dp, dq) >= |dp|, |dq|
+            dp = [ends[:, 0] - (beta.p1 + n_p) for n_p in shifts]
+            dq = [ends[:, 1] - (beta.q1 + n_q) for n_q in shifts]
+            box_p = [np.abs(d) < capture_radius for d in dp]
+            box_q = [np.abs(d) < capture_radius for d in dq]
+            for k, (i, j) in enumerate(image_index):
+                near = np.nonzero(box_p[i] & box_q[j])[0]
+                near = near[np.hypot(dp[i][near], dq[j][near]) < capture_radius]
+                if not near.size:
+                    continue
+                # walk[m] holds the near endpoints m steps further on; the
+                # depth is the number of leading steps that stay captured
+                walk = [ends[near]]
+                depth = np.zeros(near.size, dtype=int)
+                captured = np.ones(near.size, dtype=bool)
+                for m in range(1, max_depth + 1):
+                    walk.append(_forward_many(walk[-1], 1, K))
+                    far = np.hypot(*(walk[-1] - orbits[k, m][None, :]).T) > capture_radius
+                    captured &= ~far
+                    depth[captured] = m
+                walk = np.stack(walk)
+                gvals = np.full(n_scan, np.nan)
+                gvals[near] = coefficient(walk[depth, np.arange(near.size)], k, depth)
+                slot = np.full(n_scan, -1)
+                slot[near] = np.arange(near.size)
+                nodes, cross = _sign_change_brackets(gvals)
+                # freeze the frame depth over each bracket: the refined
+                # coefficient is then a smooth function of the curve
+                # parameter and plain bisection is safe
+                i_lo, i_hi = slot[cross], slot[cross + 1]
+                m = np.minimum(depth[i_lo], depth[i_hi])
+                glo = coefficient(walk[m, i_lo], k, m)
+                ghi = coefficient(walk[m, i_hi], k, m)
+                # a crossing that vanishes at the frozen depth was an
+                # artifact of depth switching
+                real = np.sign(glo) * np.sign(ghi) < 0
+                cross, m, glo = cross[real], m[real], glo[real]
+                size = nodes.size + cross.size
+                cands.append(
+                    (
+                        np.concatenate([logs[nodes], logs[cross]]),
+                        np.full(size, side),
+                        np.full(size, n),
+                        np.full(size, k),
+                        np.concatenate(
+                            [np.zeros(nodes.size, bool), np.ones(cross.size, bool)]
+                        ),
+                    )
+                )
+                brackets.append((logs[cross + 1], glo, m))
+    if not cands:
+        return []
+
+    log_star, c_side, c_level, c_image, is_bracket = map(np.concatenate, zip(*cands))
+    hi, glo, b_depth = map(np.concatenate, zip(*brackets))
+    b_slot = np.nonzero(is_bracket)[0]
+    b_side, b_image = c_side[b_slot], c_image[b_slot]
+    b_steps = c_level[b_slot] + t + b_depth
+
+    def g_bracket(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        w = _forward_ragged(germ(b_side[rows], np.exp(x)), b_steps[rows], K)
+        return coefficient(w, b_image[rows], b_depth[rows])
+
+    log_star[b_slot] = _bisect_brackets(
+        g_bracket, log_star[b_slot], hi, glo, 80, 1e-15
+    )
+
+    z_star = _forward_ragged(germ(c_side, np.exp(log_star)), c_level, K)
+    end = _forward_many(z_star, t, K)
+    start_d = np.hypot(*(z_star - anchor[None, :]).T) / sigma
+    end_d = np.hypot(*(end - orbits[c_image, 0]).T) / sigma
     found: list[SeedTrajectory] = []
     seen: set[tuple[int, int]] = set()
-    for n in range(n_levels):
-        logs = np.linspace(np.log(s0), np.log(abs(lam_u) * s0), n_scan)
-        for side in (+1.0, -1.0):
-            zs = curve_point(side, n, np.exp(logs))
-            ends = _forward_many(zs, t, K)
-            for n_p, n_q in images:
-                orbit = orbits[(n_p, n_q)]
-                near = np.hypot(*(ends - orbit[0][None, :]).T) < capture_radius
-                if not near.any():
-                    continue
-                gvals = np.full(n_scan, np.nan)
-                depths = np.full(n_scan, -1, dtype=int)
-                for i in np.nonzero(near)[0]:
-                    m = capture_depth(ends[i], orbit)
-                    if m is None:
-                        continue
-                    depths[i] = m
-                    gvals[i] = g_at_depth(zs[i], m, orbit)
-                ok = ~np.isnan(gvals)
-                cross = np.nonzero(
-                    ok[:-1] & ok[1:] & (np.sign(gvals[:-1]) * np.sign(gvals[1:]) < 0)
-                )[0]
-                for i in cross:
-                    # freeze the frame depth over the bracket: the refined
-                    # coefficient is then a smooth function of the curve
-                    # parameter and plain bisection is safe
-                    m = int(min(depths[i], depths[i + 1]))
-                    lo, hi = logs[i], logs[i + 1]
-                    glo = g_at_depth(zs[i], m, orbit)
-                    ghi = g_at_depth(zs[i + 1], m, orbit)
-                    if np.sign(glo) * np.sign(ghi) >= 0:
-                        continue  # crossing was an artifact of depth switching
-                    for _ in range(80):
-                        mid = 0.5 * (lo + hi)
-                        zm = curve_point(side, n, np.exp(np.array([mid])))[0]
-                        gm = g_at_depth(zm, m, orbit)
-                        if gm == 0.0 or (hi - lo) < 1e-15:
-                            lo = hi = mid
-                            break
-                        if np.sign(gm) == np.sign(glo):
-                            lo, glo = mid, gm
-                        else:
-                            hi = mid
-                    z_star = curve_point(
-                        side, n, np.exp(np.array([0.5 * (lo + hi)]))
-                    )[0]
-                    end = _forward_many(z_star[None, :], t, K)[0]
-                    start_d = np.hypot(*(z_star - np.array(fa))) / sigma
-                    end_d = np.hypot(*(end - orbit[0])) / sigma
-                    if max(start_d, end_d) > capture_sigma:
-                        continue
-                    key = (
-                        int(np.round(z_star[0] * 1e9)),
-                        int(np.round(z_star[1] * 1e9)),
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    found.append(
-                        SeedTrajectory(
-                            ic=(float(z_star[0]), float(z_star[1])),
-                            t=t,
-                            winding=(n_p, n_q),
-                            kind="heteroclinic",
-                        )
-                    )
+    for z, d0, d1, k in zip(z_star, start_d, end_d, c_image):
+        if max(d0, d1) > capture_sigma:
+            continue
+        key = (int(np.round(z[0] * 1e9)), int(np.round(z[1] * 1e9)))
+        if key in seen:
+            continue
+        seen.add(key)
+        found.append(
+            SeedTrajectory(
+                ic=(float(z[0]), float(z[1])),
+                t=t,
+                winding=images[k],
+                kind="heteroclinic",
+            )
+        )
     found.sort(key=lambda s: (s.winding, s.ic))
     return found
 

@@ -38,6 +38,7 @@ from .rotor import (
     ComplexTrajectory,
     RotorParams,
     SeedTrajectory,
+    _shearing_roots,
     iterate_map,
     propagate,
 )
@@ -485,38 +486,20 @@ def ggwpd_wavefunction(
         raise ValueError("position saddles need at least one step")
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
     w = halfwidth_sigma * sig_p
-    n_scan = 1025
-    p_grid = np.linspace(alpha.p1 - w, alpha.p1 + w, n_scan)
-    pts = np.column_stack([p_grid, np.full(n_scan, alpha.q1)])
-    ends = iterate_map(pts, t, params)
-
-    def q_end(p: float) -> float:
-        return float(iterate_map(np.array([[p, alpha.q1]]), t, params)[0, 1])
+    windings = range(-image_range, image_range + 1)
+    targets = [x + n_q for n_q in windings]
+    roots = _shearing_roots(
+        alpha.p1 - w,
+        alpha.p1 + w,
+        alpha.q1,
+        targets,
+        lambda pts: iterate_map(pts, t, params)[:, 1],
+    )
 
     terms: list[SaddleContribution] = []
     weights: list[float] = []
     seen: set[tuple] = set()
-    for n_q in range(-image_range, image_range + 1):
-        target = x + n_q
-        g = ends[:, 1] - target
-        sign = np.sign(g)
-        # roots landing exactly on a scan node (x at an evolved center is
-        # the common case) would defeat a strict sign-change test
-        seed_momenta = [float(p_grid[i]) for i in np.nonzero(sign == 0.0)[0]]
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            lo, hi = p_grid[i], p_grid[i + 1]
-            glo = g[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = q_end(mid) - target
-                if gm == 0.0 or (hi - lo) < 1e-13:
-                    lo = hi = mid
-                    break
-                if np.sign(gm) == np.sign(glo):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            seed_momenta.append(0.5 * (lo + hi))
+    for n_q, target, seed_momenta in zip(windings, targets, roots):
         for p_seed in seed_momenta:
             sad = find_position_saddle(
                 alpha, target, p_seed, t, params,

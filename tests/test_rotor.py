@@ -13,9 +13,13 @@ from ggwpd.rotor import (
     _GERM_OFFSET,
     ManifoldCurve,
     RotorParams,
+    SeedTrajectory,
     _backward_many,
+    _bisect_brackets,
+    _check_fixed_point,
     _forward_many,
     _hyperbolic_frame,
+    _sign_change_brackets,
     curve_to_csv,
     find_seeds,
     inverse_map_step,
@@ -394,6 +398,219 @@ def test_chaotic_seed_search_finds_paired_connectors():
         if max(abs(-n_p), abs(-1 - n_q)) > 2:
             continue
         assert (round(-s.ic[0], 9), round(-s.ic[1], 9)) in ics
+
+
+def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
+                                    capture_sigma=5.0, capture_radius=0.3):
+    """Reference search: one bracket at a time, each point walked and
+    bisected on its own, and strict sign changes only.  Returns the seeds
+    and how many brackets were dropped as depth-switching artifacts."""
+    K = params.K
+    fa = (alpha.p1, alpha.q1)
+    fb = (beta.p1, beta.q1)
+    _check_fixed_point(fa, params)
+    _check_fixed_point(fb, params)
+    lam_u, v_u, _, _ = _hyperbolic_frame(fa, K)
+    lam_u_b, v_u_b, lam_s_b, v_s_b = _hyperbolic_frame(fb, K)
+    frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
+    sigma = alpha.sigma
+    max_depth = 4
+    s0 = _GERM_OFFSET
+    n_levels = max(10, int(np.ceil(np.log(50.0 / s0) / np.log(abs(lam_u)))))
+    n_scan = 2048
+
+    def curve_point(side, n, s):
+        germ = np.array(fa, dtype=float)[None, :] + side * s[:, None] * v_u[None, :]
+        return _forward_many(germ, n, K)
+
+    def capture_depth(end, orbit):
+        if np.hypot(*(end - orbit[0])) > capture_radius:
+            return None
+        w = end
+        m = 0
+        while m < max_depth:
+            w = _forward_many(w[None, :], 1, K)[0]
+            if np.hypot(*(w - orbit[m + 1])) > capture_radius:
+                break
+            m += 1
+        return m
+
+    def g_at_depth(z, m, orbit):
+        w = _forward_many(z[None, :], t + m, K)[0]
+        return float((frame_inv @ (w - orbit[m]))[0]) / lam_u_b**m
+
+    images = [
+        (n_p, n_q)
+        for n_p in range(-image_range, image_range + 1)
+        for n_q in range(-image_range, image_range + 1)
+    ]
+    orbits = {}
+    for n_p, n_q in images:
+        orbit = [np.array([beta.p1 + n_p, beta.q1 + n_q])]
+        for _ in range(max_depth):
+            orbit.append(_forward_many(orbit[-1][None, :], 1, K)[0])
+        orbits[(n_p, n_q)] = np.array(orbit)
+
+    found, seen, artifacts = [], set(), 0
+    for n in range(n_levels):
+        logs = np.linspace(np.log(s0), np.log(abs(lam_u) * s0), n_scan)
+        for side in (+1.0, -1.0):
+            zs = curve_point(side, n, np.exp(logs))
+            ends = _forward_many(zs, t, K)
+            for n_p, n_q in images:
+                orbit = orbits[(n_p, n_q)]
+                near = np.hypot(*(ends - orbit[0][None, :]).T) < capture_radius
+                if not near.any():
+                    continue
+                gvals = np.full(n_scan, np.nan)
+                depths = np.full(n_scan, -1, dtype=int)
+                for i in np.nonzero(near)[0]:
+                    m = capture_depth(ends[i], orbit)
+                    if m is None:
+                        continue
+                    depths[i] = m
+                    gvals[i] = g_at_depth(zs[i], m, orbit)
+                ok = ~np.isnan(gvals)
+                cross = np.nonzero(
+                    ok[:-1] & ok[1:] & (np.sign(gvals[:-1]) * np.sign(gvals[1:]) < 0)
+                )[0]
+                for i in cross:
+                    m = int(min(depths[i], depths[i + 1]))
+                    lo, hi = logs[i], logs[i + 1]
+                    glo = g_at_depth(zs[i], m, orbit)
+                    ghi = g_at_depth(zs[i + 1], m, orbit)
+                    if np.sign(glo) * np.sign(ghi) >= 0:
+                        artifacts += 1
+                        continue
+                    for _ in range(80):
+                        mid = 0.5 * (lo + hi)
+                        zm = curve_point(side, n, np.exp(np.array([mid])))[0]
+                        gm = g_at_depth(zm, m, orbit)
+                        if gm == 0.0 or (hi - lo) < 1e-15:
+                            lo = hi = mid
+                            break
+                        if np.sign(gm) == np.sign(glo):
+                            lo, glo = mid, gm
+                        else:
+                            hi = mid
+                    z_star = curve_point(side, n, np.exp(np.array([0.5 * (lo + hi)])))[0]
+                    end = _forward_many(z_star[None, :], t, K)[0]
+                    start_d = np.hypot(*(z_star - np.array(fa))) / sigma
+                    end_d = np.hypot(*(end - orbit[0])) / sigma
+                    if max(start_d, end_d) > capture_sigma:
+                        continue
+                    key = (int(np.round(z_star[0] * 1e9)), int(np.round(z_star[1] * 1e9)))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    found.append(
+                        SeedTrajectory(
+                            ic=(float(z_star[0]), float(z_star[1])),
+                            t=t,
+                            winding=(n_p, n_q),
+                            kind="heteroclinic",
+                        )
+                    )
+    found.sort(key=lambda s: (s.winding, s.ic))
+    return found, artifacts
+
+
+@pytest.mark.parametrize(
+    "K, t, image_range, count, artifacts",
+    [(8.25, 2, 2, 9, 0), (8.25, 2, 1, 7, 0), (8.25, 3, 2, 21, 0), (7.0, 2, 1, 5, 2)],
+)
+def test_lockstep_heteroclinic_search_matches_per_bracket_reference(
+    K, t, image_range, count, artifacts
+):
+    """Gathering every bracket and bisecting them together gives the
+    reference's seeds bit for bit, merged duplicates included.  The
+    K = 7 case also drops brackets as depth-switching artifacts."""
+    alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
+    params = RotorParams(K)
+    ref, dropped = _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range)
+    seeds = find_seeds(alpha, beta, t, params, image_range=image_range, regime="chaotic")
+    assert (len(ref), dropped) == (count, artifacts)
+    assert seeds == ref
+
+
+def test_sign_change_brackets_reports_node_roots_and_strict_flips():
+    nodes, brackets = _sign_change_brackets(np.array([1.0, 0.0, -1.0]))
+    assert nodes.tolist() == [1] and brackets.tolist() == []
+    nodes, brackets = _sign_change_brackets(np.array([1.0, np.nan, -1.0]))
+    assert nodes.tolist() == [] and brackets.tolist() == []
+    nodes, brackets = _sign_change_brackets(np.array([2.0, 1.0, -1.0, -3.0]))
+    assert nodes.tolist() == [] and brackets.tolist() == [1]
+
+
+def _bisect_scalar(f, lo, hi, glo, max_iter, width):
+    """The per-bracket bisection loop the lockstep helper replaces."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        gm = f(mid)
+        if gm == 0.0 or (hi - lo) < width:
+            lo = hi = mid
+            break
+        if np.sign(gm) == np.sign(glo):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_loose_bracket = st.builds(
+    lambda lo, span, frac: (lo, lo + span, lo + frac * span),
+    st.floats(-100.0, 100.0),
+    st.floats(1e-12, 10.0),
+    st.floats(0.0, 1.0),
+)
+# the midpoint of the j-th halving of [0, 1] lands exactly on k / 2**j
+_dyadic_zero = st.integers(1, 30).flatmap(
+    lambda j: st.integers(0, 2 ** (j - 1) - 1).map(
+        lambda k: (0.0, 1.0, (2 * k + 1) / 2.0**j)
+    )
+)
+_adjacent = st.floats(-100.0, 100.0).map(
+    lambda lo: (lo, float(np.nextafter(lo, np.inf)), lo)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(_loose_bracket, _dyadic_zero, _adjacent),
+            st.sampled_from([-1.0, 1.0]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    max_iter=st.integers(0, 80),
+    width=st.sampled_from([0.0, 1e-15, 1e-9]),
+)
+def test_lockstep_bisection_matches_scalar_loop_bit_for_bit(rows, max_iter, width):
+    """Each row ends where the scalar loop ends: on an exact zero at a
+    midpoint, on the width test, on a midpoint that rounds onto an
+    endpoint, or when max_iter runs out, rows finishing at different
+    iterations."""
+    lo = np.array([r[0][0] for r in rows])
+    hi = np.array([r[0][1] for r in rows])
+    root = np.array([r[0][2] for r in rows])
+    sign = np.array([r[1] for r in rows])
+
+    def g(x, idx):
+        d = x - root[idx]
+        return sign[idx] * (d * (1.0 + d * d))
+
+    glo = g(lo, np.arange(len(rows)))
+    got = _bisect_brackets(g, lo, hi, glo, max_iter, width)
+    want = np.array([
+        _bisect_scalar(
+            lambda x: g(np.array([x]), np.array([r]))[0],
+            lo[r], hi[r], glo[r], max_iter, width,
+        )
+        for r in range(len(rows))
+    ])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_unknown_regime_rejected():
