@@ -22,9 +22,10 @@ import numpy as np
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
 from .packets import GaussianPacket
-from .rotor import RotorParams, SeedTrajectory, find_seeds
+from .rotor import RotorParams, SeedTrajectory, _merge_duplicates, find_seeds
 from .semiclassics import (
     SaddleTrajectory,
+    _saddle_place,
     find_saddle,
     ggwpd_correlation,
     offcenter_correlation,
@@ -299,32 +300,14 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     ]
     # distinct transport seeds can flow to the same complex saddle (two
     # primary intersections on the same lobe); keep one contribution each
-    kept_seeds: list = []
-    kept_saddles: list = []
-    seen_locations: set[tuple] = set()
-    for seed, sad in zip(seeds, converged):
-        ic = sad.trajectory.initial
-        key = (
-            seed.winding,
-            round(ic.p1.real, 9),
-            round(ic.p1.imag, 9),
-            round(ic.q1.real, 9),
-            round(ic.q1.imag, 9),
-        )
-        if key in seen_locations:
-            continue
-        seen_locations.add(key)
-        kept_seeds.append(seed)
-        kept_saddles.append(sad)
-    seeds = kept_seeds
-    saddles = tuple(kept_saddles)
+    saddles = tuple(_merge_duplicates(converged, _saddle_place))
     check_N = config.N_list[1] if len(config.N_list) >= 2 else ref_N
     drift = 0.0
     if check_N != ref_N:
         alpha_c, beta_c = packets_for(config, check_N)
-        for seed, sad in zip(seeds, saddles):
+        for sad in saddles:
             again = find_saddle(
-                alpha_c, beta_c, seed, params,
+                alpha_c, beta_c, sad.seed, params,
                 tol=config.tol, max_iter=config.max_iter,
             )
             dP = again.trajectory.initial.p1 - sad.trajectory.initial.p1
@@ -342,7 +325,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
         config=config,
         reference_N=ref_N,
         check_N=check_N,
-        seeds=tuple(seeds),
+        seeds=tuple(sad.seed for sad in saddles),
         saddles=saddles,
         saddle_drift=drift,
     )

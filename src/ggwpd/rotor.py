@@ -43,6 +43,13 @@ TWO_PI = 2.0 * np.pi
 # of the linear segment against roundoff amplification along the orbit.
 _GERM_OFFSET = 1e-8
 
+# Seeds or saddles of one winding closer than this in every real and
+# imaginary component of their initial point are one stationary point
+# reached twice.  Such copies agree to rounding (1.4e-17 apart for the two
+# merges of the chaotic-fig6 preset), while distinct ones sit many orders
+# further apart, so a tolerance well inside that gap separates them.
+_MERGE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RotorParams:
@@ -443,6 +450,27 @@ def curve_to_csv(curve: ManifoldCurve, path) -> None:
 # seed trajectories
 # ---------------------------------------------------------------------------
 
+def _merge_duplicates(items, place) -> list:
+    """``items`` without duplicates, the first of each group kept, in input order.
+
+    ``place(item)`` returns ``(winding, P, Q)``.  An item duplicates a kept
+    one when their windings are equal and every real and imaginary part of
+    P and Q differs by at most ``_MERGE_TOL``.  This is a distance test, so
+    two copies on either side of a rounding edge still merge.
+    """
+    kept, places = [], []
+    for item in items:
+        winding, P, Q = place(item)
+        parts = np.array([P.real, P.imag, Q.real, Q.imag])
+        if not any(
+            w == winding and np.max(np.abs(parts - other)) <= _MERGE_TOL
+            for w, other in places
+        ):
+            kept.append(item)
+            places.append((winding, parts))
+    return kept
+
+
 def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots and brackets of a function sampled on scan nodes.
 
@@ -461,13 +489,14 @@ def _shearing_roots(
     q0: float,
     targets: list[float],
     end_q,
-) -> list[list[float]]:
+) -> tuple[list[list[float]], np.ndarray]:
     """Momenta on the line q = q0 whose end position meets each target.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
     each row.  The line is scanned at 1025 nodes and every sign change of
     ``end_q - target`` is bisected to a 1e-13 wide bracket.  Per target
     the node roots come first, then one root per bracket in scan order.
+    The end positions at the scan nodes are returned with the roots.
 
     The bisection stays scalar.  Refining a call's brackets together with
     :func:`_bisect_brackets` finds the same roots but is slower: a call
@@ -500,7 +529,7 @@ def _shearing_roots(
                     hi = mid
             found.append(0.5 * (lo + hi))
         roots.append(found)
-    return roots
+    return roots, ends
 
 
 def _integrable_seeds(
@@ -517,41 +546,38 @@ def _integrable_seeds(
     sig_p = alpha.hbar / (2.0 * sigma)
     w = halfwidth_sigma * sig_p
     q0 = alpha.q1
-
-    def end_state(p: float) -> tuple[float, float]:
-        out = _forward_many(np.array([[p, q0]]), t, params.K)[0]
-        return float(out[0]), float(out[1])
-
     windings = range(-image_range, image_range + 1)
     targets = [beta.q1 + n_q for n_q in windings]
-    roots = _shearing_roots(
+    roots, _ = _shearing_roots(
         alpha.p1 - w,
         alpha.p1 + w,
         q0,
         targets,
         lambda pts: _forward_many(pts, t, params.K)[:, 1],
     )
+    starts = [(n_q, p) for n_q, found in zip(windings, roots) for p in found]
+    ends = _forward_many(
+        np.array([[p, q0] for _, p in starts]).reshape(-1, 2), t, params.K
+    )
     seeds: list[SeedTrajectory] = []
-    for n_q, target, found in zip(windings, targets, roots):
-        for p_star in found:
-            p_end, q_end = end_state(p_star)
-            n_p = int(np.round(p_end - beta.p1))
-            if abs(n_p) > image_range:
-                continue
-            start_dist = abs(p_star - alpha.p1) / sig_p
-            end_dist = np.hypot(
-                (p_end - beta.p1 - n_p) / sig_p, (q_end - target) / sigma
+    for (n_q, p_star), (p_end, q_end) in zip(starts, ends.tolist()):
+        n_p = int(np.round(p_end - beta.p1))
+        if abs(n_p) > image_range:
+            continue
+        start_dist = abs(p_star - alpha.p1) / sig_p
+        end_dist = np.hypot(
+            (p_end - beta.p1 - n_p) / sig_p, (q_end - (beta.q1 + n_q)) / sigma
+        )
+        if max(start_dist, end_dist) > capture_sigma:
+            continue
+        seeds.append(
+            SeedTrajectory(
+                ic=(float(p_star), float(q0)),
+                t=t,
+                winding=(n_p, n_q),
+                kind="integrable",
             )
-            if max(start_dist, end_dist) > capture_sigma:
-                continue
-            seeds.append(
-                SeedTrajectory(
-                    ic=(float(p_star), float(q0)),
-                    t=t,
-                    winding=(n_p, n_q),
-                    kind="integrable",
-                )
-            )
+        )
     seeds.sort(key=lambda s: (s.winding, s.ic))
     return seeds
 
@@ -647,7 +673,7 @@ def _heteroclinic_seeds(
 
     Every bracket of every level, side and image is gathered first and
     all of them are bisected together; the capture filter and the
-    duplicate test then run in scan order, so the first of several
+    duplicate merge then run in scan order, so the first of several
     merging connectors is the one kept.
     """
     K = params.K
@@ -770,23 +796,19 @@ def _heteroclinic_seeds(
     end = _forward_many(z_star, t, K)
     start_d = np.hypot(*(z_star - anchor[None, :]).T) / sigma
     end_d = np.hypot(*(end - orbits[c_image, 0]).T) / sigma
-    found: list[SeedTrajectory] = []
-    seen: set[tuple[int, int]] = set()
-    for z, d0, d1, k in zip(z_star, start_d, end_d, c_image):
-        if max(d0, d1) > capture_sigma:
-            continue
-        key = (int(np.round(z[0] * 1e9)), int(np.round(z[1] * 1e9)))
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(
+    found = _merge_duplicates(
+        (
             SeedTrajectory(
                 ic=(float(z[0]), float(z[1])),
                 t=t,
                 winding=images[k],
                 kind="heteroclinic",
             )
-        )
+            for z, d0, d1, k in zip(z_star, start_d, end_d, c_image)
+            if max(d0, d1) <= capture_sigma
+        ),
+        lambda s: (s.winding, *s.ic),
+    )
     found.sort(key=lambda s: (s.winding, s.ic))
     return found
 

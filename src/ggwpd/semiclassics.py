@@ -21,11 +21,12 @@ trajectory's leg-endpoint stability matrices (:func:`_tracked_sqrt`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausticError, ConfigError, ConvergenceError
+from .errors import CausticError, ConfigError, ConvergenceError, NumericalError
 from .packets import (
     ComplexPhasePoint,
     GaussianPacket,
@@ -38,6 +39,7 @@ from .rotor import (
     ComplexTrajectory,
     RotorParams,
     SeedTrajectory,
+    _merge_duplicates,
     _shearing_roots,
     iterate_map,
     propagate,
@@ -140,24 +142,8 @@ class SaddleContribution:
 
 @dataclass(frozen=True)
 class OffCenterContribution:
-    """One real-trajectory branch of the off-center correlation sum.
+    """One real-trajectory branch of the off-center correlation sum."""
 
-    ``stability_sum`` is the branch-tracked complex combination of
-    stability blocks whose square root forms the prefactor; the four
-    ``coeff_*`` entries multiply the squared scaled offsets (position and
-    momentum, at the initial and final packet respectively) in the
-    exponent's quadratic form.
-    """
-
-    stability_sum: complex
-    coeff_xx_initial: complex
-    coeff_xx_final: complex
-    coeff_pp_initial: complex
-    coeff_pp_final: complex
-    dx_initial: float
-    dp_initial: float
-    dx_final: float
-    dp_final: float
     value: complex
     winding: tuple[int, int]
 
@@ -168,6 +154,27 @@ class CorrelationResult:
 
     total: complex
     branches: tuple
+
+
+def _prune_and_sum(contributions, weights, threshold: float) -> CorrelationResult:
+    """Sum of the branches whose weight reaches ``threshold`` times the largest.
+
+    The kept branches are summed in input order; no branches sum to 0j.
+    """
+    cutoff = threshold * max(weights, default=0.0)
+    kept = tuple(c for c, w in zip(contributions, weights) if w >= cutoff)
+    return CorrelationResult(total=complex(sum(c.value for c in kept)), branches=kept)
+
+
+def _descent_weight(c: SaddleContribution, hbar: float) -> float:
+    """exp(Re exponent) of a steepest-descent term, its weight for pruning."""
+    return float(np.exp((1j * c.action / hbar + c.ket_exponent + c.bra_exponent).real))
+
+
+def _saddle_place(sad: SaddleTrajectory):
+    """Winding and initial point, the location :func:`_merge_duplicates` compares."""
+    ic = sad.trajectory.initial
+    return sad.seed.winding, ic.p1, ic.q1
 
 
 def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianPacket:
@@ -196,21 +203,22 @@ def _correlation_jacobian(
 
 
 def _newton_solve(
-    ic: ComplexPhasePoint,
-    t: int,
+    seed: SeedTrajectory,
     params: RotorParams,
     residual_of,
     jacobian_of,
     tol: float,
     max_iter: int,
     runaway_bound: float,
-):
+) -> SaddleTrajectory:
     """Damped Newton iteration shared by the two saddle searches.
 
-    A step that fails to reduce the residual norm is halved up to six
-    times before the search is abandoned.
+    Starts from the seed's initial point with zero imaginary parts.  A
+    step that fails to reduce the residual norm is halved up to six times
+    before the search is abandoned.
     """
-    traj = propagate(ic, t, params, runaway_bound)
+    ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
+    traj = propagate(ic, seed.t, params, runaway_bound)
     res = residual_of(traj)
     history = [res.max_norm]
     iterations = 0
@@ -218,7 +226,7 @@ def _newton_solve(
         if iterations >= max_iter:
             raise ConvergenceError(res.max_norm, iterations)
         jac = jacobian_of(traj)
-        rhs = -np.array([res.initial[0], res.final[0]])
+        rhs = -np.array([res.initial, res.final])
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
@@ -233,7 +241,7 @@ def _newton_solve(
                 traj.initial.p1 + scale * delta[0],
                 traj.initial.q1 + scale * delta[1],
             )
-            cand = propagate(cand_ic, t, params, runaway_bound)
+            cand = propagate(cand_ic, seed.t, params, runaway_bound)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
                 accepted = True
@@ -248,7 +256,13 @@ def _newton_solve(
         traj, res = cand, cand_res
         iterations += 1
         history.append(res.max_norm)
-    return traj, iterations, res, history
+    return SaddleTrajectory(
+        trajectory=traj,
+        seed=seed,
+        iterations=iterations,
+        residual_norm=res.max_norm,
+        residual_history=tuple(history),
+    )
 
 
 def find_saddle(
@@ -278,7 +292,6 @@ def find_saddle(
         On a singular Newton system.
     """
     target = _shifted_target(beta, seed.winding)
-    ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
 
     def residual_of(traj: ComplexTrajectory) -> ResidualPair:
         return residuals(alpha, target, traj.initial, traj.final)
@@ -286,16 +299,8 @@ def find_saddle(
     def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
         return _correlation_jacobian(alpha, target, traj)
 
-    traj, iterations, res, history = _newton_solve(
-        ic, seed.t, params, residual_of, jacobian_of,
-        tol, max_iter, runaway_bound,
-    )
-    return SaddleTrajectory(
-        trajectory=traj,
-        seed=seed,
-        iterations=iterations,
-        residual_norm=res.max_norm,
-        residual_history=tuple(history),
+    return _newton_solve(
+        seed, params, residual_of, jacobian_of, tol, max_iter, runaway_bound
     )
 
 
@@ -357,32 +362,17 @@ def ggwpd_correlation(
     unfolded torus carries the corresponding phase without correction.
     """
     contributions: list[SaddleContribution] = []
-    weights: list[float] = []
     for sad in saddles:
         if sad.trajectory.t != t:
             raise ConfigError(
                 f"saddle trajectory has {sad.trajectory.t} steps, expected {t}"
             )
         target = _shifted_target(beta, sad.seed.winding)
-        contrib = saddle_contribution(
-            alpha, target, sad.trajectory, winding=sad.seed.winding
+        contributions.append(
+            saddle_contribution(alpha, target, sad.trajectory, winding=sad.seed.winding)
         )
-        exponent = (
-            1j * contrib.action / alpha.hbar
-            + contrib.ket_exponent
-            + contrib.bra_exponent
-        )
-        contributions.append(contrib)
-        weights.append(float(np.exp(exponent.real)))
-    if weights:
-        cutoff = prune_threshold * max(weights)
-        kept = tuple(
-            c for c, w in zip(contributions, weights) if w >= cutoff
-        )
-    else:
-        kept = ()
-    total = complex(sum(c.value for c in kept))
-    return CorrelationResult(total=total, branches=kept)
+    weights = [_descent_weight(c, alpha.hbar) for c in contributions]
+    return _prune_and_sum(contributions, weights, prune_threshold)
 
 
 def wavefunction_contribution(
@@ -444,23 +434,14 @@ def find_position_saddle(
     def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
         return np.array([[1j / hbar, 2.0 * ba], [traj.m21, traj.m22]])
 
-    ic = ComplexPhasePoint(complex(seed_momentum), complex(alpha.q1))
-    traj, iterations, res, history = _newton_solve(
-        ic, t, params, residual_of, jacobian_of,
-        tol, max_iter, runaway_bound,
-    )
     seed = SeedTrajectory(
         ic=(float(seed_momentum), alpha.q1),
         t=t,
         winding=(0, winding_q),
         kind="position",
     )
-    return SaddleTrajectory(
-        trajectory=traj,
-        seed=seed,
-        iterations=iterations,
-        residual_norm=res.max_norm,
-        residual_history=tuple(history),
+    return _newton_solve(
+        seed, params, residual_of, jacobian_of, tol, max_iter, runaway_bound
     )
 
 
@@ -481,6 +462,13 @@ def ggwpd_wavefunction(
     (adequate for shearing-dominated transport; strong chaos would need
     manifold-based seeding as in the correlation case).  One saddle is
     refined per crossing per lattice image of x.
+
+    Raises
+    ------
+    NumericalError
+        When the scanned line's end positions reach a lattice image
+        x + n with |n| > ``image_range``: that image's saddles would be
+        missing from the sum.
     """
     if t < 1:
         raise ValueError("position saddles need at least one step")
@@ -488,44 +476,34 @@ def ggwpd_wavefunction(
     w = halfwidth_sigma * sig_p
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
-    roots = _shearing_roots(
+    roots, ends = _shearing_roots(
         alpha.p1 - w,
         alpha.p1 + w,
         alpha.q1,
         targets,
         lambda pts: iterate_map(pts, t, params)[:, 1],
     )
+    n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
+    if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
+        raise NumericalError(
+            f"the scanned line reaches the images x{n_lo:+d} to x{n_hi:+d} of "
+            f"x = {x}, beyond image_range = {image_range}"
+        )
 
-    terms: list[SaddleContribution] = []
-    weights: list[float] = []
-    seen: set[tuple] = set()
-    for n_q, target, seed_momenta in zip(windings, targets, roots):
-        for p_seed in seed_momenta:
-            sad = find_position_saddle(
-                alpha, target, p_seed, t, params,
-                winding_q=n_q, tol=tol, max_iter=max_iter,
-            )
-            ic = sad.trajectory.initial
-            key = (
-                n_q,
-                round(ic.p1.real, 12), round(ic.p1.imag, 12),
-                round(ic.q1.real, 12), round(ic.q1.imag, 12),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            contrib = wavefunction_contribution(
-                alpha, sad.trajectory, winding=(0, n_q)
-            )
-            exponent = 1j * contrib.action / alpha.hbar + contrib.ket_exponent
-            terms.append(contrib)
-            weights.append(float(np.exp(exponent.real)))
-    if not terms:
-        return 0j
-    cutoff = prune_threshold * max(weights)
-    return complex(
-        sum(c.value for c, w in zip(terms, weights) if w >= cutoff)
-    )
+    saddles = [
+        find_position_saddle(
+            alpha, target, p_seed, t, params,
+            winding_q=n_q, tol=tol, max_iter=max_iter,
+        )
+        for n_q, target, seed_momenta in zip(windings, targets, roots)
+        for p_seed in seed_momenta
+    ]
+    terms = [
+        wavefunction_contribution(alpha, sad.trajectory, winding=sad.seed.winding)
+        for sad in _merge_duplicates(saddles, _saddle_place)
+    ]
+    weights = [_descent_weight(c, alpha.hbar) for c in terms]
+    return _prune_and_sum(terms, weights, prune_threshold).total
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +569,7 @@ def offcenter_contribution(
         - p0 * (alpha.q1 - q0)
     ) / hbar
     value = np.sqrt(2.0) / root * np.exp(1j * phase - quad / (2.0 * a0))
-    return OffCenterContribution(
-        stability_sum=complex(a0),
-        coeff_xx_initial=complex(c_xx_i),
-        coeff_xx_final=complex(c_xx_f),
-        coeff_pp_initial=complex(c_pp_i),
-        coeff_pp_final=complex(c_pp_f),
-        dx_initial=float(dx_a),
-        dp_initial=float(dp_a),
-        dx_final=float(dx_b),
-        dp_final=float(dp_b),
-        value=complex(value),
-        winding=winding,
-    )
+    return OffCenterContribution(value=complex(value), winding=winding)
 
 
 def offcenter_correlation(
@@ -616,27 +582,17 @@ def offcenter_correlation(
 ) -> CorrelationResult:
     """Off-center real-trajectory correlation summed over transport seeds."""
     contributions: list[OffCenterContribution] = []
-    weights: list[float] = []
     for seed in seeds:
         if seed.t != t:
             raise ConfigError(f"seed has t = {seed.t}, expected {t}")
         ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
         traj = propagate(ic, t, params)
         target = _shifted_target(beta, seed.winding)
-        contrib = offcenter_contribution(
-            alpha, target, traj, winding=seed.winding
+        contributions.append(
+            offcenter_contribution(alpha, target, traj, winding=seed.winding)
         )
-        contributions.append(contrib)
-        weights.append(abs(contrib.value))
-    if weights:
-        cutoff = prune_threshold * max(weights)
-        kept = tuple(
-            c for c, w in zip(contributions, weights) if w >= cutoff
-        )
-    else:
-        kept = ()
-    total = complex(sum(c.value for c in kept))
-    return CorrelationResult(total=total, branches=kept)
+    weights = [abs(c.value) for c in contributions]
+    return _prune_and_sum(contributions, weights, prune_threshold)
 
 
 def linearized_correlation(

@@ -112,7 +112,7 @@ def test_overlap_of_packet_with_itself_is_one():
 
 
 def test_residual_pair_max_norm():
-    pair = ResidualPair([3.0 + 4.0j], [1.0])
+    pair = ResidualPair(3.0 + 4.0j, 1.0)
     assert abs(pair.max_norm - 5.0) < 1e-15
 
 

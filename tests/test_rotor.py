@@ -4,13 +4,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
     _GERM_OFFSET,
+    _MERGE_TOL,
     ManifoldCurve,
     RotorParams,
     SeedTrajectory,
@@ -19,6 +20,7 @@ from ggwpd.rotor import (
     _check_fixed_point,
     _forward_many,
     _hyperbolic_frame,
+    _merge_duplicates,
     _sign_change_brackets,
     curve_to_csv,
     find_seeds,
@@ -85,18 +87,23 @@ def test_inverse_map_undoes_map_on_complex_points(re, im, K):
 
 @settings(max_examples=60, deadline=None)
 @given(P=_complex, Q=_complex, t=st.integers(0, 6), K=st.sampled_from([0.05, 8.25]))
+# products of ~3.5e3 two legs before the end, entries of order one at it:
+# the last two matrices carry |det - 1| = 3.9e-13 of the earlier rounding
+@example(P=0.5034145688451773 + 0j, Q=0.5034145688451773 + 0j, t=4, K=8.25)
 def test_unit_determinant_at_every_leg_endpoint_property(P, Q, t, K):
     """Kick and drift factors are unit triangular, so every recorded
     matrix -- there are 2t + 1 -- has determinant one up to the
-    cancellation noise of its own entries."""
+    cancellation noise of the largest products met so far: rounding
+    carried from earlier, larger legs stays when the entries shrink."""
     try:
         traj = propagate(ComplexPhasePoint(P, Q), t, RotorParams(K))
     except RunawayError:
         reject()
     assert traj.checkpoints.shape == (2 * t + 1, 2, 2)
+    scale = 1.0
     for m in traj.checkpoints:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = max(abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0]), 1.0)
+        scale = max(scale, abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0]))
         assert abs(det - 1.0) < 1e-14 * scale
 
 
@@ -617,3 +624,66 @@ def test_unknown_regime_rejected():
     alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
     with pytest.raises(ConfigError):
         find_seeds(alpha, beta, 2, K_CHAOTIC, regime="mixed")
+
+
+# ---------------------------------------------------------------------------
+# duplicate merge
+# ---------------------------------------------------------------------------
+
+def _place(item):
+    return item[1:]
+
+
+def test_merge_keeps_the_first_item_in_input_order():
+    items = [
+        ("a", (0, 1), 0.1 + 0.2j, 0.3),
+        ("b", (0, 0), 0.1 + 0.2j, 0.3),
+        ("c", (0, 1), 0.1 + 0.2j, 0.3),
+        ("d", (0, 0), 0.4, 0.3 - 0.1j),
+        ("e", (0, 0), 0.1 + 0.2j, 0.3),
+    ]
+    assert [i[0] for i in _merge_duplicates(items, _place)] == ["a", "b", "d"]
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_merge_tolerance_applies_to_every_component(part):
+    base = np.array([0.2, -0.05, 0.7, 0.01])
+
+    def item(name, offset):
+        x = base.copy()
+        x[part] += offset
+        return (name, (1, -1), complex(x[0], x[1]), complex(x[2], x[3]))
+
+    near = [item("first", 0.0), item("near", 0.9 * _MERGE_TOL)]
+    far = [item("first", 0.0), item("far", 1.1 * _MERGE_TOL)]
+    assert [i[0] for i in _merge_duplicates(near, _place)] == ["first"]
+    assert [i[0] for i in _merge_duplicates(far, _place)] == ["first", "far"]
+
+
+def test_merge_joins_copies_on_either_side_of_a_rounding_edge():
+    """Keys rounded to 1e-9 split two copies 1e-17 apart around 1.5e-9;
+    the distance test does not."""
+    lo, hi = 1.5e-9 - 5e-18, 1.5e-9 + 5e-18
+    assert round(lo, 9) != round(hi, 9)
+    assert int(np.round(lo * 1e9)) != int(np.round(hi * 1e9))
+    items = [("lo", (0, 0), complex(lo), 0j), ("hi", (0, 0), complex(hi), 0j)]
+    assert [i[0] for i in _merge_duplicates(items, _place)] == ["lo"]
+
+
+def test_chaotic_preset_merges_nine_seeds_into_seven_saddles(chaotic_bundle):
+    cfg = chaotic_bundle.config
+    alpha, beta = _packet_pair(*cfg.alpha_center, *cfg.beta_center, N=cfg.N_list[0])
+    seeds = find_seeds(
+        alpha, beta, cfg.t, RotorParams(cfg.K),
+        image_range=cfg.image_range, regime=cfg.regime,
+        capture_sigma=cfg.capture_sigma, capture_radius=cfg.capture_radius,
+    )
+    kept = chaotic_bundle.setup.seeds
+    assert len(seeds) == 9
+    assert len(chaotic_bundle.setup.saddles) == 7
+    # the kept seeds keep their search order, and each dropped seed comes
+    # after a kept one of its winding: the first of each pair stays
+    assert [s for s in seeds if s in kept] == list(kept)
+    for i, s in enumerate(seeds):
+        if s not in kept:
+            assert any(k.winding == s.winding for k in seeds[:i] if k in kept)

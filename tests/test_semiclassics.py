@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ggwpd.errors import CausticError, ConfigError, ConvergenceError, RunawayError
+from ggwpd.errors import (
+    CausticError,
+    ConfigError,
+    ConvergenceError,
+    NumericalError,
+    RunawayError,
+)
 from ggwpd.experiment import packets_for
 from ggwpd.floquet import (
     discretize_packet,
@@ -272,6 +278,25 @@ def test_wavefunction_peak_position_not_special():
     x_center = (0.5 + 3 * 0.25) % 1.0
     val = ggwpd_wavefunction(alpha, x_center, 3, params, image_range=2)
     assert abs(val) > 1.0  # the peak of a packet this narrow is O(N^(1/4))
+
+
+def test_wavefunction_refuses_images_beyond_the_window():
+    """integrable-fig2 at N = 700, t = 4 carries the line about three
+    images up, past image_range = 2: the sum would miss those saddles
+    (and was exactly 0j at every point).  Each point the line reaches
+    outside the window raises; every other point is 0j in any window."""
+    alpha = _packet(0.815, 0.2, 700)
+    params = RotorParams(0.05)
+    refused = 0
+    for x in np.linspace(0.0, 1.0, 81):
+        wide = ggwpd_wavefunction(alpha, x, 4, params, image_range=4)
+        if wide == 0j:
+            assert ggwpd_wavefunction(alpha, x, 4, params, image_range=2) == 0j
+            continue
+        with pytest.raises(NumericalError, match="image_range = 2"):
+            ggwpd_wavefunction(alpha, x, 4, params, image_range=2)
+        refused += 1
+    assert refused > 40
 
 
 def test_ggwpd_correlation_rejects_mismatched_time():
