@@ -369,6 +369,11 @@ def run_sweep(
                 alpha, beta, list(setup.saddles), config.t,
                 prune_threshold=config.prune_threshold,
             ).total
+            if c_oc == 0 or c_gg == 0:
+                raise NumericalError(
+                    "a semiclassical sum underflowed to zero; "
+                    "its magnitude ratio is undefined"
+                )
             rows.append(
                 SweepRow(
                     N=N,

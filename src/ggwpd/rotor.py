@@ -5,9 +5,8 @@ The map is kick-then-drift in dimensionless units,
     p' = p - (K/2pi) sin(2pi q)
     q' = q + p'
 
-iterated on the unfolded (covering) phase space for everything except
-explicitly folded real points.  Alongside the orbit, :func:`propagate`
-accumulates the generating action
+iterated on the unfolded (covering) phase space.  Alongside the orbit,
+:func:`propagate` accumulates the generating action
 
     S = sum_n [ (Q_{n+1} - Q_n)^2 / 2 + (K/4pi^2) cos(2pi Q_n) ]
 
@@ -50,6 +49,11 @@ _GERM_OFFSET = 1e-8
 # further apart, so a tolerance well inside that gap separates them.
 _MERGE_TOL = 1e-9
 
+# Largest gap between consecutive points of a grown invariant curve, and the
+# node spacing of a shearing line: the resolution of the curves that
+# ``ggwpd manifolds`` writes.  The seed searches scan grids of their own.
+_CURVE_SPACING = 1e-3
+
 
 @dataclass(frozen=True)
 class RotorParams:
@@ -58,6 +62,8 @@ class RotorParams:
     K: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.K):
+            raise ValueError(f"kick strength must be finite, got {self.K!r}")
         if self.K < 0.0:
             raise ValueError("kick strength must be non-negative")
 
@@ -123,26 +129,14 @@ class ManifoldCurve:
 
     kind: str  # "unstable" | "stable" | "shearing"
     points: np.ndarray  # (n, 2) columns (p, q)
-    anchor: tuple[float, float]
 
 
-def map_step(
-    point: ComplexPhasePoint, params: RotorParams, fold: bool = False
-) -> ComplexPhasePoint:
-    """One forward application of the kick-then-drift map.
-
-    Folding (mod 1 in both coordinates) is permitted only for real points;
-    complexified propagation always stays on the covering space.
-    """
+def map_step(point: ComplexPhasePoint, params: RotorParams) -> ComplexPhasePoint:
+    """One forward application of the kick-then-drift map on the covering space."""
     p = point.p1
     q = point.q1
     p1 = p - (params.K / TWO_PI) * np.sin(TWO_PI * q)
     q1 = q + p1
-    if fold:
-        if not point.is_real():
-            raise ValueError("folding is only defined for real points")
-        p1 = complex(p1.real % 1.0)
-        q1 = complex(q1.real % 1.0)
     return ComplexPhasePoint(p1, q1)
 
 
@@ -292,7 +286,6 @@ def _grow_invariant_curve(
     fp: tuple[float, float],
     params: RotorParams,
     arc_budget: float,
-    spacing: float,
     inverse: bool,
     max_points: int,
 ) -> np.ndarray:
@@ -302,8 +295,8 @@ def _grow_invariant_curve(
     eigenvector; a fundamental segment [s0, |lambda| s0) on each side of
     the fixed point is iterated level by level, and each level's images
     are refined by inserting log-midpoints until consecutive points are
-    closer than ``spacing``.  Iterating with the map itself keeps every
-    emitted point on the manifold to machine precision.
+    closer than ``_CURVE_SPACING``.  Iterating with the map itself keeps
+    every emitted point on the manifold to machine precision.
 
     Refinement is breadth-first: each round splits every interval that is
     still too long, mapping all of their midpoints in one call.  Whether
@@ -349,7 +342,8 @@ def _grow_invariant_curve(
                         "manifold refinement exceeded the point-count cap"
                     )
                 gaps = np.hypot(*np.diff(pts, axis=0).T)
-                split = np.nonzero((gaps > spacing) & (np.diff(logs) > 1e-14))[0]
+                long = (gaps > _CURVE_SPACING) & (np.diff(logs) > 1e-14)
+                split = np.nonzero(long)[0]
                 if split.size == 0:
                     break
                 mids = 0.5 * (logs[split] + logs[split + 1])
@@ -378,7 +372,6 @@ def unstable_manifold(
     fp: tuple[float, float],
     params: RotorParams,
     arc_budget: float = 6.0,
-    spacing: float = 1e-3,
     max_points: int = 200_000,
 ) -> ManifoldCurve:
     """Unstable manifold of a hyperbolic fixed point as an ordered polyline.
@@ -389,30 +382,28 @@ def unstable_manifold(
     """
     _check_fixed_point(fp, params)
     pts = _grow_invariant_curve(
-        fp, params, arc_budget, spacing, inverse=False, max_points=max_points
+        fp, params, arc_budget, inverse=False, max_points=max_points
     )
-    return ManifoldCurve(kind="unstable", points=pts, anchor=(fp[0], fp[1]))
+    return ManifoldCurve(kind="unstable", points=pts)
 
 
 def stable_manifold(
     fp: tuple[float, float],
     params: RotorParams,
     arc_budget: float = 6.0,
-    spacing: float = 1e-3,
     max_points: int = 200_000,
 ) -> ManifoldCurve:
     """Stable manifold, grown with the inverse map along the stable direction."""
     _check_fixed_point(fp, params)
     pts = _grow_invariant_curve(
-        fp, params, arc_budget, spacing, inverse=True, max_points=max_points
+        fp, params, arc_budget, inverse=True, max_points=max_points
     )
-    return ManifoldCurve(kind="stable", points=pts, anchor=(fp[0], fp[1]))
+    return ManifoldCurve(kind="stable", points=pts)
 
 
 def shearing_manifold(
     packet: GaussianPacket,
     halfwidth_sigma: float = 5.0,
-    spacing: float = 1e-3,
 ) -> ManifoldCurve:
     """Vertical line of initial conditions through the packet center.
 
@@ -421,20 +412,16 @@ def shearing_manifold(
     """
     sig_p = packet.hbar / (2.0 * packet.sigma)
     w = halfwidth_sigma * sig_p
-    n = max(9, int(np.ceil(2.0 * w / spacing)) + 1)
+    n = max(9, int(np.ceil(2.0 * w / _CURVE_SPACING)) + 1)
     p = np.linspace(packet.p1 - w, packet.p1 + w, n)
     q = np.full_like(p, packet.q1)
-    return ManifoldCurve(
-        kind="shearing",
-        points=np.column_stack([p, q]),
-        anchor=(packet.p1, packet.q1),
-    )
+    return ManifoldCurve(kind="shearing", points=np.column_stack([p, q]))
 
 
 def propagate_curve(curve: ManifoldCurve, t: int, params: RotorParams) -> ManifoldCurve:
     """Forward image of a curve under t unfolded map steps (same ordering)."""
     pts = _forward_many(curve.points, t, params.K)
-    return ManifoldCurve(kind=curve.kind, points=pts, anchor=curve.anchor)
+    return ManifoldCurve(kind=curve.kind, points=pts)
 
 
 def curve_to_csv(curve: ManifoldCurve, path) -> None:

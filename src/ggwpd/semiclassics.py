@@ -46,47 +46,6 @@ from .rotor import (
 )
 
 
-class BranchPhase:
-    """Streaming accumulator for a continuously unwrapped square root.
-
-    Feed successive determinant values of a path via :func:`branch_sqrt`.
-    Each step adds the principal argument of the ratio of consecutive
-    samples, so the returned root follows the analytic branch instead of
-    the principal one whenever the true argument changes by less than pi
-    between samples.  The first sample fixes the branch with the principal
-    argument, which for the positive-real determinants arising at zero
-    elapsed time selects the root with positive real part.
-
-    The evaluators in this module do not need it: their determinants are
-    exact on straight segments between the trajectory's leg endpoints,
-    which :func:`_tracked_sqrt` handles in one pass.
-    """
-
-    __slots__ = ("_angle", "_last")
-
-    def __init__(self) -> None:
-        self._angle = 0.0
-        self._last: complex | None = None
-
-    def advance(self, det: complex) -> complex:
-        if det == 0:
-            raise CausticError("vanishing determinant: caustic encountered")
-        if self._last is None:
-            self._angle = float(np.angle(det))
-        else:
-            self._angle += float(np.angle(det / self._last))
-        self._last = complex(det)
-        return complex(np.sqrt(abs(det)) * np.exp(0.5j * self._angle))
-
-
-def branch_sqrt(det: complex, state: BranchPhase) -> complex:
-    """Square root of ``det`` on the branch tracked by ``state``.
-
-    Raises :class:`CausticError` on a vanishing determinant.
-    """
-    return state.advance(det)
-
-
 def _tracked_sqrt(dets: np.ndarray) -> complex:
     """Square root of ``dets[-1]`` continued from the principal root of ``dets[0]``.
 
@@ -209,7 +168,6 @@ def _newton_solve(
     jacobian_of,
     tol: float,
     max_iter: int,
-    runaway_bound: float,
 ) -> SaddleTrajectory:
     """Damped Newton iteration shared by the two saddle searches.
 
@@ -218,7 +176,7 @@ def _newton_solve(
     before the search is abandoned.
     """
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
-    traj = propagate(ic, seed.t, params, runaway_bound)
+    traj = propagate(ic, seed.t, params)
     res = residual_of(traj)
     history = [res.max_norm]
     iterations = 0
@@ -241,7 +199,7 @@ def _newton_solve(
                 traj.initial.p1 + scale * delta[0],
                 traj.initial.q1 + scale * delta[1],
             )
-            cand = propagate(cand_ic, seed.t, params, runaway_bound)
+            cand = propagate(cand_ic, seed.t, params)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
                 accepted = True
@@ -272,7 +230,6 @@ def find_saddle(
     params: RotorParams,
     tol: float = 1e-12,
     max_iter: int = 25,
-    runaway_bound: float = 10.0,
 ) -> SaddleTrajectory:
     """Refine a real seed trajectory onto the complex saddle trajectory.
 
@@ -299,9 +256,7 @@ def find_saddle(
     def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
         return _correlation_jacobian(alpha, target, traj)
 
-    return _newton_solve(
-        seed, params, residual_of, jacobian_of, tol, max_iter, runaway_bound
-    )
+    return _newton_solve(seed, params, residual_of, jacobian_of, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +370,6 @@ def find_position_saddle(
     winding_q: int = 0,
     tol: float = 1e-12,
     max_iter: int = 25,
-    runaway_bound: float = 10.0,
 ) -> SaddleTrajectory:
     """Saddle search with the bra constraint replaced by Q_t = x_target.
 
@@ -440,9 +394,7 @@ def find_position_saddle(
         winding=(0, winding_q),
         kind="position",
     )
-    return _newton_solve(
-        seed, params, residual_of, jacobian_of, tol, max_iter, runaway_bound
-    )
+    return _newton_solve(seed, params, residual_of, jacobian_of, tol, max_iter)
 
 
 def ggwpd_wavefunction(
@@ -523,7 +475,9 @@ def offcenter_contribution(
     ``beta`` must be the winding-shifted image (equal widths and hbar are
     required — the underlying expression assumes a common sigma).
     """
-    if not np.isclose(alpha.b1, beta.b1, rtol=1e-12) or alpha.hbar != beta.hbar:
+    # atol=0: numpy's default 1e-8 would pass any two widths below it
+    same_width = np.isclose(alpha.b1, beta.b1, rtol=1e-12, atol=0.0)
+    if not same_width or alpha.hbar != beta.hbar:
         raise ConfigError(
             "off-center evaluation requires equal packet widths and hbar"
         )

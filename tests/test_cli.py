@@ -141,6 +141,22 @@ def test_sweep_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in captured.err
 
 
+def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
+    """At N = 80000 the chaotic preset's off-center and GGWPD sums both
+    underflow to 0j; the magnitude ratio is undefined there, so that N is
+    an error row and the sweep goes on to its gates."""
+    override = _write_json(tmp_path, "large_n.json", {"N_list": [50, 100, 80000]})
+    out = tmp_path / "out"
+    rc = main([
+        "sweep", "--preset", "chaotic-fig6", "--config", override, "--out", str(out),
+    ])
+    assert rc == 1
+    assert "[FAIL] all rows computed: 1 failed rows" in capsys.readouterr().out
+    rows = {r.N: r for r in read_csv(out / "chaotic-fig6_sweep.csv")}
+    assert rows[50].error == rows[100].error == ""
+    assert rows[80000].error.startswith("NumericalError")
+
+
 # ---------------------------------------------------------------------------
 # saddle / manifolds subcommands
 # ---------------------------------------------------------------------------

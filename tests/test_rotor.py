@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
+    _CURVE_SPACING,
     _GERM_OFFSET,
     _MERGE_TOL,
     ManifoldCurve,
@@ -50,6 +51,14 @@ def test_map_step_matches_hand_formula():
     p1 = z.p1 - (8.25 / (2 * np.pi)) * np.sin(2 * np.pi * z.q1)
     assert abs(out.p1 - p1) < 1e-15
     assert abs(out.q1 - (z.q1 + p1)) < 1e-15
+
+
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_kick_strength_is_refused(K):
+    """NaN passes a sign test alone, and a NaN kick makes the exact
+    oracle return nan+nanj without an error."""
+    with pytest.raises(ValueError, match="finite"):
+        RotorParams(K)
 
 
 def test_inverse_map_round_trip():
@@ -105,14 +114,6 @@ def test_unit_determinant_at_every_leg_endpoint_property(P, Q, t, K):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         scale = max(scale, abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0]))
         assert abs(det - 1.0) < 1e-14 * scale
-
-
-def test_folding_requires_real_points():
-    folded = map_step(ComplexPhasePoint(1.3, 2.8), K_CHAOTIC, fold=True)
-    assert 0.0 <= folded.p1.real < 1.0
-    assert 0.0 <= folded.q1.real < 1.0
-    with pytest.raises(ValueError):
-        map_step(ComplexPhasePoint(0.1j, 0.0), K_CHAOTIC, fold=True)
 
 
 def test_iterate_map_matches_scalar_steps():
@@ -285,9 +286,9 @@ def test_level_at_a_time_growth_matches_depth_first_reference(grow, fp, inverse)
     """Breadth-first refinement gives the reference's curve bit for bit, and
     within every level only intervals stopped by the log-width floor are
     longer than the spacing."""
-    spacing = 1e-3
+    spacing = _CURVE_SPACING
     ref, levels = _grow_depth_first(fp, K_CHAOTIC, 2.0, spacing, inverse)
-    curve = grow(fp, K_CHAOTIC, arc_budget=2.0, spacing=spacing)
+    curve = grow(fp, K_CHAOTIC, arc_budget=2.0)
     assert np.array_equal(curve.points, ref)
     floor_stopped = set()
     for logs, pts in levels:
@@ -302,7 +303,7 @@ def test_level_at_a_time_growth_matches_depth_first_reference(grow, fp, inverse)
 
 
 def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it():
-    _, levels = _grow_depth_first((0.0, 0.0), K_CHAOTIC, 2.0, 1e-3, False)
+    _, levels = _grow_depth_first((0.0, 0.0), K_CHAOTIC, 2.0, _CURVE_SPACING, False)
     largest = max(len(pts) for _, pts in levels)
     with pytest.raises(NumericalError):
         unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=500)
@@ -358,7 +359,7 @@ def test_curve_to_csv_matches_csv_writer_bytes(tmp_path):
     values = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
     points = np.array(list(zip(values, values[::-1])))
     path = tmp_path / "curve.csv"
-    curve_to_csv(ManifoldCurve(kind="shearing", points=points, anchor=(0.0, 0.0)), path)
+    curve_to_csv(ManifoldCurve(kind="shearing", points=points), path)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["index", "p", "q"])

@@ -27,8 +27,7 @@ from ggwpd.rotor import (
     propagate,
 )
 from ggwpd.semiclassics import (
-    BranchPhase,
-    branch_sqrt,
+    _tracked_sqrt,
     find_saddle,
     ggwpd_correlation,
     ggwpd_wavefunction,
@@ -48,37 +47,28 @@ def _packet(p, q, N):
 # branch-tracked square root
 # ---------------------------------------------------------------------------
 
-def test_branch_sqrt_first_call_is_principal():
-    state = BranchPhase()
-    assert abs(branch_sqrt(4.0, state) - 2.0) < 1e-15
-    state2 = BranchPhase()
-    assert abs(branch_sqrt(-4.0, state2) - 2.0j) < 1e-15
+def test_tracked_sqrt_of_one_sample_is_the_principal_root():
+    assert abs(_tracked_sqrt(np.array([4.0 + 0j])) - 2.0) < 1e-15
+    assert abs(_tracked_sqrt(np.array([-4.0 + 0j])) - 2.0j) < 1e-15
 
 
-def test_branch_sqrt_unwraps_past_the_cut():
+def test_tracked_sqrt_unwraps_past_the_cut():
     """Following a continuous loop of determinants crosses the principal cut.
 
     Walking exp(i theta) from 0 to 3 pi / 2 must land on
     exp(i 3 pi / 4) even though the principal root of exp(i 3 pi / 2)
     is exp(-i pi / 4); a full 2 pi loop must return the negated root.
     """
-    state = BranchPhase()
-    thetas = np.linspace(0.0, 1.5 * np.pi, 40)
-    for th in thetas:
-        val = branch_sqrt(np.exp(1j * th), state)
-    assert abs(val - np.exp(0.75j * np.pi)) < 1e-12
-
-    state = BranchPhase()
-    for th in np.linspace(0.0, 2.0 * np.pi, 60):
-        val = branch_sqrt(np.exp(1j * th), state)
-    assert abs(val + 1.0) < 1e-12
+    walk = np.exp(1j * np.linspace(0.0, 1.5 * np.pi, 40))
+    assert abs(_tracked_sqrt(walk) - np.exp(0.75j * np.pi)) < 1e-12
+    loop = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 60))
+    assert abs(_tracked_sqrt(loop) + 1.0) < 1e-12
 
 
-def test_branch_sqrt_rejects_zero():
-    state = BranchPhase()
-    branch_sqrt(1.0, state)
+@pytest.mark.parametrize("dets", [[0j], [1.0, 0j], [1.0, 0j, 1.0]])
+def test_tracked_sqrt_rejects_a_zero_sample(dets):
     with pytest.raises(CausticError):
-        branch_sqrt(0.0, state)
+        _tracked_sqrt(np.array(dets, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +135,19 @@ def test_saddle_location_is_width_scaling_invariant():
 # ---------------------------------------------------------------------------
 
 def _subdivided_root(traj, K, det_of, n=256):
-    """Reference branch: det_of(M) tracked with every kick and drift leg cut
-    into n pieces, the stability matrix rebuilt from the orbit's points."""
-    state = BranchPhase()
+    """Reference branch: det_of(M) sampled with every kick and drift leg cut
+    into n pieces, the stability matrix rebuilt from the orbit's points, and
+    the samples' argument unwrapped by np.unwrap."""
     M = np.eye(2, dtype=complex)
-    root = branch_sqrt(det_of(M), state)
+    samples = [det_of(M)]
     for z in traj.points[:-1]:
         c = K * np.cos(2.0 * np.pi * z.q1)
         for leg in (np.array([[0.0, -c], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])):
             for f in np.arange(1, n + 1) / n:
-                root = branch_sqrt(det_of((np.eye(2) + f * leg) @ M), state)
+                samples.append(det_of((np.eye(2) + f * leg) @ M))
             M = (np.eye(2) + leg) @ M
-    return root
+    angle = np.unwrap(np.angle(samples))[-1]
+    return np.sqrt(abs(samples[-1])) * np.exp(0.5j * angle)
 
 
 def _saddle_det(alpha, beta):
@@ -316,6 +307,10 @@ def test_offcenter_requires_equal_widths_and_real_trajectory():
     traj = propagate(ComplexPhasePoint(0.1, 0.2), 2, RotorParams(0.05))
     with pytest.raises(ConfigError):
         offcenter_contribution(alpha, narrow, traj)
+    # widths far below numpy's default isclose atol of 1e-8 still differ
+    tiny = [GaussianPacket(0.1, q, b, grid_hbar(N)) for q, b in ((0.2, 1e-9), (0.7, 4e-9))]
+    with pytest.raises(ConfigError):
+        offcenter_contribution(*tiny, traj)
     complex_traj = propagate(ComplexPhasePoint(0.1 + 0.01j, 0.2), 2, RotorParams(0.05))
     beta = _packet(0.1, 0.7, N)
     with pytest.raises(ConfigError):
