@@ -54,11 +54,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--preset", choices=sorted(PRESETS), help="built-in scenario name"
     )
     sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--tol", type=float, help="saddle residual tolerance")
-    sub.add_argument("--max-iter", type=int, help="Newton iteration cap")
-    sub.add_argument(
-        "--image-range", type=int, help="lattice image search range for seeds"
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     manifolds = sub.add_parser("manifolds", help="dump transport curves as CSV")
     for p in (sweep, saddle, manifolds):
         _add_common(p)
+    for p in (sweep, saddle):
+        p.add_argument(
+            "--image-range", type=int, help="lattice image search range for seeds"
+        )
     return parser
 
 
@@ -86,15 +85,9 @@ def _resolve_config(args: argparse.Namespace):
         config = base
     else:
         raise ConfigError("provide --preset and/or --config")
-    overrides = {}
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.image_range is not None:
-        overrides["image_range"] = args.image_range
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    image_range = getattr(args, "image_range", None)  # manifolds has none
+    if image_range is not None:
+        config = dataclasses.replace(config, image_range=image_range)
     return config
 
 
@@ -148,15 +141,11 @@ def _cmd_manifolds(args: argparse.Namespace) -> int:
     written = []
     if config.regime == "chaotic":
         curves = {
-            "unstable_alpha": unstable_manifold(
-                (alpha.p1, alpha.q1), params, arc_budget=config.arc_budget
-            ),
-            "stable_beta": stable_manifold(
-                (beta.p1, beta.q1), params, arc_budget=config.arc_budget
-            ),
+            "unstable_alpha": unstable_manifold((alpha.p1, alpha.q1), params),
+            "stable_beta": stable_manifold((beta.p1, beta.q1), params),
         }
     else:
-        shear = shearing_manifold(alpha, halfwidth_sigma=config.halfwidth_sigma)
+        shear = shearing_manifold(alpha)
         curves = {
             "shearing_alpha": shear,
             f"shearing_alpha_t{config.t}": propagate_curve(shear, config.t, params),

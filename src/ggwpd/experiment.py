@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import semiclassics
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
 from .packets import GaussianPacket
@@ -53,13 +54,6 @@ class ExperimentConfig:
     N_list: tuple[int, ...]
     regime: str
     image_range: int = 1
-    tol: float = 1e-12
-    max_iter: int = 25
-    prune_threshold: float = 1e-12
-    capture_sigma: float = 5.0
-    capture_radius: float = 0.3
-    halfwidth_sigma: float = 5.0
-    arc_budget: float = 6.0
     label: str = "custom"
 
     def __post_init__(self) -> None:
@@ -67,15 +61,9 @@ class ExperimentConfig:
             raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         if not isinstance(self.label, str):
             raise ConfigError(f"label must be a string, got {self.label!r}")
-        for name in _FLOAT_FIELDS:
-            _require_finite(name, getattr(self, name))
+        _require_finite("K", self.K)
         if self.K < 0.0:
             raise ConfigError("K must be non-negative")
-        if self.prune_threshold < 0.0:
-            raise ConfigError("prune_threshold must be non-negative")
-        for name in _POSITIVE_FIELDS:
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
         for name in ("alpha_center", "beta_center"):
             center = getattr(self, name)
             if not _is_sequence(center) or len(center) != 2:
@@ -84,7 +72,6 @@ class ExperimentConfig:
                 _require_finite(name, x)
         _require_int("t", self.t, 1)
         _require_int("image_range", self.image_range, 0)
-        _require_int("max_iter", self.max_iter, 1)
         if not _is_sequence(self.N_list):
             raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
         for n in self.N_list:
@@ -98,15 +85,6 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_center", tuple(map(float, self.alpha_center)))
         object.__setattr__(self, "beta_center", tuple(map(float, self.beta_center)))
         object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
-
-
-_FLOAT_FIELDS = (
-    "K", "tol", "prune_threshold", "capture_sigma", "capture_radius",
-    "halfwidth_sigma", "arc_budget",
-)
-_POSITIVE_FIELDS = (
-    "tol", "capture_sigma", "capture_radius", "halfwidth_sigma", "arc_budget",
-)
 
 
 def _is_sequence(value) -> bool:
@@ -206,10 +184,10 @@ def config_from_dict(
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Load a single-document JSON config from ``path``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -285,19 +263,13 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
         params,
         image_range=config.image_range,
         regime=config.regime,
-        capture_sigma=config.capture_sigma,
-        capture_radius=config.capture_radius,
-        halfwidth_sigma=config.halfwidth_sigma,
     )
     if not seeds:
         raise NumericalError(
             f"no transport seeds found for {config.label!r} within "
             f"image range {config.image_range}"
         )
-    converged = [
-        find_saddle(alpha, beta, s, params, tol=config.tol, max_iter=config.max_iter)
-        for s in seeds
-    ]
+    converged = [find_saddle(alpha, beta, s, params) for s in seeds]
     # distinct transport seeds can flow to the same complex saddle (two
     # primary intersections on the same lobe); keep one contribution each
     saddles = tuple(_merge_duplicates(converged, _saddle_place))
@@ -306,10 +278,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     if check_N != ref_N:
         alpha_c, beta_c = packets_for(config, check_N)
         for sad in saddles:
-            again = find_saddle(
-                alpha_c, beta_c, sad.seed, params,
-                tol=config.tol, max_iter=config.max_iter,
-            )
+            again = find_saddle(alpha_c, beta_c, sad.seed, params)
             dP = again.trajectory.initial.p1 - sad.trajectory.initial.p1
             dQ = again.trajectory.initial.q1 - sad.trajectory.initial.q1
             drift = max(
@@ -331,11 +300,11 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     )
 
 
-def _error_row(N: int, message: str) -> SweepRow:
+def _error_row(N: int, c_qm: complex, message: str) -> SweepRow:
     nan = float("nan")
     cnan = complex(nan, nan)
     return SweepRow(
-        N=N, C_qm=cnan, C_oc=cnan, C_ggwpd=cnan,
+        N=N, C_qm=c_qm, C_oc=cnan, C_ggwpd=cnan,
         abs_err_oc=nan, abs_err_ggwpd=nan,
         ratio_oc=nan, ratio_ggwpd=nan,
         phase_err_oc=nan, phase_err_ggwpd=nan,
@@ -349,7 +318,8 @@ def run_sweep(
     """Evaluate all three correlations at every N of the config.
 
     A failure at one N is recorded in that row's error column instead of
-    aborting the sweep.  Rows come back ordered by N.
+    aborting the sweep; the row keeps C_qm when the oracle returned it.
+    Rows come back ordered by N.
     """
     if not config.N_list:
         return []
@@ -358,17 +328,14 @@ def run_sweep(
     params = RotorParams(config.K)
     rows: list[SweepRow] = []
     for N in sorted(config.N_list):
+        c_qm = complex(math.nan, math.nan)
         try:
             alpha, beta = packets_for(config, N)
             c_qm = quantum_correlation(alpha, beta, config.t, N, params)
             c_oc = offcenter_correlation(
-                alpha, beta, list(setup.seeds), params, config.t,
-                prune_threshold=config.prune_threshold,
+                alpha, beta, list(setup.seeds), params, config.t
             ).total
-            c_gg = ggwpd_correlation(
-                alpha, beta, list(setup.saddles), config.t,
-                prune_threshold=config.prune_threshold,
-            ).total
+            c_gg = ggwpd_correlation(alpha, beta, list(setup.saddles), config.t).total
             if c_oc == 0 or c_gg == 0:
                 raise NumericalError(
                     "a semiclassical sum underflowed to zero; "
@@ -389,7 +356,7 @@ def run_sweep(
                 )
             )
         except GgwpdError as exc:
-            rows.append(_error_row(N, f"{type(exc).__name__}: {exc}"))
+            rows.append(_error_row(N, c_qm, f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -526,7 +493,8 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
         checks.append(
             (
                 f"saddle {winding} converged fast",
-                sad.iterations <= 8 and sad.residual_norm < cfg.tol,
+                sad.iterations <= 8
+                and sad.residual_norm < semiclassics._NEWTON_TOL,
                 f"{sad.iterations} iterations, residual {sad.residual_norm:.2e}",
             )
         )

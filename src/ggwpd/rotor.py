@@ -54,6 +54,19 @@ _MERGE_TOL = 1e-9
 # ``ggwpd manifolds`` writes.  The seed searches scan grids of their own.
 _CURVE_SPACING = 1e-3
 
+# Half-width of the shearing line in momentum uncertainties hbar/(2 sigma):
+# the packet amplitude at its ends is exp(-25/2).  The integrable seed search
+# scans this line and ``ggwpd manifolds`` writes it.
+_SHEAR_HALFWIDTH_SIGMA = 5.0
+
+# A transport seed is kept only when its start and end lie within this many
+# packet widths of the two centers (momentum widths on a shearing line).
+_CAPTURE_SIGMA = 5.0
+
+# Distance from a beta-image center within which the heteroclinic search
+# reads endpoints in that center's linear stable/unstable frame.
+_CAPTURE_RADIUS = 0.3
+
 
 @dataclass(frozen=True)
 class RotorParams:
@@ -401,17 +414,14 @@ def stable_manifold(
     return ManifoldCurve(kind="stable", points=pts)
 
 
-def shearing_manifold(
-    packet: GaussianPacket,
-    halfwidth_sigma: float = 5.0,
-) -> ManifoldCurve:
+def shearing_manifold(packet: GaussianPacket) -> ManifoldCurve:
     """Vertical line of initial conditions through the packet center.
 
-    The half-width defaults to five momentum uncertainties, which captures
-    amplitude down to exp(-25/2).
+    It reaches ``_SHEAR_HALFWIDTH_SIGMA`` momentum uncertainties to either
+    side, the interval the integrable seed search scans.
     """
     sig_p = packet.hbar / (2.0 * packet.sigma)
-    w = halfwidth_sigma * sig_p
+    w = _SHEAR_HALFWIDTH_SIGMA * sig_p
     n = max(9, int(np.ceil(2.0 * w / _CURVE_SPACING)) + 1)
     p = np.linspace(packet.p1 - w, packet.p1 + w, n)
     q = np.full_like(p, packet.q1)
@@ -525,13 +535,11 @@ def _integrable_seeds(
     t: int,
     params: RotorParams,
     image_range: int,
-    capture_sigma: float,
-    halfwidth_sigma: float,
 ) -> list[SeedTrajectory]:
     """Roots of the propagated shearing line against each image's q-line."""
     sigma = alpha.sigma
     sig_p = alpha.hbar / (2.0 * sigma)
-    w = halfwidth_sigma * sig_p
+    w = _SHEAR_HALFWIDTH_SIGMA * sig_p
     q0 = alpha.q1
     windings = range(-image_range, image_range + 1)
     targets = [beta.q1 + n_q for n_q in windings]
@@ -555,7 +563,7 @@ def _integrable_seeds(
         end_dist = np.hypot(
             (p_end - beta.p1 - n_p) / sig_p, (q_end - (beta.q1 + n_q)) / sigma
         )
-        if max(start_dist, end_dist) > capture_sigma:
+        if max(start_dist, end_dist) > _CAPTURE_SIGMA:
             continue
         seeds.append(
             SeedTrajectory(
@@ -644,8 +652,6 @@ def _heteroclinic_seeds(
     t: int,
     params: RotorParams,
     image_range: int,
-    capture_sigma: float,
-    capture_radius: float,
 ) -> list[SeedTrajectory]:
     """Intersections of the alpha unstable curve with beta-image stable curves.
 
@@ -715,11 +721,11 @@ def _heteroclinic_seeds(
             # only taken inside the box, since hypot(dp, dq) >= |dp|, |dq|
             dp = [ends[:, 0] - (beta.p1 + n_p) for n_p in shifts]
             dq = [ends[:, 1] - (beta.q1 + n_q) for n_q in shifts]
-            box_p = [np.abs(d) < capture_radius for d in dp]
-            box_q = [np.abs(d) < capture_radius for d in dq]
+            box_p = [np.abs(d) < _CAPTURE_RADIUS for d in dp]
+            box_q = [np.abs(d) < _CAPTURE_RADIUS for d in dq]
             for k, (i, j) in enumerate(image_index):
                 near = np.nonzero(box_p[i] & box_q[j])[0]
-                near = near[np.hypot(dp[i][near], dq[j][near]) < capture_radius]
+                near = near[np.hypot(dp[i][near], dq[j][near]) < _CAPTURE_RADIUS]
                 if not near.size:
                     continue
                 # walk[m] holds the near endpoints m steps further on; the
@@ -729,7 +735,8 @@ def _heteroclinic_seeds(
                 captured = np.ones(near.size, dtype=bool)
                 for m in range(1, max_depth + 1):
                     walk.append(_forward_many(walk[-1], 1, K))
-                    far = np.hypot(*(walk[-1] - orbits[k, m][None, :]).T) > capture_radius
+                    off = walk[-1] - orbits[k, m][None, :]
+                    far = np.hypot(*off.T) > _CAPTURE_RADIUS
                     captured &= ~far
                     depth[captured] = m
                 walk = np.stack(walk)
@@ -792,7 +799,7 @@ def _heteroclinic_seeds(
                 kind="heteroclinic",
             )
             for z, d0, d1, k in zip(z_star, start_d, end_d, c_image)
-            if max(d0, d1) <= capture_sigma
+            if max(d0, d1) <= _CAPTURE_SIGMA
         ),
         lambda s: (s.winding, *s.ic),
     )
@@ -807,9 +814,6 @@ def find_seeds(
     params: RotorParams,
     image_range: int = 1,
     regime: str = "integrable",
-    capture_sigma: float = 5.0,
-    capture_radius: float = 0.3,
-    halfwidth_sigma: float = 5.0,
 ) -> list[SeedTrajectory]:
     """Locate real representative trajectories from alpha toward beta images.
 
@@ -818,18 +822,14 @@ def find_seeds(
     lattice image of the beta center.  Chaotic regime: heteroclinic
     intersections of the unstable manifold at the alpha center with the
     stable manifolds of the beta-image centers.  Branches whose start or
-    endpoint sits further than ``capture_sigma`` packet widths from the
+    endpoint sits further than ``_CAPTURE_SIGMA`` packet widths from the
     respective center are pruned; an empty list means no classically
     allowed transport was found within ``image_range``.
     """
     if t < 1:
         raise ValueError("seed trajectories need at least one step")
     if regime == "integrable":
-        return _integrable_seeds(
-            alpha, beta, t, params, image_range, capture_sigma, halfwidth_sigma
-        )
+        return _integrable_seeds(alpha, beta, t, params, image_range)
     if regime == "chaotic":
-        return _heteroclinic_seeds(
-            alpha, beta, t, params, image_range, capture_sigma, capture_radius
-        )
+        return _heteroclinic_seeds(alpha, beta, t, params, image_range)
     raise ConfigError(f"unknown regime {regime!r}")

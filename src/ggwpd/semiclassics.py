@@ -115,12 +115,17 @@ class CorrelationResult:
     branches: tuple
 
 
-def _prune_and_sum(contributions, weights, threshold: float) -> CorrelationResult:
-    """Sum of the branches whose weight reaches ``threshold`` times the largest.
+# A branch is dropped from a sum when its weight is below this fraction of
+# the strongest branch's: it could only move the total in its last digits.
+_PRUNE_THRESHOLD = 1e-12
+
+
+def _prune_and_sum(contributions, weights) -> CorrelationResult:
+    """Sum of the branches weighing at least ``_PRUNE_THRESHOLD`` times the largest.
 
     The kept branches are summed in input order; no branches sum to 0j.
     """
-    cutoff = threshold * max(weights, default=0.0)
+    cutoff = _PRUNE_THRESHOLD * max(weights, default=0.0)
     kept = tuple(c for c, w in zip(contributions, weights) if w >= cutoff)
     return CorrelationResult(total=complex(sum(c.value for c in kept)), branches=kept)
 
@@ -146,6 +151,16 @@ def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianP
 # Newton-Raphson saddle search
 # ---------------------------------------------------------------------------
 
+# Newton stops once both endpoint residuals are below this in max norm.  The
+# stop is absolute: the residuals carry a factor 1/hbar, so their rounding
+# floor grows like N and reaches it at N of order 1000 (ROADMAP direction 2).
+_NEWTON_TOL = 1e-12
+
+# Newton updates before a search is abandoned.  The presets' saddles take
+# at most eight (the report gates that), so this only stops a stalled search.
+_NEWTON_MAX_ITER = 25
+
+
 def _correlation_jacobian(
     alpha: GaussianPacket, beta: GaussianPacket, traj: ComplexTrajectory
 ) -> np.ndarray:
@@ -166,8 +181,6 @@ def _newton_solve(
     params: RotorParams,
     residual_of,
     jacobian_of,
-    tol: float,
-    max_iter: int,
 ) -> SaddleTrajectory:
     """Damped Newton iteration shared by the two saddle searches.
 
@@ -180,8 +193,8 @@ def _newton_solve(
     res = residual_of(traj)
     history = [res.max_norm]
     iterations = 0
-    while res.max_norm >= tol:
-        if iterations >= max_iter:
+    while res.max_norm >= _NEWTON_TOL:
+        if iterations >= _NEWTON_MAX_ITER:
             raise ConvergenceError(res.max_norm, iterations)
         jac = jacobian_of(traj)
         rhs = -np.array([res.initial, res.final])
@@ -228,21 +241,19 @@ def find_saddle(
     beta: GaussianPacket,
     seed: SeedTrajectory,
     params: RotorParams,
-    tol: float = 1e-12,
-    max_iter: int = 25,
 ) -> SaddleTrajectory:
     """Refine a real seed trajectory onto the complex saddle trajectory.
 
     The seed is complexified with exactly zero imaginary parts and
     iterated with damped Newton steps until both endpoint residuals drop
-    below ``tol`` in max norm.  The bra-side constraint targets the
-    lattice image of ``beta`` selected by ``seed.winding``.
+    below ``_NEWTON_TOL`` in max norm.  The bra-side constraint targets
+    the lattice image of ``beta`` selected by ``seed.winding``.
 
     Raises
     ------
     ConvergenceError
-        After ``max_iter`` updates, or when damping cannot reduce the
-        residual (the last residual norm rides along on the exception).
+        After ``_NEWTON_MAX_ITER`` updates, or when damping cannot reduce
+        the residual (the last residual norm rides along on the exception).
     RunawayError
         If an iterate's trajectory escapes to large imaginary parts.
     CausticError
@@ -256,7 +267,7 @@ def find_saddle(
     def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
         return _correlation_jacobian(alpha, target, traj)
 
-    return _newton_solve(seed, params, residual_of, jacobian_of, tol, max_iter)
+    return _newton_solve(seed, params, residual_of, jacobian_of)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +318,10 @@ def ggwpd_correlation(
     beta: GaussianPacket,
     saddles: list[SaddleTrajectory],
     t: int,
-    prune_threshold: float = 1e-12,
 ) -> CorrelationResult:
     """Sum of steepest-descent terms over converged saddle trajectories.
 
-    Branches whose exponential magnitude falls below ``prune_threshold``
+    Branches whose exponential magnitude falls below ``_PRUNE_THRESHOLD``
     times the largest branch are dropped.  The winding image each saddle
     targets is taken from its seed, and the action accumulated on the
     unfolded torus carries the corresponding phase without correction.
@@ -327,7 +337,7 @@ def ggwpd_correlation(
             saddle_contribution(alpha, target, sad.trajectory, winding=sad.seed.winding)
         )
     weights = [_descent_weight(c, alpha.hbar) for c in contributions]
-    return _prune_and_sum(contributions, weights, prune_threshold)
+    return _prune_and_sum(contributions, weights)
 
 
 def wavefunction_contribution(
@@ -368,8 +378,6 @@ def find_position_saddle(
     t: int,
     params: RotorParams,
     winding_q: int = 0,
-    tol: float = 1e-12,
-    max_iter: int = 25,
 ) -> SaddleTrajectory:
     """Saddle search with the bra constraint replaced by Q_t = x_target.
 
@@ -394,7 +402,7 @@ def find_position_saddle(
         winding=(0, winding_q),
         kind="position",
     )
-    return _newton_solve(seed, params, residual_of, jacobian_of, tol, max_iter)
+    return _newton_solve(seed, params, residual_of, jacobian_of)
 
 
 def ggwpd_wavefunction(
@@ -403,10 +411,7 @@ def ggwpd_wavefunction(
     t: int,
     params: RotorParams,
     image_range: int = 1,
-    tol: float = 1e-12,
-    max_iter: int = 25,
     halfwidth_sigma: float = 8.0,
-    prune_threshold: float = 1e-12,
 ) -> complex:
     """Evolved wavefunction at position x via the position-saddle sum.
 
@@ -443,10 +448,7 @@ def ggwpd_wavefunction(
         )
 
     saddles = [
-        find_position_saddle(
-            alpha, target, p_seed, t, params,
-            winding_q=n_q, tol=tol, max_iter=max_iter,
-        )
+        find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)
         for n_q, target, seed_momenta in zip(windings, targets, roots)
         for p_seed in seed_momenta
     ]
@@ -455,7 +457,7 @@ def ggwpd_wavefunction(
         for sad in _merge_duplicates(saddles, _saddle_place)
     ]
     weights = [_descent_weight(c, alpha.hbar) for c in terms]
-    return _prune_and_sum(terms, weights, prune_threshold).total
+    return _prune_and_sum(terms, weights).total
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +534,6 @@ def offcenter_correlation(
     seeds: list[SeedTrajectory],
     params: RotorParams,
     t: int,
-    prune_threshold: float = 1e-12,
 ) -> CorrelationResult:
     """Off-center real-trajectory correlation summed over transport seeds."""
     contributions: list[OffCenterContribution] = []
@@ -546,7 +547,7 @@ def offcenter_correlation(
             offcenter_contribution(alpha, target, traj, winding=seed.winding)
         )
     weights = [abs(c.value) for c in contributions]
-    return _prune_and_sum(contributions, weights, prune_threshold)
+    return _prune_and_sum(contributions, weights)
 
 
 def linearized_correlation(

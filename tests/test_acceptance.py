@@ -375,8 +375,7 @@ def test_saddle_locations_do_not_depend_on_hbar(
     solutions = []
     for N in (50, 700):
         alpha, beta = packets_for(cfg, N)
-        sad = find_saddle(alpha, beta, seed, params, tol=cfg.tol,
-                          max_iter=cfg.max_iter)
+        sad = find_saddle(alpha, beta, seed, params)
         solutions.append(sad.trajectory.initial)
     a, b = solutions
     assert abs(a.p1 - b.p1) < 1e-10

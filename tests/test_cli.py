@@ -1,10 +1,14 @@
 """Exit codes, file outputs, and determinism of the console entry point."""
+import csv
 import json
 
 import pytest
 
+from ggwpd import rotor
 from ggwpd.cli import main
-from ggwpd.experiment import read_csv
+from ggwpd.experiment import config_from_dict, packets_for, preset, read_csv
+from ggwpd.floquet import quantum_correlation
+from ggwpd.rotor import RotorParams, find_seeds
 
 
 MINI_INTEGRABLE = {
@@ -57,6 +61,37 @@ def test_malformed_config_returns_2(tmp_path, capsys):
     path.write_text("{oops")
     assert main(["sweep", "--config", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_returns_2(tmp_path, capsys):
+    """A UTF-16 file (here with its byte-order mark) is not JSON text."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(MINI_INTEGRABLE).encode("utf-16-le"))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_removed_solver_settings_are_refused_with_exit_2(tmp_path, capsys):
+    """Solver tolerances, caps and seed-capture sizes are module constants:
+    neither a config key nor a flag sets them."""
+    removed = {
+        "tol": 1e-12, "max_iter": 25, "prune_threshold": 1e-12,
+        "capture_sigma": 5.0, "capture_radius": 0.3, "halfwidth_sigma": 5.0,
+        "arc_budget": 6.0,
+    }
+    for key, value in removed.items():
+        cfg = _write_json(tmp_path, f"{key}.json", {**MINI_INTEGRABLE, key: value})
+        assert main(["saddle", "--config", cfg]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+    for argv in (
+        ["sweep", "--preset", "integrable-fig2", "--tol", "1e-10"],
+        ["saddle", "--preset", "integrable-fig2", "--max-iter", "5"],
+        ["manifolds", "--preset", "integrable-fig2", "--image-range", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -144,8 +179,10 @@ def test_sweep_numerical_failure_exits_3(tmp_path, capsys):
 def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
     """At N = 80000 the chaotic preset's off-center and GGWPD sums both
     underflow to 0j; the magnitude ratio is undefined there, so that N is
-    an error row and the sweep goes on to its gates."""
-    override = _write_json(tmp_path, "large_n.json", {"N_list": [50, 100, 80000]})
+    an error row, which keeps the computed C_qm, and the sweep goes on to
+    its gates."""
+    payload = {"N_list": [50, 100, 80000]}
+    override = _write_json(tmp_path, "large_n.json", payload)
     out = tmp_path / "out"
     rc = main([
         "sweep", "--preset", "chaotic-fig6", "--config", override, "--out", str(out),
@@ -155,6 +192,11 @@ def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
     rows = {r.N: r for r in read_csv(out / "chaotic-fig6_sweep.csv")}
     assert rows[50].error == rows[100].error == ""
     assert rows[80000].error.startswith("NumericalError")
+    cfg = config_from_dict(payload, base=preset("chaotic-fig6"))
+    alpha, beta = packets_for(cfg, 80000)
+    c_qm = quantum_correlation(alpha, beta, cfg.t, 80000, RotorParams(cfg.K))
+    assert 0.0 < abs(c_qm) < 1e-12
+    assert rows[80000].C_qm == c_qm
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +240,33 @@ def test_manifolds_chaotic_writes_invariant_curves(tmp_path, capsys):
         path = out / name
         assert path.exists()
         assert len(path.read_text().splitlines()) > 100  # a real curve, not a stub
+
+
+def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
+    tmp_path, capsys, monkeypatch
+):
+    """The integrable seed search scans the shearing line that
+    ``ggwpd manifolds`` writes: both reach _SHEAR_HALFWIDTH_SIGMA momentum
+    widths to either side of the alpha center."""
+    scanned = []
+    shearing_roots = rotor._shearing_roots
+
+    def spy(p_lo, p_hi, *rest):
+        scanned.append((p_lo, p_hi))
+        return shearing_roots(p_lo, p_hi, *rest)
+
+    monkeypatch.setattr(rotor, "_shearing_roots", spy)
+    cfg = preset("integrable-fig2")
+    alpha, beta = packets_for(cfg, cfg.N_list[0])
+    find_seeds(
+        alpha, beta, cfg.t, RotorParams(cfg.K),
+        image_range=cfg.image_range, regime=cfg.regime,
+    )
+    assert main(["manifolds", "--preset", "integrable-fig2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "integrable-fig2_shearing_alpha.csv", newline="") as fh:
+        p = [float(row["p"]) for row in csv.DictReader(fh)]
+    assert scanned == [(p[0], p[-1])]
+    sig_p = alpha.hbar / (2.0 * alpha.sigma)
+    half = 0.5 * (p[-1] - p[0]) / sig_p
+    assert abs(half - rotor._SHEAR_HALFWIDTH_SIGMA) < 1e-9

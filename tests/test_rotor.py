@@ -320,7 +320,7 @@ def test_manifold_needs_hyperbolic_fixed_point():
 
 def test_shearing_manifold_is_vertical_segment():
     packet = GaussianPacket(0.815, 0.2, np.pi * 50, 1.0 / (2 * np.pi * 50))
-    curve = shearing_manifold(packet, halfwidth_sigma=5.0)
+    curve = shearing_manifold(packet)
     sig_p = packet.hbar / (2.0 * packet.sigma)
     assert np.allclose(curve.points[:, 1], packet.q1, atol=0.0)
     assert abs(curve.points[:, 0].min() - (packet.p1 - 5.0 * sig_p)) < 1e-12
@@ -677,7 +677,6 @@ def test_chaotic_preset_merges_nine_seeds_into_seven_saddles(chaotic_bundle):
     seeds = find_seeds(
         alpha, beta, cfg.t, RotorParams(cfg.K),
         image_range=cfg.image_range, regime=cfg.regime,
-        capture_sigma=cfg.capture_sigma, capture_radius=cfg.capture_radius,
     )
     kept = chaotic_bundle.setup.seeds
     assert len(seeds) == 9

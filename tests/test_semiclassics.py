@@ -26,6 +26,7 @@ from ggwpd.rotor import (
     find_seeds,
     propagate,
 )
+from ggwpd import semiclassics
 from ggwpd.semiclassics import (
     _tracked_sqrt,
     find_saddle,
@@ -104,13 +105,14 @@ def test_find_saddle_with_zero_steps_reproduces_overlap():
     assert abs(result.total - expected) < 1e-13 * abs(expected)
 
 
-def test_find_saddle_iteration_cap_raises():
+def test_find_saddle_iteration_cap_raises(monkeypatch):
     N = 50
     alpha = _packet(0.815, 0.2, N)
     beta = _packet(0.77, 0.8, N)
     seed = SeedTrajectory(ic=(0.4, 0.9), t=2, winding=(0, 1), kind="integrable")
+    monkeypatch.setattr(semiclassics, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        find_saddle(alpha, beta, seed, RotorParams(0.05), max_iter=1)
+        find_saddle(alpha, beta, seed, RotorParams(0.05))
     assert err.value.iterations >= 1
     assert err.value.residual > 0.0
 
@@ -326,8 +328,8 @@ def test_linearized_equals_overlap_at_zero_time_for_close_centers():
     assert abs(value - expected) < 1e-13 * abs(expected)
 
 
-def test_offcenter_correlation_prune_threshold_drops_weak_branches():
-    """prune_threshold is relative to the strongest branch: a threshold of
+def test_offcenter_correlation_prune_threshold_drops_weak_branches(monkeypatch):
+    """_PRUNE_THRESHOLD is relative to the strongest branch: a threshold of
     one keeps only the dominant branch, zero keeps everything."""
     N = 100
     alpha = _packet(0.815, 0.2, N)
@@ -337,13 +339,11 @@ def test_offcenter_correlation_prune_threshold_drops_weak_branches():
     far = SeedTrajectory(
         ic=(seeds[0].ic[0] + 0.12, 0.2), t=2, winding=seeds[0].winding, kind="integrable"
     )
-    keep_all = offcenter_correlation(
-        alpha, beta, list(seeds) + [far], params, 2, prune_threshold=0.0
-    )
+    monkeypatch.setattr(semiclassics, "_PRUNE_THRESHOLD", 0.0)
+    keep_all = offcenter_correlation(alpha, beta, list(seeds) + [far], params, 2)
     assert len(keep_all.branches) == len(seeds) + 1
-    dominant = offcenter_correlation(
-        alpha, beta, list(seeds) + [far], params, 2, prune_threshold=1.0
-    )
+    monkeypatch.setattr(semiclassics, "_PRUNE_THRESHOLD", 1.0)
+    dominant = offcenter_correlation(alpha, beta, list(seeds) + [far], params, 2)
     assert len(dominant.branches) == 1
     assert abs(dominant.total - max(
         (b.value for b in keep_all.branches), key=abs
