@@ -480,47 +480,73 @@ def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
+def _forward_q(p: float, q: float, t: int, K: float) -> float:
+    """End position of one (p, q) after t forward steps, on Python floats.
+
+    Exactly the operations :func:`_forward_many` applies to one row, in
+    the same order, so the two agree bit for bit.
+    """
+    for _ in range(t):
+        p -= (K / TWO_PI) * math.sin(TWO_PI * q)
+        q += p
+    return q
+
+
 def _shearing_roots(
     p_lo: float,
     p_hi: float,
     q0: float,
     targets: list[float],
     end_q,
+    t: int,
+    K: float,
 ) -> tuple[list[list[float]], np.ndarray]:
     """Momenta on the line q = q0 whose end position meets each target.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
-    each row.  The line is scanned at 1025 nodes and every sign change of
-    ``end_q - target`` is bisected to a 1e-13 wide bracket.  Per target
+    each row after ``t`` steps of the map with kick strength ``K``.  The
+    line is scanned at 1025 nodes through ``end_q`` and every sign change
+    of ``end_q - target`` is bisected to a 1e-13 wide bracket.  Per target
     the node roots come first, then one root per bracket in scan order.
     The end positions at the scan nodes are returned with the roots.
 
-    The bisection stays scalar.  Refining a call's brackets together with
-    :func:`_bisect_brackets` finds the same roots but is slower: a call
-    has 0 or 1 bracket per target (233 brackets over the 700 positions of
-    an N = 700, t = 2, K = 0.05 wavefunction), so numpy's per-iteration
-    row bookkeeping is never paid back.  That wavefunction took 0.36-0.39 s
-    with the scalar loop against 0.44-0.53 s in lockstep (best of 5, one
-    pinned core of a 2-vCPU Xeon).
+    A target outside [min, max] of the scanned end positions has no root
+    and is skipped.  A NaN end makes both bounds NaN, and then no target
+    is skipped.
+
+    Each midpoint is evaluated by :func:`_forward_q` on Python floats,
+    since one numpy row costs about 25 us of call overhead for two map
+    steps.  Refining a call's brackets together with
+    :func:`_bisect_brackets` does not pay back its row bookkeeping
+    either: a call has 0 or 1 bracket per target (233 brackets over the
+    700 positions of an N = 700, t = 2, K = 0.05 wavefunction).  With the
+    float loop and the skipped targets, those 700 points take 0.104 s
+    instead of 0.230 s (perfbench ``integrable-wavefunction`` work_s, the
+    median of 10 runs in reference seconds on a 2-vCPU Xeon).
     """
     n_scan = 1025
     p_grid = np.linspace(p_lo, p_hi, n_scan)
     ends = end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
+    end_min, end_max = ends.min(), ends.max()
     roots = []
     for target in targets:
+        # comparisons with NaN are false, so a NaN end never skips
+        if target < end_min or target > end_max:
+            roots.append([])
+            continue
         g = ends - target
         nodes, brackets = _sign_change_brackets(g)
         found = [float(p_grid[i]) for i in nodes]
-        for i in brackets:
-            lo, hi = p_grid[i], p_grid[i + 1]
-            glo = g[i]
+        for i in brackets.tolist():
+            lo, hi, glo = float(p_grid[i]), float(p_grid[i + 1]), float(g[i])
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                gm = end_q(np.array([[mid, q0]]))[0] - target
+                gm = _forward_q(mid, q0, t, K) - target
                 if gm == 0.0 or (hi - lo) < 1e-13:
                     lo = hi = mid
                     break
-                if np.sign(gm) == np.sign(glo):
+                # glo is never 0 or NaN; a NaN gm moves hi, as np.sign did
+                if gm > 0.0 if glo > 0.0 else gm < 0.0:
                     lo, glo = mid, gm
                 else:
                     hi = mid
@@ -549,6 +575,8 @@ def _integrable_seeds(
         q0,
         targets,
         lambda pts: _forward_many(pts, t, params.K)[:, 1],
+        t,
+        params.K,
     )
     starts = [(n_q, p) for n_q, found in zip(windings, roots) for p in found]
     ends = _forward_many(
@@ -679,7 +707,13 @@ def _heteroclinic_seeds(
     frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
     sigma = alpha.sigma
     max_depth = 4
-    depth_scale = np.array([lam_u_b**m for m in range(max_depth + 1)])
+    try:
+        depth_scale = np.array([lam_u_b**m for m in range(max_depth + 1)])
+    except OverflowError:
+        raise NumericalError(
+            f"the unstable multiplier {lam_u_b:.3g} at {fb} overflows at "
+            f"frame depth {max_depth}; K = {K:g} is too large"
+        ) from None
 
     s0 = _GERM_OFFSET
     n_levels = max(10, int(np.ceil(np.log(50.0 / s0) / np.log(abs(lam_u)))))

@@ -439,6 +439,8 @@ def ggwpd_wavefunction(
         alpha.q1,
         targets,
         lambda pts: iterate_map(pts, t, params)[:, 1],
+        t,
+        params.K,
     )
     n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:

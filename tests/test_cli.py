@@ -176,6 +176,19 @@ def test_sweep_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in captured.err
 
 
+@pytest.mark.parametrize("command", ["saddle", "sweep"])
+def test_huge_kick_strength_exits_3(tmp_path, capsys, command):
+    """At K = 1e300 the unstable multiplier at the beta fixed point
+    overflows a float when raised to the heteroclinic frame depth.  That
+    is a numerical failure, not a traceback exiting 1 like a failed gate."""
+    override = _write_json(tmp_path, "k.json", {"K": 1e300})
+    argv = [command, "--preset", "chaotic-fig6", "--config", override]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "overflows at frame depth" in capsys.readouterr().err
+
+
 def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
     """At N = 80000 the chaotic preset's off-center and GGWPD sums both
     underflow to 0j; the magnitude ratio is undefined there, so that N is

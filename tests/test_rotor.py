@@ -8,11 +8,13 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
+from ggwpd.experiment import packets_for, preset
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
     _CURVE_SPACING,
     _GERM_OFFSET,
     _MERGE_TOL,
+    _SHEAR_HALFWIDTH_SIGMA,
     ManifoldCurve,
     RotorParams,
     SeedTrajectory,
@@ -20,8 +22,10 @@ from ggwpd.rotor import (
     _bisect_brackets,
     _check_fixed_point,
     _forward_many,
+    _forward_q,
     _hyperbolic_frame,
     _merge_duplicates,
+    _shearing_roots,
     _sign_change_brackets,
     curve_to_csv,
     find_seeds,
@@ -619,6 +623,122 @@ def test_lockstep_bisection_matches_scalar_loop_bit_for_bit(rows, max_iter, widt
         for r in range(len(rows))
     ])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(-2.0, 2.0),
+    q0=st.floats(-2.0, 2.0),
+    t=st.integers(0, 20),
+    K=st.floats(0.0, 10.0),
+)
+def test_scalar_end_position_matches_forward_many_bit_for_bit(p, q0, t, K):
+    """The float helper the shearing bisection evaluates midpoints with
+    gives the end position numpy's row path gives, to the last bit (a
+    numpy ``sin`` that rounded differently from libm's would break it)."""
+    want = float(_forward_many(np.array([[p, q0]]), t, K)[0, 1])
+    assert _forward_q(p, q0, t, K).hex() == want.hex()
+
+
+def _shearing_roots_array_path(p_lo, p_hi, q0, targets, end_q):
+    """The shearing scan-and-bisect as it was, each midpoint one numpy row."""
+    p_grid = np.linspace(p_lo, p_hi, 1025)
+    ends = end_q(np.column_stack([p_grid, np.full(p_grid.size, q0)]))
+    roots = []
+    for target in targets:
+        g = ends - target
+        nodes, brackets = _sign_change_brackets(g)
+        found = [float(p_grid[i]) for i in nodes]
+        for i in brackets:
+            found.append(float(_bisect_scalar(
+                lambda x: end_q(np.array([[x, q0]]))[0] - target,
+                p_grid[i], p_grid[i + 1], g[i], 200, 1e-13,
+            )))
+        roots.append(found)
+    return roots, ends
+
+
+def _assert_same_shearing_roots(p_lo, p_hi, q0, targets, t, K, end_q=None):
+    if end_q is None:
+        def end_q(pts):
+            return _forward_many(pts, t, K)[:, 1]
+    roots, ends = _shearing_roots(p_lo, p_hi, q0, targets, end_q, t, K)
+    want_roots, want_ends = _shearing_roots_array_path(p_lo, p_hi, q0, targets, end_q)
+    assert np.array_equal(ends, want_ends, equal_nan=True)
+    assert [[r.hex() for r in found] for found in roots] == [
+        [r.hex() for r in found] for found in want_roots
+    ]
+    return roots, ends
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_lo=st.floats(-2.0, 2.0),
+    span=st.floats(1e-6, 2.0),
+    q0=st.floats(-2.0, 2.0),
+    t=st.integers(1, 4),
+    K=st.floats(0.0, 10.0),
+    fracs=st.lists(
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+        max_size=4,
+    ),
+    node=st.integers(0, 1024),
+)
+def test_shearing_roots_match_the_array_path_bisection(p_lo, span, q0, t, K, fracs, node):
+    """Random lines and targets: targets inside the scanned end range, at
+    its ends, outside it (skipped), and one equal to a node's end value
+    (a root on the node)."""
+    ends = _forward_many(
+        np.column_stack([np.linspace(p_lo, p_lo + span, 1025), np.full(1025, q0)]),
+        t, K,
+    )[:, 1]
+    lo, hi = ends.min(), ends.max()
+    targets = [float(lo + f * (hi - lo)) for f in fracs] + [float(ends[node])]
+    roots, _ = _assert_same_shearing_roots(p_lo, p_lo + span, q0, targets, t, K)
+    assert roots[-1]  # the node target always has a root
+
+
+@pytest.mark.parametrize("N", [50, 700])
+def test_shearing_roots_match_the_array_path_for_both_callers(N):
+    """The lines, targets, t and K that the integrable seed search and the
+    benchmark wavefunction pass, the latter over a grid of positions that
+    reaches below, inside and above the scanned range."""
+    cfg = preset("integrable-fig2")
+    alpha, beta = packets_for(cfg, N)
+    sig_p = alpha.hbar / (2.0 * alpha.sigma)
+    shifts = range(-cfg.image_range, cfg.image_range + 1)
+    w = _SHEAR_HALFWIDTH_SIGMA * sig_p
+    roots, _ = _assert_same_shearing_roots(
+        alpha.p1 - w, alpha.p1 + w, alpha.q1,
+        [beta.q1 + n for n in shifts], cfg.t, cfg.K,
+    )
+    assert any(roots)
+    w = 8.0 * sig_p  # ggwpd_wavefunction's default halfwidth_sigma
+    found = 0
+    for x in np.linspace(0.0, 1.0, 41):
+        roots, _ = _assert_same_shearing_roots(
+            alpha.p1 - w, alpha.p1 + w, alpha.q1,
+            [x + n for n in shifts], cfg.t, cfg.K,
+        )
+        found += sum(map(len, roots))
+    assert found > 0
+
+
+def test_shearing_roots_keep_every_root_when_a_scan_end_is_nan():
+    """A NaN end position makes the scanned range NaN; no target may be
+    skipped for it, so each root the finite nodes bracket is still found."""
+    def end_q(pts):
+        ends = _forward_many(pts, 2, 0.05)[:, 1]
+        if len(pts) > 1:
+            ends[700] = np.nan
+        return ends
+
+    targets = [1.79, 1.80, 1.83]  # the ends run from 1.785 to 1.844
+    roots, ends = _assert_same_shearing_roots(
+        0.80, 0.83, 0.2, targets, 2, 0.05, end_q=end_q,
+    )
+    assert np.isnan(ends[700])
+    assert all(len(found) == 1 for found in roots)
 
 
 def test_unknown_regime_rejected():

@@ -292,6 +292,24 @@ def test_wavefunction_refuses_images_beyond_the_window():
     assert refused > 40
 
 
+def test_wavefunction_scans_through_iterate_map_once(monkeypatch):
+    """One point scans the shearing line with one call to the module's
+    ``iterate_map``, where perfbench's trace hooks time the scan, and
+    bisects its crossings without it."""
+    calls = []
+    iterate_map = semiclassics.iterate_map
+
+    def spy(points, *rest):
+        calls.append(len(points))
+        return iterate_map(points, *rest)
+
+    monkeypatch.setattr(semiclassics, "iterate_map", spy)
+    alpha = _packet(0.815, 0.2, 700)
+    value = ggwpd_wavefunction(alpha, 0.83, 2, RotorParams(0.05), image_range=2)
+    assert abs(value) > 1.0  # a crossing was found and bisected
+    assert calls == [1025]
+
+
 def test_ggwpd_correlation_rejects_mismatched_time():
     N = 50
     alpha = _packet(0.815, 0.2, N)
