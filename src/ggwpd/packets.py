@@ -21,6 +21,8 @@ import numpy as np
 
 def _scalar(name: str, x, kind=float):
     """``x`` as a Python ``kind``; arrays of any shape are refused."""
+    if type(x) is kind:  # a Python float or complex is already a scalar
+        return x
     if np.ndim(x) != 0:
         raise ValueError(f"{name} must be a scalar, got shape {np.shape(x)}")
     return kind(x)

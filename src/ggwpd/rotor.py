@@ -28,6 +28,7 @@ stable/unstable manifolds of hyperbolic fixed points for chaotic
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -164,10 +165,6 @@ def inverse_map_step(
     return ComplexPhasePoint(p, q)
 
 
-def _kick_cos(q: complex, params: RotorParams) -> complex:
-    return params.K * np.cos(TWO_PI * q)
-
-
 def propagate(
     ic: ComplexPhasePoint,
     t: int,
@@ -196,6 +193,7 @@ def propagate(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    K = params.K
     P = ic.p1
     Q = ic.q1
     pts = [ic]
@@ -203,32 +201,44 @@ def propagate(
     legs = [(m11, m12, m21, m22)]
     S = 0.0 + 0.0j
     for step in range(t):
-        c = _kick_cos(Q, params)
-        P1 = P - (params.K / TWO_PI) * np.sin(TWO_PI * Q)
-        Q1 = Q + P1
-        S += (Q1 - Q) ** 2 / 2.0 + (params.K / (4.0 * np.pi**2)) * np.cos(TWO_PI * Q)
-        # kick leg [[1, -c], [0, 1]] M, then drift leg [[1, 0], [1, 1]] M
-        m11, m12 = m11 - c * m21, m12 - c * m22
-        legs.append((m11, m12, m21, m22))
-        m21, m22 = m21 + m11, m22 + m12
-        legs.append((m11, m12, m21, m22))
-        P, Q = P1, Q1
-        # NaN fails every comparison, so finiteness is tested on its own;
-        # the sum is NaN or inf when any part is (or overflows past 1e308)
-        if (
-            abs(P.imag) > runaway_bound
-            or abs(Q.imag) > runaway_bound
-            or not math.isfinite(abs(P) + abs(Q))
-        ):
+        try:
+            cos = cmath.cos(TWO_PI * Q)
+            c = K * cos
+            P1 = P - (K / TWO_PI) * cmath.sin(TWO_PI * Q)
+            Q1 = Q + P1
+            dQ = Q1 - Q
+            S += dQ * dQ / 2.0 + (K / (4.0 * math.pi**2)) * cos
+            # kick leg [[1, -c], [0, 1]] M, then drift leg [[1, 0], [1, 1]] M
+            m11, m12 = m11 - c * m21, m12 - c * m22
+            legs.append((m11, m12, m21, m22))
+            m21, m22 = m21 + m11, m22 + m12
+            legs.append((m11, m12, m21, m22))
+            P, Q = P1, Q1
+            # NaN fails every comparison, so finiteness is tested on its own;
+            # the sum is NaN or inf when any part is (or overflows past 1e308)
+            runaway = (
+                abs(P.imag) > runaway_bound
+                or abs(Q.imag) > runaway_bound
+                or not math.isfinite(abs(P) + abs(Q))
+            )
+        except (OverflowError, ValueError):
+            # cmath's sin and cos raise on an overflowing result or an
+            # infinite argument, and abs() on an overflowing modulus, where
+            # numpy returns the inf or NaN the test above refuses
+            runaway = True
+        if runaway:
             raise RunawayError(step + 1, (P, Q))
         pts.append(ComplexPhasePoint(P, Q))
     return ComplexTrajectory(
         points=tuple(pts),
-        action=S,
-        m11=complex(m11),
-        m12=complex(m12),
-        m21=complex(m21),
-        m22=complex(m22),
+        # a numpy scalar, as the sum was when numpy evaluated the steps:
+        # the downstream action / hbar is pinned to numpy's division,
+        # which rounds differently from Python's complex division
+        action=np.complex128(S),
+        m11=m11,
+        m12=m12,
+        m21=m21,
+        m22=m22,
         checkpoints=np.array(legs, dtype=complex).reshape(-1, 2, 2),
     )
 
@@ -288,10 +298,20 @@ def _hyperbolic_frame(fp: tuple[float, float], K: float):
 
 
 def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
+    """Refuse a point the folded map moves by more than rounding.
+
+    At a fixed point sin(2 pi q) vanishes, but rounding 2 pi q leaves the
+    float sine up to pi |q| eps off zero (1.2e-16 at q = 0.5), and the
+    kick scales that by K / 2pi: a move of about K |q| eps / 2 in p and in
+    q.  The bound allows several times that on top of 1e-12.  From K of
+    about 1e15 on it passes every point: the kick's rounding then exceeds
+    the largest folded displacement, 0.71.
+    """
     nxt = _forward_many(np.array([fp], dtype=float), 1, params.K)[0]
     dp = (nxt[0] - fp[0]) - round(nxt[0] - fp[0])
     dq = (nxt[1] - fp[1]) - round(nxt[1] - fp[1])
-    if np.hypot(dp, dq) > 1e-12:
+    eps = np.finfo(float).eps
+    if np.hypot(dp, dq) > 1e-12 + 4.0 * params.K * max(1.0, abs(fp[1])) * eps:
         raise ConfigError(f"{fp} is not a fixed point of the folded map")
 
 
@@ -492,23 +512,33 @@ def _forward_q(p: float, q: float, t: int, K: float) -> float:
     return q
 
 
-def _shearing_roots(
-    p_lo: float,
-    p_hi: float,
-    q0: float,
-    targets: list[float],
-    end_q,
-    t: int,
-    K: float,
-) -> tuple[list[list[float]], np.ndarray]:
-    """Momenta on the line q = q0 whose end position meets each target.
+def _scan_line(
+    p_lo: float, p_hi: float, q0: float, end_q
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 1025 scan nodes of the line q = q0 and their end positions.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
-    each row after ``t`` steps of the map with kick strength ``K``.  The
-    line is scanned at 1025 nodes through ``end_q`` and every sign change
-    of ``end_q - target`` is bisected to a 1e-13 wide bracket.  Per target
-    the node roots come first, then one root per bracket in scan order.
-    The end positions at the scan nodes are returned with the roots.
+    each row.
+    """
+    n_scan = 1025
+    p_grid = np.linspace(p_lo, p_hi, n_scan)
+    return p_grid, end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
+
+
+def _line_roots(
+    p_grid: np.ndarray,
+    ends: np.ndarray,
+    q0: float,
+    targets: list[float],
+    t: int,
+    K: float,
+) -> list[list[float]]:
+    """Momenta on a scanned line q = q0 whose end position meets each target.
+
+    ``ends`` holds the end positions of the nodes ``p_grid`` after ``t``
+    steps of the map with kick strength ``K``.  Every sign change of
+    ``ends - target`` is bisected to a 1e-13 wide bracket.  Per target the
+    node roots come first, then one root per bracket in scan order.
 
     A target outside [min, max] of the scanned end positions has no root
     and is skipped.  A NaN end makes both bounds NaN, and then no target
@@ -518,15 +548,8 @@ def _shearing_roots(
     since one numpy row costs about 25 us of call overhead for two map
     steps.  Refining a call's brackets together with
     :func:`_bisect_brackets` does not pay back its row bookkeeping
-    either: a call has 0 or 1 bracket per target (233 brackets over the
-    700 positions of an N = 700, t = 2, K = 0.05 wavefunction).  With the
-    float loop and the skipped targets, those 700 points take 0.104 s
-    instead of 0.230 s (perfbench ``integrable-wavefunction`` work_s, the
-    median of 10 runs in reference seconds on a 2-vCPU Xeon).
+    either: a call has 0 or 1 bracket per target.
     """
-    n_scan = 1025
-    p_grid = np.linspace(p_lo, p_hi, n_scan)
-    ends = end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
     end_min, end_max = ends.min(), ends.max()
     roots = []
     for target in targets:
@@ -552,7 +575,29 @@ def _shearing_roots(
                     hi = mid
             found.append(0.5 * (lo + hi))
         roots.append(found)
-    return roots, ends
+    return roots
+
+
+def _shearing_roots(
+    p_lo: float,
+    p_hi: float,
+    q0: float,
+    targets: list[float],
+    end_q,
+    t: int,
+    K: float,
+) -> tuple[list[list[float]], np.ndarray]:
+    """Momenta on the line q = q0 whose end position meets each target.
+
+    ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
+    each row after ``t`` steps of the map with kick strength ``K``.  The
+    line is scanned by :func:`_scan_line` and its crossings are found by
+    :func:`_line_roots`; the end positions at the scan nodes are returned
+    with the roots.  A caller that meets the same line again keeps the
+    scan and calls :func:`_line_roots` alone.
+    """
+    p_grid, ends = _scan_line(p_lo, p_hi, q0, end_q)
+    return _line_roots(p_grid, ends, q0, targets, t, K), ends
 
 
 def _integrable_seeds(

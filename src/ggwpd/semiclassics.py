@@ -21,6 +21,7 @@ trajectory's leg-endpoint stability matrices (:func:`_tracked_sqrt`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ from .rotor import (
     ComplexTrajectory,
     RotorParams,
     SeedTrajectory,
+    _line_roots,
     _merge_duplicates,
-    _shearing_roots,
+    _scan_line,
     iterate_map,
     propagate,
 )
@@ -153,7 +155,7 @@ def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianP
 
 # Newton stops once both endpoint residuals are below this in max norm.  The
 # stop is absolute: the residuals carry a factor 1/hbar, so their rounding
-# floor grows like N and reaches it at N of order 1000 (ROADMAP direction 2).
+# floor grows like N and reaches it at N of order 1000 (ROADMAP direction 1).
 _NEWTON_TOL = 1e-12
 
 # Newton updates before a search is abandoned.  The presets' saddles take
@@ -405,6 +407,32 @@ def find_position_saddle(
     return _newton_solve(seed, params, residual_of, jacobian_of)
 
 
+# Shearing-line scans kept by :func:`_wavefunction_scan`.  A wavefunction is
+# evaluated at many positions of one packet, so one entry already serves
+# all of them; a few more cover callers alternating between packets.
+_SCAN_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _wavefunction_scan(
+    p_lo: float, p_hi: float, q0: float, t: int, K: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scanned momentum line of :func:`ggwpd_wavefunction`, one per packet.
+
+    The line and its end positions do not depend on the position x, so the
+    scan is kept and shared by every x.  It runs through this module's
+    ``iterate_map``; both arrays are read-only, since every caller gets
+    the same two.
+    """
+    params = RotorParams(K)
+    p_grid, ends = _scan_line(
+        p_lo, p_hi, q0, lambda pts: iterate_map(pts, t, params)[:, 1]
+    )
+    p_grid.flags.writeable = False
+    ends.flags.writeable = False
+    return p_grid, ends
+
+
 def ggwpd_wavefunction(
     alpha: GaussianPacket,
     x: float,
@@ -418,7 +446,9 @@ def ggwpd_wavefunction(
     Real seeds are taken from the momentum line through the ket center
     (adequate for shearing-dominated transport; strong chaos would need
     manifold-based seeding as in the correlation case).  One saddle is
-    refined per crossing per lattice image of x.
+    refined per crossing per lattice image of x.  The line's scan depends
+    on the packet, t and K but not on x, so calls for one packet share it
+    (:func:`_wavefunction_scan`).
 
     Raises
     ------
@@ -433,15 +463,10 @@ def ggwpd_wavefunction(
     w = halfwidth_sigma * sig_p
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
-    roots, ends = _shearing_roots(
-        alpha.p1 - w,
-        alpha.p1 + w,
-        alpha.q1,
-        targets,
-        lambda pts: iterate_map(pts, t, params)[:, 1],
-        t,
-        params.K,
+    p_grid, ends = _wavefunction_scan(
+        alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K
     )
+    roots = _line_roots(p_grid, ends, alpha.q1, targets, t, params.K)
     n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError(

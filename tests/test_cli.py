@@ -189,6 +189,19 @@ def test_huge_kick_strength_exits_3(tmp_path, capsys, command):
     assert "overflows at frame depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K", [1e5, 1e8])
+def test_large_kick_strength_keeps_the_preset_fixed_points(tmp_path, capsys, K):
+    """The float sin(2 pi 0.5) moves the fixed point (0, 0.5) by about
+    K 2e-17, past an absolute 1e-12 from K = 1e5 on.  The preset centres
+    stay fixed points: the search runs and finds no seeds (exit 3)
+    instead of refusing the config (exit 2)."""
+    override = _write_json(tmp_path, "k.json", {"K": K})
+    assert main(["saddle", "--preset", "chaotic-fig6", "--config", override]) == 3
+    err = capsys.readouterr().err
+    assert "not a fixed point" not in err
+    assert "no transport seeds found" in err
+
+
 def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
     """At N = 80000 the chaotic preset's off-center and GGWPD sums both
     underflow to 0j; the magnitude ratio is undefined there, so that N is

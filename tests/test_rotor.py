@@ -209,6 +209,94 @@ def test_runaway_raises_when_the_trajectory_stops_being_finite(P0, Q0):
     assert err.value.step <= 6
 
 
+def _propagate_numpy(ic, t, params, runaway_bound=10.0):
+    """``propagate`` as it was, each step on numpy scalars."""
+    P, Q = ic.p1, ic.q1
+    pts = [ic]
+    m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    legs = [(m11, m12, m21, m22)]
+    S = 0.0 + 0.0j
+    K = params.K
+    for step in range(t):
+        c = K * np.cos(2.0 * np.pi * Q)
+        P1 = P - (K / (2.0 * np.pi)) * np.sin(2.0 * np.pi * Q)
+        Q1 = Q + P1
+        S += (Q1 - Q) ** 2 / 2.0 + (K / (4.0 * np.pi**2)) * np.cos(2.0 * np.pi * Q)
+        m11, m12 = m11 - c * m21, m12 - c * m22
+        legs.append((m11, m12, m21, m22))
+        m21, m22 = m21 + m11, m22 + m12
+        legs.append((m11, m12, m21, m22))
+        P, Q = P1, Q1
+        if (
+            abs(P.imag) > runaway_bound
+            or abs(Q.imag) > runaway_bound
+            or not np.isfinite(abs(P) + abs(Q))
+        ):
+            raise RunawayError(step + 1, (P, Q))
+        pts.append(ComplexPhasePoint(P, Q))
+    return pts, S, (m11, m12, m21, m22), np.array(legs, dtype=complex).reshape(-1, 2, 2)
+
+
+def _complex_hex(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def _complex_parts(bound):
+    return st.builds(complex, st.floats(-bound, bound), st.floats(-bound, bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    P=st.one_of(_complex, _complex_parts(300.0)),
+    Q=st.one_of(_complex, _complex_parts(300.0)),
+    t=st.integers(0, 6),
+    K=st.one_of(st.sampled_from([0.0, 8.25]), st.floats(0.0, 10.0)),
+    runaway_bound=st.sampled_from([10.0, 1e300]),
+)
+@example(P=0.1 + 0j, Q=0.2 + 200j, t=1, K=8.25, runaway_bound=10.0)
+@example(P=0.1 + 2.0j, Q=0.3 + 1.5j, t=6, K=8.25, runaway_bound=1e300)
+def test_propagate_matches_the_numpy_scalar_steps_bit_for_bit(
+    P, Q, t, K, runaway_bound
+):
+    """Steps on Python complex numbers and ``cmath`` give the points,
+    action, stability blocks and checkpoints numpy's scalars gave, to the
+    last bit, and refuse the same trajectories at the same step."""
+    ic = ComplexPhasePoint(P, Q)
+    params = RotorParams(K)
+    with np.errstate(all="ignore"):
+        try:
+            want = _propagate_numpy(ic, t, params, runaway_bound)
+        except RunawayError as exc:
+            want = exc
+    try:
+        got = propagate(ic, t, params, runaway_bound)
+    except Exception as exc:
+        assert type(exc) is type(want)
+        assert exc.step == want.step
+        return
+    assert not isinstance(want, Exception)
+    pts, S, blocks, checkpoints = want
+    assert [(_complex_hex(z.p1), _complex_hex(z.q1)) for z in got.points] == [
+        (_complex_hex(z.p1), _complex_hex(z.q1)) for z in pts
+    ]
+    assert type(got.action) is np.complex128
+    assert _complex_hex(got.action) == _complex_hex(complex(S))
+    got_blocks = (got.m11, got.m12, got.m21, got.m22)
+    assert [_complex_hex(m) for m in got_blocks] == [
+        _complex_hex(complex(m)) for m in blocks
+    ]
+    assert got.checkpoints.tobytes() == checkpoints.tobytes()
+
+
+@pytest.mark.parametrize("K", [0.0, 8.25])
+def test_overflowing_kick_is_a_runaway(K):
+    """cos(2 pi Q) overflows a float at Im Q = 200; the trajectory ran
+    away, which is not an ``OverflowError`` from the sine or cosine."""
+    with pytest.raises(RunawayError) as err:
+        propagate(ComplexPhasePoint(0.1, 0.2 + 200j), 1, RotorParams(K))
+    assert err.value.step == 1
+
+
 def test_unstable_manifold_contracts_backwards():
     """Unstable-curve samples converge to the fixed point under the inverse map."""
     curve = unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0)
@@ -320,6 +408,28 @@ def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it():
 def test_manifold_needs_hyperbolic_fixed_point():
     with pytest.raises(ConfigError):
         unstable_manifold((0.0, 0.0), K_MILD)
+
+
+@pytest.mark.parametrize("K", [8.25, 2e4, 1e5, 1e8, 1e20, 1e100])
+def test_fixed_point_check_allows_the_rounding_of_the_kick(K):
+    """The float sin(2 pi 0.5) is 1.2e-16, so the kick moves the true
+    fixed point (0, 0.5) by about K 2e-17; that is rounding, not a move."""
+    _check_fixed_point((0.0, 0.5), RotorParams(K))
+    _check_fixed_point((0.0, 0.0), RotorParams(K))
+
+
+@pytest.mark.parametrize(
+    "fp, K",
+    [
+        ((0.1, 0.5), 8.25),
+        ((0.0, 0.25), 1e5),
+        ((0.0, 0.5 + 1e-9), 8.25),
+        ((0.5, 0.0), 1e8),
+    ],
+)
+def test_fixed_point_check_refuses_points_the_map_moves(fp, K):
+    with pytest.raises(ConfigError, match="not a fixed point"):
+        _check_fixed_point(fp, RotorParams(K))
 
 
 def test_shearing_manifold_is_vertical_segment():

@@ -1,4 +1,6 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -11,7 +13,7 @@ from ggwpd.errors import (
     NumericalError,
     RunawayError,
 )
-from ggwpd.experiment import packets_for
+from ggwpd.experiment import packets_for, preset
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
@@ -23,12 +25,16 @@ from ggwpd.rotor import (
     ComplexTrajectory,
     RotorParams,
     SeedTrajectory,
+    _merge_duplicates,
+    _shearing_roots,
     find_seeds,
+    iterate_map,
     propagate,
 )
 from ggwpd import semiclassics
 from ggwpd.semiclassics import (
     _tracked_sqrt,
+    find_position_saddle,
     find_saddle,
     ggwpd_correlation,
     ggwpd_wavefunction,
@@ -292,10 +298,11 @@ def test_wavefunction_refuses_images_beyond_the_window():
     assert refused > 40
 
 
-def test_wavefunction_scans_through_iterate_map_once(monkeypatch):
-    """One point scans the shearing line with one call to the module's
-    ``iterate_map``, where perfbench's trace hooks time the scan, and
-    bisects its crossings without it."""
+def test_wavefunction_scans_each_packet_through_iterate_map_once(monkeypatch):
+    """All 700 grid points of one packet share one scan of the shearing
+    line, a single 1025-row call to the module's ``iterate_map`` (where
+    perfbench's trace hooks time the scan), and a second packet adds one
+    more; the crossings are bisected without it."""
     calls = []
     iterate_map = semiclassics.iterate_map
 
@@ -304,10 +311,84 @@ def test_wavefunction_scans_through_iterate_map_once(monkeypatch):
         return iterate_map(points, *rest)
 
     monkeypatch.setattr(semiclassics, "iterate_map", spy)
-    alpha = _packet(0.815, 0.2, 700)
-    value = ggwpd_wavefunction(alpha, 0.83, 2, RotorParams(0.05), image_range=2)
-    assert abs(value) > 1.0  # a crossing was found and bisected
-    assert calls == [1025]
+    semiclassics._wavefunction_scan.cache_clear()
+    params = RotorParams(0.05)
+    for center, want in (((0.815, 0.2), [1025]), ((0.8, 0.23), [1025, 1025])):
+        alpha = _packet(*center, 700)
+        values = [
+            ggwpd_wavefunction(alpha, s / 700, 2, params, image_range=2)
+            for s in range(1, 701)
+        ]
+        assert max(map(abs, values)) > 1.0  # crossings were found and bisected
+        assert calls == want
+
+
+def test_memoized_scan_is_read_only_and_shared():
+    """Every caller gets the same two arrays, so none may write to them."""
+    semiclassics._wavefunction_scan.cache_clear()
+    p_grid, ends = semiclassics._wavefunction_scan(0.80, 0.83, 0.2, 2, 0.05)
+    for arr in (p_grid, ends):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    again = semiclassics._wavefunction_scan(0.80, 0.83, 0.2, 2, 0.05)
+    assert again[0] is p_grid and again[1] is ends
+
+
+def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0):
+    """``ggwpd_wavefunction`` as it was: a fresh ``_shearing_roots`` scan
+    through ``iterate_map`` at every position."""
+    w = halfwidth_sigma * alpha.hbar / (2.0 * alpha.sigma)
+    windings = range(-image_range, image_range + 1)
+    targets = [x + n_q for n_q in windings]
+    roots, ends = _shearing_roots(
+        alpha.p1 - w, alpha.p1 + w, alpha.q1, targets,
+        lambda pts: iterate_map(pts, t, params)[:, 1], t, params.K,
+    )
+    n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
+    if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
+        raise NumericalError("the scanned line reaches beyond image_range")
+    saddles = [
+        find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)
+        for n_q, target, seed_momenta in zip(windings, targets, roots)
+        for p_seed in seed_momenta
+    ]
+    terms = [
+        wavefunction_contribution(alpha, sad.trajectory, winding=sad.seed.winding)
+        for sad in _merge_duplicates(saddles, semiclassics._saddle_place)
+    ]
+    weights = [semiclassics._descent_weight(c, alpha.hbar) for c in terms]
+    return semiclassics._prune_and_sum(terms, weights).total
+
+
+def _outcome(evaluate):
+    try:
+        return repr(evaluate())
+    except NumericalError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("N", [50, 700])
+def test_memoized_scan_gives_the_uncached_wavefunction_bit_for_bit(N):
+    """At the preset packet, over the 41 positions the shearing-root test
+    uses, the shared scan gives the values of a fresh scan per position."""
+    cfg = preset("integrable-fig2")
+    alpha, _ = packets_for(cfg, N)
+    params = RotorParams(cfg.K)
+    semiclassics._wavefunction_scan.cache_clear()
+    nonzero = 0
+    for x in np.linspace(0.0, 1.0, 41):
+        want = _outcome(
+            lambda: _wavefunction_uncached(alpha, x, cfg.t, params, cfg.image_range)
+        )
+        got = _outcome(
+            lambda: ggwpd_wavefunction(
+                alpha, x, cfg.t, params, image_range=cfg.image_range
+            )
+        )
+        assert got == want
+        nonzero += want not in ("0j", "NumericalError")
+    assert nonzero > 0
+    assert semiclassics._wavefunction_scan.cache_info().misses == 1
 
 
 def test_ggwpd_correlation_rejects_mismatched_time():
