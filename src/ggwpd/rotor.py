@@ -518,11 +518,13 @@ def _scan_line(
     """The 1025 scan nodes of the line q = q0 and their end positions.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
-    each row.
+    each row.  The end positions are returned contiguous: a column view
+    of the map's output would make every later min and max strided.
     """
     n_scan = 1025
     p_grid = np.linspace(p_lo, p_hi, n_scan)
-    return p_grid, end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
+    ends = end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
+    return p_grid, np.ascontiguousarray(ends)
 
 
 def _line_roots(

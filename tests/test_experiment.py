@@ -1,15 +1,19 @@
 """Configuration handling, sweep bookkeeping, CSV I/O, and report gates."""
 import dataclasses
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggwpd.errors import ConfigError
 from ggwpd.experiment import (
     CSV_COLUMNS,
     PRESETS,
     REGRESSION_SADDLES,
+    REGRESSION_SEEDS,
     SweepRow,
     config_from_dict,
     emit_csv,
@@ -259,9 +263,7 @@ def test_csv_error_row_survives_round_trip(tmp_path):
     nan = float("nan")
     row = SweepRow(
         N=64, C_qm=complex(nan, nan), C_oc=complex(nan, nan),
-        C_ggwpd=complex(nan, nan), abs_err_oc=nan, abs_err_ggwpd=nan,
-        ratio_oc=nan, ratio_ggwpd=nan, phase_err_oc=nan, phase_err_ggwpd=nan,
-        error="NumericalError: synthetic",
+        C_ggwpd=complex(nan, nan), error="NumericalError: synthetic",
     )
     path = tmp_path / "err.csv"
     emit_csv([row], path)
@@ -276,6 +278,83 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError, match="header"):
         read_csv(path)
+    path.write_text("")
+    with pytest.raises(ConfigError, match="header"):
+        read_csv(path)
+
+
+def _set_cells(**cells):
+    def edit(line):
+        rec = line.split(",")
+        for name, value in cells.items():
+            rec[CSV_COLUMNS.index(name)] = value
+        return ",".join(rec)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line[: len(line) // 2],
+        _set_cells(ratio_oc="1.0"),
+        _set_cells(C_oc_re="0", C_oc_im="0"),
+    ],
+    ids=["truncated", "edited-ratio_oc", "zero-C_oc"],
+)
+def test_read_csv_refuses_rows_emit_csv_would_not_write(
+    integrable_bundle, tmp_path, edit
+):
+    """A truncated last row, an edited metric and a zero sum are each
+    refused with ConfigError, never read silently or raised as IndexError
+    or ZeroDivisionError."""
+    path = tmp_path / "sweep.csv"
+    emit_csv(integrable_bundle.rows, path)
+    *head, last = path.read_text().splitlines()
+    path.write_text("\n".join(head + [edit(last)]) + "\n")
+    with pytest.raises(ConfigError, match="line 15"):
+        read_csv(path)
+
+
+_special = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308]
+)
+# finite parts stay below 1e150 so that |C| and C_qm * conj(C) cannot overflow
+_part = st.one_of(_special, st.floats(-1e150, 1e150))
+_sum = st.builds(complex, _part, _part).filter(lambda c: c != 0)
+# a bare carriage return is left out: the csv writer does not quote it
+_error = st.text(alphabet=string.printable.replace("\r", ""), max_size=30)
+_row = st.builds(
+    SweepRow, st.integers(-10**6, 10**6), st.builds(complex, _part, _part),
+    _sum, _sum, _error,
+)
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+# an infinite part times a zero one in C_qm * conj(C) warns, as numpy does
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, max_size=4))
+def test_csv_round_trip_property(rows, tmp_path_factory):
+    """emit_csv -> read_csv -> emit_csv gives the same bytes, and every
+    float read back has the bits it was written with (NaN only as NaN)."""
+    tmp = tmp_path_factory.mktemp("csv")
+    first, second = tmp / "first.csv", tmp / "second.csv"
+    emit_csv(rows, first)
+    back = read_csv(first)
+    emit_csv(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert len(back) == len(rows)
+    for orig, rt in zip(rows, back):
+        assert (rt.N, rt.error) == (orig.N, orig.error)
+        for name in ("C_qm", "C_oc", "C_ggwpd"):
+            a, b = getattr(orig, name), getattr(rt, name)
+            assert _same_float(a.real, b.real) and _same_float(a.imag, b.imag)
+        for f in dataclasses.fields(SweepRow):
+            if not f.init:
+                assert _same_float(getattr(orig, f.name), getattr(rt, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +376,7 @@ def test_report_fails_when_a_row_errored(integrable_bundle):
     nan = float("nan")
     broken = SweepRow(
         N=999, C_qm=complex(nan, nan), C_oc=complex(nan, nan),
-        C_ggwpd=complex(nan, nan), abs_err_oc=nan, abs_err_ggwpd=nan,
-        ratio_oc=nan, ratio_ggwpd=nan, phase_err_oc=nan, phase_err_ggwpd=nan,
-        error="NumericalError: synthetic blow-up",
+        C_ggwpd=complex(nan, nan), error="NumericalError: synthetic blow-up",
     )
     rows = list(integrable_bundle.rows) + [broken]
     text, ok = emit_report(rows, integrable_bundle.setup)
@@ -309,8 +386,16 @@ def test_report_fails_when_a_row_errored(integrable_bundle):
     assert text.endswith("overall: FAIL\n")
 
 
-def test_report_notes_integrable_seed_deviation(integrable_bundle):
-    """The integrable seed comparison is informational, never a gate."""
+def test_report_gates_every_pinned_seed(integrable_bundle, monkeypatch):
+    """The integrable seed is gated like the chaotic ones: a reference
+    moved by 1e-5 fails the report."""
     text, ok = emit_report(integrable_bundle.rows, integrable_bundle.setup)
     assert ok
-    assert "[info] seed (0, 1) vs reference" in text
+    assert "[PASS] seed (0, 1) regression" in text
+
+    sp, sq = REGRESSION_SEEDS["integrable-fig2"][(0, 1)]
+    monkeypatch.setitem(REGRESSION_SEEDS["integrable-fig2"], (0, 1), (sp + 1e-5, sq))
+    text, ok = emit_report(integrable_bundle.rows, integrable_bundle.setup)
+    assert not ok
+    assert "[FAIL] seed (0, 1) regression" in text
+    assert text.endswith("overall: FAIL\n")
