@@ -220,9 +220,13 @@ class ScenarioSetup:
     config: ExperimentConfig
     reference_N: int
     check_N: int
-    seeds: tuple[SeedTrajectory, ...]
     saddles: tuple[SaddleTrajectory, ...]
     saddle_drift: float
+
+    @property
+    def seeds(self) -> tuple[SeedTrajectory, ...]:
+        """The transport seed each saddle was refined from."""
+        return tuple(s.seed for s in self.saddles)
 
 
 # The semiclassical methods a sweep row compares with C_qm, by the suffix
@@ -319,7 +323,6 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
         config=config,
         reference_N=ref_N,
         check_N=check_N,
-        seeds=tuple(sad.seed for sad in saddles),
         saddles=saddles,
         saddle_drift=drift,
     )
@@ -391,8 +394,13 @@ def emit_csv(rows: list[SweepRow], path) -> None:
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # the writer quotes a field for a \n, its line terminator, but not
+        # for a bare \r, where a reader would end the row: a row whose error
+        # text holds one is quoted whole
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_csv_cells(r) for r in rows)
+        for r in rows:
+            (quoted if "\r" in r.error else writer).writerow(_csv_cells(r))
 
 
 def read_csv(path) -> list[SweepRow]:

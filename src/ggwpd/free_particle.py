@@ -83,34 +83,20 @@ def free_trajectory(
     """Free-motion trajectory packaged for the generic evaluators.
 
     The whole evolution is one drift leg, so its two endpoint stability
-    matrices are the checkpoints: the drift block is linear in time,
+    matrices are its legs: the drift block is linear in time,
     which keeps the branch tracking exact.
     """
     P0 = ic.p1
     Q0 = ic.q1
+    identity = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
     if t == 0.0:
-        return ComplexTrajectory(
-            points=(ic,),
-            action=0j,
-            m11=1.0 + 0j,
-            m12=0j,
-            m21=0j,
-            m22=1.0 + 0j,
-            checkpoints=np.eye(2, dtype=complex)[None],
-        )
+        return ComplexTrajectory(points=(ic,), action=0j, legs=(identity,))
     Qt = Q0 + t * P0 / mass
     action = mass * (Qt - Q0) ** 2 / (2.0 * t)
-    checkpoints = np.array(
-        [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [t / mass, 1.0]]], dtype=complex
-    )
     return ComplexTrajectory(
         points=(ic, ComplexPhasePoint(P0, Qt)),
         action=complex(action),
-        m11=1.0 + 0j,
-        m12=0j,
-        m21=complex(t / mass),
-        m22=1.0 + 0j,
-        checkpoints=checkpoints,
+        legs=(identity, (1.0 + 0j, 0j, complex(t / mass), 1.0 + 0j)),
     )
 
 

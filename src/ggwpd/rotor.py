@@ -94,7 +94,7 @@ class SeedTrajectory:
     ic: tuple[float, float]
     t: int
     winding: tuple[int, int]
-    kind: str  # "integrable" | "heteroclinic"
+    kind: str  # "integrable" | "heteroclinic" | "position"
 
 
 @dataclass(frozen=True)
@@ -103,23 +103,42 @@ class ComplexTrajectory:
 
     Attributes
     ----------
-    points : list of ComplexPhasePoint, length t+1
+    points : tuple of ComplexPhasePoint, length t+1
     action : complex
         Accumulated generating action S(Q_t, Q_0).
+    legs : tuple of (m11, m12, m21, m22) complex tuples
+        Cumulative stability matrices (momentum row first) at the ends of
+        the kick and drift legs, starting from the identity.
     m11, m12, m21, m22 : complex
-        Blocks of the accumulated stability matrix (momentum row first).
+        Blocks of the accumulated stability matrix, the last leg.
     checkpoints : (n, 2, 2) complex ndarray
-        Cumulative stability matrices at the ends of the kick and drift
-        legs, starting from the identity; consumed by branch tracking.
+        The legs as matrices, built on each read; consumed by branch
+        tracking.
     """
 
     points: tuple[ComplexPhasePoint, ...]
     action: complex
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-    checkpoints: np.ndarray
+    legs: tuple[tuple[complex, complex, complex, complex], ...]
+
+    @property
+    def m11(self) -> complex:
+        return self.legs[-1][0]
+
+    @property
+    def m12(self) -> complex:
+        return self.legs[-1][1]
+
+    @property
+    def m21(self) -> complex:
+        return self.legs[-1][2]
+
+    @property
+    def m22(self) -> complex:
+        return self.legs[-1][3]
+
+    @property
+    def checkpoints(self) -> np.ndarray:
+        return np.array(self.legs, dtype=complex).reshape(-1, 2, 2)
 
     @property
     def t(self) -> int:
@@ -235,11 +254,7 @@ def propagate(
         # the downstream action / hbar is pinned to numpy's division,
         # which rounds differently from Python's complex division
         action=np.complex128(S),
-        m11=m11,
-        m12=m12,
-        m21=m21,
-        m22=m22,
-        checkpoints=np.array(legs, dtype=complex).reshape(-1, 2, 2),
+        legs=tuple(legs),
     )
 
 

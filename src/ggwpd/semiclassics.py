@@ -78,9 +78,15 @@ class SaddleTrajectory:
 
     trajectory: ComplexTrajectory
     seed: SeedTrajectory
-    iterations: int
-    residual_norm: float
     residual_history: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
+
+    @property
+    def residual_norm(self) -> float:
+        return self.residual_history[-1]
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,14 @@ class OffCenterContribution:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Total semiclassical correlation plus its per-branch breakdown."""
+    """The kept branches of a semiclassical correlation; ``total`` is their sum."""
 
-    total: complex
     branches: tuple
+
+    @property
+    def total(self) -> complex:
+        """The branch values summed in order; no branches sum to 0j."""
+        return complex(sum(c.value for c in self.branches))
 
 
 # A branch is dropped from a sum when its weight is below this fraction of
@@ -123,13 +133,14 @@ _PRUNE_THRESHOLD = 1e-12
 
 
 def _prune_and_sum(contributions, weights) -> CorrelationResult:
-    """Sum of the branches weighing at least ``_PRUNE_THRESHOLD`` times the largest.
+    """The branches weighing at least ``_PRUNE_THRESHOLD`` times the largest.
 
-    The kept branches are summed in input order; no branches sum to 0j.
+    The kept branches stay in input order, the order in which ``total`` sums
+    them.
     """
     cutoff = _PRUNE_THRESHOLD * max(weights, default=0.0)
     kept = tuple(c for c, w in zip(contributions, weights) if w >= cutoff)
-    return CorrelationResult(total=complex(sum(c.value for c in kept)), branches=kept)
+    return CorrelationResult(branches=kept)
 
 
 def _descent_weight(c: SaddleContribution, hbar: float) -> float:
@@ -193,11 +204,10 @@ def _newton_solve(
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
     traj = propagate(ic, seed.t, params)
     res = residual_of(traj)
-    history = [res.max_norm]
-    iterations = 0
+    history = [res.max_norm]  # the seed's residual, then one per Newton step
     while res.max_norm >= _NEWTON_TOL:
-        if iterations >= _NEWTON_MAX_ITER:
-            raise ConvergenceError(res.max_norm, iterations)
+        if len(history) > _NEWTON_MAX_ITER:
+            raise ConvergenceError(res.max_norm, len(history) - 1)
         jac = jacobian_of(traj)
         rhs = -np.array([res.initial, res.final])
         try:
@@ -223,19 +233,12 @@ def _newton_solve(
         if not accepted:
             raise ConvergenceError(
                 cand_res.max_norm,
-                iterations + 1,
+                len(history),
                 "Newton step failed to reduce the residual after six halvings",
             )
         traj, res = cand, cand_res
-        iterations += 1
         history.append(res.max_norm)
-    return SaddleTrajectory(
-        trajectory=traj,
-        seed=seed,
-        iterations=iterations,
-        residual_norm=res.max_norm,
-        residual_history=tuple(history),
-    )
+    return SaddleTrajectory(trajectory=traj, seed=seed, residual_history=tuple(history))
 
 
 def find_saddle(

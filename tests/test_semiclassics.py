@@ -218,10 +218,9 @@ def test_determinant_leg_through_zero_is_a_caustic(evaluator):
     through zero, where no principal angle is the true change in argument."""
     alpha = _packet(0.1, 0.2, 50)
     z = ComplexPhasePoint(0.1, 0.2)
-    I = np.eye(2, dtype=complex)
     traj = ComplexTrajectory(
-        points=(z, z), action=0j, m11=-1.0 + 0j, m12=0j, m21=0j, m22=-1.0 + 0j,
-        checkpoints=np.array([I, -I]),
+        points=(z, z), action=0j,
+        legs=((1 + 0j, 0j, 0j, 1 + 0j), (-1 + 0j, 0j, 0j, -1 + 0j)),
     )
     with pytest.raises(CausticError):
         if evaluator == "saddle":
@@ -230,6 +229,25 @@ def test_determinant_leg_through_zero_is_a_caustic(evaluator):
             wavefunction_contribution(alpha, traj)
         else:
             offcenter_contribution(alpha, alpha, traj)
+
+
+def test_trajectory_cannot_be_changed_through_its_checkpoints():
+    """Each read of ``checkpoints`` builds a new array, so writing to one
+    leaves the trajectory and all three contributions it feeds as they were."""
+    traj = propagate(ComplexPhasePoint(0.1, 0.08), 2, RotorParams(8.25))
+    alpha = _packet(0.1, 0.08, 50)
+    beta = _packet(traj.final.p1.real, traj.final.q1.real, 50)
+
+    def values():
+        return (
+            saddle_contribution(alpha, beta, traj).value,
+            wavefunction_contribution(alpha, traj).value,
+            offcenter_contribution(alpha, beta, traj).value,
+        )
+
+    before = values()
+    traj.checkpoints[2:] *= -1
+    assert values() == before
 
 
 def test_zero_kick_correlation_matches_quantum():
