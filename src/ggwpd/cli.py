@@ -94,7 +94,7 @@ def _resolve_config(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     setup = prepare_scenario(config)
-    rows = run_sweep(config, setup)
+    rows = run_sweep(setup)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{config.label}_sweep.csv")
     emit_csv(rows, csv_path)
@@ -110,9 +110,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_saddle(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     setup = prepare_scenario(config)
+    if setup.check_N is None:
+        recheck = "not re-solved: N_list has no second N"
+    else:
+        recheck = f"drift {setup.saddle_drift:.2e} re-solved at N={setup.check_N}"
     print(
         f"{config.label}: {len(setup.saddles)} saddle(s) at N={setup.reference_N}, "
-        f"drift {setup.saddle_drift:.2e} re-solved at N={setup.check_N}"
+        f"{recheck}"
     )
     for sad in setup.saddles:
         P0 = sad.trajectory.initial.p1

@@ -218,10 +218,21 @@ class ScenarioSetup:
     """Seeds and saddles of a scenario, located once and reused per N."""
 
     config: ExperimentConfig
-    reference_N: int
-    check_N: int
     saddles: tuple[SaddleTrajectory, ...]
     saddle_drift: float
+
+    @property
+    def reference_N(self) -> int:
+        """The N the seeds and saddles were located at: the first of the sweep."""
+        return self.config.N_list[0]
+
+    @property
+    def check_N(self) -> int | None:
+        """The N the saddles were re-solved at, or None if there was none.
+
+        It is the first N of the sweep that differs from ``reference_N``.
+        """
+        return next((n for n in self.config.N_list if n != self.reference_N), None)
 
     @property
     def seeds(self) -> tuple[SeedTrajectory, ...]:
@@ -275,7 +286,7 @@ class SweepRow:
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     """Find transport seeds and converge their saddles at the reference N.
 
-    The saddles are re-solved at a second N (when the sweep has one) and
+    The saddles are re-solved at the check N (when the sweep has one) and
     must agree to 1e-10 per component — the width scaling b = pi N makes
     the saddle equations N-independent, so any drift signals a bug or a
     genuinely N-dependent scenario.
@@ -283,8 +294,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     if not config.N_list:
         raise ConfigError("cannot prepare a scenario with an empty N_list")
     params = RotorParams(config.K)
-    ref_N = config.N_list[0]
-    alpha, beta = packets_for(config, ref_N)
+    alpha, beta = packets_for(config, config.N_list[0])
     seeds = find_seeds(
         alpha,
         beta,
@@ -301,46 +311,37 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     converged = [find_saddle(alpha, beta, s, params) for s in seeds]
     # distinct transport seeds can flow to the same complex saddle (two
     # primary intersections on the same lobe); keep one contribution each
-    saddles = tuple(_merge_duplicates(converged, _saddle_place))
-    check_N = config.N_list[1] if len(config.N_list) >= 2 else ref_N
-    drift = 0.0
-    if check_N != ref_N:
-        alpha_c, beta_c = packets_for(config, check_N)
-        for sad in saddles:
-            again = find_saddle(alpha_c, beta_c, sad.seed, params)
-            dP = again.trajectory.initial.p1 - sad.trajectory.initial.p1
-            dQ = again.trajectory.initial.q1 - sad.trajectory.initial.q1
-            drift = max(
-                drift,
-                abs(dP.real), abs(dP.imag), abs(dQ.real), abs(dQ.imag),
-            )
-        if drift > _SADDLE_DRIFT_TOL:
-            raise NumericalError(
-                f"saddle locations moved by {drift:.3e} between N={ref_N} "
-                f"and N={check_N}; width scaling violated"
-            )
-    return ScenarioSetup(
-        config=config,
-        reference_N=ref_N,
-        check_N=check_N,
-        saddles=saddles,
-        saddle_drift=drift,
+    setup = ScenarioSetup(
+        config, tuple(_merge_duplicates(converged, _saddle_place)), 0.0
     )
+    if setup.check_N is None:
+        return setup
+    alpha_c, beta_c = packets_for(config, setup.check_N)
+    drift = 0.0
+    for sad in setup.saddles:
+        again = find_saddle(alpha_c, beta_c, sad.seed, params)
+        dP = again.trajectory.initial.p1 - sad.trajectory.initial.p1
+        dQ = again.trajectory.initial.q1 - sad.trajectory.initial.q1
+        drift = max(
+            drift,
+            abs(dP.real), abs(dP.imag), abs(dQ.real), abs(dQ.imag),
+        )
+    if drift > _SADDLE_DRIFT_TOL:
+        raise NumericalError(
+            f"saddle locations moved by {drift:.3e} between "
+            f"N={setup.reference_N} and N={setup.check_N}; width scaling violated"
+        )
+    return dataclasses.replace(setup, saddle_drift=drift)
 
 
-def run_sweep(
-    config: ExperimentConfig, setup: ScenarioSetup | None = None
-) -> list[SweepRow]:
-    """Evaluate all three correlations at every N of the config.
+def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:
+    """Evaluate all three correlations at every N of the setup's config.
 
     A failure at one N is recorded in that row's error column instead of
     aborting the sweep; the row keeps C_qm when the oracle returned it.
     Rows come back ordered by N.
     """
-    if not config.N_list:
-        return []
-    if setup is None:
-        setup = prepare_scenario(config)
+    config = setup.config
     params = RotorParams(config.K)
     nan = complex(math.nan, math.nan)
     rows: list[SweepRow] = []
@@ -457,10 +458,14 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
         f"  alpha=({cfg.alpha_center[0]}, {cfg.alpha_center[1]})"
         f"  beta=({cfg.beta_center[0]}, {cfg.beta_center[1]})"
     )
-    lines.append(
-        f"  seeds/saddles located at N={setup.reference_N}, "
-        f"re-checked at N={setup.check_N} (max drift {setup.saddle_drift:.2e})"
-    )
+    if setup.check_N is None:
+        recheck = "not re-checked: N_list has no second N"
+    else:
+        recheck = (
+            f"re-checked at N={setup.check_N} "
+            f"(max drift {setup.saddle_drift:.2e})"
+        )
+    lines.append(f"  seeds/saddles located at N={setup.reference_N}, {recheck}")
     lines.append("")
     lines.append("saddles:")
     for sad in setup.saddles:

@@ -94,7 +94,6 @@ class SeedTrajectory:
     ic: tuple[float, float]
     t: int
     winding: tuple[int, int]
-    kind: str  # "integrable" | "heteroclinic" | "position"
 
 
 @dataclass(frozen=True)
@@ -595,28 +594,6 @@ def _line_roots(
     return roots
 
 
-def _shearing_roots(
-    p_lo: float,
-    p_hi: float,
-    q0: float,
-    targets: list[float],
-    end_q,
-    t: int,
-    K: float,
-) -> tuple[list[list[float]], np.ndarray]:
-    """Momenta on the line q = q0 whose end position meets each target.
-
-    ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
-    each row after ``t`` steps of the map with kick strength ``K``.  The
-    line is scanned by :func:`_scan_line` and its crossings are found by
-    :func:`_line_roots`; the end positions at the scan nodes are returned
-    with the roots.  A caller that meets the same line again keeps the
-    scan and calls :func:`_line_roots` alone.
-    """
-    p_grid, ends = _scan_line(p_lo, p_hi, q0, end_q)
-    return _line_roots(p_grid, ends, q0, targets, t, K), ends
-
-
 def _integrable_seeds(
     alpha: GaussianPacket,
     beta: GaussianPacket,
@@ -631,15 +608,13 @@ def _integrable_seeds(
     q0 = alpha.q1
     windings = range(-image_range, image_range + 1)
     targets = [beta.q1 + n_q for n_q in windings]
-    roots, _ = _shearing_roots(
+    scan = _scan_line(
         alpha.p1 - w,
         alpha.p1 + w,
         q0,
-        targets,
         lambda pts: _forward_many(pts, t, params.K)[:, 1],
-        t,
-        params.K,
     )
+    roots = _line_roots(*scan, q0, targets, t, params.K)
     starts = [(n_q, p) for n_q, found in zip(windings, roots) for p in found]
     ends = _forward_many(
         np.array([[p, q0] for _, p in starts]).reshape(-1, 2), t, params.K
@@ -660,7 +635,6 @@ def _integrable_seeds(
                 ic=(float(p_star), float(q0)),
                 t=t,
                 winding=(n_p, n_q),
-                kind="integrable",
             )
         )
     seeds.sort(key=lambda s: (s.winding, s.ic))
@@ -892,7 +866,6 @@ def _heteroclinic_seeds(
                 ic=(float(z[0]), float(z[1])),
                 t=t,
                 winding=images[k],
-                kind="heteroclinic",
             )
             for z, d0, d1, k in zip(z_star, start_d, end_d, c_image)
             if max(d0, d1) <= _CAPTURE_SIGMA

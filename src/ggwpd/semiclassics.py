@@ -104,7 +104,6 @@ class SaddleContribution:
     bra_exponent: complex
     prefactor: complex
     value: complex
-    winding: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class OffCenterContribution:
     """One real-trajectory branch of the off-center correlation sum."""
 
     value: complex
-    winding: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -279,43 +277,55 @@ def find_saddle(
 # GGWPD steepest-descent terms
 # ---------------------------------------------------------------------------
 
-def saddle_contribution(
+def _descent_term(
     alpha: GaussianPacket,
-    beta: GaussianPacket,
     trajectory: ComplexTrajectory,
-    winding: tuple[int, int] = (0, 0),
+    dets: np.ndarray,
+    norm: float,
+    bra_exponent: complex,
 ) -> SaddleContribution:
-    """Steepest-descent correlation term of one saddle trajectory.
+    """Steepest-descent term of one saddle trajectory.
 
-    ``beta`` must be the winding-shifted image the trajectory connects to;
-    the branch of the square-root prefactor is continued along the
-    trajectory's stability checkpoints from the positive root at zero
-    elapsed time.
+    ``dets`` is the prefactor's determinant at every leg endpoint; its
+    square root is continued along them from the positive root at zero
+    elapsed time.  ``norm`` collects the packets' normalisation constants.
     """
-    hbar = alpha.hbar
-    ba, bb = alpha.b1, beta.b1
-    M = trajectory.checkpoints
-    root = _tracked_sqrt(
-        M[:, 0, 0] * ba
-        + bb * M[:, 1, 1]
-        + 2j * hbar * bb * M[:, 1, 0] * ba
-        - (0.5j / hbar) * M[:, 0, 1]
-    )
+    root = _tracked_sqrt(dets)
     fm = ket_norm_exponent(alpha, trajectory.initial)
-    fp = bra_norm_exponent(beta, trajectory.final)
     value = (
-        (4.0 * ba * bb) ** 0.25
-        * np.exp(1j * trajectory.action / hbar + fm + fp)
+        norm
+        * np.exp(1j * trajectory.action / alpha.hbar + fm + bra_exponent)
         / root
     )
     return SaddleContribution(
         action=trajectory.action,
         ket_exponent=fm,
-        bra_exponent=fp,
+        bra_exponent=bra_exponent,
         prefactor=1.0 / root,
         value=complex(value),
-        winding=winding,
     )
+
+
+def saddle_contribution(
+    alpha: GaussianPacket,
+    beta: GaussianPacket,
+    trajectory: ComplexTrajectory,
+) -> SaddleContribution:
+    """Steepest-descent correlation term of one saddle trajectory.
+
+    ``beta`` must be the winding-shifted image the trajectory connects to.
+    """
+    hbar = alpha.hbar
+    ba, bb = alpha.b1, beta.b1
+    M = trajectory.checkpoints
+    dets = (
+        M[:, 0, 0] * ba
+        + bb * M[:, 1, 1]
+        + 2j * hbar * bb * M[:, 1, 0] * ba
+        - (0.5j / hbar) * M[:, 0, 1]
+    )
+    fp = bra_norm_exponent(beta, trajectory.final)
+    return _descent_term(alpha, trajectory, dets, (4.0 * ba * bb) ** 0.25, fp)
 
 
 def ggwpd_correlation(
@@ -338,9 +348,7 @@ def ggwpd_correlation(
                 f"saddle trajectory has {sad.trajectory.t} steps, expected {t}"
             )
         target = _shifted_target(beta, sad.seed.winding)
-        contributions.append(
-            saddle_contribution(alpha, target, sad.trajectory, winding=sad.seed.winding)
-        )
+        contributions.append(saddle_contribution(alpha, target, sad.trajectory))
     weights = [_descent_weight(c, alpha.hbar) for c in contributions]
     return _prune_and_sum(contributions, weights)
 
@@ -348,32 +356,17 @@ def ggwpd_correlation(
 def wavefunction_contribution(
     alpha: GaussianPacket,
     trajectory: ComplexTrajectory,
-    winding: tuple[int, int] = (0, 0),
 ) -> SaddleContribution:
     """Steepest-descent term for a final position eigenstate.
 
-    Same structure as :func:`saddle_contribution` with the bra packet
-    replaced by a position eigenvector at the trajectory's (real) final
-    position; the bra-side exponent is identically zero.
+    The term of :func:`saddle_contribution` with the bra packet replaced
+    by a position eigenvector at the trajectory's (real) final position;
+    the bra-side exponent is identically zero.
     """
-    hbar = alpha.hbar
     ba = alpha.b1
     M = trajectory.checkpoints
-    root = _tracked_sqrt(M[:, 1, 1] + 2j * hbar * M[:, 1, 0] * ba)
-    fm = ket_norm_exponent(alpha, trajectory.initial)
-    value = (
-        (2.0 * ba / np.pi) ** 0.25
-        * np.exp(1j * trajectory.action / hbar + fm)
-        / root
-    )
-    return SaddleContribution(
-        action=trajectory.action,
-        ket_exponent=fm,
-        bra_exponent=0j,
-        prefactor=1.0 / root,
-        value=complex(value),
-        winding=winding,
-    )
+    dets = M[:, 1, 1] + 2j * alpha.hbar * M[:, 1, 0] * ba
+    return _descent_term(alpha, trajectory, dets, (2.0 * ba / np.pi) ** 0.25, 0j)
 
 
 def find_position_saddle(
@@ -405,7 +398,6 @@ def find_position_saddle(
         ic=(float(seed_momentum), alpha.q1),
         t=t,
         winding=(0, winding_q),
-        kind="position",
     )
     return _newton_solve(seed, params, residual_of, jacobian_of)
 
@@ -483,7 +475,7 @@ def ggwpd_wavefunction(
         for p_seed in seed_momenta
     ]
     terms = [
-        wavefunction_contribution(alpha, sad.trajectory, winding=sad.seed.winding)
+        wavefunction_contribution(alpha, sad.trajectory)
         for sad in _merge_duplicates(saddles, _saddle_place)
     ]
     weights = [_descent_weight(c, alpha.hbar) for c in terms]
@@ -498,7 +490,6 @@ def offcenter_contribution(
     alpha: GaussianPacket,
     beta: GaussianPacket,
     trajectory: ComplexTrajectory,
-    winding: tuple[int, int] = (0, 0),
 ) -> OffCenterContribution:
     """Exact quadratic-form correlation term of one real trajectory.
 
@@ -555,7 +546,7 @@ def offcenter_contribution(
         - p0 * (alpha.q1 - q0)
     ) / hbar
     value = np.sqrt(2.0) / root * np.exp(1j * phase - quad / (2.0 * a0))
-    return OffCenterContribution(value=complex(value), winding=winding)
+    return OffCenterContribution(value=complex(value))
 
 
 def offcenter_correlation(
@@ -573,9 +564,7 @@ def offcenter_correlation(
         ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
         traj = propagate(ic, t, params)
         target = _shifted_target(beta, seed.winding)
-        contributions.append(
-            offcenter_contribution(alpha, target, traj, winding=seed.winding)
-        )
+        contributions.append(offcenter_contribution(alpha, target, traj))
     weights = [abs(c.value) for c in contributions]
     return _prune_and_sum(contributions, weights)
 
@@ -598,6 +587,4 @@ def linearized_correlation(
     n_p = int(np.round(traj.final.p1.real - beta.p1))
     n_q = int(np.round(traj.final.q1.real - beta.q1))
     target = _shifted_target(beta, (n_p, n_q))
-    return offcenter_contribution(
-        alpha, target, traj, winding=(n_p, n_q)
-    ).value
+    return offcenter_contribution(alpha, target, traj).value

@@ -18,7 +18,7 @@ class SweepBundle:
         self.config = preset(name)
         start = time.perf_counter()
         self.setup = prepare_scenario(self.config)
-        self.rows = run_sweep(self.config, self.setup)
+        self.rows = run_sweep(self.setup)
         self.duration = time.perf_counter() - start
 
 

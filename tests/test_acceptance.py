@@ -391,7 +391,7 @@ def test_repeated_sweeps_emit_identical_bytes(
 ):
     for bundle in (integrable_bundle, chaotic_bundle):
         cfg = bundle.config
-        rerun_rows = run_sweep(cfg, prepare_scenario(cfg))
+        rerun_rows = run_sweep(prepare_scenario(cfg))
         first = tmp_path / f"{cfg.label}_first.csv"
         second = tmp_path / f"{cfg.label}_second.csv"
         emit_csv(bundle.rows, first)

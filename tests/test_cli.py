@@ -2,9 +2,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from ggwpd import rotor
+from ggwpd import experiment, rotor
 from ggwpd.cli import main
 from ggwpd.experiment import config_from_dict, packets_for, preset, read_csv
 from ggwpd.floquet import quantum_correlation
@@ -268,6 +269,50 @@ def test_manifolds_chaotic_writes_invariant_curves(tmp_path, capsys):
         assert len(path.read_text().splitlines()) > 100  # a real curve, not a stub
 
 
+@pytest.mark.parametrize(
+    "n_list, solved_at, saddle_line, report_line",
+    [
+        (
+            [50],
+            [50],
+            "1 saddle(s) at N=50, not re-solved: N_list has no second N",
+            "located at N=50, not re-checked: N_list has no second N",
+        ),
+        (
+            [100, 100, 200],
+            [100, 200],
+            "1 saddle(s) at N=100, drift 0.00e+00 re-solved at N=200",
+            "located at N=100, re-checked at N=200 (max drift 0.00e+00)",
+        ),
+    ],
+    ids=["single-N", "repeated-first-N"],
+)
+def test_saddle_recheck_runs_at_the_first_other_n_or_says_it_did_not(
+    tmp_path, capsys, monkeypatch, n_list, solved_at, saddle_line, report_line
+):
+    """The saddles are re-solved at the first N of N_list other than the
+    first, and both outputs name that N; with no such N, both say so."""
+    solved = []
+    find_saddle = experiment.find_saddle
+
+    def spy(alpha, *rest):
+        solved.append(round(alpha.b1 / np.pi))
+        return find_saddle(alpha, *rest)
+
+    monkeypatch.setattr(experiment, "find_saddle", spy)
+    config = _write_json(tmp_path, "cfg.json", {"N_list": n_list})
+    assert main(["saddle", "--preset", "integrable-fig2", "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"integrable-fig2: {saddle_line}"
+    )
+    assert solved == solved_at
+    out = tmp_path / "out"
+    main(["sweep", "--preset", "integrable-fig2", "--config", config, "--out", str(out)])
+    capsys.readouterr()
+    report = (out / "integrable-fig2_report.txt").read_text().splitlines()
+    assert report[2] == f"  seeds/saddles {report_line}"
+
+
 def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
     tmp_path, capsys, monkeypatch
 ):
@@ -275,13 +320,13 @@ def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
     ``ggwpd manifolds`` writes: both reach _SHEAR_HALFWIDTH_SIGMA momentum
     widths to either side of the alpha center."""
     scanned = []
-    shearing_roots = rotor._shearing_roots
+    scan_line = rotor._scan_line
 
     def spy(p_lo, p_hi, *rest):
         scanned.append((p_lo, p_hi))
-        return shearing_roots(p_lo, p_hi, *rest)
+        return scan_line(p_lo, p_hi, *rest)
 
-    monkeypatch.setattr(rotor, "_shearing_roots", spy)
+    monkeypatch.setattr(rotor, "_scan_line", spy)
     cfg = preset("integrable-fig2")
     alpha, beta = packets_for(cfg, cfg.N_list[0])
     find_seeds(

@@ -20,9 +20,9 @@ from ggwpd.experiment import (
     emit_report,
     load_config,
     packets_for,
+    prepare_scenario,
     preset,
     read_csv,
-    run_sweep,
 )
 
 
@@ -186,9 +186,10 @@ def test_saddle_locations_independent_of_grid_size(
     assert chaotic_bundle.setup.saddle_drift < 1e-10
 
 
-def test_run_sweep_empty_n_list_returns_no_rows():
+def test_prepare_scenario_refuses_an_empty_n_list():
     cfg = config_from_dict({"N_list": []}, base=preset("integrable-fig2"))
-    assert run_sweep(cfg) == []
+    with pytest.raises(ConfigError, match="empty N_list"):
+        prepare_scenario(cfg)
 
 
 # ---------------------------------------------------------------------------

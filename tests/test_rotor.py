@@ -24,8 +24,9 @@ from ggwpd.rotor import (
     _forward_many,
     _forward_q,
     _hyperbolic_frame,
+    _line_roots,
     _merge_duplicates,
-    _shearing_roots,
+    _scan_line,
     _sign_change_brackets,
     curve_to_csv,
     find_seeds,
@@ -492,7 +493,6 @@ def test_integrable_seed_search_recovers_intersection():
     seeds = find_seeds(alpha, beta, 2, K_MILD, image_range=2, regime="integrable")
     assert len(seeds) == 1
     seed = seeds[0]
-    assert seed.kind == "integrable"
     assert seed.winding == (0, 1)
     assert abs(seed.ic[0] - 0.8075682672864) < 1e-9
     assert abs(seed.ic[1] - 0.2) == 0.0
@@ -502,7 +502,6 @@ def test_integrable_seed_search_recovers_intersection():
 def test_chaotic_seed_search_finds_paired_connectors():
     alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
     seeds = find_seeds(alpha, beta, 2, K_CHAOTIC, image_range=2, regime="chaotic")
-    assert all(s.kind == "heteroclinic" for s in seeds)
     by_winding = {}
     for s in seeds:
         by_winding.setdefault(s.winding, []).append(s.ic)
@@ -630,7 +629,6 @@ def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
                             ic=(float(z_star[0]), float(z_star[1])),
                             t=t,
                             winding=(n_p, n_q),
-                            kind="heteroclinic",
                         )
                     )
     found.sort(key=lambda s: (s.winding, s.ic))
@@ -772,7 +770,8 @@ def _assert_same_shearing_roots(p_lo, p_hi, q0, targets, t, K, end_q=None):
     if end_q is None:
         def end_q(pts):
             return _forward_many(pts, t, K)[:, 1]
-    roots, ends = _shearing_roots(p_lo, p_hi, q0, targets, end_q, t, K)
+    p_grid, ends = _scan_line(p_lo, p_hi, q0, end_q)
+    roots = _line_roots(p_grid, ends, q0, targets, t, K)
     want_roots, want_ends = _shearing_roots_array_path(p_lo, p_hi, q0, targets, end_q)
     assert np.array_equal(ends, want_ends, equal_nan=True)
     assert [[r.hex() for r in found] for found in roots] == [

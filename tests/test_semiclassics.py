@@ -25,8 +25,9 @@ from ggwpd.rotor import (
     ComplexTrajectory,
     RotorParams,
     SeedTrajectory,
+    _line_roots,
     _merge_duplicates,
-    _shearing_roots,
+    _scan_line,
     find_seeds,
     iterate_map,
     propagate,
@@ -86,7 +87,7 @@ def test_find_saddle_converges_quadratically_from_real_seed():
     N = 50
     alpha = _packet(0.815, 0.2, N)
     beta = _packet(0.77, 0.8, N)
-    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1), kind="integrable")
+    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1))
     sad = find_saddle(alpha, beta, seed, RotorParams(0.05))
     assert sad.iterations <= 8
     assert sad.residual_norm < 1e-12
@@ -103,7 +104,7 @@ def test_find_saddle_with_zero_steps_reproduces_overlap():
     N = 80
     alpha = _packet(0.30, 0.40, N)
     beta = _packet(0.35, 0.45, N)
-    seed = SeedTrajectory(ic=(alpha.p1, alpha.q1), t=0, winding=(0, 0), kind="center")
+    seed = SeedTrajectory(ic=(alpha.p1, alpha.q1), t=0, winding=(0, 0))
     sad = find_saddle(alpha, beta, seed, RotorParams(8.25))
     assert sad.iterations == 1
     result = ggwpd_correlation(alpha, beta, [sad], 0)
@@ -115,7 +116,7 @@ def test_find_saddle_iteration_cap_raises(monkeypatch):
     N = 50
     alpha = _packet(0.815, 0.2, N)
     beta = _packet(0.77, 0.8, N)
-    seed = SeedTrajectory(ic=(0.4, 0.9), t=2, winding=(0, 1), kind="integrable")
+    seed = SeedTrajectory(ic=(0.4, 0.9), t=2, winding=(0, 1))
     monkeypatch.setattr(semiclassics, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
         find_saddle(alpha, beta, seed, RotorParams(0.05))
@@ -125,7 +126,7 @@ def test_find_saddle_iteration_cap_raises(monkeypatch):
 
 def test_saddle_location_is_width_scaling_invariant():
     """b = pi N and hbar = 1 / (2 pi N) cancel out of the saddle equations."""
-    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1), kind="integrable")
+    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1))
     params = RotorParams(0.05)
     locations = []
     for N in (50, 700):
@@ -353,15 +354,16 @@ def test_memoized_scan_is_read_only_and_shared():
 
 
 def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0):
-    """``ggwpd_wavefunction`` as it was: a fresh ``_shearing_roots`` scan
-    through ``iterate_map`` at every position."""
+    """``ggwpd_wavefunction`` as it was: a fresh ``_scan_line`` scan
+    through ``iterate_map`` at every position, then ``_line_roots``."""
     w = halfwidth_sigma * alpha.hbar / (2.0 * alpha.sigma)
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
-    roots, ends = _shearing_roots(
-        alpha.p1 - w, alpha.p1 + w, alpha.q1, targets,
-        lambda pts: iterate_map(pts, t, params)[:, 1], t, params.K,
+    p_grid, ends = _scan_line(
+        alpha.p1 - w, alpha.p1 + w, alpha.q1,
+        lambda pts: iterate_map(pts, t, params)[:, 1],
     )
+    roots = _line_roots(p_grid, ends, alpha.q1, targets, t, params.K)
     n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError("the scanned line reaches beyond image_range")
@@ -371,7 +373,7 @@ def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0
         for p_seed in seed_momenta
     ]
     terms = [
-        wavefunction_contribution(alpha, sad.trajectory, winding=sad.seed.winding)
+        wavefunction_contribution(alpha, sad.trajectory)
         for sad in _merge_duplicates(saddles, semiclassics._saddle_place)
     ]
     weights = [semiclassics._descent_weight(c, alpha.hbar) for c in terms]
@@ -413,7 +415,7 @@ def test_ggwpd_correlation_rejects_mismatched_time():
     N = 50
     alpha = _packet(0.815, 0.2, N)
     beta = _packet(0.77, 0.8, N)
-    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1), kind="integrable")
+    seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1))
     sad = find_saddle(alpha, beta, seed, RotorParams(0.05))
     with pytest.raises(ConfigError):
         ggwpd_correlation(alpha, beta, [sad], 3)
@@ -454,7 +456,7 @@ def test_offcenter_correlation_prune_threshold_drops_weak_branches(monkeypatch):
     params = RotorParams(0.05)
     seeds = find_seeds(alpha, beta, 2, params, image_range=2, regime="integrable")
     far = SeedTrajectory(
-        ic=(seeds[0].ic[0] + 0.12, 0.2), t=2, winding=seeds[0].winding, kind="integrable"
+        ic=(seeds[0].ic[0] + 0.12, 0.2), t=2, winding=seeds[0].winding
     )
     monkeypatch.setattr(semiclassics, "_PRUNE_THRESHOLD", 0.0)
     keep_all = offcenter_correlation(alpha, beta, list(seeds) + [far], params, 2)
@@ -475,8 +477,8 @@ def test_offcenter_exact_for_quadratic_dynamics_any_seed():
     beta = _packet(0.3, 0.45, N)
     params = RotorParams(0.0)
     t = 2
-    base = SeedTrajectory(ic=(0.225, 0.5), t=t, winding=(0, 1), kind="integrable")
-    shifted = SeedTrajectory(ic=(0.245, 0.5), t=t, winding=(0, 1), kind="integrable")
+    base = SeedTrajectory(ic=(0.225, 0.5), t=t, winding=(0, 1))
+    shifted = SeedTrajectory(ic=(0.245, 0.5), t=t, winding=(0, 1))
     v1 = offcenter_correlation(alpha, beta, [base], params, t).total
     v2 = offcenter_correlation(alpha, beta, [shifted], params, t).total
     assert abs(v1 - v2) < 1e-12 * abs(v1)
