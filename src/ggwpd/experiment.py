@@ -335,7 +335,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
 
 
 def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:
-    """Evaluate all three correlations at every N of the setup's config.
+    """Evaluate all three correlations at every distinct N of the setup's config.
 
     A failure at one N is recorded in that row's error column instead of
     aborting the sweep; the row keeps C_qm when the oracle returned it.
@@ -345,7 +345,7 @@ def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:
     params = RotorParams(config.K)
     nan = complex(math.nan, math.nan)
     rows: list[SweepRow] = []
-    for N in sorted(config.N_list):
+    for N in sorted(set(config.N_list)):
         c_qm = nan
         try:
             alpha, beta = packets_for(config, N)

@@ -61,7 +61,7 @@ def discretize_packet(
     unit discrete norm so overlaps are bounded by one.
     """
     hbar = grid_hbar(n_states)
-    if not np.isclose(packet.hbar, hbar, rtol=0.0, atol=1e-15):
+    if abs(packet.hbar - hbar) > 1e-15:
         raise ConfigError(
             f"packet hbar {packet.hbar!r} does not match the N = {n_states} grid"
         )

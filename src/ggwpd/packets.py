@@ -14,7 +14,7 @@ pointwise with the real-center one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,8 @@ class ComplexPhasePoint:
     q1: complex
 
     def __post_init__(self) -> None:
+        if type(self.p1) is complex and type(self.q1) is complex:
+            return
         object.__setattr__(self, "p1", _scalar("P", self.p1, complex))
         object.__setattr__(self, "q1", _scalar("Q", self.q1, complex))
 
@@ -98,22 +100,22 @@ class ResidualPair:
     ``initial`` measures how far the initial point is from the ket packet's
     constraint set, ``final`` the same for the final point against the bra
     packet (with its momentum term conjugated).  Both vanish exactly on a
-    saddle-point trajectory.
+    saddle-point trajectory.  ``max_norm``, the larger of their moduli, is
+    computed once, on construction.
     """
 
     initial: complex
     final: complex
+    max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", _scalar("initial", self.initial, complex))
-        object.__setattr__(self, "final", _scalar("final", self.final, complex))
-
-    @property
-    def max_norm(self) -> float:
-        # np.abs, not the built-in abs: the two differ in the last bit,
-        # and Newton's stop and accept tests and the recorded residual
-        # histories are pinned to numpy's rounding
-        return float(max(np.abs(self.initial), np.abs(self.final)))
+        initial, final = self.initial, self.final
+        if not (type(initial) is complex and type(final) is complex):
+            initial = _scalar("initial", initial, complex)
+            final = _scalar("final", final, complex)
+            object.__setattr__(self, "initial", initial)
+            object.__setattr__(self, "final", final)
+        object.__setattr__(self, "max_norm", max(abs(initial), abs(final)))
 
 
 def packet_evaluate(packet: GaussianPacket, x: float) -> complex:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -526,24 +527,33 @@ def _forward_q(p: float, q: float, t: int, K: float) -> float:
     return q
 
 
-def _scan_line(
-    p_lo: float, p_hi: float, q0: float, end_q
-) -> tuple[np.ndarray, np.ndarray]:
+class LineScan(NamedTuple):
+    """Scan nodes of a line q = q0, their end positions and the ends' range.
+
+    ``end_min`` and ``end_max`` are Python floats, both NaN when an end is.
+    """
+
+    p_grid: np.ndarray
+    ends: np.ndarray
+    end_min: float
+    end_max: float
+
+
+def _scan_line(p_lo: float, p_hi: float, q0: float, end_q) -> LineScan:
     """The 1025 scan nodes of the line q = q0 and their end positions.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
-    each row.  The end positions are returned contiguous: a column view
-    of the map's output would make every later min and max strided.
+    each row.  The end positions are kept contiguous: a column view of the
+    map's output would make every later pass over them strided.
     """
     n_scan = 1025
     p_grid = np.linspace(p_lo, p_hi, n_scan)
-    ends = end_q(np.column_stack([p_grid, np.full(n_scan, q0)]))
-    return p_grid, np.ascontiguousarray(ends)
+    ends = np.ascontiguousarray(end_q(np.column_stack([p_grid, np.full(n_scan, q0)])))
+    return LineScan(p_grid, ends, float(ends.min()), float(ends.max()))
 
 
 def _line_roots(
-    p_grid: np.ndarray,
-    ends: np.ndarray,
+    scan: LineScan,
     q0: float,
     targets: list[float],
     t: int,
@@ -551,14 +561,15 @@ def _line_roots(
 ) -> list[list[float]]:
     """Momenta on a scanned line q = q0 whose end position meets each target.
 
-    ``ends`` holds the end positions of the nodes ``p_grid`` after ``t``
-    steps of the map with kick strength ``K``.  Every sign change of
-    ``ends - target`` is bisected to a 1e-13 wide bracket.  Per target the
-    node roots come first, then one root per bracket in scan order.
+    ``scan.ends`` holds the end positions of the nodes ``scan.p_grid``
+    after ``t`` steps of the map with kick strength ``K``.  Every sign
+    change of ``ends - target`` is bisected to a 1e-13 wide bracket.  Per
+    target the node roots come first, then one root per bracket in scan
+    order.
 
-    A target outside [min, max] of the scanned end positions has no root
-    and is skipped.  A NaN end makes both bounds NaN, and then no target
-    is skipped.
+    A target outside [end_min, end_max] of the scan has no root and is
+    skipped.  A NaN end makes both bounds NaN, and then no target is
+    skipped.
 
     Each midpoint is evaluated by :func:`_forward_q` on Python floats,
     since one numpy row costs about 25 us of call overhead for two map
@@ -566,7 +577,7 @@ def _line_roots(
     :func:`_bisect_brackets` does not pay back its row bookkeeping
     either: a call has 0 or 1 bracket per target.
     """
-    end_min, end_max = ends.min(), ends.max()
+    p_grid, ends, end_min, end_max = scan
     roots = []
     for target in targets:
         # comparisons with NaN are false, so a NaN end never skips
@@ -614,7 +625,7 @@ def _integrable_seeds(
         q0,
         lambda pts: _forward_many(pts, t, params.K)[:, 1],
     )
-    roots = _line_roots(*scan, q0, targets, t, params.K)
+    roots = _line_roots(scan, q0, targets, t, params.K)
     starts = [(n_q, p) for n_q, found in zip(windings, roots) for p in found]
     ends = _forward_many(
         np.array([[p, q0] for _, p in starts]).reshape(-1, 2), t, params.K

@@ -38,6 +38,7 @@ from .packets import (
 )
 from .rotor import (
     ComplexTrajectory,
+    LineScan,
     RotorParams,
     SeedTrajectory,
     _line_roots,
@@ -172,19 +173,48 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
 
 
+# A Jacobian of the two residuals with respect to (P0, Q0), as its two rows.
+_Jacobian = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+_SINGULAR = "singular Newton system (coalescing saddles or caustic)"
+
+
 def _correlation_jacobian(
     alpha: GaussianPacket, beta: GaussianPacket, traj: ComplexTrajectory
-) -> np.ndarray:
+) -> _Jacobian:
     hbar = alpha.hbar
-    return np.array(
-        [
-            [1j / hbar, 2.0 * alpha.b1],
-            [
-                2.0 * beta.b1 * traj.m21 - (1j / hbar) * traj.m11,
-                2.0 * beta.b1 * traj.m22 - (1j / hbar) * traj.m12,
-            ],
-        ]
+    return (
+        (1j / hbar, 2.0 * alpha.b1),
+        (
+            2.0 * beta.b1 * traj.m21 - (1j / hbar) * traj.m11,
+            2.0 * beta.b1 * traj.m22 - (1j / hbar) * traj.m12,
+        ),
     )
+
+
+def _solve_newton_step(
+    jac: _Jacobian, rhs: tuple[complex, complex]
+) -> tuple[complex, complex]:
+    """Solution x of ``jac @ x = rhs`` for a 2x2 complex system.
+
+    Gaussian elimination with partial pivoting, the LU factorisation
+    ``np.linalg.solve`` runs, written out on Python scalars: the rows are
+    swapped when the lower one has the larger first entry in modulus.  A
+    zero pivot or eliminated diagonal, where LAPACK reports a singular
+    matrix, raises :class:`CausticError`.
+    """
+    (a, b), (c, d) = jac
+    r0, r1 = rhs
+    if abs(c) > abs(a):
+        a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+    if a == 0:
+        raise CausticError(_SINGULAR)
+    lower = c / a
+    d -= lower * b
+    if d == 0:
+        raise CausticError(_SINGULAR)
+    x1 = (r1 - lower * r0) / d
+    return (r0 - b * x1) / a, x1
 
 
 def _newton_solve(
@@ -195,9 +225,12 @@ def _newton_solve(
 ) -> SaddleTrajectory:
     """Damped Newton iteration shared by the two saddle searches.
 
-    Starts from the seed's initial point with zero imaginary parts.  A
-    step that fails to reduce the residual norm is halved up to six times
-    before the search is abandoned.
+    Starts from the seed's initial point with zero imaginary parts.  Each
+    step solves the 2x2 system ``jacobian_of(traj)`` with
+    :func:`_solve_newton_step`; the whole loop runs on Python complex
+    scalars.  A step that fails to reduce the residual norm is halved up
+    to six times before the search is abandoned.  Every candidate is
+    propagated through this module's ``propagate``.
     """
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
     traj = propagate(ic, seed.t, params)
@@ -206,22 +239,13 @@ def _newton_solve(
     while res.max_norm >= _NEWTON_TOL:
         if len(history) > _NEWTON_MAX_ITER:
             raise ConvergenceError(res.max_norm, len(history) - 1)
-        jac = jacobian_of(traj)
-        rhs = -np.array([res.initial, res.final])
-        try:
-            delta = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise CausticError(
-                "singular Newton system (coalescing saddles or caustic)"
-            ) from exc
+        d0, d1 = _solve_newton_step(jacobian_of(traj), (-res.initial, -res.final))
+        P0, Q0 = traj.initial.p1, traj.initial.q1
         scale = 1.0
         accepted = False
         cand_res = res
         for _ in range(7):
-            cand_ic = ComplexPhasePoint(
-                traj.initial.p1 + scale * delta[0],
-                traj.initial.q1 + scale * delta[1],
-            )
+            cand_ic = ComplexPhasePoint(P0 + scale * d0, Q0 + scale * d1)
             cand = propagate(cand_ic, seed.t, params)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
@@ -267,7 +291,7 @@ def find_saddle(
     def residual_of(traj: ComplexTrajectory) -> ResidualPair:
         return residuals(alpha, target, traj.initial, traj.final)
 
-    def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
+    def jacobian_of(traj: ComplexTrajectory) -> _Jacobian:
         return _correlation_jacobian(alpha, target, traj)
 
     return _newton_solve(seed, params, residual_of, jacobian_of)
@@ -391,8 +415,8 @@ def find_position_saddle(
         )
         return ResidualPair(c0, traj.final.q1 - x_target)
 
-    def jacobian_of(traj: ComplexTrajectory) -> np.ndarray:
-        return np.array([[1j / hbar, 2.0 * ba], [traj.m21, traj.m22]])
+    def jacobian_of(traj: ComplexTrajectory) -> _Jacobian:
+        return (1j / hbar, 2.0 * ba), (traj.m21, traj.m22)
 
     seed = SeedTrajectory(
         ic=(float(seed_momentum), alpha.q1),
@@ -411,21 +435,19 @@ _SCAN_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _wavefunction_scan(
     p_lo: float, p_hi: float, q0: float, t: int, K: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> LineScan:
     """The scanned momentum line of :func:`ggwpd_wavefunction`, one per packet.
 
-    The line and its end positions do not depend on the position x, so the
-    scan is kept and shared by every x.  It runs through this module's
-    ``iterate_map``; both arrays are read-only, since every caller gets
-    the same two.
+    The line, its end positions and their range do not depend on the
+    position x, so the scan is kept and shared by every x.  It runs
+    through this module's ``iterate_map``; both arrays are read-only,
+    since every caller gets the same two.
     """
     params = RotorParams(K)
-    p_grid, ends = _scan_line(
-        p_lo, p_hi, q0, lambda pts: iterate_map(pts, t, params)[:, 1]
-    )
-    p_grid.flags.writeable = False
-    ends.flags.writeable = False
-    return p_grid, ends
+    scan = _scan_line(p_lo, p_hi, q0, lambda pts: iterate_map(pts, t, params)[:, 1])
+    scan.p_grid.flags.writeable = False
+    scan.ends.flags.writeable = False
+    return scan
 
 
 def ggwpd_wavefunction(
@@ -458,11 +480,9 @@ def ggwpd_wavefunction(
     w = halfwidth_sigma * sig_p
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
-    p_grid, ends = _wavefunction_scan(
-        alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K
-    )
-    roots = _line_roots(p_grid, ends, alpha.q1, targets, t, params.K)
-    n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
+    scan = _wavefunction_scan(alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K)
+    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
+    n_lo, n_hi = math.ceil(scan.end_min - x), math.floor(scan.end_max - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError(
             f"the scanned line reaches the images x{n_lo:+d} to x{n_hi:+d} of "
@@ -498,8 +518,7 @@ def offcenter_contribution(
     ``beta`` must be the winding-shifted image (equal widths and hbar are
     required — the underlying expression assumes a common sigma).
     """
-    # atol=0: numpy's default 1e-8 would pass any two widths below it
-    same_width = np.isclose(alpha.b1, beta.b1, rtol=1e-12, atol=0.0)
+    same_width = abs(alpha.b1 - beta.b1) <= 1e-12 * abs(beta.b1)
     if not same_width or alpha.hbar != beta.hbar:
         raise ConfigError(
             "off-center evaluation requires equal packet widths and hbar"

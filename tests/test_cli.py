@@ -313,6 +313,18 @@ def test_saddle_recheck_runs_at_the_first_other_n_or_says_it_did_not(
     assert report[2] == f"  seeds/saddles {report_line}"
 
 
+def test_sweep_evaluates_a_repeated_n_once(tmp_path, capsys):
+    """An N listed twice gives one row, and the report counts it once."""
+    config = _write_json(tmp_path, "cfg.json", {"N_list": [100, 100, 200]})
+    out = tmp_path / "out"
+    argv = ["sweep", "--preset", "integrable-fig2", "--config", config]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [r.N for r in read_csv(out / "integrable-fig2_sweep.csv")] == [100, 200]
+    report = (out / "integrable-fig2_report.txt").read_text()
+    assert "error hierarchy (ggwpd below off-center, N >= 100): 2 rows" in report
+
+
 def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
     tmp_path, capsys, monkeypatch
 ):

@@ -2,7 +2,15 @@
 
 ``ggwpd sweep`` and ``ggwpd saddle`` wrote those files for both presets.
 They are regenerated only by a change that deliberately moves these
-numbers, and that change says so.
+numbers, and that change says so.  From the repository root::
+
+    for p in integrable-fig2 chaotic-fig6; do
+        PYTHONPATH=src python -m ggwpd.cli sweep --preset $p --out tests/golden
+        PYTHONPATH=src python -m ggwpd.cli saddle --preset $p > tests/golden/${p}_saddle.txt
+    done
+
+``sweep`` writes ``<preset>_sweep.csv`` and ``<preset>_report.txt`` there
+and echoes the report to stdout.
 """
 import pathlib
 

@@ -770,10 +770,14 @@ def _assert_same_shearing_roots(p_lo, p_hi, q0, targets, t, K, end_q=None):
     if end_q is None:
         def end_q(pts):
             return _forward_many(pts, t, K)[:, 1]
-    p_grid, ends = _scan_line(p_lo, p_hi, q0, end_q)
-    roots = _line_roots(p_grid, ends, q0, targets, t, K)
+    scan = _scan_line(p_lo, p_hi, q0, end_q)
+    roots = _line_roots(scan, q0, targets, t, K)
+    ends = scan.ends
     want_roots, want_ends = _shearing_roots_array_path(p_lo, p_hi, q0, targets, end_q)
     assert np.array_equal(ends, want_ends, equal_nan=True)
+    assert np.array_equal(
+        [scan.end_min, scan.end_max], [want_ends.min(), want_ends.max()], equal_nan=True
+    )
     assert [[r.hex() for r in found] for found in roots] == [
         [r.hex() for r in found] for found in want_roots
     ]

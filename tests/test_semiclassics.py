@@ -20,7 +20,12 @@ from ggwpd.floquet import (
     grid_hbar,
     quantum_correlation,
 )
-from ggwpd.packets import ComplexPhasePoint, GaussianPacket, gaussian_overlap
+from ggwpd.packets import (
+    ComplexPhasePoint,
+    GaussianPacket,
+    ResidualPair,
+    gaussian_overlap,
+)
 from ggwpd.rotor import (
     ComplexTrajectory,
     RotorParams,
@@ -137,6 +142,130 @@ def test_saddle_location_is_width_scaling_invariant():
     (P_a, Q_a), (P_b, Q_b) = locations
     assert abs(P_a - P_b) < 1e-10
     assert abs(Q_a - Q_b) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "jac",
+    [((0j, 1.0), (0j, 2.0)), ((1.0, 2.0), (2.0, 4.0)), ((1j, 2.0), (2.0, -4j))],
+    ids=["zero-pivot", "zero-diagonal", "zero-diagonal-swapped"],
+)
+def test_singular_newton_step_raises_caustic_error(jac):
+    with pytest.raises(CausticError, match="singular Newton system"):
+        semiclassics._solve_newton_step(jac, (1.0 + 0j, 1.0 + 0j))
+
+
+def test_newton_search_with_a_singular_jacobian_raises_caustic_error():
+    """The singular-step refusal is reached from a running search."""
+    seed = SeedTrajectory(ic=(0.8, 0.2), t=2, winding=(0, 0))
+    with pytest.raises(CausticError):
+        semiclassics._newton_solve(
+            seed,
+            RotorParams(0.05),
+            lambda traj: ResidualPair(traj.final.q1 - 0.5, 0j),
+            lambda traj: ((1j, 2.0), (2.0, -4j)),
+        )
+
+
+_entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_entries, b=_entries, c=_entries, d=_entries, r0=_entries, r1=_entries,
+       swap=st.booleans())
+def test_scalar_newton_step_matches_numpy_solve(a, b, c, d, r0, r1, swap):
+    """Random complex 2x2 systems, half of them with the larger first
+    entry in the lower row, so that the elimination swaps rows; the
+    solution agrees with LAPACK's to 64 eps times the condition number."""
+    if abs(a) == abs(c):
+        reject()
+    if (abs(c) > abs(a)) != swap:
+        a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+    jac = np.array([[a, b], [c, d]])
+    kappa = np.linalg.cond(jac)
+    if not kappa < 1e12:
+        reject()
+    want = np.linalg.solve(jac, np.array([r0, r1]))
+    if not np.all(np.isfinite(want)):
+        reject()
+    got = semiclassics._solve_newton_step(((a, b), (c, d)), (r0, r1))
+    assert all(type(x) is complex for x in got)
+    err = np.linalg.norm(np.array(got) - want)
+    assert err <= 64 * np.finfo(float).eps * kappa * np.linalg.norm(want)
+
+
+def _numpy_newton_solve(seed, params, residual_of, jacobian_of):
+    """The Newton loop as it ran on numpy arrays: one ``np.linalg.solve``
+    per step, and residual norms through ``np.abs``."""
+    def norm(res):
+        return float(max(np.abs(res.initial), np.abs(res.final)))
+
+    ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
+    traj = propagate(ic, seed.t, params)
+    res = residual_of(traj)
+    history = [norm(res)]
+    while history[-1] >= semiclassics._NEWTON_TOL:
+        assert len(history) <= semiclassics._NEWTON_MAX_ITER
+        jac = np.array(jacobian_of(traj))
+        delta = np.linalg.solve(jac, -np.array([res.initial, res.final]))
+        scale = 1.0
+        for _ in range(7):
+            cand = propagate(
+                ComplexPhasePoint(
+                    traj.initial.p1 + scale * delta[0],
+                    traj.initial.q1 + scale * delta[1],
+                ),
+                seed.t,
+                params,
+            )
+            cand_res = residual_of(cand)
+            if norm(cand_res) < history[-1]:
+                break
+            scale *= 0.5
+        else:
+            raise AssertionError("the numpy reference failed to reduce the residual")
+        traj, res = cand, cand_res
+        history.append(norm(res))
+    return semiclassics.SaddleTrajectory(
+        trajectory=traj, seed=seed, residual_history=tuple(history)
+    )
+
+
+@pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
+def test_preset_saddles_match_the_numpy_newton_loop(fixture, request, monkeypatch):
+    """Every preset saddle, re-solved with the numpy loop at the N it was
+    located at, sits within 1e-15 per component and took as many steps."""
+    bundle = request.getfixturevalue(fixture)
+    alpha, beta = packets_for(bundle.config, bundle.setup.reference_N)
+    params = RotorParams(bundle.config.K)
+    monkeypatch.setattr(semiclassics, "_newton_solve", _numpy_newton_solve)
+    for sad in bundle.setup.saddles:
+        want = find_saddle(alpha, beta, sad.seed, params)
+        assert sad.iterations == want.iterations
+        got_ic, want_ic = sad.trajectory.initial, want.trajectory.initial
+        for g, w in ((got_ic.p1, want_ic.p1), (got_ic.q1, want_ic.q1)):
+            assert abs(g.real - w.real) <= 1e-15
+            assert abs(g.imag - w.imag) <= 1e-15
+
+
+def test_wavefunction_matches_the_numpy_newton_loop(monkeypatch):
+    """The benchmark's N = 700 wavefunction at the preset centre: every
+    grid point agrees with the numpy loop's value to 1e-11 max|psi|."""
+    cfg = preset("integrable-fig2")
+    alpha, _ = packets_for(cfg, 700)
+    params = RotorParams(cfg.K)
+
+    def values():
+        return np.array([
+            ggwpd_wavefunction(alpha, s / 700, cfg.t, params, image_range=2)
+            for s in range(1, 701)
+        ])
+
+    got = values()
+    monkeypatch.setattr(semiclassics, "_newton_solve", _numpy_newton_solve)
+    want = values()
+    peak = np.max(np.abs(want))
+    assert peak > 1.0
+    assert np.max(np.abs(got - want)) <= 1e-11 * peak
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +474,12 @@ def test_wavefunction_scans_each_packet_through_iterate_map_once(monkeypatch):
 def test_memoized_scan_is_read_only_and_shared():
     """Every caller gets the same two arrays, so none may write to them."""
     semiclassics._wavefunction_scan.cache_clear()
-    p_grid, ends = semiclassics._wavefunction_scan(0.80, 0.83, 0.2, 2, 0.05)
-    for arr in (p_grid, ends):
+    scan = semiclassics._wavefunction_scan(0.80, 0.83, 0.2, 2, 0.05)
+    for arr in (scan.p_grid, scan.ends):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     again = semiclassics._wavefunction_scan(0.80, 0.83, 0.2, 2, 0.05)
-    assert again[0] is p_grid and again[1] is ends
+    assert again.p_grid is scan.p_grid and again.ends is scan.ends
 
 
 def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0):
@@ -359,12 +488,12 @@ def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0
     w = halfwidth_sigma * alpha.hbar / (2.0 * alpha.sigma)
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
-    p_grid, ends = _scan_line(
+    scan = _scan_line(
         alpha.p1 - w, alpha.p1 + w, alpha.q1,
         lambda pts: iterate_map(pts, t, params)[:, 1],
     )
-    roots = _line_roots(p_grid, ends, alpha.q1, targets, t, params.K)
-    n_lo, n_hi = math.ceil(ends.min() - x), math.floor(ends.max() - x)
+    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
+    n_lo, n_hi = math.ceil(scan.ends.min() - x), math.floor(scan.ends.max() - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError("the scanned line reaches beyond image_range")
     saddles = [
