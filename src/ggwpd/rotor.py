@@ -108,12 +108,10 @@ class ComplexTrajectory:
         Accumulated generating action S(Q_t, Q_0).
     legs : tuple of (m11, m12, m21, m22) complex tuples
         Cumulative stability matrices (momentum row first) at the ends of
-        the kick and drift legs, starting from the identity.
+        the kick and drift legs, starting from the identity; the
+        prefactors' branch tracking reads every one of them.
     m11, m12, m21, m22 : complex
         Blocks of the accumulated stability matrix, the last leg.
-    checkpoints : (n, 2, 2) complex ndarray
-        The legs as matrices, built on each read; consumed by branch
-        tracking.
     """
 
     points: tuple[ComplexPhasePoint, ...]
@@ -135,10 +133,6 @@ class ComplexTrajectory:
     @property
     def m22(self) -> complex:
         return self.legs[-1][3]
-
-    @property
-    def checkpoints(self) -> np.ndarray:
-        return np.array(self.legs, dtype=complex).reshape(-1, 2, 2)
 
     @property
     def t(self) -> int:
@@ -493,9 +487,10 @@ def _merge_duplicates(items, place) -> list:
     kept, places = [], []
     for item in items:
         winding, P, Q = place(item)
-        parts = np.array([P.real, P.imag, Q.real, Q.imag])
+        parts = (P.real, P.imag, Q.real, Q.imag)
         if not any(
-            w == winding and np.max(np.abs(parts - other)) <= _MERGE_TOL
+            w == winding
+            and all(abs(a - b) <= _MERGE_TOL for a, b in zip(parts, other))
             for w, other in places
         ):
             kept.append(item)

@@ -17,12 +17,15 @@ All evaluators consume :class:`~ggwpd.rotor.ComplexTrajectory` objects and
 are therefore dynamics-agnostic: trajectories built analytically (e.g. for
 free motion) can be fed to the same code paths exercised by the rotor.
 Every square-root prefactor is continued from t = 0 through the
-trajectory's leg-endpoint stability matrices (:func:`_tracked_sqrt`).
+trajectory's leg-endpoint stability matrices, read from its ``legs`` on
+Python complex scalars (:func:`_tracked_sqrt`).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +52,7 @@ from .rotor import (
 )
 
 
-def _tracked_sqrt(dets: np.ndarray) -> complex:
+def _tracked_sqrt(dets: Sequence[complex]) -> complex:
     """Square root of ``dets[-1]`` continued from the principal root of ``dets[0]``.
 
     ``dets`` holds a determinant linear in the stability matrix at every
@@ -60,13 +63,20 @@ def _tracked_sqrt(dets: np.ndarray) -> complex:
     zero, i.e. ``z1 * conj(z0)`` is real and not positive.  That is a
     caustic, and raises :class:`CausticError`.
     """
-    legs = dets[1:] * np.conj(dets[:-1])
+    caustic = "determinant passes through zero: caustic encountered"
+    prev = dets[0]
+    angle = cmath.phase(prev)
+    for z in dets[1:]:
+        leg = z * prev.conjugate()
+        if leg.imag == 0.0 and leg.real <= 0.0:
+            raise CausticError(caustic)
+        angle += cmath.phase(z / prev)
+        prev = z
     # a zero sample makes its neighbouring legs vanish; only a lone sample
-    # (a trajectory without legs) needs its own test
-    if dets[-1] == 0 or np.any((legs.imag == 0.0) & (legs.real <= 0.0)):
-        raise CausticError("determinant passes through zero: caustic encountered")
-    angle = sum(np.angle(dets[1:] / dets[:-1]).tolist(), float(np.angle(dets[0])))
-    return complex(np.sqrt(abs(dets[-1])) * np.exp(0.5j * angle))
+    # (a trajectory without legs) gets here with a zero
+    if prev == 0:
+        raise CausticError(caustic)
+    return math.sqrt(abs(prev)) * cmath.exp(0.5j * angle)
 
 
 @dataclass(frozen=True)
@@ -304,7 +314,7 @@ def find_saddle(
 def _descent_term(
     alpha: GaussianPacket,
     trajectory: ComplexTrajectory,
-    dets: np.ndarray,
+    dets: list[complex],
     norm: float,
     bra_exponent: complex,
 ) -> SaddleContribution:
@@ -341,13 +351,10 @@ def saddle_contribution(
     """
     hbar = alpha.hbar
     ba, bb = alpha.b1, beta.b1
-    M = trajectory.checkpoints
-    dets = (
-        M[:, 0, 0] * ba
-        + bb * M[:, 1, 1]
-        + 2j * hbar * bb * M[:, 1, 0] * ba
-        - (0.5j / hbar) * M[:, 0, 1]
-    )
+    dets = [
+        m11 * ba + bb * m22 + 2j * hbar * bb * m21 * ba - (0.5j / hbar) * m12
+        for m11, m12, m21, m22 in trajectory.legs
+    ]
     fp = bra_norm_exponent(beta, trajectory.final)
     return _descent_term(alpha, trajectory, dets, (4.0 * ba * bb) ** 0.25, fp)
 
@@ -388,8 +395,8 @@ def wavefunction_contribution(
     the bra-side exponent is identically zero.
     """
     ba = alpha.b1
-    M = trajectory.checkpoints
-    dets = M[:, 1, 1] + 2j * alpha.hbar * M[:, 1, 0] * ba
+    hbar = alpha.hbar
+    dets = [m22 + 2j * hbar * m21 * ba for _, _, m21, m22 in trajectory.legs]
     return _descent_term(alpha, trajectory, dets, (2.0 * ba / np.pi) ** 0.25, 0j)
 
 
@@ -533,10 +540,12 @@ def offcenter_contribution(
     r2 = 1.0 / (2.0 * hbar * b)
     sx = np.sqrt(1.0 / (2.0 * b))  # sqrt(2 sigma^2)
 
-    M = trajectory.checkpoints
-    sums = M[:, 0, 0] + M[:, 1, 1] + 1j * (r1 * M[:, 1, 0] - r2 * M[:, 0, 1])
+    sums = [
+        m11 + m22 + 1j * (r1 * m21 - r2 * m12)
+        for m11, m12, m21, m22 in trajectory.legs
+    ]
     root = _tracked_sqrt(sums)
-    a0 = complex(sums[-1])
+    a0 = sums[-1]
 
     p0, q0 = trajectory.initial.p1.real, trajectory.initial.q1.real
     pt, qt = trajectory.final.p1.real, trajectory.final.q1.real

@@ -264,7 +264,8 @@ def test_unit_determinants_along_all_used_trajectories(
     integrable_bundle, chaotic_bundle
 ):
     """The map is symplectic, so every accumulated stability matrix —
-    final and every branch-tracking checkpoint, complex saddle and real
+    final and at every leg endpoint the branch tracking reads, complex
+    saddle and real
     off-center trajectory alike — has determinant 1."""
     for bundle in (integrable_bundle, chaotic_bundle):
         setup = bundle.setup
@@ -276,8 +277,8 @@ def test_unit_determinants_along_all_used_trajectories(
             )
         for traj in trajectories:
             assert abs(traj.stability_determinant() - 1.0) < 1e-10
-            for mat in traj.checkpoints:
-                det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+            for m11, m12, m21, m22 in traj.legs:
+                det = m11 * m22 - m12 * m21
                 assert abs(det - 1.0) < 1e-10
 
 

@@ -113,11 +113,11 @@ def test_unit_determinant_at_every_leg_endpoint_property(P, Q, t, K):
         traj = propagate(ComplexPhasePoint(P, Q), t, RotorParams(K))
     except RunawayError:
         reject()
-    assert traj.checkpoints.shape == (2 * t + 1, 2, 2)
+    assert len(traj.legs) == 2 * t + 1
     scale = 1.0
-    for m in traj.checkpoints:
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = max(scale, abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0]))
+    for m11, m12, m21, m22 in traj.legs:
+        det = m11 * m22 - m12 * m21
+        scale = max(scale, abs(m11 * m22), abs(m12 * m21))
         assert abs(det - 1.0) < 1e-14 * scale
 
 
@@ -133,7 +133,7 @@ def test_iterate_map_matches_scalar_steps():
 
 
 def test_unit_determinant_along_trajectories():
-    """Every accumulated stability checkpoint has determinant one.
+    """Every accumulated stability matrix in ``legs`` has determinant one.
 
     The map is area preserving, and both the kick and drift leg
     factors are unit triangular, so any deviation flags an assembly bug.
@@ -144,10 +144,10 @@ def test_unit_determinant_along_trajectories():
     ):
         traj = propagate(ic, t, K_CHAOTIC)
         assert abs(traj.stability_determinant() - 1.0) < 1e-10
-        for m in traj.checkpoints:
+        for leg in traj.legs:
             # entries grow like the Lyapunov stretch, so the determinant's
             # cancellation noise grows quadratically with them
-            assert abs(np.linalg.det(np.asarray(m)) - 1.0) < 1e-10
+            assert abs(np.linalg.det(np.reshape(leg, (2, 2))) - 1.0) < 1e-10
 
 
 def test_single_step_action_literal():
@@ -260,7 +260,7 @@ def test_propagate_matches_the_numpy_scalar_steps_bit_for_bit(
     P, Q, t, K, runaway_bound
 ):
     """Steps on Python complex numbers and ``cmath`` give the points,
-    action, stability blocks and checkpoints numpy's scalars gave, to the
+    action, stability blocks and leg matrices numpy's scalars gave, to the
     last bit, and refuse the same trajectories at the same step."""
     ic = ComplexPhasePoint(P, Q)
     params = RotorParams(K)
@@ -276,7 +276,7 @@ def test_propagate_matches_the_numpy_scalar_steps_bit_for_bit(
         assert exc.step == want.step
         return
     assert not isinstance(want, Exception)
-    pts, S, blocks, checkpoints = want
+    pts, S, blocks, matrices = want
     assert [(_complex_hex(z.p1), _complex_hex(z.q1)) for z in got.points] == [
         (_complex_hex(z.p1), _complex_hex(z.q1)) for z in pts
     ]
@@ -286,7 +286,9 @@ def test_propagate_matches_the_numpy_scalar_steps_bit_for_bit(
     assert [_complex_hex(m) for m in got_blocks] == [
         _complex_hex(complex(m)) for m in blocks
     ]
-    assert got.checkpoints.tobytes() == checkpoints.tobytes()
+    assert [[_complex_hex(m) for m in leg] for leg in got.legs] == [
+        [_complex_hex(complex(m)) for m in mat.ravel()] for mat in matrices
+    ]
 
 
 @pytest.mark.parametrize("K", [0.0, 8.25])
@@ -892,6 +894,19 @@ def test_merge_tolerance_applies_to_every_component(part):
     far = [item("first", 0.0), item("far", 1.1 * _MERGE_TOL)]
     assert [i[0] for i in _merge_duplicates(near, _place)] == ["first"]
     assert [i[0] for i in _merge_duplicates(far, _place)] == ["first", "far"]
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_merge_never_joins_an_item_with_a_nan_part(part):
+    """A NaN part fails the distance test wherever it sits among the four,
+    so neither its exact copy nor the finite item it came from merges."""
+    parts = [0.2, -0.05, 0.7, 0.01]
+    finite = ("finite", (0, 0), complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+    parts[part] = float("nan")
+    nan = ("nan", (0, 0), complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+    items = [finite, nan, ("copy",) + nan[1:]]
+    assert [i[0] for i in _merge_duplicates(items, _place)] == ["finite", "nan", "copy"]
+    assert [i[0] for i in _merge_duplicates(items[1:], _place)] == ["nan", "copy"]
 
 
 def test_merge_joins_copies_on_either_side_of_a_rounding_edge():

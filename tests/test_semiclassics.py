@@ -1,4 +1,5 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ggwpd.errors import (
     RunawayError,
 )
 from ggwpd.experiment import packets_for, preset
+from ggwpd.free_particle import free_trajectory
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
@@ -82,6 +84,71 @@ def test_tracked_sqrt_unwraps_past_the_cut():
 def test_tracked_sqrt_rejects_a_zero_sample(dets):
     with pytest.raises(CausticError):
         _tracked_sqrt(np.array(dets, dtype=complex))
+
+
+def _tracked_sqrt_numpy(dets):
+    """``_tracked_sqrt`` as it was, on numpy arrays."""
+    dets = np.array(dets, dtype=complex)
+    legs = dets[1:] * np.conj(dets[:-1])
+    if dets[-1] == 0 or np.any((legs.imag == 0.0) & (legs.real <= 0.0)):
+        raise CausticError("determinant passes through zero: caustic encountered")
+    angle = sum(np.angle(dets[1:] / dets[:-1]).tolist(), float(np.angle(dets[0])))
+    return complex(np.sqrt(abs(dets[-1])) * np.exp(0.5j * angle))
+
+
+def _polar(r_lo, r_hi, angle):
+    return st.tuples(st.floats(r_lo, r_hi), st.floats(-angle, angle))
+
+
+def _det_walk(start, steps):
+    dets = [cmath.rect(*start)]
+    for ratio in steps:
+        dets.append(dets[-1] * cmath.rect(*ratio))
+    return dets
+
+
+# a start anywhere, then steps whose ratios keep 0.04 rad off the negative
+# real axis, where a one-ulp difference in a ratio could flip its angle by 2 pi
+_det_walks = st.builds(
+    _det_walk, _polar(1e-3, 1e3, math.pi), st.lists(_polar(1e-2, 1e2, 3.1), max_size=12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dets=_det_walks)
+def test_tracked_sqrt_matches_the_numpy_algorithm(dets):
+    """The scalar walk gives the root the numpy version gave, on 1 to 13
+    nonzero determinants."""
+    want = _tracked_sqrt_numpy(dets)
+    assert abs(_tracked_sqrt(dets) - want) <= 1e-14 * abs(want)
+
+
+def _short(x):
+    m, e = math.frexp(x)
+    return math.ldexp(round(m * 2**20), e - 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dets=_det_walks,
+    where=st.floats(0.0, 1.0),
+    through_zero=st.booleans(),
+    scale=st.integers(-4, 4),
+)
+def test_tracked_sqrt_caustics_match_the_numpy_algorithm(dets, where, through_zero, scale):
+    """A zero sample, or a leg from z to -2**scale * z (exactly through
+    zero), raises ``CausticError`` in both versions.  numpy may multiply
+    with fused multiply-adds, which leave a rounding-level imaginary part
+    on such a leg; z keeps 20 significant bits, so every product is exact."""
+    if through_zero:
+        k = 1 + int(where * (len(dets) - 1))
+        z = complex(_short(dets[k - 1].real), _short(dets[k - 1].imag))
+        dets[k - 1 : k] = [z, -(2.0**scale) * z]
+    else:
+        dets.insert(int(where * len(dets)), 0j)
+    for tracked_sqrt in (_tracked_sqrt, _tracked_sqrt_numpy):
+        with pytest.raises(CausticError):
+            tracked_sqrt(dets)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +411,7 @@ def test_endpoint_branch_tracking_matches_subdivided_legs_property(P, Q, t, N):
 
 @pytest.mark.parametrize("evaluator", ["saddle", "wavefunction", "offcenter"])
 def test_determinant_leg_through_zero_is_a_caustic(evaluator):
-    """Checkpoints I then -I put every tracked determinant on a segment
+    """Legs I then -I put every tracked determinant on a segment
     through zero, where no principal angle is the true change in argument."""
     alpha = _packet(0.1, 0.2, 50)
     z = ComplexPhasePoint(0.1, 0.2)
@@ -361,23 +428,22 @@ def test_determinant_leg_through_zero_is_a_caustic(evaluator):
             offcenter_contribution(alpha, alpha, traj)
 
 
-def test_trajectory_cannot_be_changed_through_its_checkpoints():
-    """Each read of ``checkpoints`` builds a new array, so writing to one
-    leaves the trajectory and all three contributions it feeds as they were."""
-    traj = propagate(ComplexPhasePoint(0.1, 0.08), 2, RotorParams(8.25))
-    alpha = _packet(0.1, 0.08, 50)
-    beta = _packet(traj.final.p1.real, traj.final.q1.real, 50)
-
-    def values():
-        return (
-            saddle_contribution(alpha, beta, traj).value,
-            wavefunction_contribution(alpha, traj).value,
-            offcenter_contribution(alpha, beta, traj).value,
-        )
-
-    before = values()
-    traj.checkpoints[2:] *= -1
-    assert values() == before
+@pytest.mark.parametrize(
+    "traj",
+    [
+        propagate(ComplexPhasePoint(0.1, 0.08), 2, RotorParams(8.25)),
+        free_trajectory(ComplexPhasePoint(0.3 + 0.1j, 0.2 - 0.05j), 0.0),
+        free_trajectory(ComplexPhasePoint(0.3 + 0.1j, 0.2 - 0.05j), 1.5),
+    ],
+    ids=["propagate", "free-t0", "free-t1.5"],
+)
+def test_trajectory_legs_are_tuples_of_four_python_complex_numbers(traj):
+    """``legs`` is the one stability record the three contributions read:
+    immutable all the way down, and plain scalars for the branch tracking."""
+    assert type(traj.legs) is tuple
+    for leg in traj.legs:
+        assert type(leg) is tuple and len(leg) == 4
+        assert all(type(m) is complex for m in leg)
 
 
 def test_zero_kick_correlation_matches_quantum():
