@@ -18,7 +18,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -70,25 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
     manifolds = sub.add_parser("manifolds", help="dump transport curves as CSV")
     for p in (sweep, saddle, manifolds):
         _add_common(p)
-    for p in (sweep, saddle):
-        p.add_argument(
-            "--image-range", type=int, help="lattice image search range for seeds"
-        )
     return parser
 
 
 def _resolve_config(args: argparse.Namespace):
     base = preset(args.preset) if args.preset else None
     if args.config:
-        config = load_config(args.config, base=base)
-    elif base is not None:
-        config = base
-    else:
-        raise ConfigError("provide --preset and/or --config")
-    image_range = getattr(args, "image_range", None)  # manifolds has none
-    if image_range is not None:
-        config = dataclasses.replace(config, image_range=image_range)
-    return config
+        return load_config(args.config, base=base)
+    if base is not None:
+        return base
+    raise ConfigError("provide --preset and/or --config")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -18,8 +18,9 @@ class RunawayError(NumericalError):
     """A complexified trajectory escaped toward infinity.
 
     Raised when an imaginary part of position or momentum exceeds the
-    configured bound during propagation, or either one stops being finite,
-    which signals a branch-cut crossing rather than a recoverable state.
+    bound ``rotor._RUNAWAY_BOUND`` during propagation, or either one stops
+    being finite, which signals a branch-cut crossing rather than a
+    recoverable state.
     """
 
     def __init__(self, step: int, point: complex | tuple) -> None:

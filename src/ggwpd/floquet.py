@@ -22,6 +22,8 @@ against.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -50,15 +52,18 @@ def floquet_matrix(n_states: int, params) -> np.ndarray:
     return drift * kick[None, :] / root
 
 
-def discretize_packet(
-    packet: GaussianPacket, n_states: int, image_range: int = 1
-) -> np.ndarray:
+def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
     """Sample a packet on the N-point grid, image-summed and renormalized.
 
-    The periodized wavefunction sums lattice translates q -> q + n over
-    |n| <= image_range; for widths sigma ~ N^{-1/2} a single image on each
-    side already reaches machine accuracy.  The result is normalized to
-    unit discrete norm so overlaps are bounded by one.
+    The torus state sums the lattice translates q -> q + n of the packet.
+    That sum is periodic in the centre q, so q is first folded into
+    [0, 1), which only re-indexes it.  Every grid point then lies in
+    (0, 1], and an image beyond m on either side is at least m away from
+    all of them, where its weight exp(-b m^2) is below the machine
+    epsilon eps once m = max(1, ceil(sqrt(ln(1/eps) / b))).  For the
+    torus width b = pi N that is one image a side from N = 12 on.  The
+    result is normalized to unit discrete norm so overlaps are bounded by
+    one.
     """
     hbar = grid_hbar(n_states)
     if abs(packet.hbar - hbar) > 1e-15:
@@ -68,8 +73,10 @@ def discretize_packet(
     x = np.arange(1, n_states + 1) / n_states
     psi = np.zeros(n_states, dtype=complex)
     b = packet.b1
-    for n in range(-image_range, image_range + 1):
-        dx = x - (packet.q1 + n)
+    q = packet.q1 - math.floor(packet.q1)
+    images = max(1, math.ceil(math.sqrt(-math.log(np.finfo(float).eps) / b)))
+    for n in range(-images, images + 1):
+        dx = x - (q + n)
         psi += np.exp(-b * dx**2 + 1j * packet.p1 * dx / hbar)
     psi *= (2.0 * b / np.pi) ** 0.25
     norm = np.linalg.norm(psi)
@@ -79,19 +86,16 @@ def discretize_packet(
 
 
 def quantum_correlation(
-    alpha: GaussianPacket,
-    beta: GaussianPacket,
-    t: int,
-    n_states: int,
-    params,
-    image_range: int = 1,
+    alpha: GaussianPacket, beta: GaussianPacket, t: int, n_states: int, params
 ) -> complex:
     """<beta| F^t |alpha> on the N-state grid (the exact reference value).
 
     Each period is a kick phase and one FFT convolution with the drift
     kernel (see the module docstring).  Negative t evolves backwards with
     the exact adjoint: the two diagonal factors swap and conjugate, and so
-    do the circulant's eigenvalues.
+    do the circulant's eigenvalues.  Both packets are periodized as
+    :func:`discretize_packet` describes, so a centre anywhere on the
+    covering space gives the value of its folded copy.
     """
     N = n_states
     s = np.arange(1, N + 1)
@@ -108,8 +112,8 @@ def quantum_correlation(
     right = kick
     if t < 0:
         left, right, drift_hat = np.conj(right), np.conj(left), drift_hat.conj()
-    va = discretize_packet(alpha, n_states, image_range)
-    vb = discretize_packet(beta, n_states, image_range)
+    va = discretize_packet(alpha, n_states)
+    vb = discretize_packet(beta, n_states)
     v = va
     for _ in range(abs(t)):
         v = left * ifft(drift_hat * fft(right * v, 2 * N))[:N]

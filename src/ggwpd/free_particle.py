@@ -1,5 +1,7 @@
 """Free-particle Gaussian evolution in closed form.
 
+The Hamiltonian is H = p^2/2, with the kicked rotor's unit mass.
+
 For quadratic Hamiltonians all three semiclassical evaluators are exact,
 which makes free motion the sharpest available oracle: every method must
 reproduce the analytically evolved packet to machine precision.  The
@@ -17,26 +19,22 @@ from .rotor import ComplexTrajectory
 from .semiclassics import saddle_contribution, wavefunction_contribution
 
 
-def kappa(alpha: GaussianPacket, t: float, mass: float = 1.0) -> float:
-    """Dimensionless spreading parameter hbar*t/(2*m*sigma^2)."""
-    return alpha.hbar * t / (2.0 * mass * alpha.sigma**2)
+def kappa(alpha: GaussianPacket, t: float) -> float:
+    """Dimensionless spreading parameter hbar*t/(2*sigma^2)."""
+    return alpha.hbar * t / (2.0 * alpha.sigma**2)
 
 
-def evolved_center(
-    alpha: GaussianPacket, t: float, mass: float = 1.0
-) -> tuple[float, float]:
+def evolved_center(alpha: GaussianPacket, t: float) -> tuple[float, float]:
     """Phase-space center (p_t, q_t) of the freely evolved packet."""
-    return alpha.p1, alpha.q1 + t * alpha.p1 / mass
+    return alpha.p1, alpha.q1 + t * alpha.p1
 
 
-def exact_wavefunction(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
-) -> complex:
-    """Closed-form <x|exp(-i H t / hbar)|alpha> for H = p^2/2m."""
+def exact_wavefunction(alpha: GaussianPacket, x: float, t: float) -> complex:
+    """Closed-form <x|exp(-i H t / hbar)|alpha> for H = p^2/2."""
     hbar = alpha.hbar
     sig2 = alpha.sigma**2
-    k = kappa(alpha, t, mass)
-    p_t, q_t = evolved_center(alpha, t, mass)
+    k = kappa(alpha, t)
+    p_t, q_t = evolved_center(alpha, t)
     u = x - q_t
     return complex(
         (1.0 / (2.0 * np.pi * sig2)) ** 0.25
@@ -44,13 +42,13 @@ def exact_wavefunction(
         * np.exp(
             -(u**2) / (4.0 * sig2 * (1.0 + 1j * k))
             + 1j * p_t * u / hbar
-            + 1j * p_t**2 * t / (2.0 * mass * hbar)
+            + 1j * p_t**2 * t / (2.0 * hbar)
         )
     )
 
 
 def saddle_initial_conditions(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
+    alpha: GaussianPacket, x: float, t: float
 ) -> ComplexPhasePoint:
     """Complex initial point of the single saddle trajectory reaching x.
 
@@ -59,27 +57,25 @@ def saddle_initial_conditions(
     """
     if t == 0.0:
         return manifold_point(alpha, x)
-    k = kappa(alpha, t, mass)
-    _, q_t = evolved_center(alpha, t, mass)
+    k = kappa(alpha, t)
+    _, q_t = evolved_center(alpha, t)
     u = x - q_t
-    P0 = alpha.p1 + (1j * k * mass / t) * u / (1.0 + 1j * k)
+    P0 = alpha.p1 + (1j * k / t) * u / (1.0 + 1j * k)
     Q0 = alpha.q1 + u / (1.0 + 1j * k)
     return ComplexPhasePoint(P0, Q0)
 
 
 def offcenter_initial_conditions(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
+    alpha: GaussianPacket, x: float, t: float
 ) -> tuple[float, float]:
     """Real initial point (p0, q0) of the trajectory from q_alpha to x."""
     if t == 0.0:
         raise ValueError("no off-center trajectory at zero elapsed time")
-    _, q_t = evolved_center(alpha, t, mass)
-    return alpha.p1 + (mass / t) * (x - q_t), alpha.q1
+    _, q_t = evolved_center(alpha, t)
+    return alpha.p1 + (x - q_t) / t, alpha.q1
 
 
-def free_trajectory(
-    ic: ComplexPhasePoint, t: float, mass: float = 1.0
-) -> ComplexTrajectory:
+def free_trajectory(ic: ComplexPhasePoint, t: float) -> ComplexTrajectory:
     """Free-motion trajectory packaged for the generic evaluators.
 
     The whole evolution is one drift leg, so its two endpoint stability
@@ -91,18 +87,16 @@ def free_trajectory(
     identity = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
     if t == 0.0:
         return ComplexTrajectory(points=(ic,), action=0j, legs=(identity,))
-    Qt = Q0 + t * P0 / mass
-    action = mass * (Qt - Q0) ** 2 / (2.0 * t)
+    Qt = Q0 + t * P0
+    action = (Qt - Q0) ** 2 / (2.0 * t)
     return ComplexTrajectory(
         points=(ic, ComplexPhasePoint(P0, Qt)),
         action=complex(action),
-        legs=(identity, (1.0 + 0j, 0j, complex(t / mass), 1.0 + 0j)),
+        legs=(identity, (1.0 + 0j, 0j, complex(t), 1.0 + 0j)),
     )
 
 
-def linearized_wavefunction(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
-) -> complex:
+def linearized_wavefunction(alpha: GaussianPacket, x: float, t: float) -> complex:
     """Evolved wavefunction from dynamics linearized about the center.
 
     The evolved width is b_t = (b M11 + M12/(2 i hbar)) / (M22 + 2 i hbar
@@ -110,11 +104,11 @@ def linearized_wavefunction(
     """
     hbar = alpha.hbar
     b = alpha.b1
-    p_t, q_t = evolved_center(alpha, t, mass)
-    m21 = t / mass
+    p_t, q_t = evolved_center(alpha, t)
+    m21 = t  # unit mass
     denom = 1.0 + 2j * hbar * m21 * b  # M22 + 2 i hbar M21 b
     b_t = b / denom
-    action_c = alpha.p1**2 * t / (2.0 * mass)
+    action_c = alpha.p1**2 * t / 2.0
     u = x - q_t
     return complex(
         (2.0 * b / np.pi) ** 0.25
@@ -123,9 +117,7 @@ def linearized_wavefunction(
     )
 
 
-def offcenter_wavefunction(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
-) -> complex:
+def offcenter_wavefunction(alpha: GaussianPacket, x: float, t: float) -> complex:
     """Evolved wavefunction from the off-center real trajectory to x.
 
     The trajectory starts at the packet's position center with whatever
@@ -134,8 +126,8 @@ def offcenter_wavefunction(
     """
     hbar = alpha.hbar
     b = alpha.b1
-    p_t, q_t = evolved_center(alpha, t, mass)
-    m21 = t / mass
+    p_t, q_t = evolved_center(alpha, t)
+    m21 = t  # unit mass
     u = x - q_t
     spread = 1.0 + 2j * hbar * m21 * b
     # The exponent is i S/hbar - (p_alpha - p0)^2 / (4 hbar^2 a) with action
@@ -147,17 +139,15 @@ def offcenter_wavefunction(
     return complex((2.0 * b / np.pi) ** 0.25 / np.sqrt(spread) * np.exp(exponent))
 
 
-def ggwpd_wavefunction(
-    alpha: GaussianPacket, x: float, t: float, mass: float = 1.0
-) -> complex:
+def ggwpd_wavefunction(alpha: GaussianPacket, x: float, t: float) -> complex:
     """Evolved wavefunction via the generic saddle-term evaluator."""
-    ic = saddle_initial_conditions(alpha, x, t, mass)
-    traj = free_trajectory(ic, t, mass)
+    ic = saddle_initial_conditions(alpha, x, t)
+    traj = free_trajectory(ic, t)
     return wavefunction_contribution(alpha, traj).value
 
 
 def correlation_saddle(
-    alpha: GaussianPacket, beta: GaussianPacket, t: float, mass: float = 1.0
+    alpha: GaussianPacket, beta: GaussianPacket, t: float
 ) -> ComplexPhasePoint:
     """Initial point of the unique saddle joining the two constraint sets.
 
@@ -166,11 +156,10 @@ def correlation_saddle(
     """
     hbar = alpha.hbar
     ba, bb = alpha.b1, beta.b1
-    tau = t / mass
     lhs = np.array(
         [
             [1.0, -2j * hbar * ba],
-            [1.0 + 2j * hbar * bb * tau, 2j * hbar * bb],
+            [1.0 + 2j * hbar * bb * t, 2j * hbar * bb],
         ]
     )
     rhs = np.array(
@@ -183,10 +172,8 @@ def correlation_saddle(
     return ComplexPhasePoint(P0, Q0)
 
 
-def ggwpd_correlation(
-    alpha: GaussianPacket, beta: GaussianPacket, t: float, mass: float = 1.0
-) -> complex:
+def ggwpd_correlation(alpha: GaussianPacket, beta: GaussianPacket, t: float) -> complex:
     """<beta|exp(-i H t/hbar)|alpha> from the single free-motion saddle."""
-    ic = correlation_saddle(alpha, beta, t, mass)
-    traj = free_trajectory(ic, t, mass)
+    ic = correlation_saddle(alpha, beta, t)
+    traj = free_trajectory(ic, t)
     return saddle_contribution(alpha, beta, traj).value

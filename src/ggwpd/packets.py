@@ -89,8 +89,8 @@ class ComplexPhasePoint:
         object.__setattr__(self, "p1", _scalar("P", self.p1, complex))
         object.__setattr__(self, "q1", _scalar("Q", self.q1, complex))
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.p1.imag) <= tol and abs(self.q1.imag) <= tol
+    def is_real(self) -> bool:
+        return self.p1.imag == 0.0 and self.q1.imag == 0.0
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,15 @@ _CAPTURE_SIGMA = 5.0
 # reads endpoints in that center's linear stable/unstable frame.
 _CAPTURE_RADIUS = 0.3
 
+# Largest imaginary part of P or Q that :func:`propagate` lets a trajectory
+# reach: diverging imaginary parts signal an escape through a branch cut.
+_RUNAWAY_BOUND = 10.0
+
+# Arc length of a grown stable or unstable manifold, and the point count at
+# which its refinement is refused as runaway.
+_ARC_BUDGET = 6.0
+_MAX_CURVE_POINTS = 200_000
+
 
 @dataclass(frozen=True)
 class RotorParams:
@@ -154,7 +163,6 @@ class ComplexTrajectory:
 class ManifoldCurve:
     """An ordered polyline approximating an invariant curve."""
 
-    kind: str  # "unstable" | "stable" | "shearing"
     points: np.ndarray  # (n, 2) columns (p, q)
 
 
@@ -178,12 +186,7 @@ def inverse_map_step(
     return ComplexPhasePoint(p, q)
 
 
-def propagate(
-    ic: ComplexPhasePoint,
-    t: int,
-    params: RotorParams,
-    runaway_bound: float = 10.0,
-) -> ComplexTrajectory:
+def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTrajectory:
     """Iterate the unfolded map for t steps from a complex initial point.
 
     Parameters
@@ -194,19 +197,23 @@ def propagate(
     t : int
         Number of map applications, t >= 0.
     params : RotorParams
-    runaway_bound : float
-        Abort with :class:`RunawayError` when an imaginary part exceeds
-        this magnitude, or when P or Q stops being finite (NaN passes any
-        magnitude test); diverging imaginary parts signal a trajectory
-        escaping through a branch cut, not recoverable state.
 
     Returns
     -------
     ComplexTrajectory
+
+    Raises
+    ------
+    RunawayError
+        When an imaginary part exceeds ``_RUNAWAY_BOUND``, or when P or Q
+        stops being finite (NaN passes any magnitude test); diverging
+        imaginary parts signal a trajectory escaping through a branch
+        cut, not recoverable state.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     K = params.K
+    bound = _RUNAWAY_BOUND
     P = ic.p1
     Q = ic.q1
     pts = [ic]
@@ -230,8 +237,8 @@ def propagate(
             # NaN fails every comparison, so finiteness is tested on its own;
             # the sum is NaN or inf when any part is (or overflows past 1e308)
             runaway = (
-                abs(P.imag) > runaway_bound
-                or abs(Q.imag) > runaway_bound
+                abs(P.imag) > bound
+                or abs(Q.imag) > bound
                 or not math.isfinite(abs(P) + abs(Q))
             )
         except (OverflowError, ValueError):
@@ -325,11 +332,7 @@ def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
 
 
 def _grow_invariant_curve(
-    fp: tuple[float, float],
-    params: RotorParams,
-    arc_budget: float,
-    inverse: bool,
-    max_points: int,
+    fp: tuple[float, float], params: RotorParams, inverse: bool
 ) -> np.ndarray:
     """Ordered polyline of the unstable (or stable) manifold through fp.
 
@@ -338,7 +341,9 @@ def _grow_invariant_curve(
     the fixed point is iterated level by level, and each level's images
     are refined by inserting log-midpoints until consecutive points are
     closer than ``_CURVE_SPACING``.  Iterating with the map itself keeps
-    every emitted point on the manifold to machine precision.
+    every emitted point on the manifold to machine precision.  Growth
+    stops once the arc length reaches ``_ARC_BUDGET``, and refinement past
+    ``_MAX_CURVE_POINTS`` points on one level is refused.
 
     Refinement is breadth-first: each round splits every interval that is
     still too long, mapping all of their midpoints in one call.  Whether
@@ -373,13 +378,13 @@ def _grow_invariant_curve(
     total_len = 0.0
     n_base = 48
     for n in range(n_levels):
-        if total_len >= arc_budget:
+        if total_len >= _ARC_BUDGET:
             break
         for side in (+1.0, -1.0):
             logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
             pts = level_points(side, n, np.exp(logs))
             while True:
-                if len(pts) > max_points:
+                if len(pts) > _MAX_CURVE_POINTS:
                     raise NumericalError(
                         "manifold refinement exceeded the point-count cap"
                     )
@@ -399,48 +404,32 @@ def _grow_invariant_curve(
         curve = np.concatenate(point_parts)[order]
         total_len = float(np.sum(np.hypot(*np.diff(curve, axis=0).T)))
     # truncate symmetrically in parameter once the budget is exceeded
-    if total_len > arc_budget:
+    if total_len > _ARC_BUDGET:
         seglen = np.hypot(*np.diff(curve, axis=0).T)
         cum = np.concatenate([[0.0], np.cumsum(seglen)])
         # keep the centered window of the requested length
-        excess = (cum[-1] - arc_budget) / 2.0
+        excess = (cum[-1] - _ARC_BUDGET) / 2.0
         lo = int(np.searchsorted(cum, excess))
         hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
         curve = curve[max(lo, 0) : min(hi + 1, len(curve))]
     return curve
 
 
-def unstable_manifold(
-    fp: tuple[float, float],
-    params: RotorParams,
-    arc_budget: float = 6.0,
-    max_points: int = 200_000,
-) -> ManifoldCurve:
+def unstable_manifold(fp: tuple[float, float], params: RotorParams) -> ManifoldCurve:
     """Unstable manifold of a hyperbolic fixed point as an ordered polyline.
 
     Grows a germ along the unstable eigenvector of the single-step
     stability matrix and iterates the forward map with adaptive point
-    insertion until the accumulated arc length reaches ``arc_budget``.
+    insertion until the accumulated arc length reaches ``_ARC_BUDGET``.
     """
     _check_fixed_point(fp, params)
-    pts = _grow_invariant_curve(
-        fp, params, arc_budget, inverse=False, max_points=max_points
-    )
-    return ManifoldCurve(kind="unstable", points=pts)
+    return ManifoldCurve(_grow_invariant_curve(fp, params, inverse=False))
 
 
-def stable_manifold(
-    fp: tuple[float, float],
-    params: RotorParams,
-    arc_budget: float = 6.0,
-    max_points: int = 200_000,
-) -> ManifoldCurve:
+def stable_manifold(fp: tuple[float, float], params: RotorParams) -> ManifoldCurve:
     """Stable manifold, grown with the inverse map along the stable direction."""
     _check_fixed_point(fp, params)
-    pts = _grow_invariant_curve(
-        fp, params, arc_budget, inverse=True, max_points=max_points
-    )
-    return ManifoldCurve(kind="stable", points=pts)
+    return ManifoldCurve(_grow_invariant_curve(fp, params, inverse=True))
 
 
 def shearing_manifold(packet: GaussianPacket) -> ManifoldCurve:
@@ -454,13 +443,12 @@ def shearing_manifold(packet: GaussianPacket) -> ManifoldCurve:
     n = max(9, int(np.ceil(2.0 * w / _CURVE_SPACING)) + 1)
     p = np.linspace(packet.p1 - w, packet.p1 + w, n)
     q = np.full_like(p, packet.q1)
-    return ManifoldCurve(kind="shearing", points=np.column_stack([p, q]))
+    return ManifoldCurve(np.column_stack([p, q]))
 
 
 def propagate_curve(curve: ManifoldCurve, t: int, params: RotorParams) -> ManifoldCurve:
     """Forward image of a curve under t unfolded map steps (same ordering)."""
-    pts = _forward_many(curve.points, t, params.K)
-    return ManifoldCurve(kind=curve.kind, points=pts)
+    return ManifoldCurve(_forward_many(curve.points, t, params.K))
 
 
 def curve_to_csv(curve: ManifoldCurve, path) -> None:

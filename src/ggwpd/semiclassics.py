@@ -438,6 +438,10 @@ def find_position_saddle(
 # all of them; a few more cover callers alternating between packets.
 _SCAN_CACHE_SIZE = 8
 
+# Half-width of the momentum line :func:`ggwpd_wavefunction` scans for
+# seeds, in momentum uncertainties hbar/(2 sigma) about the ket center.
+_WAVE_HALFWIDTH_SIGMA = 8.0
+
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _wavefunction_scan(
@@ -463,7 +467,6 @@ def ggwpd_wavefunction(
     t: int,
     params: RotorParams,
     image_range: int = 1,
-    halfwidth_sigma: float = 8.0,
 ) -> complex:
     """Evolved wavefunction at position x via the position-saddle sum.
 
@@ -484,7 +487,7 @@ def ggwpd_wavefunction(
     if t < 1:
         raise ValueError("position saddles need at least one step")
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
-    w = halfwidth_sigma * sig_p
+    w = _WAVE_HALFWIDTH_SIGMA * sig_p
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
     scan = _wavefunction_scan(alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K)

@@ -246,7 +246,7 @@ def test_discretized_packets_unit_norm():
         for N in (50, 350, 700):
             alpha, beta = packets_for(cfg, N)
             for packet in (alpha, beta):
-                vec = discretize_packet(packet, N, cfg.image_range)
+                vec = discretize_packet(packet, N)
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
 

@@ -1,5 +1,9 @@
 """The package's public names."""
+import dataclasses
+import inspect
+
 import ggwpd
+from ggwpd import floquet, free_particle, packets, rotor, semiclassics
 
 
 def test_every_public_name_resolves():
@@ -19,3 +23,34 @@ def test_removed_branch_unwrapper_is_gone():
         assert name not in ggwpd.__all__
         assert not hasattr(ggwpd, name)
         assert not hasattr(ggwpd.semiclassics, name)
+
+
+def test_single_valued_keywords_are_gone():
+    """Values no caller outside the tests set are module constants or
+    derived from the inputs, not keyword arguments."""
+    removed = {
+        rotor.propagate: ["runaway_bound"],
+        rotor.unstable_manifold: ["arc_budget", "max_points"],
+        rotor.stable_manifold: ["arc_budget", "max_points"],
+        semiclassics.ggwpd_wavefunction: ["halfwidth_sigma"],
+        floquet.discretize_packet: ["image_range"],
+        floquet.quantum_correlation: ["image_range"],
+        packets.ComplexPhasePoint.is_real: ["tol"],
+    }
+    for name in (
+        "kappa", "evolved_center", "exact_wavefunction",
+        "saddle_initial_conditions", "offcenter_initial_conditions",
+        "free_trajectory", "linearized_wavefunction", "offcenter_wavefunction",
+        "ggwpd_wavefunction", "correlation_saddle", "ggwpd_correlation",
+    ):
+        removed[getattr(free_particle, name)] = ["mass"]
+    assert sum(map(len, removed.values())) == 20
+    left = [
+        f"{fn.__module__}.{fn.__qualname__}({arg})"
+        for fn, args in removed.items()
+        for arg in args
+        if arg in inspect.signature(fn).parameters
+    ]
+    assert left == []
+    fields = [f.name for f in dataclasses.fields(rotor.ManifoldCurve)]
+    assert fields == ["points"]

@@ -88,6 +88,8 @@ def test_removed_solver_settings_are_refused_with_exit_2(tmp_path, capsys):
         ["sweep", "--preset", "integrable-fig2", "--tol", "1e-10"],
         ["saddle", "--preset", "integrable-fig2", "--max-iter", "5"],
         ["manifolds", "--preset", "integrable-fig2", "--image-range", "2"],
+        ["sweep", "--preset", "integrable-fig2", "--image-range", "2"],
+        ["saddle", "--preset", "integrable-fig2", "--image-range", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -148,29 +150,67 @@ def test_sweep_creates_missing_output_directory(tmp_path, capsys):
 
 
 def test_sweep_gate_failure_exits_1(tmp_path, capsys):
-    """Moving the initial packet off the pinned scenario keeps the label's
-    regression gate armed, so the report must fail."""
-    override = _write_json(
-        tmp_path, "shifted.json",
-        {"label": "integrable-fig2", "alpha_center": [0.82, 0.2],
-         "N_list": [50, 100]},
-    )
+    """At K = 6 the GGWPD phase error at N = 200 is 5e-2, above the 1e-2
+    the phase-convergence gate allows, so the report must fail."""
+    override = _write_json(tmp_path, "k.json", {"K": 6.0, "N_list": [100, 200]})
     rc = main([
-        "sweep", "--preset", "integrable-fig2",
+        "sweep", "--preset", "chaotic-fig6",
         "--config", override, "--out", str(tmp_path / "out"),
     ])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "[FAIL]" in captured.out
+    assert "[FAIL] ggwpd phase convergence at N=200" in captured.out
     assert "overall: FAIL" in captured.out
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("chaotic-fig6", {"K": 6.0, "N_list": [100, 200]}),
+        ("integrable-fig2", {"alpha_center": [0.82, 0.2], "N_list": [50, 100]}),
+    ],
+)
+def test_pinned_gates_judge_only_the_preset_scenario(tmp_path, capsys, name, override):
+    """An override that keeps the label but moves K or a centre is a
+    different scenario: its saddles are not compared with the preset's
+    pinned values or symmetries, and the report says so once."""
+    config = _write_json(tmp_path, "override.json", override)
+    main(["sweep", "--preset", name, "--config", config, "--out", str(tmp_path)])
+    report = (tmp_path / f"{name}_report.txt").read_text()
+    capsys.readouterr()
+    assert "[FAIL] saddle" not in report and "[FAIL] seed" not in report
+    assert "regression" not in report and "reflection" not in report
+    assert report.count("[info]") == 1
+    assert f"[info] pinned {name} values not compared" in report
+
+
+@pytest.mark.parametrize(
+    "name, n_list, gates",
+    [
+        ("integrable-fig2", [100, 200], ["saddle (0, 1) regression"]),
+        ("chaotic-fig6", [50, 100],
+         ["saddle (1, 1) regression", "saddles pair under reflection"]),
+    ],
+)
+def test_pinned_gates_stay_armed_when_only_n_list_changes(
+    tmp_path, capsys, name, n_list, gates
+):
+    config = _write_json(tmp_path, "n.json", {"N_list": n_list})
+    main(["sweep", "--preset", name, "--config", config, "--out", str(tmp_path)])
+    report = (tmp_path / f"{name}_report.txt").read_text()
+    capsys.readouterr()
+    assert "[info]" not in report
+    for gate in gates:
+        assert f"[PASS] {gate}" in report
 
 
 def test_sweep_numerical_failure_exits_3(tmp_path, capsys):
     """With no lattice images allowed, the transported manifold cannot
     reach the target packet and seed finding reports a numerical error."""
+    override = _write_json(tmp_path, "range.json", {"image_range": 0})
     rc = main([
         "sweep", "--preset", "integrable-fig2",
-        "--image-range", "0", "--out", str(tmp_path / "out"),
+        "--config", override, "--out", str(tmp_path / "out"),
     ])
     captured = capsys.readouterr()
     assert rc == 3

@@ -64,7 +64,7 @@ def test_zero_kick_preserves_momentum_states():
 def test_evolution_preserves_packet_norm():
     N = 96
     F = floquet_matrix(N, RotorParams(8.25))
-    v = discretize_packet(_packet(0.0, 0.0, N), N, image_range=2)
+    v = discretize_packet(_packet(0.0, 0.0, N), N)
     for _ in range(5):
         v = F @ v
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -72,7 +72,7 @@ def test_evolution_preserves_packet_norm():
 
 def test_discretized_packet_is_unit_norm():
     for N in (50, 700):
-        v = discretize_packet(_packet(0.815, 0.2, N), N, image_range=2)
+        v = discretize_packet(_packet(0.815, 0.2, N), N)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
 
 
@@ -82,6 +82,32 @@ def test_discretization_rejects_mismatched_hbar():
         discretize_packet(packet, 64)
 
 
+def test_small_n_packet_sums_every_image_above_rounding():
+    """At N = 4 the image two periods off still weighs up to
+    exp(-4 pi) = 3.5e-6 at a grid end, so one image a side is too few;
+    the image count follows from the width."""
+    N = 4
+    packet = _packet(0.3, 0.0, N)
+    x = np.arange(1, N + 1) / N
+    dx = x[None, :] - (packet.q1 + np.arange(-20, 21)[:, None])
+    terms = np.exp(-packet.b1 * dx**2 + 1j * packet.p1 * dx / packet.hbar)
+    reference = terms.sum(axis=0)
+    reference /= np.linalg.norm(reference)
+    assert np.max(np.abs(discretize_packet(packet, N) - reference)) < 1e-15
+
+
+@pytest.mark.parametrize("q", [2.2, -1.8])
+def test_correlation_is_periodic_in_the_packet_centre(q):
+    """A torus state is the full lattice-image sum, so a ket centred a
+    whole number of periods away gives the value of its folded copy."""
+    N = 100
+    params = RotorParams(0.05)
+    beta = _packet(0.77, 0.8, N)
+    folded = quantum_correlation(_packet(0.815, 0.2, N), beta, 2, N, params)
+    shifted = quantum_correlation(_packet(0.815, q, N), beta, 2, N, params)
+    assert abs(shifted - folded) < 1e-12
+
+
 def test_correlation_is_bounded_and_hermitian_in_time():
     """|<beta|F^t|alpha>| <= 1 and reversing the roles conjugates it."""
     N = 80
@@ -89,9 +115,9 @@ def test_correlation_is_bounded_and_hermitian_in_time():
     alpha = _packet(0.0, 0.0, N)
     beta = _packet(0.0, 0.5, N)
     for t in (0, 1, 2, 5):
-        c = quantum_correlation(alpha, beta, t, N, params, image_range=2)
+        c = quantum_correlation(alpha, beta, t, N, params)
         assert abs(c) <= 1.0 + 1e-12
-        reverse = quantum_correlation(beta, alpha, -t, N, params, image_range=2)
+        reverse = quantum_correlation(beta, alpha, -t, N, params)
         assert abs(c - np.conj(reverse)) < 1e-12
 
 
@@ -99,9 +125,9 @@ def test_correlation_at_t0_is_discrete_overlap():
     N = 80
     alpha = _packet(0.3, 0.4, N)
     beta = _packet(0.35, 0.45, N)
-    va = discretize_packet(alpha, N, image_range=2)
-    vb = discretize_packet(beta, N, image_range=2)
-    c = quantum_correlation(alpha, beta, 0, N, RotorParams(8.25), image_range=2)
+    va = discretize_packet(alpha, N)
+    vb = discretize_packet(beta, N)
+    c = quantum_correlation(alpha, beta, 0, N, RotorParams(8.25))
     assert abs(c - np.vdot(vb, va)) < 1e-14
 
 

@@ -147,10 +147,8 @@ def test_free_trajectory_bookkeeping():
     assert abs(traj.m21 - 2.0) < 1e-15
     assert abs(traj.m11 - 1.0) < 1e-15
     assert abs(traj.stability_determinant() - 1.0) < 1e-15
-    # action of a straight line: m (q_t - q_0)^2 / (2 t)
+    # action of a straight line: (q_t - q_0)^2 / (2 t) at unit mass
     assert abs(traj.action - (0.7**2) * 2.0 / 2.0) < 1e-14
-    heavier = fp.free_trajectory(ComplexPhasePoint(0.7, -0.3), 2.0, mass=3.0)
-    assert abs(heavier.m21 - 2.0 / 3.0) < 1e-15
 
 
 def test_correlation_matches_quadrature():

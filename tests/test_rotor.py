@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from ggwpd import rotor
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
 from ggwpd.experiment import packets_for, preset
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
@@ -39,6 +40,7 @@ from ggwpd.rotor import (
     stable_manifold,
     unstable_manifold,
 )
+from ggwpd.semiclassics import _WAVE_HALFWIDTH_SIGMA
 
 K_CHAOTIC = RotorParams(K=8.25)
 K_MILD = RotorParams(K=0.05)
@@ -202,11 +204,14 @@ def test_runaway_complex_trajectory_raises():
 @pytest.mark.parametrize(
     "P0, Q0", [(0.1 + 2.0j, 0.3 + 1.5j), (0.4 - 1.2j, 0.7 + 1.9j), (-0.6 + 1.7j, 0.1 - 1.4j)]
 )
-def test_runaway_raises_when_the_trajectory_stops_being_finite(P0, Q0):
+def test_runaway_raises_when_the_trajectory_stops_being_finite(
+    P0, Q0, monkeypatch
+):
     """NaN fails every magnitude comparison, so a bound too large to trip
     must still not let a NaN or infinite trajectory through."""
+    monkeypatch.setattr(rotor, "_RUNAWAY_BOUND", 1e300)
     with np.errstate(all="ignore"), pytest.raises(RunawayError) as err:
-        propagate(ComplexPhasePoint(P0, Q0), 6, K_CHAOTIC, runaway_bound=1e300)
+        propagate(ComplexPhasePoint(P0, Q0), 6, K_CHAOTIC)
     assert err.value.step <= 6
 
 
@@ -270,7 +275,9 @@ def test_propagate_matches_the_numpy_scalar_steps_bit_for_bit(
         except RunawayError as exc:
             want = exc
     try:
-        got = propagate(ic, t, params, runaway_bound)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rotor, "_RUNAWAY_BOUND", runaway_bound)
+            got = propagate(ic, t, params)
     except Exception as exc:
         assert type(exc) is type(want)
         assert exc.step == want.step
@@ -300,10 +307,10 @@ def test_overflowing_kick_is_a_runaway(K):
     assert err.value.step == 1
 
 
-def test_unstable_manifold_contracts_backwards():
+def test_unstable_manifold_contracts_backwards(monkeypatch):
     """Unstable-curve samples converge to the fixed point under the inverse map."""
-    curve = unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0)
-    assert curve.kind == "unstable"
+    monkeypatch.setattr(rotor, "_ARC_BUDGET", 2.0)
+    curve = unstable_manifold((0.0, 0.0), K_CHAOTIC)
     assert len(curve.points) > 100
     sample = curve.points[:: max(1, len(curve.points) // 15)]
     for p, q in sample:
@@ -313,9 +320,9 @@ def test_unstable_manifold_contracts_backwards():
         assert np.hypot(z.p1.real, z.q1.real) < 1e-3
 
 
-def test_stable_manifold_contracts_forwards():
-    curve = stable_manifold((0.0, 0.5), K_CHAOTIC, arc_budget=2.0)
-    assert curve.kind == "stable"
+def test_stable_manifold_contracts_forwards(monkeypatch):
+    monkeypatch.setattr(rotor, "_ARC_BUDGET", 2.0)
+    curve = stable_manifold((0.0, 0.5), K_CHAOTIC)
     sample = curve.points[:: max(1, len(curve.points) // 15)]
     for p, q in sample:
         z = ComplexPhasePoint(complex(p), complex(q))
@@ -377,13 +384,16 @@ def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
     "grow, fp, inverse",
     [(unstable_manifold, (0.0, 0.0), False), (stable_manifold, (0.0, 0.5), True)],
 )
-def test_level_at_a_time_growth_matches_depth_first_reference(grow, fp, inverse):
+def test_level_at_a_time_growth_matches_depth_first_reference(
+    grow, fp, inverse, monkeypatch
+):
     """Breadth-first refinement gives the reference's curve bit for bit, and
     within every level only intervals stopped by the log-width floor are
     longer than the spacing."""
     spacing = _CURVE_SPACING
     ref, levels = _grow_depth_first(fp, K_CHAOTIC, 2.0, spacing, inverse)
-    curve = grow(fp, K_CHAOTIC, arc_budget=2.0)
+    monkeypatch.setattr(rotor, "_ARC_BUDGET", 2.0)
+    curve = grow(fp, K_CHAOTIC)
     assert np.array_equal(curve.points, ref)
     floor_stopped = set()
     for logs, pts in levels:
@@ -397,14 +407,16 @@ def test_level_at_a_time_growth_matches_depth_first_reference(grow, fp, inverse)
     assert all((tuple(a), tuple(b)) in floor_stopped for a, b in pairs)
 
 
-def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it():
+def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it(monkeypatch):
     _, levels = _grow_depth_first((0.0, 0.0), K_CHAOTIC, 2.0, _CURVE_SPACING, False)
     largest = max(len(pts) for _, pts in levels)
-    with pytest.raises(NumericalError):
-        unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=500)
-    with pytest.raises(NumericalError):
-        unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=largest - 1)
-    curve = unstable_manifold((0.0, 0.0), K_CHAOTIC, arc_budget=2.0, max_points=largest)
+    monkeypatch.setattr(rotor, "_ARC_BUDGET", 2.0)
+    for cap in (500, largest - 1):
+        monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", cap)
+        with pytest.raises(NumericalError):
+            unstable_manifold((0.0, 0.0), K_CHAOTIC)
+    monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", largest)
+    curve = unstable_manifold((0.0, 0.0), K_CHAOTIC)
     assert len(curve.points) > largest
 
 
@@ -476,7 +488,7 @@ def test_curve_to_csv_matches_csv_writer_bytes(tmp_path):
     values = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
     points = np.array(list(zip(values, values[::-1])))
     path = tmp_path / "curve.csv"
-    curve_to_csv(ManifoldCurve(kind="shearing", points=points), path)
+    curve_to_csv(ManifoldCurve(points), path)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["index", "p", "q"])
@@ -828,7 +840,7 @@ def test_shearing_roots_match_the_array_path_for_both_callers(N):
         [beta.q1 + n for n in shifts], cfg.t, cfg.K,
     )
     assert any(roots)
-    w = 8.0 * sig_p  # ggwpd_wavefunction's default halfwidth_sigma
+    w = _WAVE_HALFWIDTH_SIGMA * sig_p
     found = 0
     for x in np.linspace(0.0, 1.0, 41):
         roots, _ = _assert_same_shearing_roots(

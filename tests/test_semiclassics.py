@@ -457,21 +457,24 @@ def test_zero_kick_correlation_matches_quantum():
     seeds = find_seeds(alpha, beta, t, params, image_range=2, regime="integrable")
     saddles = [find_saddle(alpha, beta, s, params) for s in seeds]
     result = ggwpd_correlation(alpha, beta, saddles, t)
-    exact = quantum_correlation(alpha, beta, t, N, params, image_range=2)
+    exact = quantum_correlation(alpha, beta, t, N, params)
     assert abs(result.total - exact) < 1e-10
 
 
-def test_zero_kick_wavefunction_matches_quantum_grid():
+def test_zero_kick_wavefunction_matches_quantum_grid(monkeypatch):
+    """Scanning the default 8 momentum widths leaves the wavefunction up
+    to 6.7e-7 off; 12 widths reach the 1e-9 bound."""
+    monkeypatch.setattr(semiclassics, "_WAVE_HALFWIDTH_SIGMA", 12.0)
     N = 64
     alpha = _packet(0.25, 0.5, N)
     params = RotorParams(0.0)
     t = 3
     F = np.linalg.matrix_power(floquet_matrix(N, params), t)
-    expected = np.sqrt(N) * (F @ discretize_packet(alpha, N, image_range=2))
+    expected = np.sqrt(N) * (F @ discretize_packet(alpha, N))
     xs = np.arange(1, N + 1) / N
     psi = np.array(
         [
-            ggwpd_wavefunction(alpha, x, t, params, image_range=2, halfwidth_sigma=12.0)
+            ggwpd_wavefunction(alpha, x, t, params, image_range=2)
             for x in xs
         ]
     )
@@ -548,10 +551,10 @@ def test_memoized_scan_is_read_only_and_shared():
     assert again.p_grid is scan.p_grid and again.ends is scan.ends
 
 
-def _wavefunction_uncached(alpha, x, t, params, image_range, halfwidth_sigma=8.0):
+def _wavefunction_uncached(alpha, x, t, params, image_range):
     """``ggwpd_wavefunction`` as it was: a fresh ``_scan_line`` scan
     through ``iterate_map`` at every position, then ``_line_roots``."""
-    w = halfwidth_sigma * alpha.hbar / (2.0 * alpha.sigma)
+    w = semiclassics._WAVE_HALFWIDTH_SIGMA * alpha.hbar / (2.0 * alpha.sigma)
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
     scan = _scan_line(
