@@ -66,7 +66,9 @@ _SHEAR_HALFWIDTH_SIGMA = 5.0
 _CAPTURE_SIGMA = 5.0
 
 # Distance from a beta-image center within which the heteroclinic search
-# reads endpoints in that center's linear stable/unstable frame.
+# reads endpoints in that center's linear stable/unstable frame.  It must
+# stay below 1/2, half the lattice spacing: the search assigns each endpoint
+# to the one image center it can then be near by rounding its offset.
 _CAPTURE_RADIUS = 0.3
 
 # Largest imaginary part of P or Q that :func:`propagate` lets a trajectory
@@ -345,13 +347,31 @@ def _grow_invariant_curve(
     stops once the arc length reaches ``_ARC_BUDGET``, and refinement past
     ``_MAX_CURVE_POINTS`` points on one level is refused.
 
-    Refinement is breadth-first: each round splits every interval that is
-    still too long, mapping all of their midpoints in one call.  Whether
-    an interval splits depends only on its two endpoints, so the point set
-    is the one a left-to-right walk inserting one midpoint at a time gives.
+    Refinement is breadth-first and tests only the frontier: the first
+    round tests every interval of the level's log grid, and each later
+    round tests just the two halves of every interval the round before
+    split, mapping all of their midpoints in one call.  Whether an
+    interval splits depends only on its two endpoints, so an interval
+    that was not split stays final, and the point set is the one a
+    left-to-right walk inserting one midpoint at a time gives.  Each
+    (level, side) is put in curve order once, by its log-offsets.
+
+    The stable curve is grown with 1 / lambda_s, which ``np.linalg.eig``
+    loses to cancellation at large K (0.0 from K of about 2e8).  The
+    relative error of lambda_u lambda_s against det M = 1 is the relative
+    error of every level's span, so a stable growth refuses it, with
+    NumericalError, once it exceeds the curve's relative resolution
+    ``_CURVE_SPACING / _ARC_BUDGET``.
     """
     lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, params.K)
     if inverse:
+        # not abs(...) <= bound, so that a NaN product is refused too
+        if not abs(lam_u * lam_s - 1.0) <= _CURVE_SPACING / _ARC_BUDGET:
+            raise NumericalError(
+                f"the stable multiplier at {fp} is lost to rounding "
+                f"(lambda_u lambda_s = {lam_u * lam_s:.3g}, not 1); "
+                f"K = {params.K:g} is too large"
+            )
         lam, v = 1.0 / lam_s, v_s
     else:
         lam, v = lam_u, v_u
@@ -383,21 +403,35 @@ def _grow_invariant_curve(
         for side in (+1.0, -1.0):
             logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
             pts = level_points(side, n, np.exp(logs))
+            log_parts, pt_parts = [logs], [pts]
+            count = n_base
+            # the frontier: log-offsets and points at both ends of every
+            # interval still to test
+            lo_log, hi_log, lo_pt, hi_pt = logs[:-1], logs[1:], pts[:-1], pts[1:]
             while True:
-                if len(pts) > _MAX_CURVE_POINTS:
+                if count > _MAX_CURVE_POINTS:
                     raise NumericalError(
                         "manifold refinement exceeded the point-count cap"
                     )
-                gaps = np.hypot(*np.diff(pts, axis=0).T)
-                long = (gaps > _CURVE_SPACING) & (np.diff(logs) > 1e-14)
-                split = np.nonzero(long)[0]
-                if split.size == 0:
+                gaps = np.hypot(*(hi_pt - lo_pt).T)
+                split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
+                if not split.any():
                     break
-                mids = 0.5 * (logs[split] + logs[split + 1])
-                logs = np.insert(logs, split + 1, mids)
-                pts = np.insert(pts, split + 1, level_points(side, n, np.exp(mids)), 0)
-            param_parts.append(signed_param(side, n, np.exp(logs)))
-            point_parts.append(pts)
+                lo_log, hi_log = lo_log[split], hi_log[split]
+                mids = 0.5 * (lo_log + hi_log)
+                mid_pts = level_points(side, n, np.exp(mids))
+                log_parts.append(mids)
+                pt_parts.append(mid_pts)
+                count += mids.size
+                lo_log = np.concatenate([lo_log, mids])
+                hi_log = np.concatenate([mids, hi_log])
+                lo_pt = np.concatenate([lo_pt[split], mid_pts])
+                hi_pt = np.concatenate([mid_pts, hi_pt[split]])
+            # a level's points in curve order are its log-offsets in order
+            logs = np.concatenate(log_parts)
+            order = np.argsort(logs)
+            param_parts.append(signed_param(side, n, np.exp(logs[order])))
+            point_parts.append(np.concatenate(pt_parts)[order])
         # arc length of everything grown so far, summed in curve order; the
         # sort is stable so equal parameters keep their growth order
         order = np.argsort(np.concatenate(param_parts), kind="stable")
@@ -452,10 +486,13 @@ def propagate_curve(curve: ManifoldCurve, t: int, params: RotorParams) -> Manifo
 
 
 def curve_to_csv(curve: ManifoldCurve, path) -> None:
-    """Dump a curve as a plot-ready CSV with columns index, p, q."""
-    rows = "".join(
-        f"{i},{p:.17g},{q:.17g}\n" for i, (p, q) in enumerate(curve.points.tolist())
-    )
+    """Dump a curve as a plot-ready CSV with columns index, p, q.
+
+    Every row is formatted in one pass of ``%`` over Python floats, which
+    renders ``%.17g`` exactly as ``format(v, ".17g")`` does.
+    """
+    p, q = curve.points.T.tolist()
+    rows = "".join(map("%d,%.17g,%.17g\n".__mod__, zip(range(len(p)), p, q)))
     with open(path, "w", newline="") as fh:
         fh.write("index,p,q\n" + rows)
 
@@ -640,14 +677,22 @@ def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
 
     Rows are stepped in lockstep while their count lasts, each one with
     exactly the operations :func:`_forward_many` would apply to it alone.
+    The rows are sorted by step count, most first, once: the rows still
+    stepping are then a prefix, and each step updates a slice in place.
     """
-    p = pts[:, 0].copy()
-    q = pts[:, 1].copy()
-    for k in range(int(steps.max(initial=0))):
-        rows = steps > k
-        p[rows] -= (K / TWO_PI) * np.sin(TWO_PI * q[rows])
-        q[rows] += p[rows]
-    return np.column_stack([p, q])
+    order = np.argsort(-steps)
+    p = pts[order, 0]
+    q = pts[order, 1]
+    # live[k]: how many rows take a (k+1)-th step, those with more than k
+    live = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)))
+    for n in live.tolist():
+        pn, qn = p[:n], q[:n]
+        pn -= (K / TWO_PI) * np.sin(TWO_PI * qn)
+        qn += pn
+    out = np.empty((len(order), 2))
+    out[order, 0] = p
+    out[order, 1] = q
+    return out
 
 
 def _bisect_brackets(
@@ -722,10 +767,14 @@ def _heteroclinic_seeds(
     per bracket so the refined function stays smooth) removes the
     curvature bias of the frame.
 
-    Every bracket of every level, side and image is gathered first and
-    all of them are bisected together; the capture filter and the
-    duplicate merge then run in scan order, so the first of several
-    merging connectors is the one kept.
+    Each level is scanned in one pass over both sides and every image:
+    an endpoint is assigned the one image center it can be near, and
+    only neighbours on one side near one image can bracket a root.  Every
+    bracket of every level is gathered first, ordered by level, side,
+    image, node roots before brackets and scan index, and all of them are
+    bisected together; the capture filter and the duplicate merge then
+    run in that order, so the first of several merging connectors is the
+    one kept.
     """
     K = params.K
     fa = (alpha.p1, alpha.q1)
@@ -755,84 +804,88 @@ def _heteroclinic_seeds(
         return anchor[None, :] + (side * s)[:, None] * v_u[None, :]
 
     shifts = range(-image_range, image_range + 1)
-    image_index = [(i, j) for i in range(len(shifts)) for j in range(len(shifts))]
-    images = [(shifts[i], shifts[j]) for i, j in image_index]
+    # image k is the beta center shifted by images[k], n_q varying fastest
+    images = [(n_p, n_q) for n_p in shifts for n_q in shifts]
     # unfolded orbit of each image center, for the deeper-frame evaluation
     orbits = np.empty((len(images), max_depth + 1, 2))
-    for k, (n_p, n_q) in enumerate(images):
-        orbits[k, 0] = (beta.p1 + n_p, beta.q1 + n_q)
-        for m in range(max_depth):
-            orbits[k, m + 1] = _forward_many(orbits[k, m][None, :], 1, K)[0]
+    orbits[:, 0] = np.add(images, (beta.p1, beta.q1))
+    for m in range(max_depth):
+        orbits[:, m + 1] = _forward_many(orbits[:, m], 1, K)
 
     def coefficient(w: np.ndarray, k, m: np.ndarray) -> np.ndarray:
         """Unstable coefficient of w in the depth-m frame of image k."""
         return _unstable_coefficient(w, orbits[k, m], frame_inv) / depth_scale[m]
 
-    # per (level, side, image) in scan order, node roots before brackets:
-    # curve log-offset (a bracket's lower end), side, level, image and
-    # whether the candidate is a bracket still to refine
+    # per level, ordered by side, image, node roots before brackets and
+    # scan index: curve log-offset (a bracket's lower end), side, level,
+    # image and whether the candidate is a bracket still to refine
     cands: list[tuple[np.ndarray, ...]] = []
     # per bracket: upper end, value at the lower end and frozen frame depth
     brackets: list[tuple[np.ndarray, ...]] = []
-    # scan points of the current level on each side, one map step per level
-    level = {side: germ(np.full(n_scan, side), np.exp(logs)) for side in (+1.0, -1.0)}
+    # scan points of the current level, the + side's rows first, one map
+    # step per level
+    sides = np.repeat([1.0, -1.0], n_scan)
+    scan_logs = np.tile(logs, 2)
+    level = germ(sides, np.exp(scan_logs))
     for n in range(n_levels):
-        for side in (+1.0, -1.0):
-            ends = _forward_many(level[side], t, K)
-            level[side] = _forward_many(level[side], 1, K)
-            # offsets of every endpoint from each image's p and q, and
-            # whether they fall inside the capture box; the distance is
-            # only taken inside the box, since hypot(dp, dq) >= |dp|, |dq|
-            dp = [ends[:, 0] - (beta.p1 + n_p) for n_p in shifts]
-            dq = [ends[:, 1] - (beta.q1 + n_q) for n_q in shifts]
-            box_p = [np.abs(d) < _CAPTURE_RADIUS for d in dp]
-            box_q = [np.abs(d) < _CAPTURE_RADIUS for d in dq]
-            for k, (i, j) in enumerate(image_index):
-                near = np.nonzero(box_p[i] & box_q[j])[0]
-                near = near[np.hypot(dp[i][near], dq[j][near]) < _CAPTURE_RADIUS]
-                if not near.size:
-                    continue
-                # walk[m] holds the near endpoints m steps further on; the
-                # depth is the number of leading steps that stay captured
-                walk = [ends[near]]
-                depth = np.zeros(near.size, dtype=int)
-                captured = np.ones(near.size, dtype=bool)
-                for m in range(1, max_depth + 1):
-                    walk.append(_forward_many(walk[-1], 1, K))
-                    off = walk[-1] - orbits[k, m][None, :]
-                    far = np.hypot(*off.T) > _CAPTURE_RADIUS
-                    captured &= ~far
-                    depth[captured] = m
-                walk = np.stack(walk)
-                gvals = np.full(n_scan, np.nan)
-                gvals[near] = coefficient(walk[depth, np.arange(near.size)], k, depth)
-                slot = np.full(n_scan, -1)
-                slot[near] = np.arange(near.size)
-                nodes, cross = _sign_change_brackets(gvals)
-                # freeze the frame depth over each bracket: the refined
-                # coefficient is then a smooth function of the curve
-                # parameter and plain bisection is safe
-                i_lo, i_hi = slot[cross], slot[cross + 1]
-                m = np.minimum(depth[i_lo], depth[i_hi])
-                glo = coefficient(walk[m, i_lo], k, m)
-                ghi = coefficient(walk[m, i_hi], k, m)
-                # a crossing that vanishes at the frozen depth was an
-                # artifact of depth switching
-                real = np.sign(glo) * np.sign(ghi) < 0
-                cross, m, glo = cross[real], m[real], glo[real]
-                size = nodes.size + cross.size
-                cands.append(
-                    (
-                        np.concatenate([logs[nodes], logs[cross]]),
-                        np.full(size, side),
-                        np.full(size, n),
-                        np.full(size, k),
-                        np.concatenate(
-                            [np.zeros(nodes.size, bool), np.ones(cross.size, bool)]
-                        ),
-                    )
-                )
-                brackets.append((logs[cross + 1], glo, m))
+        ends = _forward_many(level, t, K)
+        level = _forward_many(level, 1, K)
+        # _CAPTURE_RADIUS is below 1/2, so an endpoint is near at most one
+        # image center, and rounding its offset from beta names that image
+        n_p = np.rint(ends[:, 0] - beta.p1)
+        n_q = np.rint(ends[:, 1] - beta.q1)
+        near = np.nonzero(
+            (np.abs(n_p) <= image_range) & (np.abs(n_q) <= image_range)
+        )[0]
+        dp = ends[near, 0] - (beta.p1 + n_p[near])
+        dq = ends[near, 1] - (beta.q1 + n_q[near])
+        near = near[np.hypot(dp, dq) < _CAPTURE_RADIUS]
+        if not near.size:
+            continue
+        k = (n_p[near] + image_range) * len(shifts) + n_q[near] + image_range
+        k = k.astype(int)
+        # walk[m] holds the near endpoints m steps further on; the depth is
+        # the number of leading steps that stay captured
+        walk = [ends[near]]
+        depth = np.zeros(near.size, dtype=int)
+        captured = np.ones(near.size, dtype=bool)
+        for m in range(1, max_depth + 1):
+            walk.append(_forward_many(walk[-1], 1, K))
+            far = np.hypot(*(walk[-1] - orbits[k, m]).T) > _CAPTURE_RADIUS
+            captured &= ~far
+            depth[captured] = m
+        walk = np.stack(walk)
+        sign = np.sign(coefficient(walk[depth, np.arange(near.size)], k, depth))
+        nodes = np.nonzero(sign == 0.0)[0]
+        # sign changes between curve neighbours near one image: adjacent
+        # rows of one side
+        cross = np.nonzero(
+            (np.diff(near) == 1)
+            & (near[:-1] != n_scan - 1)
+            & (k[:-1] == k[1:])
+            & (sign[:-1] * sign[1:] < 0)
+        )[0]
+        # freeze the frame depth over each bracket: the refined coefficient
+        # is then a smooth function of the curve parameter and plain
+        # bisection is safe
+        m = np.minimum(depth[cross], depth[cross + 1])
+        glo = coefficient(walk[m, cross], k[cross], m)
+        ghi = coefficient(walk[m, cross + 1], k[cross], m)
+        # a crossing that vanishes at the frozen depth was an artifact of
+        # depth switching
+        real = np.sign(glo) * np.sign(ghi) < 0
+        cross, m, glo = cross[real], m[real], glo[real]
+        # each candidate's index into near, then the order of the list above
+        slot = np.concatenate([nodes, cross])
+        is_bracket = np.arange(slot.size) >= nodes.size
+        row = near[slot]
+        order = np.lexsort((row, is_bracket, k[slot], row >= n_scan))
+        slot, row, is_bracket = slot[order], row[order], is_bracket[order]
+        cands.append(
+            (scan_logs[row], sides[row], np.full(row.size, n), k[slot], is_bracket)
+        )
+        b = order[is_bracket] - nodes.size
+        brackets.append((scan_logs[near[cross[b]] + 1], glo[b], m[b]))
     if not cands:
         return []
 

@@ -309,6 +309,22 @@ def test_manifolds_chaotic_writes_invariant_curves(tmp_path, capsys):
         assert len(path.read_text().splitlines()) > 100  # a real curve, not a stub
 
 
+@pytest.mark.parametrize("K", [1e9, 3e9])
+def test_manifolds_at_a_huge_kick_strength_exits_3(tmp_path, capsys, K):
+    """From K of about 2e8 on, ``np.linalg.eig`` returns the stable
+    multiplier as 0.0, so the stable curve cannot be grown with 1 / lambda_s.
+    That is a one-line numerical failure, not a ZeroDivisionError traceback
+    exiting 1 like a failed gate, and no curve is written."""
+    override = _write_json(tmp_path, "k.json", {"K": K})
+    out = tmp_path / "curves"
+    argv = ["manifolds", "--preset", "chaotic-fig6", "--config", override]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the stable multiplier")
+    assert err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "n_list, solved_at, saddle_line, report_line",
     [

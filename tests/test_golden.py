@@ -11,7 +11,17 @@ numbers, and that change says so.  From the repository root::
 
 ``sweep`` writes ``<preset>_sweep.csv`` and ``<preset>_report.txt`` there
 and echoes the report to stdout.
+
+The curves ``ggwpd manifolds`` writes are 17-430 KB each, so only their
+SHA-256 digests are pinned, in ``MANIFOLD_SHA256`` below.  To regenerate
+them, from the repository root::
+
+    for p in integrable-fig2 chaotic-fig6; do
+        PYTHONPATH=src python -m ggwpd.cli manifolds --preset $p --out /tmp/curves
+    done
+    sha256sum /tmp/curves/*.csv
 """
+import hashlib
 import pathlib
 
 import pytest
@@ -20,6 +30,21 @@ from ggwpd.cli import main
 from ggwpd.experiment import emit_csv, emit_report
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+MANIFOLD_SHA256 = {
+    "chaotic-fig6": {
+        "chaotic-fig6_unstable_alpha.csv":
+            "ff91864fdb8b2de05bc11034e7d9d9388b2c81a32e5faf2888e6e647f71ba961",
+        "chaotic-fig6_stable_beta.csv":
+            "aab6066c7ae0de7f4f2af8b0f27d2b0a102e9dbc1b7a1ff4bf08a76ca905fec1",
+    },
+    "integrable-fig2": {
+        "integrable-fig2_shearing_alpha.csv":
+            "b9f5047602a5f7417d4711acbbda207d5228d7c43c6bc1ce7f6b9e85ce20d6d5",
+        "integrable-fig2_shearing_alpha_t2.csv":
+            "8091e6bea6fca1e5535431afe5cedfb3bb139f1213f585cbf51c554f3e979d85",
+    },
+}
 
 
 @pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
@@ -38,3 +63,16 @@ def test_saddle_output_matches_the_golden_bytes(label, capsys):
     assert main(["saddle", "--preset", label]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{label}_saddle.txt").read_bytes()
+
+
+@pytest.mark.parametrize("label", sorted(MANIFOLD_SHA256))
+def test_manifold_csvs_match_the_pinned_digests(label, tmp_path, capsys):
+    """The preset curves, grown to the full arc budget and truncated to it,
+    are the pinned bytes; nothing else is written."""
+    assert main(["manifolds", "--preset", label, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == MANIFOLD_SHA256[label]

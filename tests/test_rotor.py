@@ -12,6 +12,7 @@ from ggwpd.errors import ConfigError, NumericalError, RunawayError
 from ggwpd.experiment import packets_for, preset
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
+    _CAPTURE_RADIUS,
     _CURVE_SPACING,
     _GERM_OFFSET,
     _MERGE_TOL,
@@ -24,6 +25,7 @@ from ggwpd.rotor import (
     _check_fixed_point,
     _forward_many,
     _forward_q,
+    _forward_ragged,
     _hyperbolic_frame,
     _line_roots,
     _merge_duplicates,
@@ -665,6 +667,45 @@ def test_lockstep_heteroclinic_search_matches_per_bracket_reference(
     seeds = find_seeds(alpha, beta, t, params, image_range=image_range, regime="chaotic")
     assert (len(ref), dropped) == (count, artifacts)
     assert seeds == ref
+
+
+def test_capture_radius_is_below_half_the_lattice_spacing():
+    """The heteroclinic scan names the one image center an endpoint can be
+    near by rounding its offset from beta; a radius of 1/2 or more would
+    let an endpoint be near two centers at once."""
+    assert _CAPTURE_RADIUS < 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.one_of(
+        st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(0, 20)),
+            max_size=12,
+        ),
+        st.integers(0, 20).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.just(n)),
+                min_size=1,
+                max_size=12,
+            )
+        ),
+    ),
+    K=st.floats(0.0, 10.0),
+)
+@example(rows=[], K=8.25)
+def test_ragged_steps_match_forward_many_row_by_row(rows, K):
+    """Each row comes out bit for bit as :func:`_forward_many` takes it
+    alone with its own step count: mixed counts 0-20, all counts equal,
+    and an empty input."""
+    pts = np.array([(p, q) for p, q, _ in rows]).reshape(-1, 2)
+    steps = np.array([n for _, _, n in rows], dtype=int)
+    got = _forward_ragged(pts, steps, K)
+    assert got.shape == pts.shape
+    want = np.reshape(
+        [_forward_many(pts[i : i + 1], n, K)[0] for i, n in enumerate(steps)], (-1, 2)
+    )
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_sign_change_brackets_reports_node_roots_and_strict_flips():
