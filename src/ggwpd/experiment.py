@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
-from .packets import GaussianPacket
+from .packets import GaussianPacket, _Record, _set
 from .rotor import RotorParams, SeedTrajectory, _merge_duplicates, find_seeds
 from .semiclassics import (
     SaddleTrajectory,
@@ -213,13 +213,20 @@ def packets_for(
     return alpha, beta
 
 
-@dataclass(frozen=True)
-class ScenarioSetup:
+class ScenarioSetup(_Record):
     """Seeds and saddles of a scenario, located once and reused per N."""
 
-    config: ExperimentConfig
-    saddles: tuple[SaddleTrajectory, ...]
-    saddle_drift: float
+    __slots__ = _fields = ("config", "saddles", "saddle_drift")
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        saddles: tuple[SaddleTrajectory, ...],
+        saddle_drift: float,
+    ) -> None:
+        _set(self, "config", config)
+        _set(self, "saddles", saddles)
+        _set(self, "saddle_drift", saddle_drift)
 
     @property
     def reference_N(self) -> int:
@@ -331,7 +338,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
             f"saddle locations moved by {drift:.3e} between "
             f"N={setup.reference_N} and N={setup.check_N}; width scaling violated"
         )
-    return dataclasses.replace(setup, saddle_drift=drift)
+    return ScenarioSetup(setup.config, setup.saddles, drift)
 
 
 def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:

@@ -14,7 +14,6 @@ pointwise with the real-center one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +27,51 @@ def _scalar(name: str, x, kind=float):
     return kind(x)
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record stores its fields, ``_fields`` in order, in ``__slots__`` set
+    once by its ``__init__``; assignment and deletion raise
+    ``AttributeError``.  ``==``, ``hash`` and ``repr`` read the fields the
+    way a frozen dataclass's generated methods do, and pickling or copying
+    rebuilds a record through its ``__init__``.  Records are plain classes,
+    not dataclasses, because generating a dataclass's methods dominated the
+    cost of importing the package.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+# A record's ``__init__`` fills its slots past its own refusing ``__setattr__``.
+_set = object.__setattr__
+
+
+class GaussianPacket(_Record):
     """A unit-normalized one-dimensional Gaussian coherent state.
 
     Parameters
@@ -46,17 +88,14 @@ class GaussianPacket:
     ``ValueError``.
     """
 
-    p1: float
-    q1: float
-    b1: float
-    hbar: float
+    __slots__ = _fields = ("p1", "q1", "b1", "hbar")
 
-    def __post_init__(self) -> None:
-        for name in ("p1", "q1", "b1", "hbar"):
-            value = _scalar(name, getattr(self, name))
+    def __init__(self, p1: float, q1: float, b1: float, hbar: float) -> None:
+        for name, value in zip(self._fields, (p1, q1, b1, hbar)):
+            value = _scalar(name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
         if self.b1 <= 0.0:
             raise ValueError("width b must be positive")
         if self.hbar <= 0.0:
@@ -76,46 +115,43 @@ class GaussianPacket:
         return GaussianPacket(p, q, self.b1, self.hbar)
 
 
-@dataclass(frozen=True)
-class ComplexPhasePoint:
+class ComplexPhasePoint(_Record):
     """A point (P, Q) = (p1, q1) in complexified phase space."""
 
-    p1: complex
-    q1: complex
+    __slots__ = _fields = ("p1", "q1")
 
-    def __post_init__(self) -> None:
-        if type(self.p1) is complex and type(self.q1) is complex:
-            return
-        object.__setattr__(self, "p1", _scalar("P", self.p1, complex))
-        object.__setattr__(self, "q1", _scalar("Q", self.q1, complex))
+    def __init__(self, p1: complex, q1: complex) -> None:
+        if not (type(p1) is complex and type(q1) is complex):
+            p1 = _scalar("P", p1, complex)
+            q1 = _scalar("Q", q1, complex)
+        _set(self, "p1", p1)
+        _set(self, "q1", q1)
 
     def is_real(self) -> bool:
         return self.p1.imag == 0.0 and self.q1.imag == 0.0
 
 
-@dataclass(frozen=True)
-class ResidualPair:
+class ResidualPair(_Record):
     """Deviations of a trajectory's endpoints from the two packet constraints.
 
     ``initial`` measures how far the initial point is from the ket packet's
     constraint set, ``final`` the same for the final point against the bra
     packet (with its momentum term conjugated).  Both vanish exactly on a
     saddle-point trajectory.  ``max_norm``, the larger of their moduli, is
-    computed once, on construction.
+    computed once, on construction; it is no field, so ``==``, ``hash``
+    and ``repr`` ignore it.
     """
 
-    initial: complex
-    final: complex
-    max_norm: float = field(init=False, repr=False, compare=False)
+    _fields = ("initial", "final")
+    __slots__ = (*_fields, "max_norm")
 
-    def __post_init__(self) -> None:
-        initial, final = self.initial, self.final
+    def __init__(self, initial: complex, final: complex) -> None:
         if not (type(initial) is complex and type(final) is complex):
             initial = _scalar("initial", initial, complex)
             final = _scalar("final", final, complex)
-            object.__setattr__(self, "initial", initial)
-            object.__setattr__(self, "final", final)
-        object.__setattr__(self, "max_norm", max(abs(initial), abs(final)))
+        _set(self, "initial", initial)
+        _set(self, "final", final)
+        _set(self, "max_norm", max(abs(initial), abs(final)))
 
 
 def packet_evaluate(packet: GaussianPacket, x: float) -> complex:

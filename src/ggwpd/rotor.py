@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError, RunawayError
-from .packets import ComplexPhasePoint, GaussianPacket
+from .packets import ComplexPhasePoint, GaussianPacket, _Record, _set
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,21 +81,20 @@ _ARC_BUDGET = 6.0
 _MAX_CURVE_POINTS = 200_000
 
 
-@dataclass(frozen=True)
-class RotorParams:
+class RotorParams(_Record):
     """Kicking strength of the standard-map rotor; K = 0 is a pure shear."""
 
-    K: float
+    __slots__ = _fields = ("K",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.K):
-            raise ValueError(f"kick strength must be finite, got {self.K!r}")
-        if self.K < 0.0:
+    def __init__(self, K: float) -> None:
+        if not math.isfinite(K):
+            raise ValueError(f"kick strength must be finite, got {K!r}")
+        if K < 0.0:
             raise ValueError("kick strength must be non-negative")
+        _set(self, "K", K)
 
 
-@dataclass(frozen=True)
-class SeedTrajectory:
+class SeedTrajectory(_Record):
     """A real off-center trajectory feeding the complex saddle search.
 
     ``winding = (n_p, n_q)`` identifies the lattice image of the final
@@ -103,13 +102,17 @@ class SeedTrajectory:
     ``(p_beta + n_p, q_beta + n_q)`` on the unfolded torus.
     """
 
-    ic: tuple[float, float]
-    t: int
-    winding: tuple[int, int]
+    __slots__ = _fields = ("ic", "t", "winding")
+
+    def __init__(
+        self, ic: tuple[float, float], t: int, winding: tuple[int, int]
+    ) -> None:
+        _set(self, "ic", ic)
+        _set(self, "t", t)
+        _set(self, "winding", winding)
 
 
-@dataclass(frozen=True)
-class ComplexTrajectory:
+class ComplexTrajectory(_Record):
     """An unfolded rotor orbit with action, stability, and branch data.
 
     Attributes
@@ -125,9 +128,17 @@ class ComplexTrajectory:
         Blocks of the accumulated stability matrix, the last leg.
     """
 
-    points: tuple[ComplexPhasePoint, ...]
-    action: complex
-    legs: tuple[tuple[complex, complex, complex, complex], ...]
+    __slots__ = _fields = ("points", "action", "legs")
+
+    def __init__(
+        self,
+        points: tuple[ComplexPhasePoint, ...],
+        action: complex,
+        legs: tuple[tuple[complex, complex, complex, complex], ...],
+    ) -> None:
+        _set(self, "points", points)
+        _set(self, "action", action)
+        _set(self, "legs", legs)
 
     @property
     def m11(self) -> complex:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .packets import (
     ComplexPhasePoint,
     GaussianPacket,
     ResidualPair,
+    _Record,
+    _set,
     bra_norm_exponent,
     ket_norm_exponent,
     residuals,
@@ -79,17 +81,24 @@ def _tracked_sqrt(dets: Sequence[complex]) -> complex:
     return math.sqrt(abs(prev)) * cmath.exp(0.5j * angle)
 
 
-@dataclass(frozen=True)
-class SaddleTrajectory:
+class SaddleTrajectory(_Record):
     """A converged complex saddle trajectory together with its provenance.
 
     The seed is retained because the real transport trajectory it refines
     is what gives the complex contribution its physical reading.
     """
 
-    trajectory: ComplexTrajectory
-    seed: SeedTrajectory
-    residual_history: tuple[float, ...]
+    __slots__ = _fields = ("trajectory", "seed", "residual_history")
+
+    def __init__(
+        self,
+        trajectory: ComplexTrajectory,
+        seed: SeedTrajectory,
+        residual_history: tuple[float, ...],
+    ) -> None:
+        _set(self, "trajectory", trajectory)
+        _set(self, "seed", seed)
+        _set(self, "residual_history", residual_history)
 
     @property
     def iterations(self) -> int:
@@ -100,8 +109,7 @@ class SaddleTrajectory:
         return self.residual_history[-1]
 
 
-@dataclass(frozen=True)
-class SaddleContribution:
+class SaddleContribution(_Record):
     """One branch of a saddle-point sum, with its factors kept inspectable.
 
     ``value = norm_constants * exp(i*action/hbar + ket_exponent +
@@ -110,25 +118,41 @@ class SaddleContribution:
     there).
     """
 
-    action: complex
-    ket_exponent: complex
-    bra_exponent: complex
-    prefactor: complex
-    value: complex
+    __slots__ = _fields = (
+        "action", "ket_exponent", "bra_exponent", "prefactor", "value"
+    )
+
+    def __init__(
+        self,
+        action: complex,
+        ket_exponent: complex,
+        bra_exponent: complex,
+        prefactor: complex,
+        value: complex,
+    ) -> None:
+        _set(self, "action", action)
+        _set(self, "ket_exponent", ket_exponent)
+        _set(self, "bra_exponent", bra_exponent)
+        _set(self, "prefactor", prefactor)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class OffCenterContribution:
+class OffCenterContribution(_Record):
     """One real-trajectory branch of the off-center correlation sum."""
 
-    value: complex
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: complex) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(_Record):
     """The kept branches of a semiclassical correlation; ``total`` is their sum."""
 
-    branches: tuple
+    __slots__ = _fields = ("branches",)
+
+    def __init__(self, branches: tuple) -> None:
+        _set(self, "branches", branches)
 
     @property
     def total(self) -> complex:
@@ -174,9 +198,19 @@ def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianP
 # ---------------------------------------------------------------------------
 
 # Newton stops once both endpoint residuals are below this in max norm.  The
-# stop is absolute: the residuals carry a factor 1/hbar, so their rounding
-# floor grows like N and reaches it at N of order 1000 (ROADMAP direction 1).
+# residuals carry a factor 1/hbar, so their rounding floor grows like N and
+# reaches this at N of order 1000; two scale-aware stops take over there.
 _NEWTON_TOL = 1e-12
+
+# A full Newton step no larger than this many epsilons of its point (of 1
+# for points nearer the origin) in both components moved the point only in
+# its last bits: the iterate is as converged as double precision allows.
+_NEWTON_STEP_EPS = 4.0 * sys.float_info.epsilon
+
+# When no damped step lowers the residual, the iterate stands if its
+# residual times hbar, which does not grow with N, is below this: the
+# residual sits at its rounding floor rather than at a stall.
+_NEWTON_FLOOR_TOL = 1e-13
 
 # Newton updates before a search is abandoned.  The presets' saddles take
 # at most eight (the report gates that), so this only stops a stalled search.
@@ -232,6 +266,7 @@ def _newton_solve(
     params: RotorParams,
     residual_of,
     jacobian_of,
+    hbar: float,
 ) -> SaddleTrajectory:
     """Damped Newton iteration shared by the two saddle searches.
 
@@ -241,6 +276,12 @@ def _newton_solve(
     scalars.  A step that fails to reduce the residual norm is halved up
     to six times before the search is abandoned.  Every candidate is
     propagated through this module's ``propagate``.
+
+    The search ends when the residual norm drops below ``_NEWTON_TOL``, or
+    at the rounding floor of large N, where ``hbar`` scales the residuals:
+    after a full step that moved the point by at most ``_NEWTON_STEP_EPS``
+    of itself, or when no damped step lowers a residual whose norm times
+    ``hbar`` is below ``_NEWTON_FLOOR_TOL``.
     """
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
     traj = propagate(ic, seed.t, params)
@@ -263,6 +304,8 @@ def _newton_solve(
                 break
             scale *= 0.5
         if not accepted:
+            if res.max_norm * hbar < _NEWTON_FLOOR_TOL:
+                break
             raise ConvergenceError(
                 cand_res.max_norm,
                 len(history),
@@ -270,6 +313,12 @@ def _newton_solve(
             )
         traj, res = cand, cand_res
         history.append(res.max_norm)
+        if (
+            scale == 1.0
+            and abs(d0) <= _NEWTON_STEP_EPS * max(1.0, abs(cand_ic.p1))
+            and abs(d1) <= _NEWTON_STEP_EPS * max(1.0, abs(cand_ic.q1))
+        ):
+            break
     return SaddleTrajectory(trajectory=traj, seed=seed, residual_history=tuple(history))
 
 
@@ -283,14 +332,16 @@ def find_saddle(
 
     The seed is complexified with exactly zero imaginary parts and
     iterated with damped Newton steps until both endpoint residuals drop
-    below ``_NEWTON_TOL`` in max norm.  The bra-side constraint targets
-    the lattice image of ``beta`` selected by ``seed.winding``.
+    below ``_NEWTON_TOL`` in max norm, or reach their rounding floor (see
+    :func:`_newton_solve`).  The bra-side constraint targets the lattice
+    image of ``beta`` selected by ``seed.winding``.
 
     Raises
     ------
     ConvergenceError
         After ``_NEWTON_MAX_ITER`` updates, or when damping cannot reduce
-        the residual (the last residual norm rides along on the exception).
+        a residual above its rounding floor (the last residual norm rides
+        along on the exception).
     RunawayError
         If an iterate's trajectory escapes to large imaginary parts.
     CausticError
@@ -304,7 +355,7 @@ def find_saddle(
     def jacobian_of(traj: ComplexTrajectory) -> _Jacobian:
         return _correlation_jacobian(alpha, target, traj)
 
-    return _newton_solve(seed, params, residual_of, jacobian_of)
+    return _newton_solve(seed, params, residual_of, jacobian_of, alpha.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +481,7 @@ def find_position_saddle(
         t=t,
         winding=(0, winding_q),
     )
-    return _newton_solve(seed, params, residual_of, jacobian_of)
+    return _newton_solve(seed, params, residual_of, jacobian_of, hbar)
 
 
 # Shearing-line scans kept by :func:`_wavefunction_scan`.  A wavefunction is

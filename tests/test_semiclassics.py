@@ -14,7 +14,7 @@ from ggwpd.errors import (
     NumericalError,
     RunawayError,
 )
-from ggwpd.experiment import packets_for, preset
+from ggwpd.experiment import _SADDLE_DRIFT_TOL, packets_for, preset
 from ggwpd.free_particle import free_trajectory
 from ggwpd.floquet import (
     discretize_packet,
@@ -211,6 +211,23 @@ def test_saddle_location_is_width_scaling_invariant():
     assert abs(Q_a - Q_b) < 1e-10
 
 
+@pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
+def test_preset_saddles_converge_at_large_n(fixture, request):
+    """At N = 1e5 the residuals' rounding floor lies far above _NEWTON_TOL,
+    so only the scale-aware stops end the search: every preset saddle,
+    re-solved from its seed, lands within the sweep's drift gate of the one
+    located at the reference N."""
+    bundle = request.getfixturevalue(fixture)
+    alpha, beta = packets_for(bundle.config, 10**5)
+    params = RotorParams(bundle.config.K)
+    for sad in bundle.setup.saddles:
+        again = find_saddle(alpha, beta, sad.seed, params)
+        got, want = again.trajectory.initial, sad.trajectory.initial
+        for g, w in ((got.p1, want.p1), (got.q1, want.q1)):
+            assert abs(g.real - w.real) <= _SADDLE_DRIFT_TOL
+            assert abs(g.imag - w.imag) <= _SADDLE_DRIFT_TOL
+
+
 @pytest.mark.parametrize(
     "jac",
     [((0j, 1.0), (0j, 2.0)), ((1.0, 2.0), (2.0, 4.0)), ((1j, 2.0), (2.0, -4j))],
@@ -230,7 +247,31 @@ def test_newton_search_with_a_singular_jacobian_raises_caustic_error():
             RotorParams(0.05),
             lambda traj: ResidualPair(traj.final.q1 - 0.5, 0j),
             lambda traj: ((1j, 2.0), (2.0, -4j)),
+            grid_hbar(50),
         )
+
+
+def test_newton_stops_after_a_full_step_at_the_rounding_limit():
+    """A linear residual with a floor of 5e-12, above _NEWTON_TOL, and
+    hbar = 1, so that the floor stop cannot end the search.  The first step
+    lands one ulp from the root; the second, a full step of one ulp, lands
+    on it and lowers the residual to its floor, and its size ends the
+    search, where a further step could change nothing."""
+    scale, floor, root = 1e6, 5e-12, 0.123456789
+    assert floor > semiclassics._NEWTON_TOL
+    seed = SeedTrajectory(ic=(0.3, 0.2), t=0, winding=(0, 0))
+    sad = semiclassics._newton_solve(
+        seed,
+        RotorParams(0.0),
+        lambda traj: ResidualPair(
+            scale * (traj.initial.p1 - root) + floor, traj.initial.q1 - 0.2
+        ),
+        lambda traj: ((scale, 0j), (0j, 1.0)),
+        1.0,
+    )
+    assert sad.trajectory.initial.p1 == root
+    assert sad.iterations == 2
+    assert sad.residual_norm == floor
 
 
 _entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -260,7 +301,7 @@ def test_scalar_newton_step_matches_numpy_solve(a, b, c, d, r0, r1, swap):
     assert err <= 64 * np.finfo(float).eps * kappa * np.linalg.norm(want)
 
 
-def _numpy_newton_solve(seed, params, residual_of, jacobian_of):
+def _numpy_newton_solve(seed, params, residual_of, jacobian_of, hbar):
     """The Newton loop as it ran on numpy arrays: one ``np.linalg.solve``
     per step, and residual norms through ``np.abs``."""
     def norm(res):
