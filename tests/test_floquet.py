@@ -96,6 +96,48 @@ def test_small_n_packet_sums_every_image_above_rounding():
     assert np.max(np.abs(discretize_packet(packet, N) - reference)) < 1e-15
 
 
+def _full_grid_packet(packet, N):
+    """The image sum of discretize_packet evaluated at every grid point."""
+    x = np.arange(1, N + 1) / N
+    psi = np.zeros(N, dtype=complex)
+    b = packet.b1
+    q = packet.q1 - np.floor(packet.q1)
+    images = max(1, int(np.ceil(np.sqrt(-np.log(np.finfo(float).eps) / b))))
+    for n in range(-images, images + 1):
+        dx = x - (q + n)
+        psi += np.exp(-b * dx**2 + 1j * packet.p1 * dx / packet.hbar)
+    psi *= (2.0 * b / np.pi) ** 0.25
+    return psi, np.linalg.norm(psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(1, 3000),
+    q=st.floats(-3.5, 3.5),
+    p=st.floats(-3.0, 3.0),
+    b=st.one_of(st.none(), st.floats(0.5, 36.0), st.floats(36.0, 3000.0)),
+)
+def test_windowed_sampling_equals_the_full_grid_sum(N, q, p, b):
+    """Every grid point outside an image's window holds an exact +-0 of
+    that image, so skipping them leaves each byte, signed zeros included."""
+    packet = GaussianPacket(p, q, np.pi * N if b is None else b, grid_hbar(N))
+    psi, norm = _full_grid_packet(packet, N)
+    if norm == 0.0:
+        with pytest.raises(ConfigError, match="underflowed"):
+            discretize_packet(packet, N)
+    else:
+        assert discretize_packet(packet, N).tobytes() == (psi / norm).tobytes()
+
+
+def test_all_underflow_packet_is_refused():
+    """A packet narrow enough to be exactly 0 at every grid point."""
+    N = 8
+    packet = GaussianPacket(0.0, 1.0 / (2 * N), 1e6, grid_hbar(N))
+    assert _full_grid_packet(packet, N)[1] == 0.0
+    with pytest.raises(ConfigError, match="underflowed"):
+        discretize_packet(packet, N)
+
+
 @pytest.mark.parametrize("q", [2.2, -1.8])
 def test_correlation_is_periodic_in_the_packet_centre(q):
     """A torus state is the full lattice-image sum, so a ket centred a
