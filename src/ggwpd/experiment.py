@@ -157,6 +157,14 @@ REGRESSION_SEEDS: dict[str, dict[tuple[int, int], tuple[float, float]]] = {
 # at 40 digits.
 _SEED_GATE_TOL = 1e-6
 
+# The exact oracle's absolute rounding floor: the double FFT propagates
+# unit-norm packets with errors near 1e-15.  A row whose |C_qm| is below
+# _FLOOR_MULTIPLE times it has an oracle off by a percent or more, so its
+# ratios and phase errors mean nothing; the report flags it, and the gates
+# and the CSV treat it as any other row.
+_ORACLE_FLOOR = 1e-15
+_FLOOR_MULTIPLE = 100.0
+
 
 def config_from_dict(
     data: dict, base: ExperimentConfig | None = None
@@ -342,7 +350,11 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
 
 
 def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:
-    """Evaluate all three correlations at every distinct N of the setup's config.
+    """Evaluate the correlations at every distinct N of the setup's config.
+
+    Each row holds three: the exact C_qm, the off-center sum C_oc and the
+    GGWPD saddle sum C_ggwpd.  The third semiclassical method,
+    ``linearized_correlation``, is not swept.
 
     A failure at one N is recorded in that row's error column instead of
     aborting the sweep; the row keeps C_qm when the oracle returned it.
@@ -457,7 +469,9 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
     gated at ``_SEED_GATE_TOL``.  The pinned and symmetry gates run only
     for a preset's own scenario, with any ``N_list``; a config that keeps
     a preset's label but changes another field gets an ``[info]`` line
-    instead.
+    instead.  A row whose |C_qm| is below ``_FLOOR_MULTIPLE`` times the
+    oracle's rounding floor is marked ``[floor]``, with a note under the
+    table; the gates read it as any other row.
     """
     cfg = setup.config
     lines: list[str] = []
@@ -575,15 +589,25 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
         f"  {'N':>4}  {'|C_qm|':>12}  {'err_oc':>10}  {'err_gg':>10}  "
         f"{'ratio_oc':>10}  {'ratio_gg':>10}  {'phase_oc':>10}  {'phase_gg':>10}"
     )
+    floor = _FLOOR_MULTIPLE * _ORACLE_FLOOR
+    any_below = False
     for r in rows:
         if r.error:
             lines.append(f"  {r.N:>4}  ERROR: {r.error}")
             continue
+        below = abs(r.C_qm) < floor
+        any_below |= below
         lines.append(
             f"  {r.N:>4}  {abs(r.C_qm):>12.6e}  {r.abs_err_oc:>10.3e}  "
             f"{r.abs_err_ggwpd:>10.3e}  {r.ratio_oc:>10.6f}  "
             f"{r.ratio_ggwpd:>10.6f}  {r.phase_err_oc:>+10.3e}  "
-            f"{r.phase_err_ggwpd:>+10.3e}"
+            f"{r.phase_err_ggwpd:>+10.3e}" + ("  [floor]" if below else "")
+        )
+    if any_below:
+        lines.append(
+            f"  [floor] |C_qm| < {floor:.0e}, {_FLOOR_MULTIPLE:.0f}x the exact "
+            f"oracle's rounding floor of {_ORACLE_FLOOR:.0e}: ratio and phase "
+            "are meaningless"
         )
 
     # --- sweep gates ------------------------------------------------------

@@ -41,6 +41,12 @@ from .packets import GaussianPacket
 # packet image contributes exactly +-0 wherever b dx^2 exceeds this
 _UNDERFLOW_EXPONENT = 746.0
 
+# Most lattice images a side :func:`discretize_packet` sums.  The count
+# grows like 1/sqrt(b), and each image costs a pass over the grid, so an
+# unbounded count lets a nearly flat packet (b = 1e-8 needs 60,037 images a
+# side) run for seconds to days; 64 admits every width b >= 0.0088.
+_MAX_IMAGES = 64
+
 
 def grid_hbar(n_states: int) -> float:
     """Effective Planck constant of an N-state torus grid."""
@@ -75,7 +81,8 @@ def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
     epsilon eps once m = max(1, ceil(sqrt(ln(1/eps) / b))).  For the
     torus width b = pi N that is one image a side from N = 12 on.  The
     result is normalized to unit discrete norm so overlaps are bounded by
-    one.
+    one.  A packet needing more than ``_MAX_IMAGES`` images a side is
+    refused with :class:`ConfigError`.
 
     Image n is evaluated only on the grid window |x - (q + n)| <= reach =
     sqrt(746 / b), plus a spare point a side, clipped to the grid.  Beyond
@@ -96,6 +103,11 @@ def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
     b = packet.b1
     q = packet.q1 - math.floor(packet.q1)
     images = max(1, math.ceil(math.sqrt(-math.log(np.finfo(float).eps) / b)))
+    if images > _MAX_IMAGES:
+        raise ConfigError(
+            f"packet width b = {b!r} needs {images} lattice images a side, "
+            f"more than {_MAX_IMAGES}"
+        )
     reach = math.sqrt(_UNDERFLOW_EXPONENT / b)
     for n in range(-images, images + 1):
         # grid index i holds x = (i + 1)/N, so the window is i + 1 within

@@ -36,11 +36,14 @@ def exact_wavefunction(alpha: GaussianPacket, x: float, t: float) -> complex:
     k = kappa(alpha, t)
     p_t, q_t = evolved_center(alpha, t)
     u = x - q_t
+    # a numpy scalar: the closed form's values are pinned to numpy's complex
+    # division, which rounds differently from Python's
+    spread = np.complex128(4.0 * sig2 * (1.0 + 1j * k))
     return complex(
         (1.0 / (2.0 * np.pi * sig2)) ** 0.25
         / np.sqrt(1.0 + 1j * k)
         * np.exp(
-            -(u**2) / (4.0 * sig2 * (1.0 + 1j * k))
+            -(u**2) / spread
             + 1j * p_t * u / hbar
             + 1j * p_t**2 * t / (2.0 * hbar)
         )

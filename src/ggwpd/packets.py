@@ -104,7 +104,7 @@ class GaussianPacket(_Record):
     @property
     def sigma(self) -> float:
         """Position uncertainty sigma = 1/(2 sqrt(b))."""
-        return 1.0 / (2.0 * np.sqrt(self.b1))
+        return 1.0 / (2.0 * math.sqrt(self.b1))
 
     def norm_constant(self) -> float:
         """The real prefactor (2 b/pi)^(1/4)."""
@@ -129,6 +129,24 @@ class ComplexPhasePoint(_Record):
 
     def is_real(self) -> bool:
         return self.p1.imag == 0.0 and self.q1.imag == 0.0
+
+
+_new = object.__new__
+_set_p1 = ComplexPhasePoint.p1.__set__
+_set_q1 = ComplexPhasePoint.q1.__set__
+
+
+def _complex_point(p1: complex, q1: complex) -> ComplexPhasePoint:
+    """The :class:`ComplexPhasePoint` (p1, q1) of two Python complex values.
+
+    Equal to ``ComplexPhasePoint(p1, q1)`` without its type check, for the
+    propagation and Newton loops whose values are Python complex already;
+    filling the two slots directly costs half the checked constructor.
+    """
+    point = _new(ComplexPhasePoint)
+    _set_p1(point, p1)
+    _set_q1(point, q1)
+    return point
 
 
 class ResidualPair(_Record):

@@ -36,7 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError, RunawayError
-from .packets import ComplexPhasePoint, GaussianPacket, _Record, _set
+from .packets import (
+    ComplexPhasePoint,
+    GaussianPacket,
+    _Record,
+    _complex_point,
+    _scalar,
+    _set,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,13 +87,24 @@ _RUNAWAY_BOUND = 10.0
 _ARC_BUDGET = 6.0
 _MAX_CURVE_POINTS = 200_000
 
+# Most germ levels the heteroclinic search scans, one map step each, at
+# about 3 ms a level.  The count grows like 1/log|lambda_u|, without bound
+# as the fixed point nears parabolic (K -> 0 at q = 1/2, K -> 4 at q = 0):
+# K = 1e-14 would need 2e8 levels.  400 refuses |lambda_u| below 1.057.
+_MAX_GERM_LEVELS = 400
+
 
 class RotorParams(_Record):
-    """Kicking strength of the standard-map rotor; K = 0 is a pure shear."""
+    """Kicking strength of the standard-map rotor; K = 0 is a pure shear.
+
+    ``K`` is kept as a Python float, so :func:`propagate` steps on Python
+    complex scalars whatever numeric type the caller passes.
+    """
 
     __slots__ = _fields = ("K",)
 
     def __init__(self, K: float) -> None:
+        K = _scalar("K", K)
         if not math.isfinite(K):
             raise ValueError(f"kick strength must be finite, got {K!r}")
         if K < 0.0:
@@ -214,6 +232,10 @@ def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTraj
     Returns
     -------
     ComplexTrajectory
+        Its points after the initial one are built without the type
+        check of ``ComplexPhasePoint(P, Q)``: ``ic`` holds Python complex
+        values and ``params.K`` is a Python float, so every P and Q is
+        Python complex already.
 
     Raises
     ------
@@ -226,6 +248,8 @@ def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTraj
     if t < 0:
         raise ValueError("t must be non-negative")
     K = params.K
+    kick = K / TWO_PI
+    potential = K / (4.0 * math.pi**2)
     bound = _RUNAWAY_BOUND
     P = ic.p1
     Q = ic.q1
@@ -235,12 +259,13 @@ def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTraj
     S = 0.0 + 0.0j
     for step in range(t):
         try:
-            cos = cmath.cos(TWO_PI * Q)
+            angle = TWO_PI * Q
+            cos = cmath.cos(angle)
             c = K * cos
-            P1 = P - (K / TWO_PI) * cmath.sin(TWO_PI * Q)
+            P1 = P - kick * cmath.sin(angle)
             Q1 = Q + P1
             dQ = Q1 - Q
-            S += dQ * dQ / 2.0 + (K / (4.0 * math.pi**2)) * cos
+            S += dQ * dQ / 2.0 + potential * cos
             # kick leg [[1, -c], [0, 1]] M, then drift leg [[1, 0], [1, 1]] M
             m11, m12 = m11 - c * m21, m12 - c * m22
             legs.append((m11, m12, m21, m22))
@@ -261,7 +286,7 @@ def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTraj
             runaway = True
         if runaway:
             raise RunawayError(step + 1, (P, Q))
-        pts.append(ComplexPhasePoint(P, Q))
+        pts.append(_complex_point(P, Q))
     return ComplexTrajectory(
         points=tuple(pts),
         # a numpy scalar, as the sum was when numpy evaluated the steps:
@@ -546,18 +571,6 @@ def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
-def _forward_q(p: float, q: float, t: int, K: float) -> float:
-    """End position of one (p, q) after t forward steps, on Python floats.
-
-    Exactly the operations :func:`_forward_many` applies to one row, in
-    the same order, so the two agree bit for bit.
-    """
-    for _ in range(t):
-        p -= (K / TWO_PI) * math.sin(TWO_PI * q)
-        q += p
-    return q
-
-
 class LineScan(NamedTuple):
     """Scan nodes of a line q = q0, their end positions and the ends' range.
 
@@ -602,13 +615,17 @@ def _line_roots(
     skipped.  A NaN end makes both bounds NaN, and then no target is
     skipped.
 
-    Each midpoint is evaluated by :func:`_forward_q` on Python floats,
-    since one numpy row costs about 25 us of call overhead for two map
-    steps.  Refining a call's brackets together with
+    Each midpoint is stepped inline on Python floats with exactly the
+    operations :func:`_forward_many` applies to one row, in the same
+    order, so the two agree bit for bit: one numpy row costs about 25 us
+    of call overhead for two map steps, and a helper call per midpoint
+    almost 1 us.  Refining a call's brackets together with
     :func:`_bisect_brackets` does not pay back its row bookkeeping
     either: a call has 0 or 1 bracket per target.
     """
     p_grid, ends, end_min, end_max = scan
+    kick = K / TWO_PI
+    sin = math.sin
     roots = []
     for target in targets:
         # comparisons with NaN are false, so a NaN end never skips
@@ -622,7 +639,11 @@ def _line_roots(
             lo, hi, glo = float(p_grid[i]), float(p_grid[i + 1]), float(g[i])
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                gm = _forward_q(mid, q0, t, K) - target
+                p, q = mid, q0
+                for _ in range(t):
+                    p -= kick * sin(TWO_PI * q)
+                    q += p
+                gm = q - target
                 if gm == 0.0 or (hi - lo) < 1e-13:
                     lo = hi = mid
                     break
@@ -807,6 +828,12 @@ def _heteroclinic_seeds(
 
     s0 = _GERM_OFFSET
     n_levels = max(10, int(np.ceil(np.log(50.0 / s0) / np.log(abs(lam_u)))))
+    if n_levels > _MAX_GERM_LEVELS:
+        raise NumericalError(
+            f"the unstable multiplier {lam_u:.10g} at {fa} needs {n_levels} germ "
+            f"levels to leave the fixed point, more than {_MAX_GERM_LEVELS}; "
+            f"K = {K:g} is too weakly hyperbolic"
+        )
     n_scan = 2048
     logs = np.linspace(np.log(s0), np.log(abs(lam_u) * s0), n_scan)
     anchor = np.array(fa, dtype=float)

@@ -36,6 +36,7 @@ from .packets import (
     GaussianPacket,
     ResidualPair,
     _Record,
+    _complex_point,
     _set,
     bra_norm_exponent,
     ket_norm_exponent,
@@ -296,7 +297,7 @@ def _newton_solve(
         accepted = False
         cand_res = res
         for _ in range(7):
-            cand_ic = ComplexPhasePoint(P0 + scale * d0, Q0 + scale * d1)
+            cand_ic = _complex_point(P0 + scale * d0, Q0 + scale * d1)
             cand = propagate(cand_ic, seed.t, params)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
@@ -549,6 +550,8 @@ def ggwpd_wavefunction(
             f"the scanned line reaches the images x{n_lo:+d} to x{n_hi:+d} of "
             f"x = {x}, beyond image_range = {image_range}"
         )
+    if not any(roots):
+        return 0j  # the empty sum, as _prune_and_sum((), ()).total gives
 
     saddles = [
         find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)

@@ -1,9 +1,13 @@
 """Exit codes, file outputs, and determinism of the console entry point."""
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ggwpd import experiment, rotor
 from ggwpd.cli import main
@@ -409,3 +413,52 @@ def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
     half = 0.5 * (p[-1] - p[0]) / sig_p
     assert abs(half - rotor._SHEAR_HALFWIDTH_SIGMA) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over random configs
+# ---------------------------------------------------------------------------
+
+_coordinates = st.floats(-2.0, 2.0, allow_nan=False)
+# the standard map's fixed points sit at integer p and q in {0, 1/2}
+_lattice_fixed_points = st.tuples(
+    st.integers(-1, 1).map(float), st.sampled_from([0.0, 0.5, 1.0, -0.5])
+)
+
+# mostly even N, which the sweep runs, and some of either parity
+_grid_sizes = st.one_of(st.integers(1, 100).map(lambda k: 2 * k), st.integers(2, 200))
+
+
+@st.composite
+def _sweep_configs(draw):
+    regime = draw(st.sampled_from(["integrable", "chaotic"]))
+    centers = _lattice_fixed_points if regime == "chaotic" and draw(st.booleans()) else (
+        st.tuples(_coordinates, _coordinates)
+    )
+    return {
+        "K": draw(st.floats(0.0, 12.0)),
+        "t": draw(st.integers(1, 3)),
+        "alpha_center": list(draw(centers)),
+        "beta_center": list(draw(centers)),
+        "N_list": draw(st.lists(_grid_sizes, min_size=1, max_size=3)),
+        "regime": regime,
+        "image_range": draw(st.integers(0, 2)),
+        "label": draw(st.sampled_from(["custom", "integrable-fig2", "chaotic-fig6"])),
+    }
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_sweep_configs())
+def test_sweep_exits_with_a_documented_code_on_random_configs(tmp_path, payload):
+    """Any regime, centres (the chaotic ones often on lattice fixed
+    points), K in [0, 12], t in 1-3 and one to three N <= 200 of either
+    parity: ``ggwpd sweep`` ends with exit 0, 1, 2 or 3 and lets no
+    exception escape."""
+    cfg = _write_json(tmp_path, "fuzz.json", payload)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc in (0, 1, 2, 3)

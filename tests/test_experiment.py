@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwpd import semiclassics
+from ggwpd import experiment, semiclassics
 from ggwpd.errors import ConfigError, NumericalError
 from ggwpd.experiment import (
     CSV_COLUMNS,
@@ -441,6 +441,33 @@ def test_report_fails_when_a_row_errored(integrable_bundle):
     assert "ERROR: NumericalError: synthetic blow-up" in text
     assert "[FAIL] all rows computed: 1 failed rows" in text
     assert text.endswith("overall: FAIL\n")
+
+
+def test_report_flags_rows_at_the_oracle_floor(monkeypatch):
+    """``integrable-fig2`` at t = 4: the exact |C_qm| is 1.1e-12 at N = 400
+    and 3.5e-15 at N = 800, near the double FFT's rounding floor, so only
+    the N = 800 row's ratio and phase are flagged as meaningless.  The
+    flag and its note are the only lines it adds: the gates and their
+    verdict are those of the unflagged report."""
+    cfg = config_from_dict({"t": 4, "N_list": [50, 400, 800]}, base=preset("integrable-fig2"))
+    setup = prepare_scenario(cfg)
+    rows = run_sweep(setup)
+    assert abs(rows[1].C_qm) > 1e-12 and abs(rows[2].C_qm) < 4e-15
+    text, ok = emit_report(rows, setup)
+    flagged = [line.split()[0] for line in text.splitlines() if line.endswith("  [floor]")]
+    assert flagged == ["800"]
+    note = "  [floor] |C_qm| < 1e-13, 100x the exact oracle's rounding floor"
+    assert sum(line.startswith(note) for line in text.splitlines()) == 1
+
+    monkeypatch.setattr(experiment, "_FLOOR_MULTIPLE", 0.0)
+    plain, plain_ok = emit_report(rows, setup)
+    assert "[floor]" not in plain
+    assert ok == plain_ok
+    assert [
+        line.removesuffix("  [floor]")
+        for line in text.splitlines()
+        if not line.startswith(note)
+    ] == plain.splitlines()
 
 
 def test_report_gates_every_pinned_seed(integrable_bundle, monkeypatch):

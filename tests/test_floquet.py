@@ -1,4 +1,6 @@
 """Exact quantum reference: one-kick unitary and packet discretization."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,26 @@ def test_all_underflow_packet_is_refused():
     assert _full_grid_packet(packet, N)[1] == 0.0
     with pytest.raises(ConfigError, match="underflowed"):
         discretize_packet(packet, N)
+
+
+@pytest.mark.parametrize("b", [1e-8, 0.0087])
+def test_nearly_flat_packet_is_refused_at_once(b):
+    """A packet so wide that it needs more than 64 lattice images a side is
+    refused before any image is summed: b = 1e-8 needs 60,037 and once
+    took 2.3 s at N = 8; b = 0.0087 needs 65."""
+    N = 8
+    packet = GaussianPacket(0.0, 0.5, b, grid_hbar(N))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=rf"b = {b!r} needs \d+ lattice images"):
+        discretize_packet(packet, N)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_widest_admitted_packet_is_still_sampled():
+    """b = 0.0088 needs exactly 64 images a side, the most admitted."""
+    N = 8
+    psi = discretize_packet(GaussianPacket(0.0, 0.5, 0.0088, grid_hbar(N)), N)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("q", [2.2, -1.8])

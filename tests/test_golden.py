@@ -20,14 +20,22 @@ them, from the repository root::
         PYTHONPATH=src python -m ggwpd.cli manifolds --preset $p --out /tmp/curves
     done
     sha256sum /tmp/curves/*.csv
+
+The position-saddle wavefunction has no CLI command, so the ``repr`` of
+its 700 grid values at each of three packet centres, joined by newlines,
+is pinned as one SHA-256 digest, ``WAVEFUNCTION_SHA256``;
+:func:`_wavefunction_values` lists the values.
 """
 import hashlib
+import math
 import pathlib
 
 import pytest
 
+from ggwpd import GaussianPacket, RotorParams, grid_hbar
 from ggwpd.cli import main
 from ggwpd.experiment import emit_csv, emit_report
+from ggwpd.semiclassics import ggwpd_wavefunction
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -45,6 +53,26 @@ MANIFOLD_SHA256 = {
             "8091e6bea6fca1e5535431afe5cedfb3bb139f1213f585cbf51c554f3e979d85",
     },
 }
+
+WAVEFUNCTION_SHA256 = "2c257bf0f5d231bf08d973020696b0425f13675c895c1faeb9364ec2da241218"
+
+
+def _wavefunction_values() -> list[str]:
+    """``repr`` of ``ggwpd_wavefunction`` at every grid point x = s/N.
+
+    N = 700, t = 2, K = 0.05, ``image_range = 2`` and width b = pi N, for
+    the ket centres (0.815, 0.2), (0.765, 0.15) and (0.865, 0.25): the
+    benchmark's wavefunction workload at its preset centre and two corners
+    of the box it draws centres from.
+    """
+    N, t = 700, 2
+    params = RotorParams(0.05)
+    values = []
+    for p, q in [(0.815, 0.2), (0.765, 0.15), (0.865, 0.25)]:
+        alpha = GaussianPacket(p, q, math.pi * N, grid_hbar(N))
+        for s in range(1, N + 1):
+            values.append(repr(ggwpd_wavefunction(alpha, s / N, t, params, image_range=2)))
+    return values
 
 
 @pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
@@ -76,3 +104,10 @@ def test_manifold_csvs_match_the_pinned_digests(label, tmp_path, capsys):
         for path in tmp_path.iterdir()
     }
     assert digests == MANIFOLD_SHA256[label]
+
+
+def test_wavefunction_values_match_the_pinned_digest():
+    values = _wavefunction_values()
+    assert len(values) == 2100
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == WAVEFUNCTION_SHA256

@@ -1,6 +1,7 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
 import csv
 import io
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ggwpd.rotor import (
     _GERM_OFFSET,
     _MERGE_TOL,
     _SHEAR_HALFWIDTH_SIGMA,
+    LineScan,
     ManifoldCurve,
     RotorParams,
     SeedTrajectory,
@@ -24,7 +26,6 @@ from ggwpd.rotor import (
     _bisect_brackets,
     _check_fixed_point,
     _forward_many,
-    _forward_q,
     _forward_ragged,
     _hyperbolic_frame,
     _line_roots,
@@ -427,6 +428,21 @@ def test_manifold_needs_hyperbolic_fixed_point():
         unstable_manifold((0.0, 0.0), K_MILD)
 
 
+@pytest.mark.parametrize(
+    "fp, K", [((0.0, 0.5), 1e-14), ((1.0, -0.5), 0.002), ((0.0, 0.0), 4.0 + 1e-12)]
+)
+def test_heteroclinic_search_refuses_a_nearly_parabolic_fixed_point(fp, K):
+    """Near K = 0 at q = 1/2, or K = 4 at q = 0, the unstable multiplier
+    nears 1, and the germ would need hundreds to 2e8 levels of about 3 ms
+    each to leave the fixed point (K = 1e-14 once ran without end); the
+    search refuses before it scans one."""
+    alpha, beta = _packet_pair(*fp, *fp)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="too weakly hyperbolic"):
+        find_seeds(alpha, beta, 2, RotorParams(K), image_range=1, regime="chaotic")
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("K", [8.25, 2e4, 1e5, 1e8, 1e20, 1e100])
 def test_fixed_point_check_allows_the_rounding_of_the_kick(K):
     """The float sin(2 pi 0.5) is 1.2e-16, so the kick moves the true
@@ -456,6 +472,19 @@ def test_shearing_manifold_is_vertical_segment():
     assert np.allclose(curve.points[:, 1], packet.q1, atol=0.0)
     assert abs(curve.points[:, 0].min() - (packet.p1 - 5.0 * sig_p)) < 1e-12
     assert abs(curve.points[:, 0].max() - (packet.p1 + 5.0 * sig_p)) < 1e-12
+
+
+@pytest.mark.parametrize("K", [np.float64(8.25), 8, np.float32(0.5)])
+def test_propagate_points_hold_python_complex_for_any_kick_type(K):
+    """``RotorParams`` keeps K as a Python float, so the points
+    ``propagate`` builds without a type check hold Python complex values,
+    equal to the checked records."""
+    params = RotorParams(K)
+    assert type(params.K) is float and params.K == K
+    traj = propagate(ComplexPhasePoint(np.complex128(0.1 + 0.02j), 0.3), 3, params)
+    for z in traj.points:
+        assert type(z.p1) is complex and type(z.q1) is complex
+        assert z == ComplexPhasePoint(z.p1, z.q1)
 
 
 def test_propagate_curve_applies_map_pointwise():
@@ -796,11 +825,22 @@ def test_lockstep_bisection_matches_scalar_loop_bit_for_bit(rows, max_iter, widt
     K=st.floats(0.0, 10.0),
 )
 def test_scalar_end_position_matches_forward_many_bit_for_bit(p, q0, t, K):
-    """The float helper the shearing bisection evaluates midpoints with
-    gives the end position numpy's row path gives, to the last bit (a
-    numpy ``sin`` that rounded differently from libm's would break it)."""
-    want = float(_forward_many(np.array([[p, q0]]), t, K)[0, 1])
-    assert _forward_q(p, q0, t, K).hex() == want.hex()
+    """The shearing bisection steps each midpoint on Python floats to the
+    end position numpy's row path gives, to the last bit (a numpy ``sin``
+    that rounded differently from libm's would break it).
+
+    A one-bracket scan whose first midpoint is ``p`` and whose target is
+    numpy's end position of ``p``: the bisection stops on that midpoint
+    only when its own end position equals the target exactly, and
+    otherwise returns a root 1e-13 or less away from it."""
+    lo, hi = p - 0.5, p + 0.5
+    mid = 0.5 * (lo + hi)
+    target = float(_forward_many(np.array([[mid, q0]]), t, K)[0, 1])
+    scan = LineScan(
+        np.array([lo, hi]), np.array([target - 1.0, target + 1.0]),
+        target - 1.0, target + 1.0,
+    )
+    assert _line_roots(scan, q0, [target], t, K) == [[mid]]
 
 
 def _shearing_roots_array_path(p_lo, p_hi, q0, targets, end_q):
