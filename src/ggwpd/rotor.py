@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -566,6 +567,8 @@ def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     strict sign-change test would miss; symmetric configurations hit them
     reliably) and the indices i with ``g[i]`` and ``g[i + 1]`` of strictly
     opposite sign.  NaN entries (unsampled nodes) take part in neither.
+    This one pass over all nodes is the reference the run-index lookup
+    :func:`_run_crossings` is tested against.
     """
     sign = np.sign(g)
     return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -575,25 +578,100 @@ class LineScan(NamedTuple):
     """Scan nodes of a line q = q0, their end positions and the ends' range.
 
     ``end_min`` and ``end_max`` are Python floats, both NaN when an end is.
+    ``runs`` indexes ``ends`` by its maximal monotone, NaN-free runs
+    (:func:`_monotone_runs`), which :func:`_line_roots` searches; a scan
+    built with four fields has it built there, on every call.
     """
 
     p_grid: np.ndarray
     ends: np.ndarray
     end_min: float
     end_max: float
+    runs: tuple | None = None
+
+
+def _monotone_runs(ends: np.ndarray) -> tuple:
+    """The maximal monotone, NaN-free runs of ``ends``, in scan order.
+
+    Each run is ``(s, values, flip)``: its first node s, the ends of its
+    nodes s, s + 1, ... as a Python list, and ``flip``, 1.0 for a run
+    that never falls and -1.0 for one that never rises, whose values are
+    stored negated; so every list is non-decreasing.  A rise after a
+    fall, or a fall after a rise, starts a new run on the turning node,
+    which both runs hold; a flat step stays in the run it is in; a NaN
+    step (a NaN end, or inf - inf) ends a run, and a non-NaN end with no
+    step on either side is a run of one node.  So every non-NaN end lies
+    in a run, and every step between two ends on strictly opposite sides
+    of a value lies in exactly one run.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN step
+        step = np.sign(np.diff(ends))  # 1, -1, 0 or NaN from node i to i + 1
+    ok = ~np.isnan(step)
+    idx = np.arange(step.size)
+    # before each step: the last rise or fall, and the last NaN step
+    turn = np.maximum.accumulate(np.where(ok & (step != 0), idx, -1))
+    turn = np.concatenate(([-1], turn))[:-1]
+    cut = np.maximum.accumulate(np.where(ok, -1, idx))
+    reverses = (turn > cut) & (step[turn] * step < 0)
+    first = ok & (np.concatenate(([True], ~ok[:-1])) | reverses)
+    last = ok & np.concatenate((~ok[1:] | first[1:], [True]))
+    alone = ~np.isnan(ends)
+    alone[:-1] &= ~ok
+    alone[1:] &= ~ok
+    runs = []
+    for s, e in zip(
+        np.flatnonzero(alone | np.append(first, False)).tolist(),
+        np.flatnonzero(alone | np.insert(last, 0, False)).tolist(),
+    ):
+        values = ends[s : e + 1]
+        if values[-1] < values[0]:
+            runs.append((s, (-values).tolist(), -1.0))
+        else:
+            runs.append((s, values.tolist(), 1.0))
+    return tuple(runs)
 
 
 def _scan_line(p_lo: float, p_hi: float, q0: float, end_q) -> LineScan:
-    """The 1025 scan nodes of the line q = q0 and their end positions.
+    """The 1025 scan nodes of the line q = q0, their end positions and index.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
     each row.  The end positions are kept contiguous: a column view of the
-    map's output would make every later pass over them strided.
+    map's output would make every later pass over them strided.  The
+    monotone-run index of the ends (:func:`_monotone_runs`) is built here,
+    once per scan, for :func:`_line_roots`.
     """
     n_scan = 1025
     p_grid = np.linspace(p_lo, p_hi, n_scan)
     ends = np.ascontiguousarray(end_q(np.column_stack([p_grid, np.full(n_scan, q0)])))
-    return LineScan(p_grid, ends, float(ends.min()), float(ends.max()))
+    return LineScan(
+        p_grid, ends, float(ends.min()), float(ends.max()), _monotone_runs(ends)
+    )
+
+
+def _run_crossings(runs: tuple, target: float) -> tuple[list[int], list[tuple]]:
+    """Where the ends indexed by ``runs`` meet a finite target.
+
+    Returns the nodes whose end equals ``target``, in scan order, and the
+    steps i -> i + 1 whose ends lie strictly on either side of it, as
+    ``(i, flip)`` in scan order, with ``flip`` the run's (the end at i is
+    below the target when ``flip`` is 1.0).  These are the node and
+    bracket indices of :func:`_sign_change_brackets` of ``ends - target``.
+    A monotone run holds its ends equal to the target side by side and
+    crosses it strictly at most once, so two binary searches per run find
+    both.
+    """
+    nodes, brackets = [], []
+    for s, values, flip in runs:
+        value = flip * target
+        i = bisect_left(values, value)
+        j = bisect_right(values, value, i)
+        if i < j:
+            # a turning node ends one run and starts the next
+            lo = s + i + 1 if nodes and nodes[-1] == s + i else s + i
+            nodes.extend(range(lo, s + j))
+        elif 0 < i < len(values):
+            brackets.append((s + i - 1, flip))
+    return nodes, brackets
 
 
 def _line_roots(
@@ -606,50 +684,63 @@ def _line_roots(
     """Momenta on a scanned line q = q0 whose end position meets each target.
 
     ``scan.ends`` holds the end positions of the nodes ``scan.p_grid``
-    after ``t`` steps of the map with kick strength ``K``.  Every sign
-    change of ``ends - target`` is bisected to a 1e-13 wide bracket.  Per
-    target the node roots come first, then one root per bracket in scan
-    order.
+    after ``t`` steps of the map with kick strength ``K``.  A target's
+    roots are the nodes whose end equals it, then one root per strict
+    sign change of ``ends - target`` in scan order, each bisected to a
+    1e-13 wide bracket: exactly the nodes and brackets of
+    :func:`_sign_change_brackets`, with NaN ends in neither.  They are
+    looked up by binary search in the scan's monotone runs
+    (``scan.runs``, :func:`_run_crossings`).
 
     A target outside [end_min, end_max] of the scan has no root and is
-    skipped.  A NaN end makes both bounds NaN, and then no target is
-    skipped.
+    skipped, as is a target that is not finite.  A NaN end makes both
+    bounds NaN, and then no finite target is skipped.
 
     Each midpoint is stepped inline on Python floats with exactly the
     operations :func:`_forward_many` applies to one row, in the same
     order, so the two agree bit for bit: one numpy row costs about 25 us
     of call overhead for two map steps, and a helper call per midpoint
-    almost 1 us.  Refining a call's brackets together with
-    :func:`_bisect_brackets` does not pay back its row bookkeeping
-    either: a call has 0 or 1 bracket per target.
+    almost 1 us.  The first kick, the same for every midpoint since each
+    starts on q0, is computed once.  The width test comes before the
+    step, as a bracket narrower than 1e-13 ends on its midpoint whatever
+    that midpoint's end.
     """
-    p_grid, ends, end_min, end_max = scan
-    kick = K / TWO_PI
+    p_grid, end_min, end_max = scan.p_grid, scan.end_min, scan.end_max
+    runs = scan.runs if scan.runs is not None else _monotone_runs(scan.ends)
     sin = math.sin
+    kick = K / TWO_PI
+    first = kick * sin(TWO_PI * q0)
+    rest = range(t - 1)
     roots = []
     for target in targets:
         # comparisons with NaN are false, so a NaN end never skips
-        if target < end_min or target > end_max:
+        if target < end_min or target > end_max or not math.isfinite(target):
             roots.append([])
             continue
-        g = ends - target
-        nodes, brackets = _sign_change_brackets(g)
+        nodes, brackets = _run_crossings(runs, target)
         found = [float(p_grid[i]) for i in nodes]
-        for i in brackets.tolist():
-            lo, hi, glo = float(p_grid[i]), float(p_grid[i + 1]), float(g[i])
+        for i, flip in brackets:
+            lo, hi = float(p_grid[i]), float(p_grid[i + 1])
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                p, q = mid, q0
-                for _ in range(t):
-                    p -= kick * sin(TWO_PI * q)
-                    q += p
-                gm = q - target
-                if gm == 0.0 or (hi - lo) < 1e-13:
+                if (hi - lo) < 1e-13:
                     lo = hi = mid
                     break
-                # glo is never 0 or NaN; a NaN gm moves hi, as np.sign did
-                if gm > 0.0 if glo > 0.0 else gm < 0.0:
-                    lo, glo = mid, gm
+                if t > 0:
+                    p = mid - first
+                    q = q0 + p
+                    for _ in rest:
+                        p -= kick * sin(TWO_PI * q)
+                        q += p
+                else:
+                    q = q0
+                gm = q - target
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                # ends - target is -flip-signed at lo; a NaN gm moves hi, as np.sign did
+                if flip * gm < 0.0:
+                    lo = mid
                 else:
                     hi = mid
             found.append(0.5 * (lo + hi))

@@ -534,7 +534,9 @@ def ggwpd_wavefunction(
     NumericalError
         When the scanned line's end positions reach a lattice image
         x + n with |n| > ``image_range``: that image's saddles would be
-        missing from the sum.
+        missing from the sum.  Also when an end position or x is not
+        finite (the map overflows near K = 1.7e308), so that no image
+        range can be checked.
     """
     if t < 1:
         raise ValueError("position saddles need at least one step")
@@ -543,13 +545,19 @@ def ggwpd_wavefunction(
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
     scan = _wavefunction_scan(alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K)
-    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
-    n_lo, n_hi = math.ceil(scan.end_min - x), math.floor(scan.end_max - x)
+    reach_lo, reach_hi = scan.end_min - x, scan.end_max - x
+    if not (math.isfinite(reach_lo) and math.isfinite(reach_hi)):
+        raise NumericalError(
+            f"the scanned line's end positions, {scan.end_min} to {scan.end_max}, "
+            f"are not a finite distance from x = {x}: its images cannot be bounded"
+        )
+    n_lo, n_hi = math.ceil(reach_lo), math.floor(reach_hi)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError(
-            f"the scanned line reaches the images x{n_lo:+d} to x{n_hi:+d} of "
+            f"the scanned line reaches the images x{n_lo:+.6g} to x{n_hi:+.6g} of "
             f"x = {x}, beyond image_range = {image_range}"
         )
+    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
     if not any(roots):
         return 0j  # the empty sum, as _prune_and_sum((), ()).total gives
 

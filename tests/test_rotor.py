@@ -30,6 +30,8 @@ from ggwpd.rotor import (
     _hyperbolic_frame,
     _line_roots,
     _merge_duplicates,
+    _monotone_runs,
+    _run_crossings,
     _scan_line,
     _sign_change_brackets,
     curve_to_csv,
@@ -947,6 +949,73 @@ def test_shearing_roots_keep_every_root_when_a_scan_end_is_nan():
     )
     assert np.isnan(ends[700])
     assert all(len(found) == 1 for found in roots)
+
+
+# end values that tie, plateau and turn often: a few lattice values, both
+# zeros and both infinities, besides any float of a small range and NaN
+_end_values = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf, -np.inf]),
+    st.floats(-3.0, 3.0),
+    st.just(np.nan),
+)
+
+
+@st.composite
+def _ends_and_target(draw):
+    """Stretches of one to four equal ends, and a target that is often an
+    end's value or one of its two float neighbours."""
+    stretches = draw(st.lists(st.tuples(_end_values, st.integers(1, 4)), max_size=16))
+    ends = np.array([v for v, n in stretches for _ in range(n)], dtype=float)
+    finite = sorted({float(v) for v in ends if np.isfinite(v)})
+    if finite and draw(st.booleans()):
+        node = draw(st.sampled_from(finite))
+        target = draw(st.sampled_from(
+            [node, float(np.nextafter(node, -np.inf)), float(np.nextafter(node, np.inf))]
+        ))
+    else:
+        target = draw(st.floats(-4.0, 4.0))
+    return ends, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_ends_and_target())
+@example(case=(np.array([1.0, 0.0, 1.0]), 0.0))  # a turning node on the target
+@example(case=(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0]), 1.0))  # a plateau on it
+@example(case=(np.array([2.0, 1.0, 1.0, 2.0]), 1.5))  # a flat valley
+@example(case=(np.array([0.0, np.nan, 2.0, np.nan, 1.0]), 1.0))  # lone nodes
+@example(case=(np.array([np.inf, np.inf, -np.inf]), 0.0))  # an inf - inf step
+def test_run_index_gives_the_nodes_and_brackets_of_the_sign_scan(case):
+    """Looking a target up in the monotone runs of the ends gives exactly
+    the node roots and strict sign flips of the full scan of
+    ``ends - target``, each once and in scan order, with NaN ends in
+    neither, and the flip the lookup reports is the sign of the step's
+    lower end.  The runs are maximal: two that share a turning node would
+    not be monotone joined."""
+    ends, target = case
+    g = ends - target
+    want_nodes, want_brackets = _sign_change_brackets(g)
+    runs = _monotone_runs(ends)
+    nodes, brackets = _run_crossings(runs, target)
+    assert nodes == want_nodes.tolist()
+    assert [i for i, _ in brackets] == want_brackets.tolist()
+    assert all(np.sign(g[i]) == -flip for i, flip in brackets)
+    for (s, values, _), (s_next, values_next, _) in zip(runs, runs[1:]):
+        if s_next == s + len(values) - 1:
+            steps = np.diff(ends[s : s_next + len(values_next)])
+            assert (steps > 0).any() and (steps < 0).any()
+
+
+def test_hand_built_scan_gets_the_same_roots_as_an_indexed_one():
+    """A ``LineScan`` of four fields has its run index built by
+    ``_line_roots``; the roots equal those of the scan ``_scan_line``
+    built with its index, to the bit."""
+    scan = _scan_line(0.80, 0.83, 0.2, lambda pts: _forward_many(pts, 2, 0.05)[:, 1])
+    targets = [1.79, float(scan.ends[300]), 1.83, 1.9]
+    bare = LineScan(scan.p_grid, scan.ends, scan.end_min, scan.end_max)
+    assert bare.runs is None and len(scan.runs) == 1
+    want = [[r.hex() for r in found] for found in _line_roots(scan, 0.2, targets, 2, 0.05)]
+    got = [[r.hex() for r in found] for found in _line_roots(bare, 0.2, targets, 2, 0.05)]
+    assert got == want and [len(found) for found in want] == [1, 1, 1, 0]
 
 
 def test_unknown_regime_rejected():

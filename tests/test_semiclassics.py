@@ -1,6 +1,7 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ggwpd.errors import (
     CausticError,
     ConfigError,
     ConvergenceError,
+    GgwpdError,
     NumericalError,
     RunawayError,
 )
@@ -558,6 +560,57 @@ def test_wavefunction_refuses_images_beyond_the_window():
             ggwpd_wavefunction(alpha, x, 4, params, image_range=2)
         refused += 1
     assert refused > 40
+
+
+@pytest.mark.parametrize("t", [3, 4, 6, 10])
+def test_wavefunction_refuses_a_scan_whose_ends_overflowed(t):
+    """At K = 1.7e308 the scanned line's end positions overflow to NaN
+    after three steps, so no image range can be checked: a
+    ``NumericalError``, not a ``ValueError`` from rounding NaN."""
+    alpha = _packet(0.815, 0.2, 700)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="not a finite distance from x = 0.5"):
+            ggwpd_wavefunction(alpha, 0.5, t, RotorParams(1.7e308), image_range=2)
+
+
+def test_wavefunction_refusal_writes_far_images_briefly():
+    """At K = 1e300 the ends are finite but some 3e299 images away; the
+    refusal names those images in exponent form, not in 300 digits."""
+    alpha = _packet(0.815, 0.2, 700)
+    with pytest.raises(NumericalError, match="image_range = 2") as refused:
+        ggwpd_wavefunction(alpha, 0.5, 2, RotorParams(1e300), image_range=2)
+    message = str(refused.value)
+    assert "e+299" in message and re.search(r"\d{8}", message) is None
+
+
+# kick strengths: the integrable-to-chaotic range, and log-uniform up to
+# the float maximum, where the scanned ends overflow
+_fuzz_kicks = st.one_of(
+    st.floats(0.0, 12.0), st.floats(-3.0, 308.23).map(lambda e: 10.0**e)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    K=_fuzz_kicks,
+    t=st.integers(1, 4),
+    x=st.floats(-1.0, 2.0),
+    image_range=st.integers(0, 3),
+    N=st.sampled_from([50, 700]),
+)
+@example(K=1.7e308, t=3, x=0.5, image_range=2, N=700)
+@example(K=1e300, t=2, x=0.5, image_range=2, N=700)
+def test_wavefunction_returns_a_value_or_a_package_error(K, t, x, image_range, N):
+    """Any K from 0 to the float maximum, t = 1-4, x in [-1, 2] and
+    ``image_range`` 0-3: ``ggwpd_wavefunction`` returns a finite complex
+    value or raises a ``GgwpdError``, never another exception."""
+    alpha = _packet(0.815, 0.2, N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = ggwpd_wavefunction(alpha, x, t, RotorParams(K), image_range=image_range)
+        except GgwpdError:
+            return
+    assert isinstance(value, complex) and cmath.isfinite(value)
 
 
 def test_wavefunction_scans_each_packet_through_iterate_map_once(monkeypatch):
