@@ -108,6 +108,8 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
         f"{config.label}: {len(setup.saddles)} saddle(s) at N={setup.reference_N}, "
         f"{recheck}"
     )
+    if config.seed_N != setup.reference_N:
+        print(f"  seeds searched with the packets of N={config.seed_N}")
     for sad in setup.saddles:
         P0 = sad.trajectory.initial.p1
         Q0 = sad.trajectory.initial.q1
@@ -127,10 +129,8 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
 
 def _cmd_manifolds(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    if not config.N_list:
-        raise ConfigError("manifold dump needs at least one N for the packet scale")
     params = RotorParams(config.K)
-    alpha, beta = packets_for(config, config.N_list[0])
+    alpha, beta = packets_for(config, config.seed_N)
     os.makedirs(args.out, exist_ok=True)
     written = []
     if config.regime == "chaotic":

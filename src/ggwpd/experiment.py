@@ -4,7 +4,7 @@ A sweep fixes the classical scenario (kick strength, propagation time,
 packet centers) and walks the Hilbert-space dimension N, shrinking the
 packets as 1/sqrt(N) so that the underlying real and complex trajectories
 stay put while the effective Planck constant 1/(2 pi N) decreases.  Seeds
-and saddles are therefore located once at the first N, verified to be
+are therefore found once, saddles located at the first N, verified to be
 N-independent, and reused across the whole sweep.
 """
 from __future__ import annotations
@@ -36,6 +36,10 @@ _REGIMES = ("integrable", "chaotic")
 # How far a saddle may move when re-solved at a second N before the
 # width-scaling assumption is declared broken.
 _SADDLE_DRIFT_TOL = 1e-10
+
+# The seed search counts its windows in packet widths, which shrink like
+# 1/sqrt(N) while the seeds stay put: it uses the packets of at most this N.
+_SEED_SEARCH_N = 50
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class ExperimentConfig:
         _require_int("image_range", self.image_range, 0)
         if not _is_sequence(self.N_list):
             raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
+        if not self.N_list:
+            raise ConfigError("a sweep needs at least one N: empty N_list")
         for n in self.N_list:
             _require_int("every N", n, 2)
         odd = [n for n in self.N_list if n % 2]
@@ -84,6 +90,11 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_center", tuple(map(float, self.alpha_center)))
         object.__setattr__(self, "beta_center", tuple(map(float, self.beta_center)))
         object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
+
+    @property
+    def seed_N(self) -> int:
+        """The N whose packets the seed search uses: at most _SEED_SEARCH_N."""
+        return min(self.N_list[0], _SEED_SEARCH_N)
 
 
 def _is_sequence(value) -> bool:
@@ -238,7 +249,7 @@ class ScenarioSetup(_Record):
 
     @property
     def reference_N(self) -> int:
-        """The N the seeds and saddles were located at: the first of the sweep."""
+        """The N the saddles were located at: the first of the sweep."""
         return self.config.N_list[0]
 
     @property
@@ -301,18 +312,15 @@ class SweepRow:
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
     """Find transport seeds and converge their saddles at the reference N.
 
-    The saddles are re-solved at the check N (when the sweep has one) and
+    The seeds are searched with the packets of ``config.seed_N``.  The
+    saddles are re-solved at the check N (when the sweep has one) and
     must agree to 1e-10 per component — the width scaling b = pi N makes
     the saddle equations N-independent, so any drift signals a bug or a
     genuinely N-dependent scenario.
     """
-    if not config.N_list:
-        raise ConfigError("cannot prepare a scenario with an empty N_list")
     params = RotorParams(config.K)
-    alpha, beta = packets_for(config, config.N_list[0])
     seeds = find_seeds(
-        alpha,
-        beta,
+        *packets_for(config, config.seed_N),
         config.t,
         params,
         image_range=config.image_range,
@@ -323,6 +331,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
             f"no transport seeds found for {config.label!r} within "
             f"image range {config.image_range}"
         )
+    alpha, beta = packets_for(config, config.N_list[0])
     converged = [find_saddle(alpha, beta, s, params) for s in seeds]
     # distinct transport seeds can flow to the same complex saddle (two
     # primary intersections on the same lobe); keep one contribution each
@@ -490,6 +499,8 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
             f"(max drift {setup.saddle_drift:.2e})"
         )
     lines.append(f"  seeds/saddles located at N={setup.reference_N}, {recheck}")
+    if cfg.seed_N != setup.reference_N:
+        lines.append(f"  seeds searched with the packets of N={cfg.seed_N}")
     lines.append("")
     lines.append("saddles:")
     for sad in setup.saddles:

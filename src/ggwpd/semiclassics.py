@@ -198,20 +198,15 @@ def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianP
 # Newton-Raphson saddle search
 # ---------------------------------------------------------------------------
 
-# Newton stops once both endpoint residuals are below this in max norm.  The
-# residuals carry a factor 1/hbar, so their rounding floor grows like N and
-# reaches this at N of order 1000; two scale-aware stops take over there.
-_NEWTON_TOL = 1e-12
+# Newton stops once both endpoint residuals, times hbar, are below this in
+# max norm.  Both searches' residuals carry a factor 1/hbar, and with b = pi N
+# the rescaled residuals do not depend on N, so neither does this stop.
+_NEWTON_TOL = 1e-13
 
 # A full Newton step no larger than this many epsilons of its point (of 1
 # for points nearer the origin) in both components moved the point only in
 # its last bits: the iterate is as converged as double precision allows.
 _NEWTON_STEP_EPS = 4.0 * sys.float_info.epsilon
-
-# When no damped step lowers the residual, the iterate stands if its
-# residual times hbar, which does not grow with N, is below this: the
-# residual sits at its rounding floor rather than at a stall.
-_NEWTON_FLOOR_TOL = 1e-13
 
 # Newton updates before a search is abandoned.  The presets' saddles take
 # at most eight (the report gates that), so this only stops a stalled search.
@@ -278,35 +273,28 @@ def _newton_solve(
     to six times before the search is abandoned.  Every candidate is
     propagated through this module's ``propagate``.
 
-    The search ends when the residual norm drops below ``_NEWTON_TOL``, or
-    at the rounding floor of large N, where ``hbar`` scales the residuals:
-    after a full step that moved the point by at most ``_NEWTON_STEP_EPS``
-    of itself, or when no damped step lowers a residual whose norm times
-    ``hbar`` is below ``_NEWTON_FLOOR_TOL``.
+    The residuals must carry a factor 1/``hbar``.  The search ends when
+    their norm times ``hbar`` drops below ``_NEWTON_TOL``, or after a full
+    step that moved the point by at most ``_NEWTON_STEP_EPS`` of itself.
     """
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
     traj = propagate(ic, seed.t, params)
     res = residual_of(traj)
     history = [res.max_norm]  # the seed's residual, then one per Newton step
-    while res.max_norm >= _NEWTON_TOL:
+    while res.max_norm * hbar >= _NEWTON_TOL:
         if len(history) > _NEWTON_MAX_ITER:
             raise ConvergenceError(res.max_norm, len(history) - 1)
         d0, d1 = _solve_newton_step(jacobian_of(traj), (-res.initial, -res.final))
         P0, Q0 = traj.initial.p1, traj.initial.q1
         scale = 1.0
-        accepted = False
-        cand_res = res
         for _ in range(7):
             cand_ic = _complex_point(P0 + scale * d0, Q0 + scale * d1)
             cand = propagate(cand_ic, seed.t, params)
             cand_res = residual_of(cand)
             if cand_res.max_norm < res.max_norm:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
-            if res.max_norm * hbar < _NEWTON_FLOOR_TOL:
-                break
+        else:
             raise ConvergenceError(
                 cand_res.max_norm,
                 len(history),
@@ -332,17 +320,16 @@ def find_saddle(
     """Refine a real seed trajectory onto the complex saddle trajectory.
 
     The seed is complexified with exactly zero imaginary parts and
-    iterated with damped Newton steps until both endpoint residuals drop
-    below ``_NEWTON_TOL`` in max norm, or reach their rounding floor (see
-    :func:`_newton_solve`).  The bra-side constraint targets the lattice
-    image of ``beta`` selected by ``seed.winding``.
+    iterated with damped Newton steps until both endpoint residuals, times
+    hbar, drop below ``_NEWTON_TOL`` in max norm, or reach their rounding
+    floor (see :func:`_newton_solve`).  The bra-side constraint targets the
+    lattice image of ``beta`` selected by ``seed.winding``.
 
     Raises
     ------
     ConvergenceError
         After ``_NEWTON_MAX_ITER`` updates, or when damping cannot reduce
-        a residual above its rounding floor (the last residual norm rides
-        along on the exception).
+        the residual (the last residual norm rides along on the exception).
     RunawayError
         If an iterate's trajectory escapes to large imaginary parts.
     CausticError
@@ -468,14 +455,15 @@ def find_position_saddle(
     hbar = alpha.hbar
     ba = alpha.b1
 
+    # Q_t - x_target over hbar: _newton_solve wants residuals that carry 1/hbar
     def residual_of(traj: ComplexTrajectory) -> ResidualPair:
         c0 = 2.0 * ba * (traj.initial.q1 - alpha.q1) + (1j / hbar) * (
             traj.initial.p1 - alpha.p1
         )
-        return ResidualPair(c0, traj.final.q1 - x_target)
+        return ResidualPair(c0, (traj.final.q1 - x_target) / hbar)
 
     def jacobian_of(traj: ComplexTrajectory) -> _Jacobian:
-        return (1j / hbar, 2.0 * ba), (traj.m21, traj.m22)
+        return (1j / hbar, 2.0 * ba), (traj.m21 / hbar, traj.m22 / hbar)
 
     seed = SeedTrajectory(
         ic=(float(seed_momentum), alpha.q1),

@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 
 from ggwpd import experiment, rotor
 from ggwpd.cli import main
-from ggwpd.experiment import config_from_dict, packets_for, preset, read_csv
+from ggwpd.experiment import (
+    config_from_dict,
+    packets_for,
+    prepare_scenario,
+    preset,
+    read_csv,
+)
 from ggwpd.floquet import quantum_correlation
-from ggwpd.rotor import RotorParams, find_seeds
+from ggwpd.rotor import RotorParams
 
 
 MINI_INTEGRABLE = {
@@ -154,16 +160,18 @@ def test_sweep_creates_missing_output_directory(tmp_path, capsys):
 
 
 def test_sweep_gate_failure_exits_1(tmp_path, capsys):
-    """At K = 6 the GGWPD phase error at N = 200 is 5e-2, above the 1e-2
-    the phase-convergence gate allows, so the report must fail."""
-    override = _write_json(tmp_path, "k.json", {"K": 6.0, "N_list": [100, 200]})
+    """At K = 0 the map is quadratic, so the off-center sum is as exact as
+    the saddle sum: both errors sit at rounding level, and the gates that
+    want the off-center sum worse must fail."""
+    override = _write_json(tmp_path, "k.json", {"K": 0.0, "N_list": [100, 200]})
     rc = main([
-        "sweep", "--preset", "chaotic-fig6",
+        "sweep", "--preset", "integrable-fig2",
         "--config", override, "--out", str(tmp_path / "out"),
     ])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "[FAIL] ggwpd phase convergence at N=200" in captured.out
+    assert "[FAIL] off-center ratio stays >= 5x worse" in captured.out
+    assert "[FAIL] error ratio >= 10 at N=200: factor 0.2" in captured.out
     assert "overall: FAIL" in captured.out
 
 
@@ -390,8 +398,8 @@ def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
 ):
     """The integrable seed search scans the shearing line that
     ``ggwpd manifolds`` writes: both reach _SHEAR_HALFWIDTH_SIGMA momentum
-    widths to either side of the alpha center."""
-    scanned = []
+    widths of the seed-search packets to either side of the alpha center,
+    for the preset's first N and for a sweep that starts at N = 3000."""
     scan_line = rotor._scan_line
 
     def spy(p_lo, p_hi, *rest):
@@ -399,20 +407,21 @@ def test_manifolds_shearing_line_spans_the_interval_the_seed_search_scans(
         return scan_line(p_lo, p_hi, *rest)
 
     monkeypatch.setattr(rotor, "_scan_line", spy)
-    cfg = preset("integrable-fig2")
-    alpha, beta = packets_for(cfg, cfg.N_list[0])
-    find_seeds(
-        alpha, beta, cfg.t, RotorParams(cfg.K),
-        image_range=cfg.image_range, regime=cfg.regime,
-    )
-    assert main(["manifolds", "--preset", "integrable-fig2", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    with open(tmp_path / "integrable-fig2_shearing_alpha.csv", newline="") as fh:
-        p = [float(row["p"]) for row in csv.DictReader(fh)]
-    assert scanned == [(p[0], p[-1])]
-    sig_p = alpha.hbar / (2.0 * alpha.sigma)
-    half = 0.5 * (p[-1] - p[0]) / sig_p
-    assert abs(half - rotor._SHEAR_HALFWIDTH_SIGMA) < 1e-9
+    for n_list in ([50, 100], [3000, 6000]):
+        scanned = []
+        cfg = config_from_dict({"N_list": n_list}, base=preset("integrable-fig2"))
+        prepare_scenario(cfg)
+        config = _write_json(tmp_path, "cfg.json", {"N_list": n_list})
+        argv = ["manifolds", "--preset", "integrable-fig2", "--config", config]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "integrable-fig2_shearing_alpha.csv", newline="") as fh:
+            p = [float(row["p"]) for row in csv.DictReader(fh)]
+        assert scanned == [(p[0], p[-1])]
+        alpha, _ = packets_for(cfg, cfg.seed_N)
+        sig_p = alpha.hbar / (2.0 * alpha.sigma)
+        half = 0.5 * (p[-1] - p[0]) / sig_p
+        assert abs(half - rotor._SHEAR_HALFWIDTH_SIGMA) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggwpd import experiment, semiclassics
-from ggwpd.errors import ConfigError, NumericalError
+from ggwpd.errors import ConfigError
 from ggwpd.experiment import (
     CSV_COLUMNS,
     PRESETS,
@@ -190,39 +190,38 @@ def test_saddle_locations_independent_of_grid_size(
     assert chaotic_bundle.setup.saddle_drift < 1e-10
 
 
-@pytest.mark.xfail(
-    raises=NumericalError,
-    strict=True,
-    reason="known defect (h): the heteroclinic seed search finds no seeds "
-    "for chaotic-fig6 located at N = 150",
+@pytest.mark.parametrize(
+    "changes, count",
+    [({"N_list": (150, 300)}, 7), ({"K": 6.0, "N_list": (100, 200)}, 4)],
+    ids=["preset", "K=6"],
 )
-def test_chaotic_saddles_are_found_from_a_larger_reference_n(chaotic_bundle):
-    """The saddle equations do not depend on N, so locating the preset's
-    saddles at N = 150 instead of 50 finds the same seven."""
-    cfg = dataclasses.replace(chaotic_bundle.config, N_list=(150, 300))
+def test_chaotic_saddles_are_found_from_a_larger_reference_n(
+    chaotic_bundle, changes, count
+):
+    """The saddle equations do not depend on N, so locating the saddles at
+    N = 150 or 100 instead of 50 finds every one: the preset's seven, and
+    at K = 6 the four with which the sweep passes its gates."""
+    cfg = dataclasses.replace(chaotic_bundle.config, **changes)
     setup = prepare_scenario(cfg)
-    assert len(setup.saddles) == len(chaotic_bundle.setup.saddles) == 7
+    assert len(setup.saddles) == count
+    assert emit_report(run_sweep(setup), setup)[1]
 
 
-@pytest.mark.xfail(
-    raises=NumericalError,
-    strict=True,
-    reason="known defect (h): the integrable seed's end lies 0.03 in p from "
-    "the bra image, which is more than _CAPTURE_SIGMA momentum widths from "
-    "N of about 2200 on",
-)
 def test_integrable_saddle_is_found_from_a_larger_reference_n(integrable_bundle):
     """The pinned (0, 1) saddle does not depend on N, so locating it at
-    N = 3000 instead of 50 finds it too."""
+    N = 3000 instead of 50 finds it too, and the report names the N whose
+    packets the seed search used."""
     cfg = dataclasses.replace(integrable_bundle.config, N_list=(3000, 6000))
     setup = prepare_scenario(cfg)
     assert [s.seed.winding for s in setup.saddles] == [(0, 1)]
+    report, _ = emit_report([], setup)
+    assert report.splitlines()[3] == "  seeds searched with the packets of N=50"
 
 
 def test_prepare_scenario_refuses_an_empty_n_list():
-    cfg = config_from_dict({"N_list": []}, base=preset("integrable-fig2"))
+    """The config refuses it, before any command can use it."""
     with pytest.raises(ConfigError, match="empty N_list"):
-        prepare_scenario(cfg)
+        config_from_dict({"N_list": []}, base=preset("integrable-fig2"))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ MANIFOLD_SHA256 = {
     },
 }
 
-WAVEFUNCTION_SHA256 = "2c257bf0f5d231bf08d973020696b0425f13675c895c1faeb9364ec2da241218"
+WAVEFUNCTION_SHA256 = "8cc61ded879076b7d19116d6498205d27d192afad52766130fcba2e11c5d52a7"
 
 
 def _wavefunction_values() -> list[str]:

@@ -1,5 +1,6 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
 import cmath
+import dataclasses
 import math
 import re
 
@@ -215,10 +216,8 @@ def test_saddle_location_is_width_scaling_invariant():
 
 @pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
 def test_preset_saddles_converge_at_large_n(fixture, request):
-    """At N = 1e5 the residuals' rounding floor lies far above _NEWTON_TOL,
-    so only the scale-aware stops end the search: every preset saddle,
-    re-solved from its seed, lands within the sweep's drift gate of the one
-    located at the reference N."""
+    """At N = 1e5 every preset saddle, re-solved from its seed, lands
+    within the sweep's drift gate of the one located at the reference N."""
     bundle = request.getfixturevalue(fixture)
     alpha, beta = packets_for(bundle.config, 10**5)
     params = RotorParams(bundle.config.K)
@@ -253,9 +252,44 @@ def test_newton_search_with_a_singular_jacobian_raises_caustic_error():
         )
 
 
+@pytest.mark.parametrize("fixture", ["integrable_bundle", "chaotic_bundle"])
+def test_newton_iterations_do_not_depend_on_n(fixture, request):
+    """With b = pi N the residuals times hbar do not depend on N, and
+    neither does the number of updates each preset saddle takes."""
+    bundle = request.getfixturevalue(fixture)
+    params = RotorParams(bundle.config.K)
+    counts = []
+    for N in (50, 10**3, 10**5):
+        alpha, beta = packets_for(bundle.config, N)
+        counts.append([
+            find_saddle(alpha, beta, s.seed, params).iterations
+            for s in bundle.setup.saddles
+        ])
+    assert counts[0] == counts[1] == counts[2]
+    assert max(counts[0]) <= 5
+
+
+def test_every_long_time_chaotic_seed_converges_at_small_and_large_n():
+    """The chaotic preset at t = 3: each of its 21 transport seeds reaches
+    a saddle at N = 50 and at N = 1e5.  A stop on hbar times the residual
+    at 1e-12 / (2 pi 50), about 3e-15, fails 7 of them without the step
+    stop and 2 with it: their residuals do not get that far."""
+    cfg = dataclasses.replace(preset("chaotic-fig6"), t=3)
+    params = RotorParams(cfg.K)
+    seeds = find_seeds(
+        *packets_for(cfg, 50), cfg.t, params,
+        image_range=cfg.image_range, regime=cfg.regime,
+    )
+    assert len(seeds) == 21
+    for N in (50, 10**5):
+        alpha, beta = packets_for(cfg, N)
+        for seed in seeds:
+            find_saddle(alpha, beta, seed, params)
+
+
 def test_newton_stops_after_a_full_step_at_the_rounding_limit():
     """A linear residual with a floor of 5e-12, above _NEWTON_TOL, and
-    hbar = 1, so that the floor stop cannot end the search.  The first step
+    hbar = 1, so that the residual stop cannot end the search.  The first step
     lands one ulp from the root; the second, a full step of one ulp, lands
     on it and lowers the residual to its floor, and its size ends the
     search, where a further step could change nothing."""
@@ -317,7 +351,7 @@ def _numpy_newton_solve(seed, params, residual_of, jacobian_of, hbar):
     traj = propagate(ic, seed.t, params)
     res = residual_of(traj)
     history = [norm(res)]
-    while history[-1] >= semiclassics._NEWTON_TOL:
+    while history[-1] * hbar >= semiclassics._NEWTON_TOL:
         assert len(history) <= semiclassics._NEWTON_MAX_ITER
         jac = np.array(jacobian_of(traj))
         delta = np.linalg.solve(jac, -np.array([res.initial, res.final]))
@@ -359,6 +393,55 @@ def test_preset_saddles_match_the_numpy_newton_loop(fixture, request, monkeypatc
         for g, w in ((got_ic.p1, want_ic.p1), (got_ic.q1, want_ic.q1)):
             assert abs(g.real - w.real) <= 1e-15
             assert abs(g.imag - w.imag) <= 1e-15
+
+
+_package_newton_solve = semiclassics._newton_solve
+
+
+def _polished_newton_solve(seed, params, residual_of, jacobian_of, hbar):
+    """The package's Newton search followed by up to three more full steps,
+    each kept only while it lowers the residual."""
+    sad = _package_newton_solve(seed, params, residual_of, jacobian_of, hbar)
+    traj = sad.trajectory
+    res = residual_of(traj)
+    for _ in range(3):
+        d0, d1 = semiclassics._solve_newton_step(
+            jacobian_of(traj), (-res.initial, -res.final)
+        )
+        cand = propagate(
+            ComplexPhasePoint(traj.initial.p1 + d0, traj.initial.q1 + d1),
+            seed.t,
+            params,
+        )
+        cand_res = residual_of(cand)
+        if not cand_res.max_norm < res.max_norm:
+            break
+        traj, res = cand, cand_res
+    return semiclassics.SaddleTrajectory(
+        trajectory=traj, seed=seed, residual_history=sad.residual_history
+    )
+
+
+@pytest.mark.parametrize("center", [(0.815, 0.2), (0.765, 0.15), (0.865, 0.25)])
+def test_wavefunction_is_converged_to_extra_newton_steps(monkeypatch, center):
+    """The benchmark's N = 700 wavefunction at three packet centres: extra
+    Newton steps past the stop move no grid value by more than
+    1e-9 max|psi|.  A position error of 1e-12 would move the phase
+    p dx / hbar by about 3.5e-9."""
+    N, t = 700, 2
+    alpha = GaussianPacket(*center, math.pi * N, grid_hbar(N))
+    params = RotorParams(0.05)
+
+    def values():
+        return np.array([
+            ggwpd_wavefunction(alpha, s / N, t, params, image_range=2)
+            for s in range(1, N + 1)
+        ])
+
+    got = values()
+    monkeypatch.setattr(semiclassics, "_newton_solve", _polished_newton_solve)
+    want = values()
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_wavefunction_matches_the_numpy_newton_loop(monkeypatch):
