@@ -89,9 +89,10 @@ _ARC_BUDGET = 6.0
 _MAX_CURVE_POINTS = 200_000
 
 # Most germ levels the heteroclinic search scans, one map step each, at
-# about 3 ms a level.  The count grows like 1/log|lambda_u|, without bound
-# as the fixed point nears parabolic (K -> 0 at q = 1/2, K -> 4 at q = 0):
-# K = 1e-14 would need 2e8 levels.  400 refuses |lambda_u| below 1.057.
+# about 2 ms a level whatever t.  The count grows like 1/log|lambda_u|,
+# without bound as the fixed point nears parabolic (K -> 0 at q = 1/2,
+# K -> 4 at q = 0): K = 1e-14 would need 2e8 levels.  400 refuses
+# |lambda_u| below 1.057.
 _MAX_GERM_LEVELS = 400
 
 
@@ -423,9 +424,43 @@ def _grow_invariant_curve(
         germ = anchor[None, :] + side * s_vals[:, None] * v[None, :]
         return step(germ, n, params.K)
 
-    # signed curve parameter of a germ offset s on a given side after n steps
-    def signed_param(side: float, n: int, s_vals: np.ndarray) -> np.ndarray:
-        return side * s_vals * lam**n
+    def grow_level(side: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Signed curve parameters and points of level n on one side, in
+        curve order; the round lists die with the call, before the whole
+        curve is put together."""
+        logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
+        offsets = np.exp(logs)
+        pts = level_points(side, n, offsets)
+        # log-offsets, their offsets and points, one array each per round
+        log_parts, offset_parts, pt_parts = [logs], [offsets], [pts]
+        count = n_base
+        # the frontier: log-offsets and points at both ends of every
+        # interval still to test
+        lo_log, hi_log, lo_pt, hi_pt = logs[:-1], logs[1:], pts[:-1], pts[1:]
+        while True:
+            if count > _MAX_CURVE_POINTS:
+                raise NumericalError("manifold refinement exceeded the point-count cap")
+            gaps = np.hypot(*(hi_pt - lo_pt).T)
+            split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
+            if not split.any():
+                break
+            lo_log, hi_log = lo_log[split], hi_log[split]
+            mids = 0.5 * (lo_log + hi_log)
+            mid_offsets = np.exp(mids)
+            mid_pts = level_points(side, n, mid_offsets)
+            log_parts.append(mids)
+            offset_parts.append(mid_offsets)
+            pt_parts.append(mid_pts)
+            count += mids.size
+            lo_log = np.concatenate([lo_log, mids])
+            hi_log = np.concatenate([mids, hi_log])
+            lo_pt = np.concatenate([lo_pt[split], mid_pts])
+            hi_pt = np.concatenate([mid_pts, hi_pt[split]])
+        # a level's points in curve order are its log-offsets in order
+        order = np.argsort(np.concatenate(log_parts))
+        # the signed curve parameter of offset s after n steps is s lam**n
+        param = side * np.concatenate(offset_parts)[order] * lam**n
+        return param, np.concatenate(pt_parts)[order]
 
     # curve parameters and points, one array each per (level, side) in
     # growth order; the anchor comes first
@@ -438,37 +473,9 @@ def _grow_invariant_curve(
         if total_len >= _ARC_BUDGET:
             break
         for side in (+1.0, -1.0):
-            logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
-            pts = level_points(side, n, np.exp(logs))
-            log_parts, pt_parts = [logs], [pts]
-            count = n_base
-            # the frontier: log-offsets and points at both ends of every
-            # interval still to test
-            lo_log, hi_log, lo_pt, hi_pt = logs[:-1], logs[1:], pts[:-1], pts[1:]
-            while True:
-                if count > _MAX_CURVE_POINTS:
-                    raise NumericalError(
-                        "manifold refinement exceeded the point-count cap"
-                    )
-                gaps = np.hypot(*(hi_pt - lo_pt).T)
-                split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
-                if not split.any():
-                    break
-                lo_log, hi_log = lo_log[split], hi_log[split]
-                mids = 0.5 * (lo_log + hi_log)
-                mid_pts = level_points(side, n, np.exp(mids))
-                log_parts.append(mids)
-                pt_parts.append(mid_pts)
-                count += mids.size
-                lo_log = np.concatenate([lo_log, mids])
-                hi_log = np.concatenate([mids, hi_log])
-                lo_pt = np.concatenate([lo_pt[split], mid_pts])
-                hi_pt = np.concatenate([mid_pts, hi_pt[split]])
-            # a level's points in curve order are its log-offsets in order
-            logs = np.concatenate(log_parts)
-            order = np.argsort(logs)
-            param_parts.append(signed_param(side, n, np.exp(logs[order])))
-            point_parts.append(np.concatenate(pt_parts)[order])
+            param, points = grow_level(side, n)
+            param_parts.append(param)
+            point_parts.append(points)
         # arc length of everything grown so far, summed in curve order; the
         # sort is stable so equal parameters keep their growth order
         order = np.argsort(np.concatenate(param_parts), kind="stable")
@@ -522,16 +529,128 @@ def propagate_curve(curve: ManifoldCurve, t: int, params: RotorParams) -> Manifo
     return ManifoldCurve(_forward_many(curve.points, t, params.K))
 
 
+# 5**k for every scale k = 16 - X :func:`_write_g17` takes: X >= -11, so
+# k <= 27 and 5**k < 2**63
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+
+def _round_scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(m 10**k 2**e), exactly, elementwise in uint64.
+
+    For m < 2**53, 0 <= k <= 27 and a shift s = -(e + k) in [1, 63]: the
+    product m 5**k (up to 116 bits) is formed from 32-bit halves as a high
+    and a low 64-bit word, and shifted right by s; the s bits shifted out
+    of the low word decide the rounding.
+    """
+    p = _POW5[k]
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    p_lo, p_hi = p & 0xFFFFFFFF, p >> 32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi  # below 2**53 + 2**63
+    wrapped = low + (mid << 32)
+    high = m_hi * p_hi + (mid >> 32) + (wrapped < low)
+    s = (-(e + k)).astype(np.uint64)
+    q = (high << (64 - s)) | (wrapped >> s)
+    rest = wrapped & ((1 << s) - 1)
+    half = 1 << (s - 1)
+    return q + ((rest > half) | ((rest == half) & (q & 1).astype(bool)))
+
+
+def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % x[i]``, NUL-padded, into row i of the zeroed ``out``.
+
+    ``out`` is (n, 43) uint8: a sign, the "0." and three zeros of 0.000ddd,
+    the 17 digits with a point slot after each of the first 16, and "e-XX".
+    Finite |x| in [1e-10, 1e14) is formatted over the whole array with
+    integer arithmetic.  With |x| = M 2**E, the 17-digit significand is
+    D = round-half-even(M 10**k 2**E) with k = 16 - X, for the decimal
+    exponent X of the rounded value.  X starts from floor(log10 |x|), one
+    off at worst, and steps once: up where D reaches 10**17, and down
+    where D is at most 10**16 (10**16 itself may be |x| 10**k rounded up)
+    unless the step down reaches 10**17 again.  There k is at most 27 and
+    the shift -(E + k) lies in [1, 63] (:func:`_round_scaled`).  The
+    digits are laid out by %g's rules: fixed notation for -4 <= X < 17 and
+    d.ddd e-XX below, with trailing zeros dropped, and the point too when
+    no digit follows it.  Every other value (±0, non-finite values and
+    magnitudes outside the range) is formatted by ``%`` itself, once per
+    distinct bit pattern, so a column of zeros costs one call.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e14)
+    a = np.where(fast, a, 1.0)
+    bits = a.view(np.uint64)
+    m = (bits & ((1 << 52) - 1)) | (1 << 52)
+    e = (bits >> 52).astype(np.int64) - 1075
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D = _round_scaled(m, e, 16 - X)
+    up, down = D >= 10**17, D <= 10**16
+    redo = np.flatnonzero(up | down)
+    X[redo] += up[redo].astype(np.int64) - down[redo]
+    D[redo] = _round_scaled(m[redo], e[redo], 16 - X[redo])
+    # a step down from 10**16 that reaches 10**17 was no step
+    carry = redo[D[redo] >= 10**17]
+    X[carry] += 1
+    D[carry] = 10**16
+    # the digits, one row each, most significant first
+    digits = np.empty((17, x.size), dtype=np.uint8)
+    for j in range(16, -1, -1):
+        q = D // 10
+        digits[j] = D - q * 10
+        D = q
+    # the last nonzero digit
+    last = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0) - 1
+    sci = X < -4
+    lead = (X < 0) & ~sci
+    # the digit the point follows, -1 for 0.000ddd
+    point = np.where(sci, 0, np.where(lead, -1, X))
+    digits += 48
+    digits *= np.arange(17)[:, None] <= np.maximum(last, point)
+    out[:, 6:39:2] = digits.T
+    out[:, 0] = np.signbit(x) * np.uint8(45)
+    out[:, 1] = lead * np.uint8(48)
+    out[:, 2] = lead * np.uint8(46)
+    for c in range(3):
+        out[:, 3 + c] = (lead & (X < -1 - c)) * np.uint8(48)
+    rows = np.flatnonzero((last > point) & (point >= 0))
+    out[rows, 7 + 2 * point[rows]] = 46
+    rows = np.flatnonzero(sci)
+    out[rows, 39:41] = (101, 45)
+    out[rows, 41] = 48 + -X[rows] // 10
+    out[rows, 42] = 48 + -X[rows] % 10
+    slow = np.flatnonzero(~fast)
+    patterns, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
+    texts = np.zeros((patterns.size, out.shape[1]), dtype=np.uint8)
+    for row, v in zip(texts, patterns.view(np.float64).tolist()):
+        text = ("%.17g" % v).encode()
+        row[: len(text)] = np.frombuffer(text, np.uint8)
+    out[slow] = texts[which]
+
+
 def curve_to_csv(curve: ManifoldCurve, path) -> None:
     """Dump a curve as a plot-ready CSV with columns index, p, q.
 
-    Every row is formatted in one pass of ``%`` over Python floats, which
-    renders ``%.17g`` exactly as ``format(v, ".17g")`` does.
+    The rows are laid out in one NUL-padded uint8 matrix, the p and q
+    columns by :func:`_write_g17`, which renders ``%.17g`` exactly as
+    ``format(v, ".17g")`` does; the file is the matrix without its NULs.
+    The matrix is a view of a ``bytearray``, which drops its NULs without
+    a copy.  Integer points render as ``%`` renders them, through float.
     """
-    p, q = curve.points.T.tolist()
-    rows = "".join(map("%d,%.17g,%.17g\n".__mod__, zip(range(len(p)), p, q)))
-    with open(path, "w", newline="") as fh:
-        fh.write("index,p,q\n" + rows)
+    pts = np.asarray(curve.points, dtype=np.float64)
+    n = len(pts)
+    w = len(str(max(n - 1, 0)))
+    text = bytearray(n * (w + 89))
+    m = np.frombuffer(text, dtype=np.uint8).reshape(n, w + 89)
+    idx = np.arange(n)
+    for c in range(w - 1, -1, -1):
+        # a leading zero of the index is a NUL
+        m[:, c] = (idx % 10 + 48) * ((idx > 0) | (c == w - 1))
+        idx //= 10
+    m[:, [w, w + 44, w + 88]] = (44, 44, 10)
+    _write_g17(pts[:, 0], m[:, w + 1 : w + 44])
+    _write_g17(pts[:, 1], m[:, w + 45 : w + 88])
+    with open(path, "wb") as fh:
+        fh.write(b"index,p,q\n")
+        fh.write(text.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +721,19 @@ def _monotone_runs(ends: np.ndarray) -> tuple:
     step (a NaN end, or inf - inf) ends a run, and a non-NaN end with no
     step on either side is a run of one node.  So every non-NaN end lies
     in a run, and every step between two ends on strictly opposite sides
-    of a value lies in exactly one run.
+    of a value lies in exactly one run.  Ends of two or more nodes with no
+    NaN step that never fall, or never rise, are returned as their one run
+    without building the index.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN step
-        step = np.sign(np.diff(ends))  # 1, -1, 0 or NaN from node i to i + 1
+        diff = np.diff(ends)
+    if ends.size > 1:
+        # a NaN step fails both tests
+        if (diff >= 0).all():
+            return ((0, ends.tolist(), 1.0),)
+        if (diff <= 0).all():
+            return ((0, (-ends).tolist(), -1.0),)
+    step = np.sign(diff)  # 1, -1, 0 or NaN from node i to i + 1
     ok = ~np.isnan(step)
     idx = np.arange(step.size)
     # before each step: the last rise or fall, and the last NaN step
@@ -951,14 +1079,13 @@ def _heteroclinic_seeds(
     cands: list[tuple[np.ndarray, ...]] = []
     # per bracket: upper end, value at the lower end and frozen frame depth
     brackets: list[tuple[np.ndarray, ...]] = []
-    # scan points of the current level, the + side's rows first, one map
-    # step per level
+    # t-step endpoints of the current level's scan points, the + side's rows
+    # first: level n's are one map step of level n - 1's
     sides = np.repeat([1.0, -1.0], n_scan)
     scan_logs = np.tile(logs, 2)
-    level = germ(sides, np.exp(scan_logs))
+    ends = _forward_many(germ(sides, np.exp(scan_logs)), t - 1, K)
     for n in range(n_levels):
-        ends = _forward_many(level, t, K)
-        level = _forward_many(level, 1, K)
+        ends = _forward_many(ends, 1, K)
         # _CAPTURE_RADIUS is below 1/2, so an endpoint is near at most one
         # image center, and rounding its offset from beta names that image
         n_p = np.rint(ends[:, 0] - beta.p1)

@@ -34,6 +34,7 @@ from ggwpd.rotor import (
     _run_crossings,
     _scan_line,
     _sign_change_brackets,
+    _write_g17,
     curve_to_csv,
     find_seeds,
     inverse_map_step,
@@ -530,6 +531,84 @@ def test_curve_to_csv_matches_csv_writer_bytes(tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
+def _g17(values) -> list[str]:
+    """Each value as the curve CSV's %.17g kernel renders it."""
+    x = np.asarray(values, dtype=np.float64)
+    out = np.zeros((x.size, 43), dtype=np.uint8)
+    _write_g17(x, out)
+    return [row[row != 0].tobytes().decode() for row in out]
+
+
+def _percent_csv(points) -> bytes:
+    """The curve CSV as one ``%`` pass over the points' Python values."""
+    p, q = np.asarray(points).T.tolist()
+    rows = "".join(map("%d,%.17g,%.17g\n".__mod__, zip(range(len(p)), p, q)))
+    return ("index,p,q\n" + rows).encode()
+
+
+def _with_neighbours(values):
+    """Each value with the floats just below and above it."""
+    return [
+        float(w)
+        for v in values
+        for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+    ]
+
+
+# the fast range's edges, powers of ten (where floor(log10 |x|) can be one
+# off), a 17-digit literal just below 1e-4, and exact decimal ties that round
+# down (even) and up (odd) at the 17th digit, in both notations
+_G17_EDGES = (
+    _with_neighbours([1e-10, 1e14] + [float(f"1e{e}") for e in range(-12, 17)])
+    + [9.9999999999999995e-05, 3 * 2.0**-25, 2.0**-25, 211 * 2.0**-21]
+    + [10000000000000.0625, 10000000000000.1875, -(3 * 2.0**-25)]
+)
+
+
+_bit_patterns = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats() | st.floats(-1e14, 1e14) | _bit_patterns, min_size=1, max_size=40
+    )
+)
+@example(values=_G17_EDGES)
+@example(values=[-_v for _v in _G17_EDGES])
+@example(values=[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308])
+def test_g17_kernel_renders_every_float_as_format(values):
+    """Every float64, subnormals, signed zeros and non-finite values
+    included, renders exactly as ``format(v, ".17g")``."""
+    assert _g17(values) == [format(v, ".17g") for v in values]
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100, 10_001])
+def test_curve_to_csv_is_the_percent_rendering_at_every_index_width(n, tmp_path):
+    """The index column crosses each digit-count boundary, with values of
+    every magnitude and the values only ``%`` renders mixed in."""
+    rng = np.random.default_rng(n)
+    points = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-12.0, 16.0, (n, 2))
+    points.flat[::7] = rng.choice([0.0, -0.0, np.inf, np.nan, 1e-300], points.size)[::7]
+    path = tmp_path / "curve.csv"
+    curve_to_csv(ManifoldCurve(points), path)
+    assert path.read_bytes() == _percent_csv(points)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+def test_curve_to_csv_renders_integer_points_as_percent_did(dtype, tmp_path):
+    """Integer points render through float, as ``%`` renders Python ints."""
+    info = np.iinfo(dtype)
+    points = np.array(
+        [[0, 1], [7, 10], [info.max, info.min], [2**31 - 1, 123456789]], dtype=dtype
+    )
+    path = tmp_path / "curve.csv"
+    curve_to_csv(ManifoldCurve(points), path)
+    assert path.read_bytes() == _percent_csv(points)
+
+
 def test_integrable_seed_search_recovers_intersection():
     """The shearing-line root for the mild-kick scenario sits where expected.
 
@@ -1003,6 +1082,38 @@ def test_run_index_gives_the_nodes_and_brackets_of_the_sign_scan(case):
         if s_next == s + len(values) - 1:
             steps = np.diff(ends[s : s_next + len(values_next)])
             assert (steps > 0).any() and (steps < 0).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30
+    ).map(sorted),
+    falling=st.booleans(),
+)
+def test_monotone_ends_are_one_run(ends, falling):
+    """Ends that never fall, or never rise, are one run, stored negated
+    with flip -1.0 when some step falls."""
+    ends = np.array(ends[::-1] if falling else ends)
+    flip = -1.0 if ends[-1] < ends[0] else 1.0
+    assert _monotone_runs(ends) == ((0, (flip * ends).tolist(), flip),)
+
+
+@pytest.mark.parametrize(
+    "ends, runs",
+    [
+        ([2.0], ((0, [2.0], 1.0),)),
+        ([np.nan], ()),
+        ([np.nan, np.nan], ()),
+        ([], ()),
+        ([1.0, np.inf], ((0, [1.0, np.inf], 1.0),)),
+        ([-np.inf, -np.inf, 0.0], ((0, [-np.inf], 1.0), (1, [-np.inf, 0.0], 1.0))),
+        ([0.0, 1.0, np.nan, 3.0, 2.0], ((0, [0.0, 1.0], 1.0), (3, [-3.0, -2.0], -1.0))),
+    ],
+)
+def test_monotone_runs_of_short_and_nan_scans(ends, runs):
+    """One node, NaN nodes and inf - inf steps keep their runs."""
+    assert _monotone_runs(np.array(ends, dtype=float)) == runs
 
 
 def test_hand_built_scan_gets_the_same_roots_as_an_indexed_one():
