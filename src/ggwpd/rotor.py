@@ -84,7 +84,8 @@ _CAPTURE_RADIUS = 0.3
 _RUNAWAY_BOUND = 10.0
 
 # Arc length of a grown stable or unstable manifold, and the point count at
-# which its refinement is refused as runaway.
+# which its growth is refused as runaway: the points of one level, or the
+# base points of all levels together.
 _ARC_BUDGET = 6.0
 _MAX_CURVE_POINTS = 200_000
 
@@ -303,22 +304,32 @@ def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTraj
 # vectorized real-map helpers (manifold growth and seed searches)
 # ---------------------------------------------------------------------------
 
+def _step_forward(p: np.ndarray, q: np.ndarray, n: int, K: float) -> None:
+    """Apply the unfolded forward map n times to the points (p, q), in place."""
+    for _ in range(n):
+        p -= (K / TWO_PI) * np.sin(TWO_PI * q)
+        q += p
+
+
+def _step_backward(p: np.ndarray, q: np.ndarray, n: int, K: float) -> None:
+    """Apply the unfolded inverse map n times to the points (p, q), in place."""
+    for _ in range(n):
+        q -= p
+        p += (K / TWO_PI) * np.sin(TWO_PI * q)
+
+
 def _forward_many(pts: np.ndarray, n: int, K: float) -> np.ndarray:
     """Apply the unfolded forward map n times to an (m, 2) array of (p, q)."""
     p = pts[:, 0].copy()
     q = pts[:, 1].copy()
-    for _ in range(n):
-        p -= (K / TWO_PI) * np.sin(TWO_PI * q)
-        q += p
+    _step_forward(p, q, n, K)
     return np.column_stack([p, q])
 
 
 def _backward_many(pts: np.ndarray, n: int, K: float) -> np.ndarray:
     p = pts[:, 0].copy()
     q = pts[:, 1].copy()
-    for _ in range(n):
-        q -= p
-        p += (K / TWO_PI) * np.sin(TWO_PI * q)
+    _step_backward(p, q, n, K)
     return np.column_stack([p, q])
 
 
@@ -371,6 +382,70 @@ def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
         raise ConfigError(f"{fp} is not a fixed point of the folded map")
 
 
+class _OrderedCurve:
+    """Points (p, q) kept in ascending order of a curve parameter, with the
+    length of the segment from each point to the next.
+
+    Rows 0-3 of ``buf`` hold parameter, p, q and segment length; the curve
+    is columns ``lo`` to ``hi - 1``, with free columns on both sides.  An
+    ordered part goes in with :meth:`insert`, which moves only the points
+    between the part's insertion places and the nearer end of the curve,
+    and measures only the segments those columns touch.
+    """
+
+    def __init__(self, p: float, q: float) -> None:
+        self.buf = np.array([[0.0], [p], [q], [0.0]])
+        self.lo, self.hi = 0, 1
+
+    def rows(self, k: int) -> np.ndarray:
+        """Row k of the curve's columns, a view."""
+        return self.buf[k, self.lo : self.hi]
+
+    def insert(self, part: np.ndarray) -> None:
+        """Merge a (3, m) part of parameters, p and q, ascending in its
+        parameter; each of its points goes after every point with a
+        parameter up to its own."""
+        m = part.shape[1]
+        rel = np.searchsorted(self.rows(0), part[0], side="right")
+        # shift the old points before the last insertion place left, or
+        # those after the first one right, whichever are fewer
+        left = rel[-1] <= self.hi - self.lo - rel[0]
+        self._reserve(m if left else 0, 0 if left else m)
+        lo, hi = self.lo, self.hi
+        if left:
+            a, b, start = lo, lo + rel[-1], lo - m
+            self.lo = start
+        else:
+            a, b, start = lo + rel[0], hi, lo + rel[0]
+            self.hi = hi + m
+        at = rel - (a - lo) + np.arange(m)
+        old = np.ones(b - a + m, dtype=bool)
+        old[at] = False
+        region = np.empty((3, old.size))
+        region[:, old] = self.buf[:3, a:b]
+        region[:, at] = part
+        end = start + old.size
+        self.buf[:3, start:end] = region
+        # segment i joins columns i and i + 1: those touching the region
+        s, e = max(start - 1, self.lo), min(end, self.hi - 1)
+        p, q = self.buf[1], self.buf[2]
+        self.buf[3, s:e] = np.hypot(
+            p[s + 1 : e + 1] - p[s:e], q[s + 1 : e + 1] - q[s:e]
+        )
+
+    def _reserve(self, left: int, right: int) -> None:
+        """Make room for ``left`` more columns before the curve and
+        ``right`` after it, re-centring it in a buffer at least twice its
+        size when either side is short."""
+        if self.lo >= left and self.buf.shape[1] - self.hi >= right:
+            return
+        n = self.hi - self.lo
+        buf = np.zeros((4, 2 * (n + left + right)))
+        lo = (buf.shape[1] - n) // 2
+        buf[:, lo : lo + n] = self.buf[:, self.lo : self.hi]
+        self.buf, self.lo, self.hi = buf, lo, lo + n
+
+
 def _grow_invariant_curve(
     fp: tuple[float, float], params: RotorParams, inverse: bool
 ) -> np.ndarray:
@@ -394,103 +469,142 @@ def _grow_invariant_curve(
     left-to-right walk inserting one midpoint at a time gives.  Each
     (level, side) is put in curve order once, by its log-offsets.
 
+    The 48 base points of level n on both sides are one map step of level
+    n - 1's, the same operations in the same order as n steps from the
+    germ; a midpoint has no point at the level before and is stepped n
+    times from the germ.  Points are kept as flat p and q arrays and
+    stacked into (p, q) rows once, at the end.
+
+    Each (level, side), in growth order, is merged into the curve grown so
+    far by its signed curve parameter, after any point with an equal one:
+    the order a stable sort of every parameter in growth order gives.
+    The arc length after each level decides whether growth goes on.  The
+    whole last level must be grown, because the curve is then cut to the
+    window of ``_ARC_BUDGET`` centred on the middle of its full arc
+    length, so the cut depends on every point of that level; the cut
+    reuses that level's segment lengths.
+
     The stable curve is grown with 1 / lambda_s, which ``np.linalg.eig``
     loses to cancellation at large K (0.0 from K of about 2e8).  The
     relative error of lambda_u lambda_s against det M = 1 is the relative
     error of every level's span, so a stable growth refuses it, with
     NumericalError, once it exceeds the curve's relative resolution
-    ``_CURVE_SPACING / _ARC_BUDGET``.
+    ``_CURVE_SPACING / _ARC_BUDGET``.  Growth is refused, also with
+    NumericalError and before any map step, when the base points of all
+    levels alone would pass ``_MAX_CURVE_POINTS``: the level count grows
+    like 1 / log|lambda| as the fixed point nears parabolic, and this
+    refuses |lambda| below about 1.011.
     """
-    lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, params.K)
+    K = params.K
+    lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, K)
     if inverse:
         # not abs(...) <= bound, so that a NaN product is refused too
         if not abs(lam_u * lam_s - 1.0) <= _CURVE_SPACING / _ARC_BUDGET:
             raise NumericalError(
                 f"the stable multiplier at {fp} is lost to rounding "
                 f"(lambda_u lambda_s = {lam_u * lam_s:.3g}, not 1); "
-                f"K = {params.K:g} is too large"
+                f"K = {K:g} is too large"
             )
         lam, v = 1.0 / lam_s, v_s
     else:
         lam, v = lam_u, v_u
-    step = _backward_many if inverse else _forward_many
+    step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
-    anchor = np.asarray(fp, dtype=float)
+    n_base = 48
 
     # enough levels for any reasonable budget; growth stops on budget anyway
     n_levels = max(4, int(np.ceil(np.log(64.0 / s0) / np.log(abs(lam)))))
+    if 2 * n_base * n_levels > _MAX_CURVE_POINTS:
+        raise NumericalError(
+            f"the {'stable' if inverse else 'unstable'} multiplier "
+            f"|lambda| = {abs(lam):.10g} at {fp} needs {n_levels} levels of "
+            f"{2 * n_base} base points, {2 * n_base * n_levels} in all, more "
+            f"than {_MAX_CURVE_POINTS}; K = {K:g} is too weakly hyperbolic"
+        )
 
-    def level_points(side: float, n: int, s_vals: np.ndarray) -> np.ndarray:
-        germ = anchor[None, :] + side * s_vals[:, None] * v[None, :]
-        return step(germ, n, params.K)
+    logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
+    offsets = np.exp(logs)
 
-    def grow_level(side: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Signed curve parameters and points of level n on one side, in
-        curve order; the round lists die with the call, before the whole
-        curve is put together."""
-        logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
-        offsets = np.exp(logs)
-        pts = level_points(side, n, offsets)
+    fp_p, fp_q = map(float, fp)
+
+    def germ(side, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return fp_p + (side * s) * v[0], fp_q + (side * s) * v[1]
+
+    # the base points of the current level, the + side's first
+    base_p, base_q = germ(np.repeat([1.0, -1.0], n_base), np.tile(offsets, 2))
+
+    def grow_level(side: float, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Signed curve parameters and points p, q of level n on one side,
+        in ascending parameter order, from the level's base points; the
+        round lists die with the call."""
         # log-offsets, their offsets and points, one array each per round
-        log_parts, offset_parts, pt_parts = [logs], [offsets], [pts]
+        log_parts, offset_parts, p_parts, q_parts = [logs], [offsets], [p], [q]
         count = n_base
         # the frontier: log-offsets and points at both ends of every
         # interval still to test
-        lo_log, hi_log, lo_pt, hi_pt = logs[:-1], logs[1:], pts[:-1], pts[1:]
+        lo_log, hi_log = logs[:-1], logs[1:]
+        lo_p, hi_p, lo_q, hi_q = p[:-1], p[1:], q[:-1], q[1:]
         while True:
             if count > _MAX_CURVE_POINTS:
                 raise NumericalError("manifold refinement exceeded the point-count cap")
-            gaps = np.hypot(*(hi_pt - lo_pt).T)
+            gaps = np.hypot(hi_p - lo_p, hi_q - lo_q)
             split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
             if not split.any():
                 break
             lo_log, hi_log = lo_log[split], hi_log[split]
             mids = 0.5 * (lo_log + hi_log)
             mid_offsets = np.exp(mids)
-            mid_pts = level_points(side, n, mid_offsets)
+            mid_p, mid_q = germ(side, mid_offsets)
+            step(mid_p, mid_q, n, K)
             log_parts.append(mids)
             offset_parts.append(mid_offsets)
-            pt_parts.append(mid_pts)
+            p_parts.append(mid_p)
+            q_parts.append(mid_q)
             count += mids.size
             lo_log = np.concatenate([lo_log, mids])
             hi_log = np.concatenate([mids, hi_log])
-            lo_pt = np.concatenate([lo_pt[split], mid_pts])
-            hi_pt = np.concatenate([mid_pts, hi_pt[split]])
+            lo_p = np.concatenate([lo_p[split], mid_p])
+            hi_p = np.concatenate([mid_p, hi_p[split]])
+            lo_q = np.concatenate([lo_q[split], mid_q])
+            hi_q = np.concatenate([mid_q, hi_q[split]])
         # a level's points in curve order are its log-offsets in order
         order = np.argsort(np.concatenate(log_parts))
         # the signed curve parameter of offset s after n steps is s lam**n
-        param = side * np.concatenate(offset_parts)[order] * lam**n
-        return param, np.concatenate(pt_parts)[order]
+        scale = lam**n
+        if side * scale < 0.0:
+            # only intervals wider than 1e-14 split, so the offsets of one
+            # level differ by over 20 ulps and no two of its parameters
+            # are equal: reversing keeps the stable order
+            order = order[::-1]
+        param = side * np.concatenate(offset_parts)[order] * scale
+        return np.stack(
+            [param, np.concatenate(p_parts)[order], np.concatenate(q_parts)[order]]
+        )
 
-    # curve parameters and points, one array each per (level, side) in
-    # growth order; the anchor comes first
-    param_parts = [np.zeros(1)]
-    point_parts = [anchor[None, :]]
-    curve = anchor[None, :]
+    # the curve grown so far, starting from the fixed point
+    curve = _OrderedCurve(fp_p, fp_q)
     total_len = 0.0
-    n_base = 48
     for n in range(n_levels):
         if total_len >= _ARC_BUDGET:
             break
-        for side in (+1.0, -1.0):
-            param, points = grow_level(side, n)
-            param_parts.append(param)
-            point_parts.append(points)
-        # arc length of everything grown so far, summed in curve order; the
-        # sort is stable so equal parameters keep their growth order
-        order = np.argsort(np.concatenate(param_parts), kind="stable")
-        curve = np.concatenate(point_parts)[order]
-        total_len = float(np.sum(np.hypot(*np.diff(curve, axis=0).T)))
+        if n:
+            step(base_p, base_q, 1, K)
+        for side, base in ((+1.0, slice(0, n_base)), (-1.0, slice(n_base, None))):
+            curve.insert(grow_level(side, n, base_p[base], base_q[base]))
+        # one sum over the whole curve: its pairwise order sets the last
+        # bits the budget test sees
+        total_len = float(np.sum(curve.rows(3)[:-1]))
+    p, q, seglen = curve.rows(1), curve.rows(2), curve.rows(3)[:-1]
     # truncate symmetrically in parameter once the budget is exceeded
     if total_len > _ARC_BUDGET:
-        seglen = np.hypot(*np.diff(curve, axis=0).T)
         cum = np.concatenate([[0.0], np.cumsum(seglen)])
         # keep the centered window of the requested length
         excess = (cum[-1] - _ARC_BUDGET) / 2.0
         lo = int(np.searchsorted(cum, excess))
         hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
-        curve = curve[max(lo, 0) : min(hi + 1, len(curve))]
-    return curve
+        keep = slice(max(lo, 0), min(hi + 1, len(p)))
+        p, q = p[keep], q[keep]
+    return np.column_stack([p, q])
 
 
 def unstable_manifold(fp: tuple[float, float], params: RotorParams) -> ManifoldCurve:
@@ -937,9 +1051,7 @@ def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
     # live[k]: how many rows take a (k+1)-th step, those with more than k
     live = np.searchsorted(-steps[order], -np.arange(steps.max(initial=0)))
     for n in live.tolist():
-        pn, qn = p[:n], q[:n]
-        pn -= (K / TWO_PI) * np.sin(TWO_PI * qn)
-        qn += pn
+        _step_forward(p[:n], q[:n], 1, K)
     out = np.empty((len(order), 2))
     out[order, 0] = p
     out[order, 1] = q

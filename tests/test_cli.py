@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ggwpd import experiment, rotor
@@ -471,3 +471,74 @@ def test_sweep_exits_with_a_documented_code_on_random_configs(tmp_path, payload)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc in (0, 1, 2, 3)
+
+
+# a chaotic config on the fixed point (0, 1/2), to take a small K
+MINI_CHAOTIC_WEAK = {
+    "t": 2, "alpha_center": [0.0, 0.5], "beta_center": [1.0, -0.5], "N_list": [50],
+    "regime": "chaotic", "image_range": 1, "label": "custom",
+}
+
+# K anywhere in [0, 12], and log-uniformly close to 0 and to 4, where the
+# lattice fixed points at q = 1/2 and q = 0 turn parabolic
+_kick_strengths = st.one_of(
+    st.floats(0.0, 12.0),
+    st.floats(-16.0, 0.0).map(lambda e: 10.0**e),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -1.0)).map(
+        lambda d: 4.0 + d[0] * 10.0 ** d[1]
+    ),
+)
+
+
+@st.composite
+def _manifold_configs(draw):
+    regime = draw(st.sampled_from(["chaotic", "integrable"]))
+    # mostly on lattice fixed points, where the chaotic curves grow, and
+    # beta half the time a lattice shift of alpha, a fixed point of its kind
+    on_lattice = draw(st.integers(0, 3)) > 0
+    centers = (
+        _lattice_fixed_points if on_lattice else st.tuples(_coordinates, _coordinates)
+    )
+    alpha = draw(centers)
+    if draw(st.booleans()):
+        shift = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        beta = (alpha[0] + shift[0], alpha[1] + shift[1])
+    else:
+        beta = draw(centers)
+    return {
+        "K": draw(_kick_strengths),
+        "t": draw(st.integers(1, 3)),
+        "alpha_center": list(alpha),
+        "beta_center": list(beta),
+        "N_list": [2 * draw(st.integers(1, 100))],
+        "regime": regime,
+        "image_range": draw(st.integers(0, 2)),
+        "label": draw(st.sampled_from(["custom", "chaotic-fig6"])),
+    }
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_manifold_configs())
+# K = 1.5e-4 needs 1,844 levels, which growth takes on; 1e-4 needs 2,258,
+# which it refuses
+@example(payload={**MINI_CHAOTIC_WEAK, "K": 1.5e-4})
+@example(payload={**MINI_CHAOTIC_WEAK, "K": 1e-4})
+def test_manifolds_exits_with_a_documented_code_on_random_configs(tmp_path, payload):
+    """Either regime, centres on lattice fixed points or anywhere, K in
+    [0, 12] with many draws near 0 and 4, where a fixed point turns
+    parabolic and growth needs thousands of levels, and t in 1-3:
+    ``ggwpd manifolds`` ends with exit 0, 2 or 3 and lets no exception
+    escape.  The arc budget is cut to 1; the level count, which sets the
+    cost near a parabolic point, hardly depends on it."""
+    cfg = _write_json(tmp_path, "fuzz.json", payload)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotor, "_ARC_BUDGET", 1.0)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            rc = main(["manifolds", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc in (0, 2, 3)

@@ -1,5 +1,6 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
 import csv
+import hashlib
 import io
 import time
 
@@ -31,6 +32,7 @@ from ggwpd.rotor import (
     _line_roots,
     _merge_duplicates,
     _monotone_runs,
+    _OrderedCurve,
     _run_crossings,
     _scan_line,
     _sign_change_brackets,
@@ -424,6 +426,137 @@ def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it(monkeypatch):
     monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", largest)
     curve = unstable_manifold((0.0, 0.0), K_CHAOTIC)
     assert len(curve.points) > largest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=40).map(sorted),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_ordered_curve_merges_as_a_stable_sort_in_growth_order(parts):
+    """Parts with many equal parameters, inside the curve, beyond either
+    end or straddling it: the columns are the stable sort of every point
+    in growth order, and each segment length is the hypot of the
+    neighbours' differences, as one pass over the whole curve gives it.
+    Each point's p is its place in growth order."""
+    curve = _OrderedCurve(0.0, 1.0)
+    rows = [(0.0, 0.0, 1.0)]
+    for keys in parts:
+        param = np.array(keys, dtype=float)
+        p = np.arange(len(rows), len(rows) + param.size, dtype=float)
+        q = np.cos(p)
+        curve.insert(np.stack([param, p, q]))
+        rows.extend(zip(param, p, q))
+    rows = np.array(rows)
+    want = rows[np.argsort(rows[:, 0], kind="stable")]
+    got = np.stack([curve.rows(0), curve.rows(1), curve.rows(2)], axis=1)
+    assert np.array_equal(got, want)
+    seglen = np.hypot(*np.diff(want[:, 1:], axis=0).T)
+    assert np.array_equal(curve.rows(3)[:-1], seglen)
+
+
+def _growth_levels(fp, params, inverse):
+    """The level count growth plans for, as ``_grow_invariant_curve`` and
+    the depth-first reference work it out."""
+    lam_u, _, lam_s, _ = _hyperbolic_frame(fp, params.K)
+    lam = 1.0 / lam_s if inverse else lam_u
+    return max(4, int(np.ceil(np.log(64.0 / _GERM_OFFSET) / np.log(abs(lam)))))
+
+
+@st.composite
+def _hyperbolic_growths(draw):
+    """A hyperbolic fixed point of the standard map with K, and a direction:
+    (0, 0) needs K > 4 and (0, 1/2) any K > 0."""
+    fp = draw(st.sampled_from([(0.0, 0.0), (0.0, 0.5)]))
+    low = 4.0 if fp == (0.0, 0.0) else 0.0
+    K = draw(st.floats(low, 12.0, exclude_min=True))
+    return fp, K, draw(st.booleans())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    growth=_hyperbolic_growths(),
+    budget=st.floats(0.1, 1.0),
+)
+@example(growth=((0.0, 0.0), 8.25, False), budget=1.0)
+@example(growth=((0.0, 0.5), 8.25, True), budget=1.0)
+@example(growth=((0.0, 0.0), 4.05, True), budget=0.5)
+def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budget):
+    """Unstable and stable curves at any K equal the depth-first
+    reference's bit for bit.  A fixed point so near parabolic that growth
+    is refused up front is refused whatever the budget; one that needs
+    more than 400 levels is left to the pinned K = 1e-3 curves, as the
+    reference re-sorts every point at every level."""
+    fp, K, inverse = growth
+    grow = stable_manifold if inverse else unstable_manifold
+    try:
+        levels = _growth_levels(fp, RotorParams(K), inverse)
+    except ConfigError:
+        # K below about 2e-16 at (0, 1/2): the trace 2 + K rounds to 2
+        with pytest.raises(ConfigError, match="not hyperbolic"):
+            grow(fp, RotorParams(K))
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotor, "_ARC_BUDGET", budget)
+        if 2 * 48 * levels > rotor._MAX_CURVE_POINTS:
+            with pytest.raises(NumericalError, match="too weakly hyperbolic"):
+                grow(fp, RotorParams(K))
+            return
+        if levels > 400:
+            reject()
+        curve = grow(fp, RotorParams(K))
+    ref, _ = _grow_depth_first(fp, RotorParams(K), budget, _CURVE_SPACING, inverse)
+    assert np.array_equal(curve.points, ref)
+
+
+# SHA-256 of the points of the K = 1e-3 curves at (0, 1/2), 68,641 rows
+# each, written by a growth that stepped every level's base points from
+# the germ and re-sorted the whole curve at every level.  Growth takes
+# 715 levels there, so base points are stepped on 714 times.
+WEAK_MANIFOLD_SHA256 = {
+    False: "1b9161612c06c58c800751979089c349f4fa1b834ac0e099856bdcaea491ac6e",
+    True: "40144a2d62f425cb1d16ba18ec332e40a5b1a06debc892ada111ade3fc8e74fd",
+}
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["unstable", "stable"])
+def test_weakly_hyperbolic_curves_keep_their_pinned_points(inverse):
+    grow = stable_manifold if inverse else unstable_manifold
+    assert _growth_levels((0.0, 0.5), RotorParams(1e-3), inverse) == 715
+    curve = grow((0.0, 0.5), RotorParams(1e-3))
+    assert curve.points.shape == (68641, 2)
+    digest = hashlib.sha256(np.ascontiguousarray(curve.points).tobytes()).hexdigest()
+    assert digest == WEAK_MANIFOLD_SHA256[inverse]
+
+
+@pytest.mark.parametrize("grow", [unstable_manifold, stable_manifold])
+@pytest.mark.parametrize(
+    "fp, K", [((0.0, 0.5), 1e-4), ((0.0, 0.5), 1e-14), ((0.0, 0.0), 4.0 + 1e-12)]
+)
+def test_manifold_growth_refuses_a_nearly_parabolic_fixed_point(grow, fp, K):
+    """K = 1e-4 at (0, 1/2) needs 2,258 levels, which took over a minute
+    when every level re-sorted the whole curve, and K = 1e-14 needs 2e8.
+    All three are refused before a map step."""
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="too weakly hyperbolic") as err:
+        grow(fp, RotorParams(K))
+    assert time.perf_counter() - start < 1.0
+    assert f"at {fp}" in str(err.value) and "|lambda| = 1.0" in str(err.value)
+
+
+def test_growth_is_refused_exactly_when_the_base_points_pass_the_cap(monkeypatch):
+    """The 96 base points of each of the 715 levels K = 1e-3 plans for
+    make 68,640: a cap one below refuses the growth, a cap of exactly
+    that lets it run."""
+    fp, params = (0.0, 0.5), RotorParams(1e-3)
+    monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", 96 * 715 - 1)
+    with pytest.raises(NumericalError, match="715 levels of 96 base points"):
+        unstable_manifold(fp, params)
+    monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", 96 * 715)
+    assert len(unstable_manifold(fp, params).points) == 68641
 
 
 def test_manifold_needs_hyperbolic_fixed_point():
