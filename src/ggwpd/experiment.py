@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
-from .packets import GaussianPacket, _Record, _set
+from .packets import GaussianPacket, _Record, _modulus, _set
 from .rotor import RotorParams, SeedTrajectory, _merge_duplicates, find_seeds
 from .semiclassics import (
     SaddleTrajectory,
@@ -302,11 +302,12 @@ class SweepRow:
                     "a semiclassical sum underflowed to zero; "
                     "its magnitude ratio is undefined"
                 )
-            object.__setattr__(self, f"abs_err_{m}", abs(self.C_qm - c))
-            object.__setattr__(self, f"ratio_{m}", abs(self.C_qm) / abs(c))
-            object.__setattr__(
-                self, f"phase_err_{m}", float(np.angle(self.C_qm * np.conj(c)))
-            )
+            object.__setattr__(self, f"abs_err_{m}", _modulus(self.C_qm - c))
+            object.__setattr__(self, f"ratio_{m}", _modulus(self.C_qm) / _modulus(c))
+            # np.angle's arctan2, without its array wrapping
+            z = self.C_qm * np.conj(c)
+            phase = float(np.arctan2(z.imag, z.real))
+            object.__setattr__(self, f"phase_err_{m}", phase)
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:

@@ -31,6 +31,7 @@ over the whole grid.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from .packets import GaussianPacket
 # exp(-x) underflows to exactly 0 in double precision once x > 745.14, so a
 # packet image contributes exactly +-0 wherever b dx^2 exceeds this
 _UNDERFLOW_EXPONENT = 746.0
+
+# ln(1/eps): an image beyond m = sqrt(this / b) on either side weighs less
+# than the machine epsilon
+_LOG_INV_EPS = -math.log(sys.float_info.epsilon)
 
 # Most lattice images a side :func:`discretize_packet` sums.  The count
 # grows like 1/sqrt(b), and each image costs a pass over the grid, so an
@@ -102,13 +107,14 @@ def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
     psi = np.zeros(N, dtype=complex)
     b = packet.b1
     q = packet.q1 - math.floor(packet.q1)
-    images = max(1, math.ceil(math.sqrt(-math.log(np.finfo(float).eps) / b)))
+    images = max(1, math.ceil(math.sqrt(_LOG_INV_EPS / b)))
     if images > _MAX_IMAGES:
         raise ConfigError(
             f"packet width b = {b!r} needs {images} lattice images a side, "
             f"more than {_MAX_IMAGES}"
         )
     reach = math.sqrt(_UNDERFLOW_EXPONENT / b)
+    ip = 1j * packet.p1
     for n in range(-images, images + 1):
         # grid index i holds x = (i + 1)/N, so the window is i + 1 within
         # N (q + n -+ reach), widened by a spare point a side against the
@@ -118,7 +124,7 @@ def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
         hi = math.floor(min(max(N * (q + n + reach) + 1.0, 0.0), N))
         if lo < hi:
             dx = np.arange(lo + 1, hi + 1) / N - (q + n)
-            psi[lo:hi] += np.exp(-b * dx**2 + 1j * packet.p1 * dx / hbar)
+            psi[lo:hi] += np.exp(-b * dx**2 + ip * dx / hbar)
     psi *= (2.0 * b / np.pi) ** 0.25
     norm = np.linalg.norm(psi)
     if norm == 0.0:

@@ -13,6 +13,7 @@ pointwise with the real-center one.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,19 @@ def _scalar(name: str, x, kind=float):
     if np.ndim(x) != 0:
         raise ValueError(f"{name} must be a scalar, got shape {np.shape(x)}")
     return kind(x)
+
+
+def _modulus(z: complex) -> float:
+    """``abs(z)``, also where a part is NaN and no part infinite.
+
+    CPython 3.11 returns NaN there without clearing errno, and so raises
+    ``OverflowError`` when an earlier libm call left ERANGE in it, as
+    numpy's complex exp does on underflow: whether a NaN term raised then
+    depended on which call ran last.
+    """
+    if z == z:  # no NaN part
+        return abs(z)
+    return math.inf if cmath.isinf(z) else math.nan
 
 
 class _Record:
@@ -136,6 +150,27 @@ _set_p1 = ComplexPhasePoint.p1.__set__
 _set_q1 = ComplexPhasePoint.q1.__set__
 
 
+_packet_setters = tuple(
+    getattr(GaussianPacket, name).__set__ for name in GaussianPacket._fields
+)
+
+
+def _packet(p1: float, q1: float, b1: float, hbar: float) -> GaussianPacket:
+    """The :class:`GaussianPacket` of four Python floats, without its checks.
+
+    For callers whose values are checked already: finite, with b1 and hbar
+    positive.  Filling the slots directly costs under half the checked
+    constructor.
+    """
+    packet = _new(GaussianPacket)
+    set_p1, set_q1, set_b1, set_hbar = _packet_setters
+    set_p1(packet, p1)
+    set_q1(packet, q1)
+    set_b1(packet, b1)
+    set_hbar(packet, hbar)
+    return packet
+
+
 def _complex_point(p1: complex, q1: complex) -> ComplexPhasePoint:
     """The :class:`ComplexPhasePoint` (p1, q1) of two Python complex values.
 
@@ -226,7 +261,7 @@ def bra_norm_exponent(packet: GaussianPacket, point: ComplexPhasePoint) -> compl
     conjugated ket exponent at the conjugated point -- rounding included,
     unlike adding the cross term to the ket exponent.
     """
-    conj = ComplexPhasePoint(point.p1.conjugate(), point.q1.conjugate())
+    conj = _complex_point(point.p1.conjugate(), point.q1.conjugate())
     return ket_norm_exponent(packet, conj).conjugate()
 
 

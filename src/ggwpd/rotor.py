@@ -839,7 +839,9 @@ def _monotone_runs(ends: np.ndarray) -> tuple:
     NaN step that never fall, or never rise, are returned as their one run
     without building the index.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN step
+    # inf - inf is a NaN step, and a step between finite ends of opposite
+    # signs past 1.8e308 overflows to an infinite one of the right sign
+    with np.errstate(invalid="ignore", over="ignore"):
         diff = np.diff(ends)
     if ends.size > 1:
         # a NaN step fails both tests

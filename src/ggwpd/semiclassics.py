@@ -37,6 +37,8 @@ from .packets import (
     ResidualPair,
     _Record,
     _complex_point,
+    _modulus,
+    _packet,
     _set,
     bra_norm_exponent,
     ket_norm_exponent,
@@ -79,7 +81,7 @@ def _tracked_sqrt(dets: Sequence[complex]) -> complex:
     # (a trajectory without legs) gets here with a zero
     if prev == 0:
         raise CausticError(caustic)
-    return math.sqrt(abs(prev)) * cmath.exp(0.5j * angle)
+    return math.sqrt(_modulus(prev)) * cmath.exp(0.5j * angle)
 
 
 class SaddleTrajectory(_Record):
@@ -117,11 +119,15 @@ class SaddleContribution(_Record):
     bra_exponent) * prefactor`` where ``prefactor`` is the reciprocal
     branch-tracked square root (any half-integer winding phase lives
     there).
+
+    ``weight``, exp of the real part of that exponent, is the term's weight
+    for pruning.  The evaluators set it from the exponent they formed for
+    ``value``; it is no field, so ``==``, ``hash`` and ``repr`` ignore it,
+    and a term built by hand or copied has none.
     """
 
-    __slots__ = _fields = (
-        "action", "ket_exponent", "bra_exponent", "prefactor", "value"
-    )
+    _fields = ("action", "ket_exponent", "bra_exponent", "prefactor", "value")
+    __slots__ = (*_fields, "weight")
 
     def __init__(
         self,
@@ -177,11 +183,6 @@ def _prune_and_sum(contributions, weights) -> CorrelationResult:
     return CorrelationResult(branches=kept)
 
 
-def _descent_weight(c: SaddleContribution, hbar: float) -> float:
-    """exp(Re exponent) of a steepest-descent term, its weight for pruning."""
-    return float(np.exp((1j * c.action / hbar + c.ket_exponent + c.bra_exponent).real))
-
-
 def _saddle_place(sad: SaddleTrajectory):
     """Winding and initial point, the location :func:`_merge_duplicates` compares."""
     ic = sad.trajectory.initial
@@ -189,9 +190,14 @@ def _saddle_place(sad: SaddleTrajectory):
 
 
 def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianPacket:
-    """The lattice image of the bra packet selected by a winding pair."""
+    """The lattice image of the bra packet selected by a winding pair.
+
+    Equal to ``beta.with_center(beta.p1 + n_p, beta.q1 + n_q)`` without its
+    checks: the width and hbar are ``beta``'s, checked already, and a
+    finite centre shifted by a winding of a few cells stays finite.
+    """
     n_p, n_q = winding
-    return beta.with_center(beta.p1 + n_p, beta.q1 + n_q)
+    return _packet(float(beta.p1 + n_p), float(beta.q1 + n_q), beta.b1, beta.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +371,16 @@ def _descent_term(
     """
     root = _tracked_sqrt(dets)
     fm = ket_norm_exponent(alpha, trajectory.initial)
-    value = (
-        norm
-        * np.exp(1j * trajectory.action / alpha.hbar + fm + bra_exponent)
-        / root
-    )
-    return SaddleContribution(
+    exponent = 1j * trajectory.action / alpha.hbar + fm + bra_exponent
+    term = SaddleContribution(
         action=trajectory.action,
         ket_exponent=fm,
         bra_exponent=bra_exponent,
         prefactor=1.0 / root,
-        value=complex(value),
+        value=complex(norm * np.exp(exponent) / root),
     )
+    _set(term, "weight", float(np.exp(exponent.real)))
+    return term
 
 
 def saddle_contribution(
@@ -419,8 +423,7 @@ def ggwpd_correlation(
             )
         target = _shifted_target(beta, sad.seed.winding)
         contributions.append(saddle_contribution(alpha, target, sad.trajectory))
-    weights = [_descent_weight(c, alpha.hbar) for c in contributions]
-    return _prune_and_sum(contributions, weights)
+    return _prune_and_sum(contributions, [c.weight for c in contributions])
 
 
 def wavefunction_contribution(
@@ -558,48 +561,56 @@ def ggwpd_wavefunction(
         wavefunction_contribution(alpha, sad.trajectory)
         for sad in _merge_duplicates(saddles, _saddle_place)
     ]
-    weights = [_descent_weight(c, alpha.hbar) for c in terms]
-    return _prune_and_sum(terms, weights).total
+    return _prune_and_sum(terms, [c.weight for c in terms]).total
 
 
 # ---------------------------------------------------------------------------
 # off-center real-trajectory and linearized evaluators
 # ---------------------------------------------------------------------------
 
-def offcenter_contribution(
+def _divide(a: complex, b: complex) -> complex:
+    """``a / b`` rounded as numpy's complex128 division, on Python scalars.
+
+    numpy scales the denominator by the ratio of its smaller to its larger
+    part and multiplies by the reciprocal of the result; CPython's ``/``
+    divides by it instead, which rounds differently in about 40 % of
+    random draws.  The operands of every product and sum are in numpy's
+    order, so even the sign of a NaN agrees.  A zero denominator, or a
+    NaN real part over a zero imaginary one, raises in Python's float
+    division; numpy's inf or NaN is returned there.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    try:
+        if abs(br) >= abs(bi):
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            return complex(scl * (ai * rat + ar), (ai - rat * ar) * scl)
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        return complex((ai + rat * ar) * scl, (rat * ai - ar) * scl)
+    except ZeroDivisionError:
+        return complex(np.complex128(a) / b)
+
+
+# Below this real part, cmath.exp and numpy's complex exp both return
+# exp(x) cos(y) + i exp(x) sin(y), bit for bit; from log(DBL_MAX / 4) ~ 708.4
+# on, cmath scales exp(x) differently, and it raises on overflow.
+_CMATH_EXP_MAX = 708.0
+
+_SQRT2 = complex(math.sqrt(2.0))
+
+
+def _offcenter_exp(
     alpha: GaussianPacket,
     beta: GaussianPacket,
     trajectory: ComplexTrajectory,
-) -> OffCenterContribution:
-    """Exact quadratic-form correlation term of one real trajectory.
-
-    The dynamics is expanded to second order about the trajectory; for
-    quadratic Hamiltonians the result is exact for *any* real trajectory.
-    ``beta`` must be the winding-shifted image (equal widths and hbar are
-    required — the underlying expression assumes a common sigma).
-    """
-    same_width = abs(alpha.b1 - beta.b1) <= 1e-12 * abs(beta.b1)
-    if not same_width or alpha.hbar != beta.hbar:
-        raise ConfigError(
-            "off-center evaluation requires equal packet widths and hbar"
-        )
-    if not (trajectory.initial.is_real() and trajectory.final.is_real()):
-        raise ConfigError("off-center evaluation requires a real trajectory")
-    b = alpha.b1
+    a0: complex,
+    r1: float,
+    r2: float,
+    sx: float,
+) -> complex:
+    """exp(i phase - quad / (2 a0)), the Gaussian factor of an off-center term."""
     hbar = alpha.hbar
-    # sigma^2 = 1/(4b); the two stability scalings below are hbar/(2 sigma^2)
-    # and its reciprocal
-    r1 = 2.0 * hbar * b
-    r2 = 1.0 / (2.0 * hbar * b)
-    sx = np.sqrt(1.0 / (2.0 * b))  # sqrt(2 sigma^2)
-
-    sums = [
-        m11 + m22 + 1j * (r1 * m21 - r2 * m12)
-        for m11, m12, m21, m22 in trajectory.legs
-    ]
-    root = _tracked_sqrt(sums)
-    a0 = sums[-1]
-
     p0, q0 = trajectory.initial.p1.real, trajectory.initial.q1.real
     pt, qt = trajectory.final.p1.real, trajectory.final.q1.real
     dx_a = (alpha.q1 - q0) / sx
@@ -622,12 +633,65 @@ def offcenter_contribution(
         - 2j * c_xx_f * dx_b * dp_b
     )
     phase = (
-        trajectory.action.real
+        float(trajectory.action.real)
         + pt * (beta.q1 - qt)
         - p0 * (alpha.q1 - q0)
     ) / hbar
-    value = np.sqrt(2.0) / root * np.exp(1j * phase - quad / (2.0 * a0))
-    return OffCenterContribution(value=complex(value))
+    z = 1j * phase - _divide(quad, 2.0 * a0)
+    if z.real < _CMATH_EXP_MAX and cmath.isfinite(z):
+        return cmath.exp(z)
+    return complex(np.exp(z))
+
+
+def offcenter_contribution(
+    alpha: GaussianPacket,
+    beta: GaussianPacket,
+    trajectory: ComplexTrajectory,
+) -> OffCenterContribution:
+    """Exact quadratic-form correlation term of one real trajectory.
+
+    The dynamics is expanded to second order about the trajectory; for
+    quadratic Hamiltonians the result is exact for *any* real trajectory.
+    ``beta`` must be the winding-shifted image (equal widths and hbar are
+    required — the underlying expression assumes a common sigma).
+
+    The term is evaluated on Python floats and complex numbers with every
+    rounding of the numpy-scalar evaluation it replaced, since each numpy
+    scalar operation costs several times its arithmetic.  Sums, products, ``math.sqrt`` and ``**2`` (the
+    same libm ``pow``) round alike in both.  The two complex quotients go
+    through :func:`_divide`, which copies numpy's division, and the
+    exponential is ``cmath.exp``, equal to numpy's below a real part of
+    ``_CMATH_EXP_MAX``; numpy's exp serves beyond it and for inf or NaN.
+    Where Python floats raise instead of overflowing -- a square past
+    1.8e308, or a zero ``sx`` when 2b overflows -- the Gaussian factor is
+    evaluated again on numpy scalars, for numpy's inf or NaN.
+    """
+    same_width = abs(alpha.b1 - beta.b1) <= 1e-12 * abs(beta.b1)
+    if not same_width or alpha.hbar != beta.hbar:
+        raise ConfigError(
+            "off-center evaluation requires equal packet widths and hbar"
+        )
+    if not (trajectory.initial.is_real() and trajectory.final.is_real()):
+        raise ConfigError("off-center evaluation requires a real trajectory")
+    b = alpha.b1
+    hbar = alpha.hbar
+    # sigma^2 = 1/(4b); the two stability scalings below are hbar/(2 sigma^2)
+    # and its reciprocal
+    r1 = 2.0 * hbar * b
+    r2 = 1.0 / (2.0 * hbar * b)
+    sx = math.sqrt(1.0 / (2.0 * b))  # sqrt(2 sigma^2)
+
+    sums = [
+        m11 + m22 + 1j * (r1 * m21 - r2 * m12)
+        for m11, m12, m21, m22 in trajectory.legs
+    ]
+    root = _tracked_sqrt(sums)
+    a0 = sums[-1]
+    try:
+        gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, sx)
+    except (OverflowError, ZeroDivisionError):
+        gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, np.float64(sx))
+    return OffCenterContribution(value=_divide(_SQRT2, root) * gauss)
 
 
 # Real seed trajectories kept by :func:`_seed_trajectory`.  A sweep reuses
@@ -667,7 +731,7 @@ def offcenter_correlation(
         traj = _seed_trajectory(tuple(seed.ic), t, params.K)
         target = _shifted_target(beta, seed.winding)
         contributions.append(offcenter_contribution(alpha, target, traj))
-    weights = [abs(c.value) for c in contributions]
+    weights = [_modulus(c.value) for c in contributions]
     return _prune_and_sum(contributions, weights)
 
 

@@ -330,6 +330,20 @@ def test_csv_error_row_survives_round_trip(tmp_path):
     assert math.isnan(back.C_qm.real) and math.isnan(back.ratio_ggwpd)
 
 
+def test_error_row_builds_after_a_libm_underflow():
+    """numpy's complex exp leaves ERANGE in errno when it underflows, and
+    CPython 3.11's ``abs`` of a complex with a NaN part returns NaN without
+    clearing it, then raises ``OverflowError``.  An error row's NaN sums
+    still give NaN metrics; the chaotic preset's N = 10**5 row hit this
+    when its last saddle term underflowed."""
+    nan = complex(math.nan, math.nan)
+    np.exp(np.complex128(-800.0 + 1.0j))
+    row = SweepRow(100, 0.1 + 0.2j, nan, nan, "NumericalError: synthetic")
+    for m in experiment._METHODS:
+        for metric in ("abs_err", "ratio", "phase_err"):
+            assert math.isnan(getattr(row, f"{metric}_{m}"))
+
+
 def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -1,4 +1,7 @@
 """Gaussian packet primitives checked against quadrature and closed forms."""
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from ggwpd.packets import (
     ComplexPhasePoint,
     GaussianPacket,
     ResidualPair,
+    _modulus,
+    _packet,
     bra_norm_exponent,
     gaussian_overlap,
     ket_norm_exponent,
@@ -164,3 +169,23 @@ def test_with_center_keeps_width_and_hbar():
     assert moved.b1 == packet.b1
     assert moved.hbar == packet.hbar
     assert moved.p1 == 1.1 and moved.q1 == -0.8
+
+
+def test_unchecked_packet_equals_the_checked_one():
+    packet = GaussianPacket(0.1, 0.2, 5.0, 0.3)
+    image = _packet(1.1, -0.8, packet.b1, packet.hbar)
+    assert type(image) is GaussianPacket
+    assert image == packet.with_center(1.1, -0.8)
+
+
+def test_modulus_is_abs_whatever_errno_holds():
+    """``_modulus`` has the bits of ``abs`` (NaN and inf parts by C99's
+    rule) for every pair of special parts, also after numpy's complex exp
+    underflowed and left ERANGE in errno, where CPython 3.11's ``abs`` of
+    a NaN complex raises."""
+    parts = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e308, math.inf, -math.inf, math.nan, -math.nan]
+    for z in (complex(re, im) for re in parts for im in parts):
+        math.sqrt(1.0)  # a successful math call leaves errno at 0
+        want = struct.pack("<d", abs(z))
+        np.exp(np.complex128(-800.0 + 1.0j))
+        assert struct.pack("<d", _modulus(z)) == want, z

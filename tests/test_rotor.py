@@ -1224,6 +1224,7 @@ def test_run_index_gives_the_nodes_and_brackets_of_the_sign_scan(case):
     ).map(sorted),
     falling=st.booleans(),
 )
+@example(ends=[-9.9792015476736e291, 1.7976931348623157e308], falling=False)
 def test_monotone_ends_are_one_run(ends, falling):
     """Ends that never fall, or never rise, are one run, stored negated
     with flip -1.0 when some step falls."""

@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,10 @@ def test_tracked_sqrt_matches_the_numpy_algorithm(dets):
 
 
 def _short(x):
+    """x to 20 significant bits, and 0 below 2**-1000, where a scaling by
+    2**-4 would leave the normal range and round."""
+    if abs(x) < 2.0**-1000:
+        return 0.0
     m, e = math.frexp(x)
     return math.ldexp(round(m * 2**20), e - 20)
 
@@ -138,11 +143,13 @@ def _short(x):
     through_zero=st.booleans(),
     scale=st.integers(-4, 4),
 )
+@example(dets=[2 + 1e-323j], where=0.0, through_zero=True, scale=-2)
 def test_tracked_sqrt_caustics_match_the_numpy_algorithm(dets, where, through_zero, scale):
     """A zero sample, or a leg from z to -2**scale * z (exactly through
     zero), raises ``CausticError`` in both versions.  numpy may multiply
     with fused multiply-adds, which leave a rounding-level imaginary part
-    on such a leg; z keeps 20 significant bits, so every product is exact."""
+    on such a leg; z keeps 20 significant bits and no subnormal part, so
+    every product is exact."""
     if through_zero:
         k = 1 + int(where * (len(dets) - 1))
         z = complex(_short(dets[k - 1].real), _short(dets[k - 1].imag))
@@ -755,7 +762,10 @@ def _wavefunction_uncached(alpha, x, t, params, image_range):
         wavefunction_contribution(alpha, sad.trajectory)
         for sad in _merge_duplicates(saddles, semiclassics._saddle_place)
     ]
-    weights = [semiclassics._descent_weight(c, alpha.hbar) for c in terms]
+    weights = [
+        float(np.exp((1j * c.action / alpha.hbar + c.ket_exponent + c.bra_exponent).real))
+        for c in terms
+    ]
     return semiclassics._prune_and_sum(terms, weights).total
 
 
@@ -861,3 +871,116 @@ def test_offcenter_exact_for_quadratic_dynamics_any_seed():
     v1 = offcenter_correlation(alpha, beta, [base], params, t).total
     v2 = offcenter_correlation(alpha, beta, [shifted], params, t).total
     assert abs(v1 - v2) < 1e-12 * abs(v1)
+
+
+def test_offcenter_correlation_of_a_nan_term_does_not_raise():
+    """At K = 1e200 the stability matrix overflows and the term is NaN;
+    numpy's exp of it leaves ERANGE in errno, where CPython 3.11's ``abs``
+    of a NaN complex raised ``OverflowError`` while weighing the term."""
+    alpha, beta = _packet(0.1, 0.2, 700), _packet(0.3, 0.4, 700)
+    seed = SeedTrajectory(ic=(0.1, 0.2), t=1, winding=(0, 0))
+    with np.errstate(all="ignore"):
+        result = offcenter_correlation(alpha, beta, [seed], RotorParams(1e200), 1)
+    assert isinstance(result.total, complex)
+
+
+def _offcenter_numpy(alpha, beta, trajectory):
+    """``offcenter_contribution(...).value`` as it was, on numpy scalars:
+    ``sx`` from ``np.sqrt``, numpy's complex division and ``np.exp``."""
+    b = alpha.b1
+    hbar = alpha.hbar
+    r1 = 2.0 * hbar * b
+    r2 = 1.0 / (2.0 * hbar * b)
+    sx = np.sqrt(1.0 / (2.0 * b))
+    sums = [
+        m11 + m22 + 1j * (r1 * m21 - r2 * m12)
+        for m11, m12, m21, m22 in trajectory.legs
+    ]
+    root = _tracked_sqrt(sums)
+    a0 = sums[-1]
+    p0, q0 = trajectory.initial.p1.real, trajectory.initial.q1.real
+    pt, qt = trajectory.final.p1.real, trajectory.final.q1.real
+    dx_a = (alpha.q1 - q0) / sx
+    dp_a = (alpha.p1 - p0) * sx / hbar
+    dx_b = (beta.q1 - qt) / sx
+    dp_b = (beta.p1 - pt) * sx / hbar
+    c_xx_i = trajectory.m22 - 1j * r2 * trajectory.m12
+    c_xx_f = trajectory.m11 - 1j * r2 * trajectory.m12
+    c_pp_i = trajectory.m11 + 1j * r1 * trajectory.m21
+    c_pp_f = trajectory.m22 + 1j * r1 * trajectory.m21
+    quad = (
+        c_xx_i * dx_a**2
+        + c_xx_f * dx_b**2
+        + c_pp_i * dp_a**2
+        + c_pp_f * dp_b**2
+        - 2.0 * (dx_a + 1j * dp_a) * (dx_b - 1j * dp_b)
+        + 2j * c_xx_i * dx_a * dp_a
+        - 2j * c_xx_f * dx_b * dp_b
+    )
+    phase = (trajectory.action.real + pt * (beta.q1 - qt) - p0 * (alpha.q1 - q0)) / hbar
+    return complex(np.sqrt(2.0) / root * np.exp(1j * phase - quad / (2.0 * a0)))
+
+
+def _bits_or_error(evaluate):
+    """The bits of a complex result, or the class of the exception raised;
+    numpy's overflow and invalid-value warnings are silenced, as the
+    parent's inf or NaN is the outcome compared."""
+    with np.errstate(all="ignore"):
+        try:
+            z = complex(evaluate())
+        except Exception as exc:  # noqa: BLE001 -- the class is the outcome
+            return type(exc)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_kicks_to_1e300 = st.one_of(
+    st.floats(0.0, 12.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    N=st.one_of(st.integers(2, 1000), st.integers(2, 10**5)),
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    K=_kicks_to_1e300,
+    t=st.integers(1, 4),
+)
+@example(N=50, centers=[0.0, 0.5, 0.0, 0.5], start=(-0.139, -0.064), K=8.25, t=2)
+@example(N=10**5, centers=[0.3, 0.2, -0.4, 0.9], start=(0.5, 0.25), K=1e300, t=4)
+@example(N=82506, centers=[-0.5, -0.27, -1.09, -0.83], start=(0.945, -0.24), K=1e83, t=3)
+def test_offcenter_contribution_matches_the_numpy_scalar_expression(N, centers, start, K, t):
+    """On packets of width b = pi N and real trajectories of ``propagate``
+    (K up to 1e300, where the offsets and the stability matrix overflow),
+    the Python-scalar term has the bits of the numpy-scalar expression it
+    replaced, inf and NaN included, or raises the same exception class."""
+    pa, qa, pb, qb = centers
+    alpha, beta = _packet(pa, qa, N), _packet(pb, qb, N)
+    try:
+        traj = propagate(ComplexPhasePoint(*start), t, RotorParams(K))
+    except RunawayError:
+        reject()
+    want = _bits_or_error(lambda: _offcenter_numpy(alpha, beta, traj))
+    assert _bits_or_error(lambda: offcenter_contribution(alpha, beta, traj).value) == want
+
+
+_division_parts = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]),
+)
+_division_operands = st.builds(complex, _division_parts, _division_parts)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_division_operands, b=_division_operands)
+@example(a=1 + 1j, b=0j)
+@example(a=0j, b=-0.0 + 0j)
+@example(a=1 + 1j, b=complex(math.nan, 0.0))
+@example(a=complex(-math.nan, 1.0), b=complex(math.inf, -math.inf))
+@example(a=1 + 2j, b=3 - 1j)
+def test_divide_copies_numpy_complex_division_bit_for_bit(a, b):
+    """``_divide`` gives the bits of ``np.complex128`` division, NaN signs
+    included, for signed zeros, infinities and NaN parts; CPython's ``/``
+    rounds differently, and raises on a zero denominator."""
+    want = _bits_or_error(lambda: np.complex128(a) / np.complex128(b))
+    assert _bits_or_error(lambda: semiclassics._divide(a, b)) == want
