@@ -1,5 +1,9 @@
 """Command-line entry point.
 
+Usage::
+
+    ggwpd {sweep,saddle,manifolds} [--config PATH] [--preset NAME] [--out DIR]
+
 Subcommands
 -----------
 sweep
@@ -12,14 +16,21 @@ manifolds
     Dump the transport-geometry curves (shearing line and its image, or
     stable/unstable manifolds) as plot-ready CSV files.
 
+Each option takes one value, as ``--opt value`` or ``--opt=value``, in any
+order after the subcommand; a repeated option keeps its last value.
+Options are spelled out in full: an abbreviation is an unknown option.
+``-h`` or ``--help`` prints the usage and exits 0.  The grammar is parsed
+by hand, without ``argparse``, whose import and first parser cost a
+command a few milliseconds.
+
 Exit codes: 0 success, 1 acceptance-gate failure, 2 usage or config
 error, 3 numerical failure.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from typing import NamedTuple, NoReturn
 
 from .errors import ConfigError, GgwpdError
 from .experiment import (
@@ -46,33 +57,85 @@ EXIT_GATE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+_OPTIONS = ("--config", "--preset", "--out")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="path to a JSON experiment config")
-    sub.add_argument(
-        "--preset", choices=sorted(PRESETS), help="built-in scenario name"
-    )
-    sub.add_argument("--out", default=".", help="output directory (default: .)")
+_USAGE = (
+    "usage: ggwpd {sweep,saddle,manifolds} [--config PATH] "
+    f"[--preset {{{','.join(sorted(PRESETS))}}}] [--out DIR]"
+)
+
+_HELP = f"""{_USAGE}
+
+Gaussian wave packet propagation on the kicked rotor: exact quantum
+reference vs semiclassical evaluators
+
+commands:
+  sweep       run an N sweep and emit CSV + report
+  saddle      print seeds and complex saddle points
+  manifolds   dump transport curves as CSV
+
+options, each as --opt value or --opt=value:
+  --config    path to a JSON experiment config
+  --preset    built-in scenario name
+  --out       output directory (default: .)
+  -h, --help  show this message and exit
+"""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ggwpd",
-        description=(
-            "Gaussian wave packet propagation on the kicked rotor: exact "
-            "quantum reference vs semiclassical evaluators"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep", help="run an N sweep and emit CSV + report")
-    saddle = sub.add_parser("saddle", help="print seeds and complex saddle points")
-    manifolds = sub.add_parser("manifolds", help="dump transport curves as CSV")
-    for p in (sweep, saddle, manifolds):
-        _add_common(p)
-    return parser
+class _Args(NamedTuple):
+    """A parsed command line: the subcommand and its three options."""
+
+    command: str
+    config: str | None
+    preset: str | None
+    out: str
 
 
-def _resolve_config(args: argparse.Namespace):
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}\nggwpd: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse(argv: list[str]) -> _Args:
+    """The subcommand and options of ``argv``; exits 2 on a usage error
+    and 0 after printing the help."""
+    command = None
+    values: dict[str, str] = {}
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(EXIT_OK)
+        if command is None:
+            if arg not in _HANDLERS:
+                _usage_error(
+                    f"unknown command {arg!r} (choose from {', '.join(_HANDLERS)})"
+                )
+            command = arg
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            _usage_error(f"unrecognized argument {arg!r}")
+        if not eq:
+            # a next word that looks like an option is not a value
+            if i == len(argv) or argv[i].startswith("-"):
+                _usage_error(f"{name} expects one value")
+            value = argv[i]
+            i += 1
+        values[name] = value
+    if command is None:
+        _usage_error("a command is required")
+    preset_name = values.get("--preset")
+    if preset_name is not None and preset_name not in PRESETS:
+        _usage_error(
+            f"unknown preset {preset_name!r} (choose from {', '.join(sorted(PRESETS))})"
+        )
+    return _Args(command, values.get("--config"), preset_name, values.get("--out", "."))
+
+
+def _resolve_config(args: _Args):
     base = preset(args.preset) if args.preset else None
     if args.config:
         return load_config(args.config, base=base)
@@ -81,7 +144,7 @@ def _resolve_config(args: argparse.Namespace):
     raise ConfigError("provide --preset and/or --config")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: _Args) -> int:
     config = _resolve_config(args)
     setup = prepare_scenario(config)
     rows = run_sweep(setup)
@@ -97,7 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_GATE_FAILURE
 
 
-def _cmd_saddle(args: argparse.Namespace) -> int:
+def _cmd_saddle(args: _Args) -> int:
     config = _resolve_config(args)
     setup = prepare_scenario(config)
     if setup.check_N is None:
@@ -127,7 +190,7 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_manifolds(args: argparse.Namespace) -> int:
+def _cmd_manifolds(args: _Args) -> int:
     config = _resolve_config(args)
     params = RotorParams(config.K)
     alpha, beta = packets_for(config, config.seed_N)
@@ -153,16 +216,17 @@ def _cmd_manifolds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "sweep": _cmd_sweep,
+    "saddle": _cmd_saddle,
+    "manifolds": _cmd_manifolds,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "saddle": _cmd_saddle,
-        "manifolds": _cmd_manifolds,
-    }
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -418,20 +418,26 @@ class _OrderedCurve:
         else:
             a, b, start = lo + rel[0], hi, lo + rel[0]
             self.hi = hi + m
-        at = rel - (a - lo) + np.arange(m)
-        old = np.ones(b - a + m, dtype=bool)
-        old[at] = False
-        region = np.empty((3, old.size))
-        region[:, old] = self.buf[:3, a:b]
-        region[:, at] = part
-        end = start + old.size
-        self.buf[:3, start:end] = region
+        # the old columns the region overwrites, then the region laid out
+        # one run of equal insertion places at a time: the old columns up
+        # to the place, then the part's points that go there
+        old = self.buf[:3, a:b].copy()
+        places = (rel - (a - lo)).tolist()
+        runs = (np.flatnonzero(np.diff(rel)) + 1).tolist()
+        buf, done, at = self.buf, 0, start
+        for k, k_end in zip([0, *runs], [*runs, m]):
+            place = places[k]
+            buf[:3, at : at + place - done] = old[:, done:place]
+            at += place - done
+            buf[:3, at : at + k_end - k] = part[:, k:k_end]
+            at += k_end - k
+            done = place
+        end = start + (b - a) + m
+        buf[:3, at:end] = old[:, done:]
         # segment i joins columns i and i + 1: those touching the region
         s, e = max(start - 1, self.lo), min(end, self.hi - 1)
-        p, q = self.buf[1], self.buf[2]
-        self.buf[3, s:e] = np.hypot(
-            p[s + 1 : e + 1] - p[s:e], q[s + 1 : e + 1] - q[s:e]
-        )
+        p, q = buf[1], buf[2]
+        buf[3, s:e] = np.hypot(p[s + 1 : e + 1] - p[s:e], q[s + 1 : e + 1] - q[s:e])
 
     def _reserve(self, left: int, right: int) -> None:
         """Make room for ``left`` more columns before the curve and
@@ -444,6 +450,16 @@ class _OrderedCurve:
         lo = (buf.shape[1] - n) // 2
         buf[:, lo : lo + n] = self.buf[:, self.lo : self.hi]
         self.buf, self.lo, self.hi = buf, lo, lo + n
+
+
+def _halves(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
+    """Lower and upper ends of the intervals [lo, mid] and [mid, hi],
+    interleaved: each interval's lower half, then its upper half."""
+    lower = np.empty(2 * mid.size)
+    upper = np.empty(2 * mid.size)
+    lower[0::2], lower[1::2] = lo, mid
+    upper[0::2], upper[1::2] = mid, hi
+    return lower, upper
 
 
 def _grow_invariant_curve(
@@ -466,8 +482,11 @@ def _grow_invariant_curve(
     split, mapping all of their midpoints in one call.  Whether an
     interval splits depends only on its two endpoints, so an interval
     that was not split stays final, and the point set is the one a
-    left-to-right walk inserting one midpoint at a time gives.  Each
-    (level, side) is put in curve order once, by its log-offsets.
+    left-to-right walk inserting one midpoint at a time gives.  The
+    frontier is kept in curve order, each split interval's two halves side
+    by side, so each round's midpoints ascend; each (level, side) is put
+    in curve order once, by a stable sort of its log-offsets, which merges
+    those runs.
 
     The 48 base points of level n on both sides are one map step of level
     n - 1's, the same operations in the same order as n steps from the
@@ -483,6 +502,11 @@ def _grow_invariant_curve(
     window of ``_ARC_BUDGET`` centred on the middle of its full arc
     length, so the cut depends on every point of that level; the cut
     reuses that level's segment lengths.
+
+    The unfolded map fixes (p, q) only at p = 0: it moves a fixed point at
+    integer p = n_p by n_p in q at every step.  Growth runs at (p - n_p, q)
+    and adds n_p to every p of the curve, so the curve at a lattice image
+    of a fixed point is the image of its curve, bit for bit.
 
     The stable curve is grown with 1 / lambda_s, which ``np.linalg.eig``
     loses to cancellation at large K (0.0 from K of about 2e8).  The
@@ -525,7 +549,12 @@ def _grow_invariant_curve(
     logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
     offsets = np.exp(logs)
 
+    # grown at p - n_p; a zero n_p is not added, as adding 0.0 would turn
+    # -0.0 into +0.0
     fp_p, fp_q = map(float, fp)
+    n_p = float(round(fp_p))
+    if n_p:
+        fp_p -= n_p
 
     def germ(side, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return fp_p + (side * s) * v[0], fp_q + (side * s) * v[1]
@@ -561,14 +590,15 @@ def _grow_invariant_curve(
             p_parts.append(mid_p)
             q_parts.append(mid_q)
             count += mids.size
-            lo_log = np.concatenate([lo_log, mids])
-            hi_log = np.concatenate([mids, hi_log])
-            lo_p = np.concatenate([lo_p[split], mid_p])
-            hi_p = np.concatenate([mid_p, hi_p[split]])
-            lo_q = np.concatenate([lo_q[split], mid_q])
-            hi_q = np.concatenate([mid_q, hi_q[split]])
-        # a level's points in curve order are its log-offsets in order
-        order = np.argsort(np.concatenate(log_parts))
+            # each split interval's two halves, side by side: the frontier
+            # stays in curve order, so each round's midpoints ascend
+            lo_log, hi_log = _halves(lo_log, mids, hi_log)
+            lo_p, hi_p = _halves(lo_p[split], mid_p, hi_p[split])
+            lo_q, hi_q = _halves(lo_q[split], mid_q, hi_q[split])
+        # a level's points in curve order are its log-offsets in order: no
+        # two are equal, and they form one ascending run per round, which
+        # the stable sort merges
+        order = np.argsort(np.concatenate(log_parts), kind="stable")
         # the signed curve parameter of offset s after n steps is s lam**n
         scale = lam**n
         if side * scale < 0.0:
@@ -604,6 +634,8 @@ def _grow_invariant_curve(
         hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
         keep = slice(max(lo, 0), min(hi + 1, len(p)))
         p, q = p[keep], q[keep]
+    if n_p:
+        p = p + n_p
     return np.column_stack([p, q])
 
 
@@ -705,12 +737,17 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     carry = redo[D[redo] >= 10**17]
     X[carry] += 1
     D[carry] = 10**16
-    # the digits, one row each, most significant first
+    # the digits, one row each, most significant first: nine from
+    # D // 10**8 and eight from D mod 10**8, both below 2**32, where a
+    # division costs less than in uint64
     digits = np.empty((17, x.size), dtype=np.uint8)
-    for j in range(16, -1, -1):
-        q = D // 10
-        digits[j] = D - q * 10
-        D = q
+    high = D // 10**8
+    halves = ((D - high * 10**8).astype(np.uint32), high.astype(np.uint32))
+    for rows, part in zip((range(16, 8, -1), range(8, -1, -1)), halves):
+        for j in rows:
+            q = part // 10
+            digits[j] = part - q * 10
+            part = q
     # the last nonzero digit
     last = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0) - 1
     sci = X < -4

@@ -176,8 +176,15 @@ def _prune_and_sum(contributions, weights) -> CorrelationResult:
     """The branches weighing at least ``_PRUNE_THRESHOLD`` times the largest.
 
     The kept branches stay in input order, the order in which ``total`` sums
-    them.
+    them.  A NaN weight is refused with :class:`NumericalError`: it would
+    fail the cutoff test, and as the maximum it would make every branch
+    fail it, so the sum would be a silent ``0j``.  Weights, moduli or real
+    exponentials, are never negative, so their sum is NaN exactly when one
+    of them is.
     """
+    if math.isnan(sum(weights)):
+        index = next(i for i, w in enumerate(weights) if math.isnan(w))
+        raise NumericalError(f"branch {index} of the sum has a NaN weight")
     cutoff = _PRUNE_THRESHOLD * max(weights, default=0.0)
     kept = tuple(c for c, w in zip(contributions, weights) if w >= cutoff)
     return CorrelationResult(branches=kept)

@@ -3,6 +3,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,10 +54,100 @@ def test_no_subcommand_exits_2():
 
 
 def test_unknown_preset_choice_exits_2():
-    # argparse rejects values outside the declared choices
+    # the parser rejects a name outside the presets
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "does-not-exist"])
     assert exc.value.code == 2
+
+
+USAGE_LINE = (
+    "usage: ggwpd {sweep,saddle,manifolds} [--config PATH] "
+    "[--preset {chaotic-fig6,integrable-fig2}] [--out DIR]"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # no subcommand
+        ["bogus"],  # an unknown subcommand
+        ["--preset", "chaotic-fig6", "sweep"],  # an option before the subcommand
+        ["sweep", "--pre", "chaotic-fig6"],  # abbreviations are unknown options
+        ["manifolds", "--preset", "chaotic-fig6", "--bogus=1"],
+        ["sweep", "extra"],  # a stray word
+        ["sweep", "--preset"],  # a missing value at the end
+        ["sweep", "--out", "--preset", "chaotic-fig6"],  # an option is no value
+        ["sweep", "--preset", "nope"],  # a bad preset, either form
+        ["saddle", "--preset=nope"],
+    ],
+)
+def test_usage_errors_exit_2_with_the_usage_line_on_stderr(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == USAGE_LINE
+    assert lines[1].startswith("ggwpd: error: ") and len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["sweep", "-h"], ["manifolds", "--preset", "chaotic-fig6", "--help"]],
+)
+def test_help_exits_0_with_the_usage_line_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0] == USAGE_LINE
+    for word in ("sweep", "saddle", "manifolds", "--config", "--preset", "--out"):
+        assert word in captured.out
+
+
+def test_options_take_either_form_in_any_order(tmp_path, capsys):
+    """``--opt=value`` and ``--opt value`` in any order after the
+    subcommand write the same files; a repeated option keeps its last
+    value."""
+    cfg = _write_json(tmp_path, "mini.json", MINI_INTEGRABLE)
+    outs = [tmp_path / name for name in ("a", "b", "c")]
+    argvs = [
+        ["manifolds", "--preset", "integrable-fig2", "--config", cfg, "--out", str(outs[0])],
+        ["manifolds", f"--out={outs[1]}", f"--config={cfg}", "--preset=integrable-fig2"],
+        ["manifolds", "--out", str(outs[0]), "--config", cfg, "--out", str(outs[2])],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    printed = capsys.readouterr().out
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == [
+        "integrable-fig2_shearing_alpha.csv",
+        "integrable-fig2_shearing_alpha_t2.csv",
+    ]
+    for out in outs[1:]:
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+    assert printed.count("wrote ") == 6
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """The hand parser keeps argparse, and the gettext and locale imports
+    its first parser makes, out of every command's start-up."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ggwpd.cli\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_without_preset_or_config_returns_2(capsys):
@@ -319,6 +412,26 @@ def test_manifolds_chaotic_writes_invariant_curves(tmp_path, capsys):
         path = out / name
         assert path.exists()
         assert len(path.read_text().splitlines()) > 100  # a real curve, not a stub
+
+
+def test_manifolds_at_a_p_shifted_fixed_point_writes_the_shifted_curve(tmp_path, capsys):
+    """alpha at (1, 1/2) is a lattice image of the fixed point (0, 1/2):
+    its unstable curve is the (0, 1/2) curve shifted by 1 in p, byte for
+    byte in the CSV."""
+    payload = {
+        "K": 8.25, "t": 2, "alpha_center": [1.0, 0.5],
+        "beta_center": [0.0, 0.5], "N_list": [50],
+        "regime": "chaotic", "image_range": 2, "label": "shifted",
+    }
+    cfg = _write_json(tmp_path, "shifted.json", payload)
+    out = tmp_path / "curves"
+    assert main(["manifolds", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    points = rotor.unstable_manifold((0.0, 0.5), RotorParams(8.25)).points.copy()
+    points[:, 0] += 1.0
+    want = tmp_path / "want.csv"
+    rotor.curve_to_csv(rotor.ManifoldCurve(points), want)
+    assert (out / "shifted_unstable_alpha.csv").read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("K", [1e9, 3e9])

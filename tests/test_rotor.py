@@ -436,6 +436,12 @@ def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it(monkeypatch):
         max_size=8,
     )
 )
+# whole parts past the right end, then the left end: one insertion place
+@example(parts=[[1, 2, 3], [5, 6, 6], [-4, -3]])
+# the second part straddles exactly one old point, 3, as growth's parts do
+@example(parts=[[1, 2, 3], [2, 4, 5]])
+# a part that interleaves many old points, with ties on both sides
+@example(parts=[[-4, -2, 0, 2, 4], [-5, -4, -4, -3, -1, 0, 0, 1, 2, 3, 4, 5, 5]])
 def test_ordered_curve_merges_as_a_stable_sort_in_growth_order(parts):
     """Parts with many equal parameters, inside the curve, beyond either
     end or straddling it: the columns are the stable sort of every point
@@ -456,6 +462,20 @@ def test_ordered_curve_merges_as_a_stable_sort_in_growth_order(parts):
     assert np.array_equal(got, want)
     seglen = np.hypot(*np.diff(want[:, 1:], axis=0).T)
     assert np.array_equal(curve.rows(3)[:-1], seglen)
+
+
+@pytest.mark.parametrize(
+    "grow, n_p", [(unstable_manifold, 1.0), (stable_manifold, -1.0)]
+)
+def test_manifold_at_a_p_shifted_fixed_point_is_the_shifted_p0_curve(grow, n_p):
+    """The unfolded map moves (n_p, 1/2) by n_p in q at every step, so the
+    curve there is the (0, 1/2) curve shifted by n_p in p, bit for bit,
+    and not a polyline of unit-length segments."""
+    want = grow((0.0, 0.5), K_CHAOTIC).points.copy()
+    want[:, 0] += n_p
+    got = grow((n_p, 0.5), K_CHAOTIC).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.hypot(*np.diff(got, axis=0).T).max() <= _CURVE_SPACING
 
 
 def _growth_levels(fp, params, inverse):

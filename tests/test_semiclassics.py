@@ -873,15 +873,35 @@ def test_offcenter_exact_for_quadratic_dynamics_any_seed():
     assert abs(v1 - v2) < 1e-12 * abs(v1)
 
 
-def test_offcenter_correlation_of_a_nan_term_does_not_raise():
-    """At K = 1e200 the stability matrix overflows and the term is NaN;
-    numpy's exp of it leaves ERANGE in errno, where CPython 3.11's ``abs``
-    of a NaN complex raised ``OverflowError`` while weighing the term."""
+def test_offcenter_correlation_of_a_nan_term_raises_numerical_error():
+    """At K = 1e200 the stability matrix overflows and the term is NaN.
+    The sum refuses it, naming the branch: it neither drops the term and
+    returns 0j, nor raises ``OverflowError``, as CPython 3.11's ``abs`` of
+    a NaN complex did after numpy's exp left ERANGE in errno."""
     alpha, beta = _packet(0.1, 0.2, 700), _packet(0.3, 0.4, 700)
     seed = SeedTrajectory(ic=(0.1, 0.2), t=1, winding=(0, 0))
-    with np.errstate(all="ignore"):
-        result = offcenter_correlation(alpha, beta, [seed], RotorParams(1e200), 1)
-    assert isinstance(result.total, complex)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="branch 0 "):
+        offcenter_correlation(alpha, beta, [seed], RotorParams(1e200), 1)
+
+
+def test_ggwpd_correlation_of_a_nan_term_raises_numerical_error():
+    """A saddle whose action is NaN has a NaN weight: the sum refuses it,
+    naming the branch, and does not drop it beside a finite one."""
+    N = 80
+    alpha = _packet(0.30, 0.40, N)
+    beta = _packet(0.35, 0.45, N)
+    seed = SeedTrajectory(ic=(alpha.p1, alpha.q1), t=0, winding=(0, 0))
+    sad = find_saddle(alpha, beta, seed, RotorParams(8.25))
+    traj = sad.trajectory
+    nan_traj = ComplexTrajectory(
+        points=traj.points, action=complex(math.nan, 0.0), legs=traj.legs
+    )
+    bad = semiclassics.SaddleTrajectory(
+        trajectory=nan_traj, seed=seed, residual_history=sad.residual_history
+    )
+    assert ggwpd_correlation(alpha, beta, [sad], 0).total != 0j
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="branch 1 "):
+        ggwpd_correlation(alpha, beta, [sad, bad], 0)
 
 
 def _offcenter_numpy(alpha, beta, trajectory):
