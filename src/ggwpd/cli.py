@@ -163,16 +163,7 @@ def _cmd_sweep(args: _Args) -> int:
 def _cmd_saddle(args: _Args) -> int:
     config = _resolve_config(args)
     setup = prepare_scenario(config)
-    if setup.check_N is None:
-        recheck = "not re-solved: N_list has no second N"
-    else:
-        recheck = f"drift {setup.saddle_drift:.2e} re-solved at N={setup.check_N}"
-    print(
-        f"{config.label}: {len(setup.saddles)} saddle(s) at N={setup.reference_N}, "
-        f"{recheck}"
-    )
-    if config.seed_N != setup.reference_N:
-        print(f"  seeds searched with the packets of N={config.seed_N}")
+    print(f"{config.label}: {len(setup.saddles)} saddle(s) at N={config.seed_N}")
     for sad in setup.saddles:
         P0 = sad.trajectory.initial.p1
         Q0 = sad.trajectory.initial.q1

@@ -4,8 +4,8 @@ A sweep fixes the classical scenario (kick strength, propagation time,
 packet centers) and walks the Hilbert-space dimension N, shrinking the
 packets as 1/sqrt(N) so that the underlying real and complex trajectories
 stay put while the effective Planck constant 1/(2 pi N) decreases.  Seeds
-are therefore found once, saddles located at the first N, verified to be
-N-independent, and reused across the whole sweep.
+and saddles are therefore located once, with the packets of one N, and
+reused across the whole sweep.
 """
 from __future__ import annotations
 
@@ -33,12 +33,9 @@ from .semiclassics import (
 
 _REGIMES = ("integrable", "chaotic")
 
-# How far a saddle may move when re-solved at a second N before the
-# width-scaling assumption is declared broken.
-_SADDLE_DRIFT_TOL = 1e-10
-
 # The seed search counts its windows in packet widths, which shrink like
-# 1/sqrt(N) while the seeds stay put: it uses the packets of at most this N.
+# 1/sqrt(N) while the seeds stay put: it uses the packets of at most this N,
+# and so do the saddles, which do not depend on N.
 _SEED_SEARCH_N = 50
 
 
@@ -93,7 +90,8 @@ class ExperimentConfig:
 
     @property
     def seed_N(self) -> int:
-        """The N whose packets the seed search uses: at most _SEED_SEARCH_N."""
+        """The N whose packets locate the seeds and saddles: at most
+        _SEED_SEARCH_N."""
         return min(self.N_list[0], _SEED_SEARCH_N)
 
 
@@ -235,30 +233,13 @@ def packets_for(
 class ScenarioSetup(_Record):
     """Seeds and saddles of a scenario, located once and reused per N."""
 
-    __slots__ = _fields = ("config", "saddles", "saddle_drift")
+    __slots__ = _fields = ("config", "saddles")
 
     def __init__(
-        self,
-        config: ExperimentConfig,
-        saddles: tuple[SaddleTrajectory, ...],
-        saddle_drift: float,
+        self, config: ExperimentConfig, saddles: tuple[SaddleTrajectory, ...]
     ) -> None:
         _set(self, "config", config)
         _set(self, "saddles", saddles)
-        _set(self, "saddle_drift", saddle_drift)
-
-    @property
-    def reference_N(self) -> int:
-        """The N the saddles were located at: the first of the sweep."""
-        return self.config.N_list[0]
-
-    @property
-    def check_N(self) -> int | None:
-        """The N the saddles were re-solved at, or None if there was none.
-
-        It is the first N of the sweep that differs from ``reference_N``.
-        """
-        return next((n for n in self.config.N_list if n != self.reference_N), None)
 
     @property
     def seeds(self) -> tuple[SeedTrajectory, ...]:
@@ -311,52 +292,27 @@ class SweepRow:
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
-    """Find transport seeds and converge their saddles at the reference N.
+    """Find transport seeds and converge their saddles at ``config.seed_N``.
 
-    The seeds are searched with the packets of ``config.seed_N``.  The
-    saddles are re-solved at the check N (when the sweep has one) and
-    must agree to 1e-10 per component — the width scaling b = pi N makes
-    the saddle equations N-independent, so any drift signals a bug or a
-    genuinely N-dependent scenario.
+    The width scaling b = pi N makes the saddle equations N-independent,
+    so the saddles found with the packets of ``seed_N`` serve every N of
+    the sweep.
     """
     params = RotorParams(config.K)
+    alpha, beta = packets_for(config, config.seed_N)
     seeds = find_seeds(
-        *packets_for(config, config.seed_N),
-        config.t,
-        params,
-        image_range=config.image_range,
-        regime=config.regime,
+        alpha, beta, config.t, params,
+        image_range=config.image_range, regime=config.regime,
     )
     if not seeds:
         raise NumericalError(
             f"no transport seeds found for {config.label!r} within "
             f"image range {config.image_range}"
         )
-    alpha, beta = packets_for(config, config.N_list[0])
     converged = [find_saddle(alpha, beta, s, params) for s in seeds]
     # distinct transport seeds can flow to the same complex saddle (two
     # primary intersections on the same lobe); keep one contribution each
-    setup = ScenarioSetup(
-        config, tuple(_merge_duplicates(converged, _saddle_place)), 0.0
-    )
-    if setup.check_N is None:
-        return setup
-    alpha_c, beta_c = packets_for(config, setup.check_N)
-    drift = 0.0
-    for sad in setup.saddles:
-        again = find_saddle(alpha_c, beta_c, sad.seed, params)
-        dP = again.trajectory.initial.p1 - sad.trajectory.initial.p1
-        dQ = again.trajectory.initial.q1 - sad.trajectory.initial.q1
-        drift = max(
-            drift,
-            abs(dP.real), abs(dP.imag), abs(dQ.real), abs(dQ.imag),
-        )
-    if drift > _SADDLE_DRIFT_TOL:
-        raise NumericalError(
-            f"saddle locations moved by {drift:.3e} between "
-            f"N={setup.reference_N} and N={setup.check_N}; width scaling violated"
-        )
-    return ScenarioSetup(setup.config, setup.saddles, drift)
+    return ScenarioSetup(config, tuple(_merge_duplicates(converged, _saddle_place)))
 
 
 def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:
@@ -492,16 +448,7 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
         f"  alpha=({cfg.alpha_center[0]}, {cfg.alpha_center[1]})"
         f"  beta=({cfg.beta_center[0]}, {cfg.beta_center[1]})"
     )
-    if setup.check_N is None:
-        recheck = "not re-checked: N_list has no second N"
-    else:
-        recheck = (
-            f"re-checked at N={setup.check_N} "
-            f"(max drift {setup.saddle_drift:.2e})"
-        )
-    lines.append(f"  seeds/saddles located at N={setup.reference_N}, {recheck}")
-    if cfg.seed_N != setup.reference_N:
-        lines.append(f"  seeds searched with the packets of N={cfg.seed_N}")
+    lines.append(f"  seeds/saddles located at N={cfg.seed_N}")
     lines.append("")
     lines.append("saddles:")
     for sad in setup.saddles:

@@ -372,8 +372,11 @@ def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
     kick scales that by K / 2pi: a move of about K |q| eps / 2 in p and in
     q.  The bound allows several times that on top of 1e-12.  From K of
     about 1e15 on it passes every point: the kick's rounding then exceeds
-    the largest folded displacement, 0.71.
+    the largest folded displacement, 0.71.  A non-finite point is refused
+    before it is stepped.
     """
+    if not (math.isfinite(fp[0]) and math.isfinite(fp[1])):
+        raise ConfigError(f"{fp} is not a finite point")
     nxt = _forward_many(np.array([fp], dtype=float), 1, params.K)[0]
     dp = (nxt[0] - fp[0]) - round(nxt[0] - fp[0])
     dq = (nxt[1] - fp[1]) - round(nxt[1] - fp[1])

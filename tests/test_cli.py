@@ -451,28 +451,21 @@ def test_manifolds_at_a_huge_kick_strength_exits_3(tmp_path, capsys, K):
 
 
 @pytest.mark.parametrize(
-    "n_list, solved_at, saddle_line, report_line",
+    "label, n_list, seeds, saddles",
     [
-        (
-            [50],
-            [50],
-            "1 saddle(s) at N=50, not re-solved: N_list has no second N",
-            "located at N=50, not re-checked: N_list has no second N",
-        ),
-        (
-            [100, 100, 200],
-            [100, 200],
-            "1 saddle(s) at N=100, drift 0.00e+00 re-solved at N=200",
-            "located at N=100, re-checked at N=200 (max drift 0.00e+00)",
-        ),
+        ("integrable-fig2", list(range(50, 701, 50)), 1, 1),
+        ("chaotic-fig6", list(range(50, 701, 50)), 9, 7),
+        ("integrable-fig2", [50], 1, 1),
+        ("integrable-fig2", [100, 100, 200], 1, 1),
     ],
-    ids=["single-N", "repeated-first-N"],
+    ids=["integrable-fig2", "chaotic-fig6", "single-N", "repeated-first-N"],
 )
-def test_saddle_recheck_runs_at_the_first_other_n_or_says_it_did_not(
-    tmp_path, capsys, monkeypatch, n_list, solved_at, saddle_line, report_line
+def test_prepare_scenario_solves_each_seed_once_at_the_seed_n(
+    tmp_path, capsys, monkeypatch, label, n_list, seeds, saddles
 ):
-    """The saddles are re-solved at the first N of N_list other than the
-    first, and both outputs name that N; with no such N, both say so."""
+    """The saddles are solved once per seed, all with the packets of
+    ``seed_N`` (50 here), whatever N_list holds; ``ggwpd saddle`` and the
+    report name that N."""
     solved = []
     find_saddle = experiment.find_saddle
 
@@ -482,16 +475,14 @@ def test_saddle_recheck_runs_at_the_first_other_n_or_says_it_did_not(
 
     monkeypatch.setattr(experiment, "find_saddle", spy)
     config = _write_json(tmp_path, "cfg.json", {"N_list": n_list})
-    assert main(["saddle", "--preset", "integrable-fig2", "--config", config]) == 0
+    assert main(["saddle", "--preset", label, "--config", config]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
-        f"integrable-fig2: {saddle_line}"
+        f"{label}: {saddles} saddle(s) at N=50"
     )
-    assert solved == solved_at
-    out = tmp_path / "out"
-    main(["sweep", "--preset", "integrable-fig2", "--config", config, "--out", str(out)])
-    capsys.readouterr()
-    report = (out / "integrable-fig2_report.txt").read_text().splitlines()
-    assert report[2] == f"  seeds/saddles {report_line}"
+    assert solved == [50] * seeds
+    setup = prepare_scenario(config_from_dict({"N_list": n_list}, base=preset(label)))
+    report = experiment.emit_report([], setup)[0].splitlines()
+    assert report[2] == "  seeds/saddles located at N=50"
 
 
 def test_sweep_evaluates_a_repeated_n_once(tmp_path, capsys):

@@ -181,15 +181,6 @@ def test_prepared_saddles_are_unique_and_cover_targets(
         assert set(REGRESSION_SADDLES[setup.config.label]) <= windings
 
 
-def test_saddle_locations_independent_of_grid_size(
-    integrable_bundle, chaotic_bundle
-):
-    """Re-solving at the second N moves nothing: the width scaling keeps
-    the saddle equations N-free."""
-    assert integrable_bundle.setup.saddle_drift < 1e-10
-    assert chaotic_bundle.setup.saddle_drift < 1e-10
-
-
 @pytest.mark.parametrize(
     "changes, count",
     [({"N_list": (150, 300)}, 7), ({"K": 6.0, "N_list": (100, 200)}, 4)],
@@ -198,9 +189,9 @@ def test_saddle_locations_independent_of_grid_size(
 def test_chaotic_saddles_are_found_from_a_larger_reference_n(
     chaotic_bundle, changes, count
 ):
-    """The saddle equations do not depend on N, so locating the saddles at
-    N = 150 or 100 instead of 50 finds every one: the preset's seven, and
-    at K = 6 the four with which the sweep passes its gates."""
+    """The saddle equations do not depend on N, so a sweep that starts at
+    N = 150 or 100 still finds every saddle at the seed N, 50: the preset's
+    seven, and at K = 6 the four with which the sweep passes its gates."""
     cfg = dataclasses.replace(chaotic_bundle.config, **changes)
     setup = prepare_scenario(cfg)
     assert len(setup.saddles) == count
@@ -208,14 +199,14 @@ def test_chaotic_saddles_are_found_from_a_larger_reference_n(
 
 
 def test_integrable_saddle_is_found_from_a_larger_reference_n(integrable_bundle):
-    """The pinned (0, 1) saddle does not depend on N, so locating it at
-    N = 3000 instead of 50 finds it too, and the report names the N whose
-    packets the seed search used."""
+    """The pinned (0, 1) saddle does not depend on N, so a sweep that
+    starts at N = 3000 finds it at the seed N, 50, and the report names
+    that N."""
     cfg = dataclasses.replace(integrable_bundle.config, N_list=(3000, 6000))
     setup = prepare_scenario(cfg)
     assert [s.seed.winding for s in setup.saddles] == [(0, 1)]
     report, _ = emit_report([], setup)
-    assert report.splitlines()[3] == "  seeds searched with the packets of N=50"
+    assert report.splitlines()[2] == "  seeds/saddles located at N=50"
 
 
 def test_prepare_scenario_refuses_an_empty_n_list():
@@ -259,9 +250,7 @@ def test_sweep_propagates_each_seed_once(chaotic_bundle, monkeypatch):
     counts = []
     for n_list in ((50, 100), (50, 100, 150, 200, 250, 300)):
         cfg = dataclasses.replace(chaotic_bundle.config, N_list=n_list)
-        setup = ScenarioSetup(
-            cfg, chaotic_bundle.setup.saddles, chaotic_bundle.setup.saddle_drift
-        )
+        setup = ScenarioSetup(cfg, chaotic_bundle.setup.saddles)
         semiclassics._seed_trajectory.cache_clear()
         calls.clear()
         rows = run_sweep(setup)

@@ -77,7 +77,6 @@ RECORD_FIELDS[CorrelationResult] = {"branches": _tuples(_built(OffCenterContribu
 RECORD_FIELDS[ScenarioSetup] = {
     "config": st.sampled_from([preset("integrable-fig2"), preset("chaotic-fig6")]),
     "saddles": _tuples(_built(SaddleTrajectory)),
-    "saddle_drift": st.floats(0.0, 1e-10),
 }
 
 _TWINS = {

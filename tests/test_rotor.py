@@ -621,6 +621,17 @@ def test_fixed_point_check_refuses_points_the_map_moves(fp, K):
         _check_fixed_point(fp, RotorParams(K))
 
 
+@pytest.mark.parametrize("grow", [unstable_manifold, stable_manifold])
+@pytest.mark.parametrize(
+    "fp", [(np.nan, 0.5), (np.inf, 0.5), (0.5, np.nan)], ids=str
+)
+def test_manifold_refuses_a_non_finite_centre(grow, fp):
+    """A NaN or infinite centre is a config error, not a ValueError from
+    rounding its displacement or an overflow warning from stepping it."""
+    with pytest.raises(ConfigError, match="not a finite point"):
+        grow(fp, RotorParams(8.25))
+
+
 def test_shearing_manifold_is_vertical_segment():
     packet = GaussianPacket(0.815, 0.2, np.pi * 50, 1.0 / (2 * np.pi * 50))
     curve = shearing_manifold(packet)
