@@ -663,11 +663,18 @@ def shearing_manifold(packet: GaussianPacket) -> ManifoldCurve:
     """Vertical line of initial conditions through the packet center.
 
     It reaches ``_SHEAR_HALFWIDTH_SIGMA`` momentum uncertainties to either
-    side, the interval the integrable seed search scans.
+    side, the interval the integrable seed search scans.  A line of more
+    than ``_MAX_CURVE_POINTS`` nodes is refused before it is built.
     """
     sig_p = packet.hbar / (2.0 * packet.sigma)
     w = _SHEAR_HALFWIDTH_SIGMA * sig_p
-    n = max(9, int(np.ceil(2.0 * w / _CURVE_SPACING)) + 1)
+    span = 2.0 * w / _CURVE_SPACING
+    if span > _MAX_CURVE_POINTS - 1:  # ceil(span) + 1 nodes
+        raise NumericalError(
+            f"a shearing line of half-width {w:.3g} needs more than "
+            f"{_MAX_CURVE_POINTS} nodes; hbar = {packet.hbar:g} is too large"
+        )
+    n = max(9, int(np.ceil(span)) + 1)
     p = np.linspace(packet.p1 - w, packet.p1 + w, n)
     q = np.full_like(p, packet.q1)
     return ManifoldCurve(np.column_stack([p, q]))
@@ -840,8 +847,6 @@ def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     strict sign-change test would miss; symmetric configurations hit them
     reliably) and the indices i with ``g[i]`` and ``g[i + 1]`` of strictly
     opposite sign.  NaN entries (unsampled nodes) take part in neither.
-    This one pass over all nodes is the reference the run-index lookup
-    :func:`_run_crossings` is tested against.
     """
     sign = np.sign(g)
     return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -851,34 +856,21 @@ class LineScan(NamedTuple):
     """Scan nodes of a line q = q0, their end positions and the ends' range.
 
     ``end_min`` and ``end_max`` are Python floats, both NaN when an end is.
-    ``runs`` indexes ``ends`` by its maximal monotone, NaN-free runs
-    (:func:`_monotone_runs`), which :func:`_line_roots` searches; a scan
-    built with four fields has it built there, on every call.
+    ``run`` is the ends' :func:`_monotone_run`; a scan built with four
+    fields has none.
     """
 
     p_grid: np.ndarray
     ends: np.ndarray
     end_min: float
     end_max: float
-    runs: tuple | None = None
+    run: tuple | None = None
 
 
-def _monotone_runs(ends: np.ndarray) -> tuple:
-    """The maximal monotone, NaN-free runs of ``ends``, in scan order.
-
-    Each run is ``(s, values, flip)``: its first node s, the ends of its
-    nodes s, s + 1, ... as a Python list, and ``flip``, 1.0 for a run
-    that never falls and -1.0 for one that never rises, whose values are
-    stored negated; so every list is non-decreasing.  A rise after a
-    fall, or a fall after a rise, starts a new run on the turning node,
-    which both runs hold; a flat step stays in the run it is in; a NaN
-    step (a NaN end, or inf - inf) ends a run, and a non-NaN end with no
-    step on either side is a run of one node.  So every non-NaN end lies
-    in a run, and every step between two ends on strictly opposite sides
-    of a value lies in exactly one run.  Ends of two or more nodes with no
-    NaN step that never fall, or never rise, are returned as their one run
-    without building the index.
-    """
+def _monotone_run(ends: np.ndarray) -> tuple[list, float] | None:
+    """Two or more ends with no NaN step as a non-decreasing list and flip:
+    as they are and 1.0 if they never fall, negated and -1.0 if they never
+    rise.  Other ends have no run (None)."""
     # inf - inf is a NaN step, and a step between finite ends of opposite
     # signs past 1.8e308 overflows to an infinite one of the right sign
     with np.errstate(invalid="ignore", over="ignore"):
@@ -886,76 +878,47 @@ def _monotone_runs(ends: np.ndarray) -> tuple:
     if ends.size > 1:
         # a NaN step fails both tests
         if (diff >= 0).all():
-            return ((0, ends.tolist(), 1.0),)
+            return ends.tolist(), 1.0
         if (diff <= 0).all():
-            return ((0, (-ends).tolist(), -1.0),)
-    step = np.sign(diff)  # 1, -1, 0 or NaN from node i to i + 1
-    ok = ~np.isnan(step)
-    idx = np.arange(step.size)
-    # before each step: the last rise or fall, and the last NaN step
-    turn = np.maximum.accumulate(np.where(ok & (step != 0), idx, -1))
-    turn = np.concatenate(([-1], turn))[:-1]
-    cut = np.maximum.accumulate(np.where(ok, -1, idx))
-    reverses = (turn > cut) & (step[turn] * step < 0)
-    first = ok & (np.concatenate(([True], ~ok[:-1])) | reverses)
-    last = ok & np.concatenate((~ok[1:] | first[1:], [True]))
-    alone = ~np.isnan(ends)
-    alone[:-1] &= ~ok
-    alone[1:] &= ~ok
-    runs = []
-    for s, e in zip(
-        np.flatnonzero(alone | np.append(first, False)).tolist(),
-        np.flatnonzero(alone | np.insert(last, 0, False)).tolist(),
-    ):
-        values = ends[s : e + 1]
-        if values[-1] < values[0]:
-            runs.append((s, (-values).tolist(), -1.0))
-        else:
-            runs.append((s, values.tolist(), 1.0))
-    return tuple(runs)
+            return (-ends).tolist(), -1.0
+    return None
 
 
 def _scan_line(p_lo: float, p_hi: float, q0: float, end_q) -> LineScan:
-    """The 1025 scan nodes of the line q = q0, their end positions and index.
+    """The 1025 scan nodes of the line q = q0, their end positions and run.
 
     ``end_q`` maps an (m, 2) array of (p, q0) rows to the end position of
     each row.  The end positions are kept contiguous: a column view of the
-    map's output would make every later pass over them strided.  The
-    monotone-run index of the ends (:func:`_monotone_runs`) is built here,
-    once per scan, for :func:`_line_roots`.
+    map's output would make every later pass over them strided.
     """
     n_scan = 1025
     p_grid = np.linspace(p_lo, p_hi, n_scan)
     ends = np.ascontiguousarray(end_q(np.column_stack([p_grid, np.full(n_scan, q0)])))
-    return LineScan(
-        p_grid, ends, float(ends.min()), float(ends.max()), _monotone_runs(ends)
-    )
+    run = _monotone_run(ends)
+    return LineScan(p_grid, ends, float(ends.min()), float(ends.max()), run)
 
 
-def _run_crossings(runs: tuple, target: float) -> tuple[list[int], list[tuple]]:
-    """Where the ends indexed by ``runs`` meet a finite target.
-
-    Returns the nodes whose end equals ``target``, in scan order, and the
-    steps i -> i + 1 whose ends lie strictly on either side of it, as
-    ``(i, flip)`` in scan order, with ``flip`` the run's (the end at i is
-    below the target when ``flip`` is 1.0).  These are the node and
-    bracket indices of :func:`_sign_change_brackets` of ``ends - target``.
-    A monotone run holds its ends equal to the target side by side and
-    crosses it strictly at most once, so two binary searches per run find
-    both.
-    """
-    nodes, brackets = [], []
-    for s, values, flip in runs:
-        value = flip * target
-        i = bisect_left(values, value)
-        j = bisect_right(values, value, i)
-        if i < j:
-            # a turning node ends one run and starts the next
-            lo = s + i + 1 if nodes and nodes[-1] == s + i else s + i
-            nodes.extend(range(lo, s + j))
-        elif 0 < i < len(values):
-            brackets.append((s + i - 1, flip))
-    return nodes, brackets
+def _crossings(
+    ends: np.ndarray, run: tuple | None, target: float
+) -> tuple[list[int], list[tuple]]:
+    """The nodes and brackets of :func:`_sign_change_brackets` of
+    ``ends - target``, for a finite target, as lists in scan order; bracket
+    i as ``(i, flip)``, ``flip`` 1.0 when the end at i is below the target,
+    else -1.0.  In the ends' :func:`_monotone_run` ``run``, which meets the
+    target on adjacent nodes and crosses it strictly at most once, two
+    binary searches find both; without a run, the pass over all nodes does."""
+    if run is None:
+        g = ends - target
+        nodes, brackets = _sign_change_brackets(g)
+        flips = (-np.sign(g[brackets])).tolist()
+        return nodes.tolist(), list(zip(brackets.tolist(), flips))
+    values, flip = run
+    value = flip * target
+    i = bisect_left(values, value)
+    j = bisect_right(values, value, i)
+    if i < j:
+        return list(range(i, j)), []
+    return [], [(i - 1, flip)] if 0 < i < len(values) else []
 
 
 def _line_roots(
@@ -972,9 +935,8 @@ def _line_roots(
     roots are the nodes whose end equals it, then one root per strict
     sign change of ``ends - target`` in scan order, each bisected to a
     1e-13 wide bracket: exactly the nodes and brackets of
-    :func:`_sign_change_brackets`, with NaN ends in neither.  They are
-    looked up by binary search in the scan's monotone runs
-    (``scan.runs``, :func:`_run_crossings`).
+    :func:`_sign_change_brackets`, with NaN ends in neither, as
+    :func:`_crossings` finds them.
 
     A target outside [end_min, end_max] of the scan has no root and is
     skipped, as is a target that is not finite.  A NaN end makes both
@@ -989,8 +951,7 @@ def _line_roots(
     step, as a bracket narrower than 1e-13 ends on its midpoint whatever
     that midpoint's end.
     """
-    p_grid, end_min, end_max = scan.p_grid, scan.end_min, scan.end_max
-    runs = scan.runs if scan.runs is not None else _monotone_runs(scan.ends)
+    p_grid, ends, end_min, end_max, run = scan
     sin = math.sin
     kick = K / TWO_PI
     first = kick * sin(TWO_PI * q0)
@@ -1001,7 +962,7 @@ def _line_roots(
         if target < end_min or target > end_max or not math.isfinite(target):
             roots.append([])
             continue
-        nodes, brackets = _run_crossings(runs, target)
+        nodes, brackets = _crossings(ends, run, target)
         found = [float(p_grid[i]) for i in nodes]
         for i, flip in brackets:
             lo, hi = float(p_grid[i]), float(p_grid[i + 1])
@@ -1214,24 +1175,17 @@ def _heteroclinic_seeds(
     def germ(side: np.ndarray, s: np.ndarray) -> np.ndarray:
         return anchor[None, :] + (side * s)[:, None] * v_u[None, :]
 
-    shifts = range(-image_range, image_range + 1)
-    # image k is the beta center shifted by images[k], n_q varying fastest
-    images = [(n_p, n_q) for n_p in shifts for n_q in shifts]
-    # unfolded orbit of each image center, for the deeper-frame evaluation
-    orbits = np.empty((len(images), max_depth + 1, 2))
-    orbits[:, 0] = np.add(images, (beta.p1, beta.q1))
-    for m in range(max_depth):
-        orbits[:, m + 1] = _forward_many(orbits[:, m], 1, K)
-
-    def coefficient(w: np.ndarray, k, m: np.ndarray) -> np.ndarray:
-        """Unstable coefficient of w in the depth-m frame of image k."""
-        return _unstable_coefficient(w, orbits[k, m], frame_inv) / depth_scale[m]
+    def coefficient(w: np.ndarray, centers: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Unstable coefficient of w in the depth-m frame at ``centers``."""
+        return _unstable_coefficient(w, centers, frame_inv) / depth_scale[m]
 
     # per level, ordered by side, image, node roots before brackets and
     # scan index: curve log-offset (a bracket's lower end), side, level,
-    # image and whether the candidate is a bracket still to refine
+    # image (n_p, n_q) and whether the candidate is a bracket still to
+    # refine
     cands: list[tuple[np.ndarray, ...]] = []
-    # per bracket: upper end, value at the lower end and frozen frame depth
+    # per bracket: upper end, value at the lower end, frozen frame depth
+    # and where its image center's orbit is at that depth
     brackets: list[tuple[np.ndarray, ...]] = []
     # t-step endpoints of the current level's scan points, the + side's rows
     # first: level n's are one map step of level n - 1's
@@ -1252,20 +1206,29 @@ def _heteroclinic_seeds(
         near = near[np.hypot(dp, dq) < _CAPTURE_RADIUS]
         if not near.size:
             continue
-        k = (n_p[near] + image_range) * len(shifts) + n_q[near] + image_range
-        k = k.astype(int)
-        # walk[m] holds the near endpoints m steps further on; the depth is
-        # the number of leading steps that stay captured
-        walk = [ends[near]]
+        # the image (n_p, n_q) each near endpoint names: near endpoint i's
+        # is images[k[i]], the images in (n_p, n_q) order, which the
+        # integer key keeps
+        named = np.column_stack([n_p[near], n_q[near]]).astype(int)
+        key = named[:, 0] * (np.ptp(named[:, 1]) + 1) + named[:, 1]
+        _, first, k = np.unique(key, return_index=True, return_inverse=True)
+        images = named[first]
+        # walk[m] holds the near endpoints, then the image centers, m steps
+        # further on: the centers' unfolded orbits give the deeper frames.
+        # The depth is the number of leading steps that stay captured
+        walk = np.empty((max_depth + 1, near.size + images.shape[0], 2))
+        walk[0] = np.concatenate([ends[near], images + (beta.p1, beta.q1)])
         depth = np.zeros(near.size, dtype=int)
         captured = np.ones(near.size, dtype=bool)
         for m in range(1, max_depth + 1):
-            walk.append(_forward_many(walk[-1], 1, K))
-            far = np.hypot(*(walk[-1] - orbits[k, m]).T) > _CAPTURE_RADIUS
-            captured &= ~far
+            walk[m] = _forward_many(walk[m - 1], 1, K)
+            offset = walk[m, : near.size] - walk[m, near.size + k]
+            captured &= ~(np.hypot(*offset.T) > _CAPTURE_RADIUS)
             depth[captured] = m
-        walk = np.stack(walk)
-        sign = np.sign(coefficient(walk[depth, np.arange(near.size)], k, depth))
+        walk, orbit = walk[:, : near.size], walk[:, near.size :]
+        sign = np.sign(
+            coefficient(walk[depth, np.arange(near.size)], orbit[depth, k], depth)
+        )
         nodes = np.nonzero(sign == 0.0)[0]
         # sign changes between curve neighbours near one image: adjacent
         # rows of one side
@@ -1279,35 +1242,37 @@ def _heteroclinic_seeds(
         # is then a smooth function of the curve parameter and plain
         # bisection is safe
         m = np.minimum(depth[cross], depth[cross + 1])
-        glo = coefficient(walk[m, cross], k[cross], m)
-        ghi = coefficient(walk[m, cross + 1], k[cross], m)
+        center = orbit[m, k[cross]]
+        glo = coefficient(walk[m, cross], center, m)
+        ghi = coefficient(walk[m, cross + 1], center, m)
         # a crossing that vanishes at the frozen depth was an artifact of
         # depth switching
         real = np.sign(glo) * np.sign(ghi) < 0
-        cross, m, glo = cross[real], m[real], glo[real]
+        cross, m, glo, center = cross[real], m[real], glo[real], center[real]
         # each candidate's index into near, then the order of the list above
         slot = np.concatenate([nodes, cross])
         is_bracket = np.arange(slot.size) >= nodes.size
         row = near[slot]
         order = np.lexsort((row, is_bracket, k[slot], row >= n_scan))
         slot, row, is_bracket = slot[order], row[order], is_bracket[order]
-        cands.append(
-            (scan_logs[row], sides[row], np.full(row.size, n), k[slot], is_bracket)
-        )
+        cands.append((
+            scan_logs[row], sides[row], np.full(row.size, n), named[slot],
+            is_bracket,
+        ))
         b = order[is_bracket] - nodes.size
-        brackets.append((scan_logs[near[cross[b]] + 1], glo[b], m[b]))
+        brackets.append((scan_logs[near[cross[b]] + 1], glo[b], m[b], center[b]))
     if not cands:
         return []
 
     log_star, c_side, c_level, c_image, is_bracket = map(np.concatenate, zip(*cands))
-    hi, glo, b_depth = map(np.concatenate, zip(*brackets))
+    hi, glo, b_depth, b_center = map(np.concatenate, zip(*brackets))
     b_slot = np.nonzero(is_bracket)[0]
-    b_side, b_image = c_side[b_slot], c_image[b_slot]
+    b_side = c_side[b_slot]
     b_steps = c_level[b_slot] + t + b_depth
 
     def g_bracket(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         w = _forward_ragged(germ(b_side[rows], np.exp(x)), b_steps[rows], K)
-        return coefficient(w, b_image[rows], b_depth[rows])
+        return coefficient(w, b_center[rows], b_depth[rows])
 
     log_star[b_slot] = _bisect_brackets(
         g_bracket, log_star[b_slot], hi, glo, 80, 1e-15
@@ -1316,15 +1281,15 @@ def _heteroclinic_seeds(
     z_star = _forward_ragged(germ(c_side, np.exp(log_star)), c_level, K)
     end = _forward_many(z_star, t, K)
     start_d = np.hypot(*(z_star - anchor[None, :]).T) / sigma
-    end_d = np.hypot(*(end - orbits[c_image, 0]).T) / sigma
+    end_d = np.hypot(*(end - (c_image + (beta.p1, beta.q1))).T) / sigma
     found = _merge_duplicates(
         (
             SeedTrajectory(
                 ic=(float(z[0]), float(z[1])),
                 t=t,
-                winding=images[k],
+                winding=tuple(n),
             )
-            for z, d0, d1, k in zip(z_star, start_d, end_d, c_image)
+            for z, d0, d1, n in zip(z_star, start_d, end_d, c_image.tolist())
             if max(d0, d1) <= _CAPTURE_SIGMA
         ),
         lambda s: (s.winding, *s.ic),

@@ -70,12 +70,15 @@ def _tracked_sqrt(dets: Sequence[complex]) -> complex:
     """
     caustic = "determinant passes through zero: caustic encountered"
     prev = dets[0]
-    angle = cmath.phase(prev)
+    # the bits of cmath.phase, which in CPython 3.11 raises OverflowError
+    # on an angle that underflows, as for the ratio 17 - 1e-323j
+    angle = math.atan2(prev.imag, prev.real)
     for z in dets[1:]:
         leg = z * prev.conjugate()
         if leg.imag == 0.0 and leg.real <= 0.0:
             raise CausticError(caustic)
-        angle += cmath.phase(z / prev)
+        ratio = z / prev
+        angle += math.atan2(ratio.imag, ratio.real)
         prev = z
     # a zero sample makes its neighbouring legs vanish; only a lone sample
     # (a trajectory without legs) gets here with a zero

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,14 +27,14 @@ from ggwpd.rotor import (
     _backward_many,
     _bisect_brackets,
     _check_fixed_point,
+    _crossings,
     _forward_many,
     _forward_ragged,
     _hyperbolic_frame,
     _line_roots,
     _merge_duplicates,
-    _monotone_runs,
+    _monotone_run,
     _OrderedCurve,
-    _run_crossings,
     _scan_line,
     _sign_change_brackets,
     _write_g17,
@@ -641,6 +642,21 @@ def test_shearing_manifold_is_vertical_segment():
     assert abs(curve.points[:, 0].max() - (packet.p1 + 5.0 * sig_p)) < 1e-12
 
 
+def test_shearing_line_of_more_nodes_than_the_cap_is_refused(monkeypatch):
+    """A line is refused before it is built once it needs more than
+    ``_MAX_CURVE_POINTS`` nodes, as hbar = 100 would take 1,000,001.  A
+    cap of exactly the node count builds."""
+    with pytest.raises(NumericalError, match="shearing line"):
+        shearing_manifold(GaussianPacket(0.0, 0.5, 1.0, 100.0))
+    packet = GaussianPacket(0.815, 0.2, np.pi * 50, 1.0 / (2 * np.pi * 50))
+    n = len(shearing_manifold(packet).points)
+    monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", n)
+    assert len(shearing_manifold(packet).points) == n
+    monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", n - 1)
+    with pytest.raises(NumericalError, match="shearing line"):
+        shearing_manifold(packet)
+
+
 @pytest.mark.parametrize("K", [np.float64(8.25), 8, np.float32(0.5)])
 def test_propagate_points_hold_python_complex_for_any_kick_type(K):
     """``RotorParams`` keeps K as a Python float, so the points
@@ -943,6 +959,32 @@ def test_lockstep_heteroclinic_search_matches_per_bracket_reference(
     assert seeds == ref
 
 
+def test_heteroclinic_search_builds_only_the_images_it_reaches():
+    """Image ranges of 7, 300 and 10**8 give the same 10 seeds bit for
+    bit.  The search steps only the image centers that near endpoints
+    name, so the (2R + 1)**2 = 361,201 images of R = 300 need no table; a
+    table of all their orbits peaked at 75.8 MB.  R = 10**8 runs only once
+    the peak is checked, as such a table would need about 3e18 bytes; it
+    also checks that images are told apart exactly, which a float index
+    (n_p + R)(2R + 1) + n_q + R past 2**53 does not."""
+    alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
+
+    def bits(seeds):
+        return [(s.winding, s.ic[0].hex(), s.ic[1].hex()) for s in seeds]
+
+    want = bits(find_seeds(alpha, beta, 2, K_CHAOTIC, image_range=7, regime="chaotic"))
+    tracemalloc.start()
+    try:
+        got = bits(find_seeds(alpha, beta, 2, K_CHAOTIC, image_range=300, regime="chaotic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and len(want) == 10
+    assert peak < 5e6
+    got = bits(find_seeds(alpha, beta, 2, K_CHAOTIC, image_range=10**8, regime="chaotic"))
+    assert got == want
+
+
 def test_capture_radius_is_below_half_the_lattice_spacing():
     """The heteroclinic scan names the one image center an endpoint can be
     near by rounding its offset from beta; a radius of 1/2 or more would
@@ -1177,6 +1219,22 @@ def test_shearing_roots_match_the_array_path_for_both_callers(N):
     assert found > 0
 
 
+def test_shearing_roots_of_a_folded_line_match_the_array_path():
+    """At K = 8.25 the line's end positions rise and fall, so it has no
+    monotone run; each target's roots, up to three, still equal the array
+    path's bit for bit."""
+    def end_q(pts):
+        return _forward_many(pts, 2, 8.25)[:, 1]
+
+    scan = _scan_line(-0.5, 0.5, 0.2, end_q)
+    assert scan.run is None
+    lo, hi = scan.end_min, scan.end_max
+    targets = [lo + f * (hi - lo) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    targets.append(float(scan.ends[400]))
+    roots, _ = _assert_same_shearing_roots(-0.5, 0.5, 0.2, targets, 2, 8.25, end_q)
+    assert all(roots) and max(map(len, roots)) == 3
+
+
 def test_shearing_roots_keep_every_root_when_a_scan_end_is_nan():
     """A NaN end position makes the scanned range NaN; no target may be
     skipped for it, so each root the finite nodes bracket is still found."""
@@ -1227,25 +1285,33 @@ def _ends_and_target(draw):
 @example(case=(np.array([2.0, 1.0, 1.0, 2.0]), 1.5))  # a flat valley
 @example(case=(np.array([0.0, np.nan, 2.0, np.nan, 1.0]), 1.0))  # lone nodes
 @example(case=(np.array([np.inf, np.inf, -np.inf]), 0.0))  # an inf - inf step
+@example(case=(np.array([2.0]), 2.0))  # one node, on the target
+@example(case=(np.array([np.nan]), 0.0))  # NaN nodes only
+@example(case=(np.array([np.nan, np.nan]), 0.0))
+@example(case=(np.array([]), 0.0))  # no node
+@example(case=(np.array([1.0, np.inf]), 1.0))  # an infinite end
+@example(case=(np.array([-np.inf, -np.inf, 0.0]), -1.0))  # equal infinities
+@example(case=(np.array([0.0, 1.0, np.nan, 3.0, 2.0]), 2.5))  # a NaN between runs
 def test_run_index_gives_the_nodes_and_brackets_of_the_sign_scan(case):
-    """Looking a target up in the monotone runs of the ends gives exactly
-    the node roots and strict sign flips of the full scan of
-    ``ends - target``, each once and in scan order, with NaN ends in
-    neither, and the flip the lookup reports is the sign of the step's
-    lower end.  The runs are maximal: two that share a turning node would
-    not be monotone joined."""
+    """The crossings of a target, looked up by binary search in the
+    monotone run of the ends or by the pass over all nodes when they have
+    none, are exactly the node roots and strict sign flips of the full
+    scan of ``ends - target``, each once and in scan order, with NaN ends
+    in neither, and the flip reported is the sign of the step's lower end.
+    The drawn ends are checked as drawn and also sorted either way without
+    their NaNs, which gives a run whenever two finite ends are left."""
     ends, target = case
-    g = ends - target
-    want_nodes, want_brackets = _sign_change_brackets(g)
-    runs = _monotone_runs(ends)
-    nodes, brackets = _run_crossings(runs, target)
-    assert nodes == want_nodes.tolist()
-    assert [i for i, _ in brackets] == want_brackets.tolist()
-    assert all(np.sign(g[i]) == -flip for i, flip in brackets)
-    for (s, values, _), (s_next, values_next, _) in zip(runs, runs[1:]):
-        if s_next == s + len(values) - 1:
-            steps = np.diff(ends[s : s_next + len(values_next)])
-            assert (steps > 0).any() and (steps < 0).any()
+    finite = np.sort(ends[~np.isnan(ends)])
+    for ends, monotone in ((ends, False), (finite, True), (finite[::-1], True)):
+        run = _monotone_run(ends)
+        if monotone and ends.size > 1 and np.isfinite(ends).all():
+            assert run is not None
+        g = ends - target
+        want_nodes, want_brackets = _sign_change_brackets(g)
+        nodes, brackets = _crossings(ends, run, target)
+        assert nodes == want_nodes.tolist()
+        assert [i for i, _ in brackets] == want_brackets.tolist()
+        assert all(np.sign(g[i]) == -flip for i, flip in brackets)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1258,37 +1324,25 @@ def test_run_index_gives_the_nodes_and_brackets_of_the_sign_scan(case):
 @example(ends=[-9.9792015476736e291, 1.7976931348623157e308], falling=False)
 def test_monotone_ends_are_one_run(ends, falling):
     """Ends that never fall, or never rise, are one run, stored negated
-    with flip -1.0 when some step falls."""
+    with flip -1.0 when some step falls.  With a turn or a NaN appended,
+    or cut to one node, they have none."""
     ends = np.array(ends[::-1] if falling else ends)
     flip = -1.0 if ends[-1] < ends[0] else 1.0
-    assert _monotone_runs(ends) == ((0, (flip * ends).tolist(), flip),)
-
-
-@pytest.mark.parametrize(
-    "ends, runs",
-    [
-        ([2.0], ((0, [2.0], 1.0),)),
-        ([np.nan], ()),
-        ([np.nan, np.nan], ()),
-        ([], ()),
-        ([1.0, np.inf], ((0, [1.0, np.inf], 1.0),)),
-        ([-np.inf, -np.inf, 0.0], ((0, [-np.inf], 1.0), (1, [-np.inf, 0.0], 1.0))),
-        ([0.0, 1.0, np.nan, 3.0, 2.0], ((0, [0.0, 1.0], 1.0), (3, [-3.0, -2.0], -1.0))),
-    ],
-)
-def test_monotone_runs_of_short_and_nan_scans(ends, runs):
-    """One node, NaN nodes and inf - inf steps keep their runs."""
-    assert _monotone_runs(np.array(ends, dtype=float)) == runs
+    assert _monotone_run(ends) == ((flip * ends).tolist(), flip)
+    assert _monotone_run(np.append(ends, np.nan)) is None
+    assert _monotone_run(ends[:1]) is None
+    if ends[0] != ends[-1]:
+        assert _monotone_run(np.append(ends, ends[0])) is None
 
 
 def test_hand_built_scan_gets_the_same_roots_as_an_indexed_one():
-    """A ``LineScan`` of four fields has its run index built by
-    ``_line_roots``; the roots equal those of the scan ``_scan_line``
-    built with its index, to the bit."""
+    """A ``LineScan`` of four fields has no run, so ``_line_roots`` passes
+    over all its nodes; the roots equal those of the scan ``_scan_line``
+    built with its run, to the bit."""
     scan = _scan_line(0.80, 0.83, 0.2, lambda pts: _forward_many(pts, 2, 0.05)[:, 1])
     targets = [1.79, float(scan.ends[300]), 1.83, 1.9]
     bare = LineScan(scan.p_grid, scan.ends, scan.end_min, scan.end_max)
-    assert bare.runs is None and len(scan.runs) == 1
+    assert bare.run is None and scan.run is not None
     want = [[r.hex() for r in found] for found in _line_roots(scan, 0.2, targets, 2, 0.05)]
     got = [[r.hex() for r in found] for found in _line_roots(bare, 0.2, targets, 2, 0.05)]
     assert got == want and [len(found) for found in want] == [1, 1, 1, 0]

@@ -120,6 +120,8 @@ _det_walks = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(dets=_det_walks)
+# a ratio 17 - 1e-323j, whose angle underflows
+@example(dets=_det_walk((85.0, 2.225073858507203e-309), [(17.0, 0.0)]))
 def test_tracked_sqrt_matches_the_numpy_algorithm(dets):
     """The scalar walk gives the root the numpy version gave, on 1 to 13
     nonzero determinants."""
