@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
-from .packets import GaussianPacket, _Record, _modulus, _set
+from .packets import GaussianPacket, _Record, _modulus, _require_int, _set
 from .rotor import RotorParams, SeedTrajectory, _merge_duplicates, find_seeds
 from .semiclassics import (
     SaddleTrajectory,
@@ -106,13 +106,6 @@ def _require_finite(name: str, value) -> None:
         or not math.isfinite(value)
     ):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 PRESETS: dict[str, ExperimentConfig] = {

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def _scalar(name: str, x, kind=float):
@@ -26,6 +29,16 @@ def _scalar(name: str, x, kind=float):
     if np.ndim(x) != 0:
         raise ValueError(f"{name} must be a scalar, got shape {np.shape(x)}")
     return kind(x)
+
+
+def _require_int(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, refused with :class:`ConfigError` unless
+    it is an integer of at least ``minimum`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _modulus(z: complex) -> float:

@@ -42,6 +42,7 @@ from .packets import (
     GaussianPacket,
     _Record,
     _complex_point,
+    _require_int,
     _scalar,
     _set,
 )
@@ -921,6 +922,21 @@ def _crossings(
     return [], [(i - 1, flip)] if 0 < i < len(values) else []
 
 
+def _scan_crossings(scan: LineScan, targets: list[float]) -> list[tuple]:
+    """:func:`_crossings` of each target on a scan, or none, ``((), ())``,
+    for a target outside [end_min, end_max] of the scan or not finite.  A
+    NaN end makes both bounds NaN, and then no finite target is skipped."""
+    _, ends, end_min, end_max, run = scan
+    found = []
+    for target in targets:
+        # comparisons with NaN are false, so a NaN end never skips
+        if target < end_min or target > end_max or not math.isfinite(target):
+            found.append(((), ()))
+        else:
+            found.append(_crossings(ends, run, target))
+    return found
+
+
 def _line_roots(
     scan: LineScan,
     q0: float,
@@ -936,11 +952,9 @@ def _line_roots(
     sign change of ``ends - target`` in scan order, each bisected to a
     1e-13 wide bracket: exactly the nodes and brackets of
     :func:`_sign_change_brackets`, with NaN ends in neither, as
-    :func:`_crossings` finds them.
-
-    A target outside [end_min, end_max] of the scan has no root and is
-    skipped, as is a target that is not finite.  A NaN end makes both
-    bounds NaN, and then no finite target is skipped.
+    :func:`_scan_crossings` finds them, so a target the scan cannot reach
+    has no root.  The seed search needs the bisection: its off-center sum
+    is evaluated on the seed orbit itself.
 
     Each midpoint is stepped inline on Python floats with exactly the
     operations :func:`_forward_many` applies to one row, in the same
@@ -951,18 +965,13 @@ def _line_roots(
     step, as a bracket narrower than 1e-13 ends on its midpoint whatever
     that midpoint's end.
     """
-    p_grid, ends, end_min, end_max, run = scan
+    p_grid = scan.p_grid
     sin = math.sin
     kick = K / TWO_PI
     first = kick * sin(TWO_PI * q0)
     rest = range(t - 1)
     roots = []
-    for target in targets:
-        # comparisons with NaN are false, so a NaN end never skips
-        if target < end_min or target > end_max or not math.isfinite(target):
-            roots.append([])
-            continue
-        nodes, brackets = _crossings(ends, run, target)
+    for target, (nodes, brackets) in zip(targets, _scan_crossings(scan, targets)):
         found = [float(p_grid[i]) for i in nodes]
         for i, flip in brackets:
             lo, hi = float(p_grid[i]), float(p_grid[i + 1])
@@ -1315,10 +1324,12 @@ def find_seeds(
     stable manifolds of the beta-image centers.  Branches whose start or
     endpoint sits further than ``_CAPTURE_SIGMA`` packet widths from the
     respective center are pruned; an empty list means no classically
-    allowed transport was found within ``image_range``.
+    allowed transport was found within ``image_range``, which must be an
+    integer of at least 0 (:class:`ConfigError` otherwise).
     """
     if t < 1:
         raise ValueError("seed trajectories need at least one step")
+    image_range = _require_int("image_range", image_range, 0)
     if regime == "integrable":
         return _integrable_seeds(alpha, beta, t, params, image_range)
     if regime == "chaotic":

@@ -39,6 +39,7 @@ from .packets import (
     _complex_point,
     _modulus,
     _packet,
+    _require_int,
     _set,
     bra_norm_exponent,
     ket_norm_exponent,
@@ -49,8 +50,8 @@ from .rotor import (
     LineScan,
     RotorParams,
     SeedTrajectory,
-    _line_roots,
     _merge_duplicates,
+    _scan_crossings,
     _scan_line,
     iterate_map,
     propagate,
@@ -526,12 +527,18 @@ def ggwpd_wavefunction(
     Real seeds are taken from the momentum line through the ket center
     (adequate for shearing-dominated transport; strong chaos would need
     manifold-based seeding as in the correlation case).  One saddle is
-    refined per crossing per lattice image of x.  The line's scan depends
-    on the packet, t and K but not on x, so calls for one packet share it
-    (:func:`_wavefunction_scan`).
+    refined per crossing per lattice image of x, seeded where the scan
+    finds the crossing (:func:`~ggwpd.rotor._scan_crossings`): at a node
+    whose end meets the image, or at the midpoint of a sign-change
+    bracket.  Newton's start error is dominated by the saddle's imaginary
+    offset, so the real root is not bisected first.  The line's scan
+    depends on the packet, t and K but not on x, so calls for one packet
+    share it (:func:`_wavefunction_scan`).
 
     Raises
     ------
+    ConfigError
+        When ``image_range`` is not an integer of at least 0.
     NumericalError
         When the scanned line's end positions reach a lattice image
         x + n with |n| > ``image_range``: that image's saddles would be
@@ -541,6 +548,8 @@ def ggwpd_wavefunction(
     """
     if t < 1:
         raise ValueError("position saddles need at least one step")
+    if type(image_range) is not int or image_range < 0:
+        image_range = _require_int("image_range", image_range, 0)
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
     w = _WAVE_HALFWIDTH_SIGMA * sig_p
     windings = range(-image_range, image_range + 1)
@@ -558,14 +567,21 @@ def ggwpd_wavefunction(
             f"the scanned line reaches the images x{n_lo:+.6g} to x{n_hi:+.6g} of "
             f"x = {x}, beyond image_range = {image_range}"
         )
-    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
-    if not any(roots):
+    p_grid = scan.p_grid
+    seeds = []  # plain loops: most targets have no crossing to build a list for
+    for n_q, target, (nodes, brackets) in zip(
+        windings, targets, _scan_crossings(scan, targets)
+    ):
+        for i in nodes:
+            seeds.append((n_q, target, p_grid[i]))
+        for i, _ in brackets:
+            seeds.append((n_q, target, 0.5 * (p_grid[i] + p_grid[i + 1])))
+    if not seeds:
         return 0j  # the empty sum, as _prune_and_sum((), ()).total gives
 
     saddles = [
         find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)
-        for n_q, target, seed_momenta in zip(windings, targets, roots)
-        for p_seed in seed_momenta
+        for n_q, target, p_seed in seeds
     ]
     terms = [
         wavefunction_contribution(alpha, sad.trajectory)

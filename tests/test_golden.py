@@ -54,7 +54,7 @@ MANIFOLD_SHA256 = {
     },
 }
 
-WAVEFUNCTION_SHA256 = "8cc61ded879076b7d19116d6498205d27d192afad52766130fcba2e11c5d52a7"
+WAVEFUNCTION_SHA256 = "8f0733f4af48c9878cb0a80659aaa34855b2eb36633c686ab77e189b6f4cfe21"
 
 
 def _wavefunction_values() -> list[str]:

@@ -38,6 +38,7 @@ from ggwpd.rotor import (
     SeedTrajectory,
     _line_roots,
     _merge_duplicates,
+    _scan_crossings,
     _scan_line,
     find_seeds,
     iterate_map,
@@ -744,6 +745,31 @@ def test_wavefunction_refusal_writes_far_images_briefly():
     assert "e+299" in message and re.search(r"\d{8}", message) is None
 
 
+def test_image_range_is_refused_unless_a_non_negative_integer():
+    """``find_seeds`` in both regimes and ``ggwpd_wavefunction`` refuse a
+    negative, fractional, float, bool or string ``image_range``: -1 gave an
+    empty seed list, read as "no transport", True acted as 1, and the
+    chaotic regime took 1.5.  A numpy integer is the same range as an int."""
+    integ, chaos = preset("integrable-fig2"), preset("chaotic-fig6")
+    calls = [
+        lambda r: find_seeds(
+            *packets_for(integ, 50), integ.t, RotorParams(integ.K), r, "integrable"
+        ),
+        lambda r: find_seeds(
+            *packets_for(chaos, 50), chaos.t, RotorParams(chaos.K), r, "chaotic"
+        ),
+        lambda r: ggwpd_wavefunction(
+            _packet(0.815, 0.2, 700), 0.8, 2, RotorParams(0.05), image_range=r
+        ),
+    ]
+    for call in calls:
+        for bad in (-1, 1.5, 2.0, True, np.bool_(True), np.int64(-1), "2", None):
+            with pytest.raises(ConfigError, match="image_range"):
+                call(bad)
+        assert call(2)  # seeds, or a value near the peak
+        assert repr(call(np.int64(2))) == repr(call(2))
+
+
 # kick strengths: the integrable-to-chaotic range, and log-uniform up to
 # the float maximum, where the scanned ends overflow
 _fuzz_kicks = st.one_of(
@@ -778,7 +804,7 @@ def test_wavefunction_scans_each_packet_through_iterate_map_once(monkeypatch):
     """All 700 grid points of one packet share one scan of the shearing
     line, a single 1025-row call to the module's ``iterate_map`` (where
     perfbench's trace hooks time the scan), and a second packet adds one
-    more; the crossings are bisected without it."""
+    more; the saddles are seeded without it."""
     calls = []
     iterate_map = semiclassics.iterate_map
 
@@ -795,7 +821,7 @@ def test_wavefunction_scans_each_packet_through_iterate_map_once(monkeypatch):
             ggwpd_wavefunction(alpha, s / 700, 2, params, image_range=2)
             for s in range(1, 701)
         ]
-        assert max(map(abs, values)) > 1.0  # crossings were found and bisected
+        assert max(map(abs, values)) > 1.0  # crossings were found and seeded
         assert calls == want
 
 
@@ -810,24 +836,37 @@ def test_memoized_scan_is_read_only_and_shared():
     assert again.p_grid is scan.p_grid and again.ends is scan.ends
 
 
-def _wavefunction_uncached(alpha, x, t, params, image_range):
-    """``ggwpd_wavefunction`` as it was: a fresh ``_scan_line`` scan
-    through ``iterate_map`` at every position, then ``_line_roots``."""
-    w = semiclassics._WAVE_HALFWIDTH_SIGMA * alpha.hbar / (2.0 * alpha.sigma)
+def _crossing_seeds(scan, x, image_range):
+    """(winding, target, momentum) of every crossing of the images of x
+    on ``scan``: a node's momentum, or its bracket's midpoint."""
     windings = range(-image_range, image_range + 1)
     targets = [x + n_q for n_q in windings]
+    seeds = []
+    for n_q, target, (nodes, brackets) in zip(
+        windings, targets, _scan_crossings(scan, targets)
+    ):
+        seeds += [(n_q, target, float(scan.p_grid[i])) for i in nodes]
+        seeds += [
+            (n_q, target, 0.5 * float(scan.p_grid[i] + scan.p_grid[i + 1]))
+            for i, _ in brackets
+        ]
+    return seeds
+
+
+def _wavefunction_uncached(alpha, x, t, params, image_range):
+    """``ggwpd_wavefunction`` as it was: a fresh ``_scan_line`` scan
+    through ``iterate_map`` at every position, seeded at its crossings."""
+    w = semiclassics._WAVE_HALFWIDTH_SIGMA * alpha.hbar / (2.0 * alpha.sigma)
     scan = _scan_line(
         alpha.p1 - w, alpha.p1 + w, alpha.q1,
         lambda pts: iterate_map(pts, t, params)[:, 1],
     )
-    roots = _line_roots(scan, alpha.q1, targets, t, params.K)
     n_lo, n_hi = math.ceil(scan.ends.min() - x), math.floor(scan.ends.max() - x)
     if n_lo <= n_hi and max(-n_lo, n_hi) > image_range:
         raise NumericalError("the scanned line reaches beyond image_range")
     saddles = [
         find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)
-        for n_q, target, seed_momenta in zip(windings, targets, roots)
-        for p_seed in seed_momenta
+        for n_q, target, p_seed in _crossing_seeds(scan, x, image_range)
     ]
     terms = [
         wavefunction_contribution(alpha, sad.trajectory)
@@ -869,6 +908,81 @@ def test_memoized_scan_gives_the_uncached_wavefunction_bit_for_bit(N):
         nonzero += want not in ("0j", "NumericalError")
     assert nonzero > 0
     assert semiclassics._wavefunction_scan.cache_info().misses == 1
+
+
+def _position_saddle_sum(alpha, seeds, t, params, propagations):
+    """The position-saddle sum over ``seeds``, (winding, target, momentum)
+    triples, as ``ggwpd_wavefunction`` forms it: its value, the windings of
+    the kept saddles, and each solve's Newton iterations and damping
+    halvings.  ``propagations`` lists the module's ``propagate`` calls; a
+    solve propagates once, then once per accepted or halved step."""
+    saddles, solves = [], []
+    for n_q, target, p_seed in seeds:
+        before = len(propagations)
+        sad = find_position_saddle(alpha, target, p_seed, t, params, winding_q=n_q)
+        calls = len(propagations) - before
+        saddles.append(sad)
+        solves.append((sad.iterations, calls - 1 - sad.iterations))
+    merged = _merge_duplicates(saddles, semiclassics._saddle_place)
+    terms = [wavefunction_contribution(alpha, sad.trajectory) for sad in merged]
+    result = semiclassics._prune_and_sum(terms, [c.weight for c in terms])
+    kept = [
+        sad.seed.winding
+        for sad, term in zip(merged, terms)
+        if any(term is branch for branch in result.branches)
+    ]
+    return result.total, kept, solves
+
+
+def test_bisecting_the_seed_moves_no_position_saddle(monkeypatch):
+    """Over a 3 x 3 grid of packet centres across the benchmark's box,
+    which holds the three golden centres, seeding each position saddle at
+    its bracket's midpoint instead of the root ``_line_roots`` bisects to
+    1e-13 keeps the same saddles, the same Newton iterations and damping
+    halvings, and every value within 1e-10 of the largest: Newton's start
+    error is dominated by the saddle's imaginary offset."""
+    propagations = []
+    propagate_ = semiclassics.propagate
+
+    def spy(*args):
+        propagations.append(None)
+        return propagate_(*args)
+
+    monkeypatch.setattr(semiclassics, "propagate", spy)
+    N, t, image_range = 700, 2, 2
+    params = RotorParams(0.05)
+    for p in (0.765, 0.815, 0.865):
+        for q in (0.15, 0.2, 0.25):
+            alpha = _packet(p, q, N)
+            w = semiclassics._WAVE_HALFWIDTH_SIGMA * alpha.hbar / (2.0 * alpha.sigma)
+            scan = semiclassics._wavefunction_scan(
+                alpha.p1 - w, alpha.p1 + w, alpha.q1, t, params.K
+            )
+            moves, values, solved = [], [], 0
+            for s in range(1, N + 1):
+                x = s / N
+                seeds = _crossing_seeds(scan, x, image_range)
+                windings = range(-image_range, image_range + 1)
+                roots = _line_roots(
+                    scan, alpha.q1, [x + n for n in windings], t, params.K
+                )
+                bisected = [
+                    (n, x + n, root) for n, found in zip(windings, roots) for root in found
+                ]
+                assert [n for n, _, _ in seeds] == [n for n, _, _ in bisected]
+                value, kept, solves = _position_saddle_sum(
+                    alpha, seeds, t, params, propagations
+                )
+                assert value == ggwpd_wavefunction(alpha, x, t, params, image_range)
+                ref, ref_kept, ref_solves = _position_saddle_sum(
+                    alpha, bisected, t, params, propagations
+                )
+                assert (kept, solves) == (ref_kept, ref_solves)
+                moves.append(abs(value - ref))
+                values.append(abs(ref))
+                solved += len(solves)
+            assert solved > 200
+            assert max(moves) <= 1e-10 * max(values)
 
 
 def test_ggwpd_correlation_rejects_mismatched_time():
