@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -61,6 +62,9 @@ class ExperimentConfig:
             raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         if not isinstance(self.label, str):
             raise ConfigError(f"label must be a string, got {self.label!r}")
+        # the label prefixes every output file name, inside --out
+        if any(c and c in self.label for c in ("\0", os.sep, os.altsep)):
+            raise ConfigError(f"label must be a plain file name, got {self.label!r}")
         _require_finite("K", self.K)
         if self.K < 0.0:
             raise ConfigError("K must be non-negative")
@@ -380,37 +384,6 @@ def emit_csv(rows: list[SweepRow], path) -> None:
         writer.writerow(CSV_COLUMNS)
         for r in rows:
             (quoted if "\r" in r.error else writer).writerow(_csv_cells(r))
-
-
-def read_csv(path) -> list[SweepRow]:
-    """Parse a file produced by :func:`emit_csv` back into rows.
-
-    Each row is rebuilt from its N, its three correlations and its error
-    text, and must format back to exactly the cells read.  A row that
-    :func:`emit_csv` would not have written (short, non-numeric, an edited
-    metric, a zero semiclassical sum) raises :class:`ConfigError`.
-    """
-    rows: list[SweepRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            try:
-                c_qm, c_oc, c_gg = (
-                    complex(float(rec[i]), float(rec[i + 1])) for i in (1, 3, 5)
-                )
-                row = SweepRow(int(rec[0]), c_qm, c_oc, c_gg, rec[-1])
-                ok = _csv_cells(row) == rec
-            except (ArithmeticError, IndexError, ValueError, GgwpdError):
-                ok = False
-            if not ok:
-                raise ConfigError(
-                    f"{path} line {reader.line_num}: not a row emit_csv writes"
-                )
-            rows.append(row)
-    return rows
 
 
 def _fmt_complex(z: complex) -> str:

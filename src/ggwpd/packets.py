@@ -6,8 +6,9 @@ The packet parametrization used everywhere in this package is
 
 with a real positive width ``b``; everything is one-dimensional.  A
 complex phase-space point (P, Q) represents the same state when it
-satisfies the linear constraint relation solved by :func:`manifold_point`;
-the normalization-and-phase exponents returned by :func:`ket_norm_exponent`
+satisfies the linear constraint 2 b Q + (i/hbar) P = 2 b q + (i/hbar) p,
+whose deviations :func:`residuals` returns; the normalization-and-phase
+exponents returned by :func:`ket_norm_exponent`
 and :func:`bra_norm_exponent` make the complex-center Gaussian form agree
 pointwise with the real-center one.
 """
@@ -133,14 +134,6 @@ class GaussianPacket(_Record):
         """Position uncertainty sigma = 1/(2 sqrt(b))."""
         return 1.0 / (2.0 * math.sqrt(self.b1))
 
-    def norm_constant(self) -> float:
-        """The real prefactor (2 b/pi)^(1/4)."""
-        return (2.0 * self.b1 / np.pi) ** 0.25
-
-    def with_center(self, p, q) -> "GaussianPacket":
-        """Same width and hbar, new real center (used for lattice images)."""
-        return GaussianPacket(p, q, self.b1, self.hbar)
-
 
 class ComplexPhasePoint(_Record):
     """A point (P, Q) = (p1, q1) in complexified phase space."""
@@ -220,28 +213,6 @@ class ResidualPair(_Record):
         _set(self, "max_norm", max(abs(initial), abs(final)))
 
 
-def packet_evaluate(packet: GaussianPacket, x: float) -> complex:
-    """Amplitude <x|alpha> of the packet at a real position x."""
-    dq = x - packet.q1
-    phase = packet.p1 * dq / packet.hbar
-    return packet.norm_constant() * np.exp(-packet.b1 * dq**2 + 1j * phase)
-
-
-def manifold_point(packet: GaussianPacket, Q) -> ComplexPhasePoint:
-    """The unique momentum completing Q to a point representing the packet.
-
-    Solves ``2 b Q + (i/hbar) P = 2 b q_c + (i/hbar) p_c`` for P, i.e.
-
-        P = p_c + 2 i hbar b (Q - q_c).
-
-    Every returned point yields an identically zero initial residual in
-    :func:`residuals`, and for an origin-centered packet with
-    ``2 sigma^2 = hbar`` the relation reduces to ``P = i Q``.
-    """
-    P = packet.p1 + 2j * packet.hbar * (packet.b1 * (Q - packet.q1))
-    return ComplexPhasePoint(P, Q)
-
-
 def ket_norm_exponent(packet: GaussianPacket, point: ComplexPhasePoint) -> complex:
     """Exponent restoring normalization and phase for a complex-center ket.
 
@@ -300,27 +271,3 @@ def residuals(
         1j / beta.hbar
     ) * (point_t.p1 - beta.p1)
     return ResidualPair(c_init, c_fin)
-
-
-def gaussian_overlap(alpha: GaussianPacket, beta: GaussianPacket) -> complex:
-    """Closed-form overlap <beta|alpha> of two real-center packets.
-
-    Both packets must share hbar.  Reduces to 1 for identical packets;
-    magnitude is bounded by 1 (Cauchy-Schwarz).
-    """
-    if alpha.hbar != beta.hbar:
-        raise ValueError("hbar mismatch")
-    hbar = alpha.hbar
-    A = alpha.b1 + beta.b1
-    B = (
-        2.0 * (alpha.b1 * alpha.q1)
-        + 2.0 * (beta.b1 * beta.q1)
-        + 1j / hbar * (alpha.p1 - beta.p1)
-    )
-    C = (
-        -alpha.q1 * alpha.b1 * alpha.q1
-        - beta.q1 * beta.b1 * beta.q1
-        - 1j / hbar * (alpha.p1 * alpha.q1 - beta.p1 * beta.q1)
-    )
-    gauss = (np.pi / A) ** 0.5 * np.exp(B * B / A / 4.0 + C)
-    return complex(alpha.norm_constant() * beta.norm_constant() * gauss)

@@ -190,35 +190,12 @@ class ComplexTrajectory(_Record):
     def final(self) -> ComplexPhasePoint:
         return self.points[-1]
 
-    def stability_determinant(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
 
 @dataclass(frozen=True)
 class ManifoldCurve:
     """An ordered polyline approximating an invariant curve."""
 
     points: np.ndarray  # (n, 2) columns (p, q)
-
-
-def map_step(point: ComplexPhasePoint, params: RotorParams) -> ComplexPhasePoint:
-    """One forward application of the kick-then-drift map on the covering space."""
-    p = point.p1
-    q = point.q1
-    p1 = p - (params.K / TWO_PI) * np.sin(TWO_PI * q)
-    q1 = q + p1
-    return ComplexPhasePoint(p1, q1)
-
-
-def inverse_map_step(
-    point: ComplexPhasePoint, params: RotorParams
-) -> ComplexPhasePoint:
-    """Exact inverse of :func:`map_step` (drift back, then unkick)."""
-    p1 = point.p1
-    q1 = point.q1
-    q = q1 - p1
-    p = p1 + (params.K / TWO_PI) * np.sin(TWO_PI * q)
-    return ComplexPhasePoint(p, q)
 
 
 def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTrajectory:
@@ -324,13 +301,6 @@ def _forward_many(pts: np.ndarray, n: int, K: float) -> np.ndarray:
     p = pts[:, 0].copy()
     q = pts[:, 1].copy()
     _step_forward(p, q, n, K)
-    return np.column_stack([p, q])
-
-
-def _backward_many(pts: np.ndarray, n: int, K: float) -> np.ndarray:
-    p = pts[:, 0].copy()
-    q = pts[:, 1].copy()
-    _step_backward(p, q, n, K)
     return np.column_stack([p, q])
 
 

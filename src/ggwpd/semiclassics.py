@@ -203,9 +203,10 @@ def _saddle_place(sad: SaddleTrajectory):
 def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianPacket:
     """The lattice image of the bra packet selected by a winding pair.
 
-    Equal to ``beta.with_center(beta.p1 + n_p, beta.q1 + n_q)`` without its
-    checks: the width and hbar are ``beta``'s, checked already, and a
-    finite centre shifted by a winding of a few cells stays finite.
+    Equal to ``GaussianPacket(beta.p1 + n_p, beta.q1 + n_q, beta.b1,
+    beta.hbar)`` without its checks: the width and hbar are ``beta``'s,
+    checked already, and a finite centre shifted by a winding of a few
+    cells stays finite.
     """
     n_p, n_q = winding
     return _packet(float(beta.p1 + n_p), float(beta.q1 + n_q), beta.b1, beta.hbar)

@@ -3,7 +3,7 @@ import dataclasses
 import inspect
 
 import ggwpd
-from ggwpd import floquet, free_particle, packets, rotor, semiclassics
+from ggwpd import experiment, floquet, packets, rotor, semiclassics
 
 
 def test_every_public_name_resolves():
@@ -19,10 +19,22 @@ def test_star_import_binds_every_public_name():
 
 
 def test_removed_branch_unwrapper_is_gone():
-    for name in ("BranchPhase", "branch_sqrt"):
-        assert name not in ggwpd.__all__
-        assert not hasattr(ggwpd, name)
-        assert not hasattr(ggwpd.semiclassics, name)
+    """The branch unwrapper, and the helpers that only the tests called:
+    deleted, or moved to the tests' ``oracles`` module."""
+    removed = {
+        semiclassics: ["BranchPhase", "branch_sqrt"],
+        ggwpd: ["free_particle"],
+        experiment: ["read_csv"],
+        packets: ["packet_evaluate", "gaussian_overlap", "manifold_point"],
+        packets.GaussianPacket: ["with_center", "norm_constant"],
+        rotor: ["map_step", "inverse_map_step", "_backward_many"],
+        rotor.ComplexTrajectory: ["stability_determinant"],
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert name not in ggwpd.__all__
+            assert not hasattr(ggwpd, name)
+            assert not hasattr(owner, name)
 
 
 def test_single_valued_keywords_are_gone():
@@ -37,14 +49,7 @@ def test_single_valued_keywords_are_gone():
         floquet.quantum_correlation: ["image_range"],
         packets.ComplexPhasePoint.is_real: ["tol"],
     }
-    for name in (
-        "kappa", "evolved_center", "exact_wavefunction",
-        "saddle_initial_conditions", "offcenter_initial_conditions",
-        "free_trajectory", "linearized_wavefunction", "offcenter_wavefunction",
-        "ggwpd_wavefunction", "correlation_saddle", "ggwpd_correlation",
-    ):
-        removed[getattr(free_particle, name)] = ["mass"]
-    assert sum(map(len, removed.values())) == 20
+    assert sum(map(len, removed.values())) == 9
     left = [
         f"{fn.__module__}.{fn.__qualname__}({arg})"
         for fn, args in removed.items()

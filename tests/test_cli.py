@@ -19,7 +19,6 @@ from ggwpd.experiment import (
     packets_for,
     prepare_scenario,
     preset,
-    read_csv,
 )
 from ggwpd.floquet import quantum_correlation
 from ggwpd.rotor import RotorParams
@@ -41,6 +40,12 @@ def _write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _csv_rows(path):
+    """The rows of a sweep CSV as dicts keyed by column name."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +221,19 @@ def test_sweep_refuses_bad_config_values_with_exit_2(tmp_path, capsys, override,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "manifolds"])
+@pytest.mark.parametrize("label", ["a\0b", "../escaped"])
+def test_label_that_is_no_plain_file_name_exits_2(tmp_path, capsys, command, label):
+    """The label prefixes every output file name.  A NUL in it used to
+    raise ValueError out of ``open`` (exit 1, the gate-failure code), and
+    a path separator wrote the files outside ``--out``."""
+    cfg = _write_json(tmp_path, "label.json", {**MINI_INTEGRABLE, "label": label})
+    out = tmp_path / "work" / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "label must be a plain file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["label.json"]
+
+
 # ---------------------------------------------------------------------------
 # sweep end-to-end
 # ---------------------------------------------------------------------------
@@ -233,9 +251,9 @@ def test_sweep_mini_config_writes_csv_and_report(tmp_path, capsys):
     assert "overall: PASS" in report_path.read_text()
     assert "overall: PASS" in captured.out
 
-    rows = read_csv(csv_path)
-    assert [r.N for r in rows] == [50, 100]
-    assert all(not r.error for r in rows)
+    rows = _csv_rows(csv_path)
+    assert [r["N"] for r in rows] == ["50", "100"]
+    assert all(not r["error"] for r in rows)
 
     # a second identical invocation reproduces the CSV byte for byte
     out2 = tmp_path / "run2"
@@ -361,14 +379,14 @@ def test_sweep_zero_semiclassical_sum_becomes_an_error_row(tmp_path, capsys):
     ])
     assert rc == 1
     assert "[FAIL] all rows computed: 1 failed rows" in capsys.readouterr().out
-    rows = {r.N: r for r in read_csv(out / "chaotic-fig6_sweep.csv")}
-    assert rows[50].error == rows[100].error == ""
-    assert rows[80000].error.startswith("NumericalError")
+    rows = {int(r["N"]): r for r in _csv_rows(out / "chaotic-fig6_sweep.csv")}
+    assert rows[50]["error"] == rows[100]["error"] == ""
+    assert rows[80000]["error"].startswith("NumericalError")
     cfg = config_from_dict(payload, base=preset("chaotic-fig6"))
     alpha, beta = packets_for(cfg, 80000)
     c_qm = quantum_correlation(alpha, beta, cfg.t, 80000, RotorParams(cfg.K))
     assert 0.0 < abs(c_qm) < 1e-12
-    assert rows[80000].C_qm == c_qm
+    assert complex(float(rows[80000]["C_qm_re"]), float(rows[80000]["C_qm_im"])) == c_qm
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +510,7 @@ def test_sweep_evaluates_a_repeated_n_once(tmp_path, capsys):
     argv = ["sweep", "--preset", "integrable-fig2", "--config", config]
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    assert [r.N for r in read_csv(out / "integrable-fig2_sweep.csv")] == [100, 200]
+    assert [r["N"] for r in _csv_rows(out / "integrable-fig2_sweep.csv")] == ["100", "200"]
     report = (out / "integrable-fig2_report.txt").read_text()
     assert "error hierarchy (ggwpd below off-center, N >= 100): 2 rows" in report
 

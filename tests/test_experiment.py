@@ -1,4 +1,5 @@
-"""Configuration handling, sweep bookkeeping, CSV I/O, and report gates."""
+"""Configuration handling, sweep bookkeeping, CSV output, and report gates."""
+import csv
 import dataclasses
 import math
 import string
@@ -24,7 +25,6 @@ from ggwpd.experiment import (
     packets_for,
     prepare_scenario,
     preset,
-    read_csv,
     run_sweep,
 )
 from ggwpd.rotor import propagate
@@ -266,27 +266,42 @@ def test_rows_are_ordered_by_grid_size(integrable_bundle):
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# CSV output
 # ---------------------------------------------------------------------------
+
+def _read_back(path):
+    """(N, floats, error) of each row of a sweep CSV, as ``csv.reader``
+    reads it; ``floats`` are the cells between N and the error text."""
+    with open(path, newline="") as fh:
+        header, *recs = csv.reader(fh)
+    assert tuple(header) == CSV_COLUMNS
+    return [(int(rec[0]), [float(c) for c in rec[1:-1]], rec[-1]) for rec in recs]
+
+
+def _written_floats(row):
+    """The floats of ``row`` under ``CSV_COLUMNS[1:-1]``, a complex ``C_x``
+    as its ``C_x_re`` and ``C_x_im`` cells."""
+    parts = {"re": "real", "im": "imag"}
+    out = []
+    for column in CSV_COLUMNS[1:-1]:
+        name, _, part = column.rpartition("_")
+        if part in parts:
+            out.append(getattr(getattr(row, name), parts[part]))
+        else:
+            out.append(getattr(row, column))
+    return out
+
 
 def test_csv_round_trip_is_exact(integrable_bundle, tmp_path):
     path = tmp_path / "sweep.csv"
     emit_csv(integrable_bundle.rows, path)
-    back = read_csv(path)
+    back = _read_back(path)
     assert len(back) == len(integrable_bundle.rows)
-    for orig, rt in zip(integrable_bundle.rows, back):
+    for orig, (n, floats, error) in zip(integrable_bundle.rows, back):
         # .17g preserves every float64 bit-for-bit
-        assert rt.N == orig.N
-        assert rt.C_qm == orig.C_qm
-        assert rt.C_oc == orig.C_oc
-        assert rt.C_ggwpd == orig.C_ggwpd
-        assert rt.abs_err_oc == orig.abs_err_oc
-        assert rt.abs_err_ggwpd == orig.abs_err_ggwpd
-        assert rt.ratio_oc == orig.ratio_oc
-        assert rt.ratio_ggwpd == orig.ratio_ggwpd
-        assert rt.phase_err_oc == orig.phase_err_oc
-        assert rt.phase_err_ggwpd == orig.phase_err_ggwpd
-        assert rt.error == orig.error
+        assert n == orig.N
+        assert floats == _written_floats(orig)
+        assert error == orig.error
 
 
 def test_csv_bytes_are_deterministic(chaotic_bundle, tmp_path):
@@ -313,10 +328,10 @@ def test_csv_error_row_survives_round_trip(tmp_path):
     )
     path = tmp_path / "err.csv"
     emit_csv([row], path)
-    (back,) = read_csv(path)
-    assert back.N == 64
-    assert back.error == "NumericalError: synthetic"
-    assert math.isnan(back.C_qm.real) and math.isnan(back.ratio_ggwpd)
+    ((n, floats, error),) = _read_back(path)
+    assert n == 64
+    assert error == "NumericalError: synthetic"
+    assert len(floats) == 12 and all(map(math.isnan, floats))
 
 
 def test_error_row_builds_after_a_libm_underflow():
@@ -331,48 +346,6 @@ def test_error_row_builds_after_a_libm_underflow():
     for m in experiment._METHODS:
         for metric in ("abs_err", "ratio", "phase_err"):
             assert math.isnan(getattr(row, f"{metric}_{m}"))
-
-
-def test_read_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "foreign.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError, match="header"):
-        read_csv(path)
-    path.write_text("")
-    with pytest.raises(ConfigError, match="header"):
-        read_csv(path)
-
-
-def _set_cells(**cells):
-    def edit(line):
-        rec = line.split(",")
-        for name, value in cells.items():
-            rec[CSV_COLUMNS.index(name)] = value
-        return ",".join(rec)
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda line: line[: len(line) // 2],
-        _set_cells(ratio_oc="1.0"),
-        _set_cells(C_oc_re="0", C_oc_im="0"),
-    ],
-    ids=["truncated", "edited-ratio_oc", "zero-C_oc"],
-)
-def test_read_csv_refuses_rows_emit_csv_would_not_write(
-    integrable_bundle, tmp_path, edit
-):
-    """A truncated last row, an edited metric and a zero sum are each
-    refused with ConfigError, never read silently or raised as IndexError
-    or ZeroDivisionError."""
-    path = tmp_path / "sweep.csv"
-    emit_csv(integrable_bundle.rows, path)
-    *head, last = path.read_text().splitlines()
-    path.write_text("\n".join(head + [edit(last)]) + "\n")
-    with pytest.raises(ConfigError, match="line 15"):
-        read_csv(path)
 
 
 _special = st.sampled_from(
@@ -397,23 +370,16 @@ def _same_float(a, b):
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_row, max_size=4))
 def test_csv_round_trip_property(rows, tmp_path_factory):
-    """emit_csv -> read_csv -> emit_csv gives the same bytes, and every
-    float read back has the bits it was written with (NaN only as NaN)."""
-    tmp = tmp_path_factory.mktemp("csv")
-    first, second = tmp / "first.csv", tmp / "second.csv"
-    emit_csv(rows, first)
-    back = read_csv(first)
-    emit_csv(back, second)
-    assert second.read_bytes() == first.read_bytes()
+    """``csv.reader`` reads back every row ``emit_csv`` wrote: its N, its
+    error text (a bare carriage return included) and every float with the
+    bits it was written with (NaN only as NaN)."""
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    emit_csv(rows, path)
+    back = _read_back(path)
     assert len(back) == len(rows)
-    for orig, rt in zip(rows, back):
-        assert (rt.N, rt.error) == (orig.N, orig.error)
-        for name in ("C_qm", "C_oc", "C_ggwpd"):
-            a, b = getattr(orig, name), getattr(rt, name)
-            assert _same_float(a.real, b.real) and _same_float(a.imag, b.imag)
-        for f in dataclasses.fields(SweepRow):
-            if not f.init:
-                assert _same_float(getattr(orig, f.name), getattr(rt, f.name))
+    for orig, (n, floats, error) in zip(rows, back):
+        assert (n, error) == (orig.N, orig.error)
+        assert all(map(_same_float, floats, _written_floats(orig)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwpd import cli, errors, experiment, floquet, free_particle, packets, rotor, semiclassics
+from ggwpd import cli, errors, experiment, floquet, packets, rotor, semiclassics
 from ggwpd.experiment import ExperimentConfig, ScenarioSetup, SweepRow, preset
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket, ResidualPair
 from ggwpd.rotor import ComplexTrajectory, ManifoldCurve, RotorParams, SeedTrajectory
@@ -178,7 +178,7 @@ def test_only_the_three_field_reflected_records_are_dataclasses():
     package is imported, most of that import's own cost.  Only the records
     read through ``dataclasses.fields``, ``asdict`` or ``replace`` are
     dataclasses; every other record is a plain slotted class."""
-    modules = (cli, errors, experiment, floquet, free_particle, packets, rotor, semiclassics)
+    modules = (cli, errors, experiment, floquet, packets, rotor, semiclassics)
     classes = {
         obj
         for module in modules

@@ -19,7 +19,6 @@ from ggwpd.errors import (
     RunawayError,
 )
 from ggwpd.experiment import packets_for, preset
-from ggwpd.free_particle import free_trajectory
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
@@ -30,7 +29,6 @@ from ggwpd.packets import (
     ComplexPhasePoint,
     GaussianPacket,
     ResidualPair,
-    gaussian_overlap,
 )
 from ggwpd.rotor import (
     ComplexTrajectory,
@@ -57,6 +55,7 @@ from ggwpd.semiclassics import (
     saddle_contribution,
     wavefunction_contribution,
 )
+from oracles import free_trajectory, gaussian_overlap
 
 
 def _packet(p, q, N):
