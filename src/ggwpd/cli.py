@@ -59,6 +59,9 @@ EXIT_NUMERICAL = 3
 
 _OPTIONS = ("--config", "--preset", "--out")
 
+# The longest file name, in bytes, that ext4, XFS, Btrfs and APFS take.
+_NAME_MAX = 255
+
 _USAGE = (
     "usage: ggwpd {sweep,saddle,manifolds} [--config PATH] "
     f"[--preset {{{','.join(sorted(PRESETS))}}}] [--out DIR]"
@@ -144,15 +147,30 @@ def _resolve_config(args: _Args):
     raise ConfigError("provide --preset and/or --config")
 
 
+def _output_paths(out: str, label: str, suffixes: list[str]) -> list[str]:
+    """The paths in ``out`` of the files named ``label`` + suffix, checked
+    before a command computes anything: a name longer than ``_NAME_MAX``
+    bytes is a ConfigError."""
+    names = [label + suffix for suffix in suffixes]
+    for name in names:
+        if len(os.fsencode(name)) > _NAME_MAX:
+            raise ConfigError(
+                f"the output file name {name!r} is longer than {_NAME_MAX} bytes; "
+                "shorten the label"
+            )
+    return [os.path.join(out, name) for name in names]
+
+
 def _cmd_sweep(args: _Args) -> int:
     config = _resolve_config(args)
+    csv_path, report_path = _output_paths(
+        args.out, config.label, ["_sweep.csv", "_report.txt"]
+    )
     setup = prepare_scenario(config)
     rows = run_sweep(setup)
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, f"{config.label}_sweep.csv")
     emit_csv(rows, csv_path)
     report, passed = emit_report(rows, setup)
-    report_path = os.path.join(args.out, f"{config.label}_report.txt")
     with open(report_path, "w") as fh:
         fh.write(report)
     sys.stdout.write(report)
@@ -183,26 +201,27 @@ def _cmd_saddle(args: _Args) -> int:
 
 def _cmd_manifolds(args: _Args) -> int:
     config = _resolve_config(args)
+    chaotic = config.regime == "chaotic"
+    suffixes = (
+        ["_unstable_alpha.csv", "_stable_beta.csv"]
+        if chaotic
+        else ["_shearing_alpha.csv", f"_shearing_alpha_t{config.t}.csv"]
+    )
+    paths = _output_paths(args.out, config.label, suffixes)
     params = RotorParams(config.K)
     alpha, beta = packets_for(config, config.seed_N)
     os.makedirs(args.out, exist_ok=True)
-    written = []
-    if config.regime == "chaotic":
-        curves = {
-            "unstable_alpha": unstable_manifold((alpha.p1, alpha.q1), params),
-            "stable_beta": stable_manifold((beta.p1, beta.q1), params),
-        }
+    if chaotic:
+        curves = [
+            unstable_manifold((alpha.p1, alpha.q1), params),
+            stable_manifold((beta.p1, beta.q1), params),
+        ]
     else:
         shear = shearing_manifold(alpha)
-        curves = {
-            "shearing_alpha": shear,
-            f"shearing_alpha_t{config.t}": propagate_curve(shear, config.t, params),
-        }
-    for name, curve in curves.items():
-        path = os.path.join(args.out, f"{config.label}_{name}.csv")
+        curves = [shear, propagate_curve(shear, config.t, params)]
+    for curve, path in zip(curves, paths):
         curve_to_csv(curve, path)
-        written.append(path)
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
 

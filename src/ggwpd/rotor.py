@@ -32,6 +32,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -356,76 +357,6 @@ def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
         raise ConfigError(f"{fp} is not a fixed point of the folded map")
 
 
-class _OrderedCurve:
-    """Points (p, q) kept in ascending order of a curve parameter, with the
-    length of the segment from each point to the next.
-
-    Rows 0-3 of ``buf`` hold parameter, p, q and segment length; the curve
-    is columns ``lo`` to ``hi - 1``, with free columns on both sides.  An
-    ordered part goes in with :meth:`insert`, which moves only the points
-    between the part's insertion places and the nearer end of the curve,
-    and measures only the segments those columns touch.
-    """
-
-    def __init__(self, p: float, q: float) -> None:
-        self.buf = np.array([[0.0], [p], [q], [0.0]])
-        self.lo, self.hi = 0, 1
-
-    def rows(self, k: int) -> np.ndarray:
-        """Row k of the curve's columns, a view."""
-        return self.buf[k, self.lo : self.hi]
-
-    def insert(self, part: np.ndarray) -> None:
-        """Merge a (3, m) part of parameters, p and q, ascending in its
-        parameter; each of its points goes after every point with a
-        parameter up to its own."""
-        m = part.shape[1]
-        rel = np.searchsorted(self.rows(0), part[0], side="right")
-        # shift the old points before the last insertion place left, or
-        # those after the first one right, whichever are fewer
-        left = rel[-1] <= self.hi - self.lo - rel[0]
-        self._reserve(m if left else 0, 0 if left else m)
-        lo, hi = self.lo, self.hi
-        if left:
-            a, b, start = lo, lo + rel[-1], lo - m
-            self.lo = start
-        else:
-            a, b, start = lo + rel[0], hi, lo + rel[0]
-            self.hi = hi + m
-        # the old columns the region overwrites, then the region laid out
-        # one run of equal insertion places at a time: the old columns up
-        # to the place, then the part's points that go there
-        old = self.buf[:3, a:b].copy()
-        places = (rel - (a - lo)).tolist()
-        runs = (np.flatnonzero(np.diff(rel)) + 1).tolist()
-        buf, done, at = self.buf, 0, start
-        for k, k_end in zip([0, *runs], [*runs, m]):
-            place = places[k]
-            buf[:3, at : at + place - done] = old[:, done:place]
-            at += place - done
-            buf[:3, at : at + k_end - k] = part[:, k:k_end]
-            at += k_end - k
-            done = place
-        end = start + (b - a) + m
-        buf[:3, at:end] = old[:, done:]
-        # segment i joins columns i and i + 1: those touching the region
-        s, e = max(start - 1, self.lo), min(end, self.hi - 1)
-        p, q = buf[1], buf[2]
-        buf[3, s:e] = np.hypot(p[s + 1 : e + 1] - p[s:e], q[s + 1 : e + 1] - q[s:e])
-
-    def _reserve(self, left: int, right: int) -> None:
-        """Make room for ``left`` more columns before the curve and
-        ``right`` after it, re-centring it in a buffer at least twice its
-        size when either side is short."""
-        if self.lo >= left and self.buf.shape[1] - self.hi >= right:
-            return
-        n = self.hi - self.lo
-        buf = np.zeros((4, 2 * (n + left + right)))
-        lo = (buf.shape[1] - n) // 2
-        buf[:, lo : lo + n] = self.buf[:, self.lo : self.hi]
-        self.buf, self.lo, self.hi = buf, lo, lo + n
-
-
 def _halves(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
     """Lower and upper ends of the intervals [lo, mid] and [mid, hi],
     interleaved: each interval's lower half, then its upper half."""
@@ -436,6 +367,58 @@ def _halves(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
     return lower, upper
 
 
+def _refine_level(logs, offsets, p, q, point_at):
+    """Offsets and points p, q of one level on one side, in ascending
+    offset order, from its base points at log-offsets ``logs``, refined by
+    inserting log-midpoints until consecutive points are closer than
+    ``_CURVE_SPACING``.  ``point_at(s)`` gives the level's points p, q at
+    germ offsets s.  A level past ``_MAX_CURVE_POINTS`` points is refused.
+
+    Refinement is breadth-first and tests only the frontier: the first
+    round tests every interval between base points, and each later round
+    tests just the two halves of every interval the round before split,
+    mapping all of their midpoints in one call.  Whether an interval
+    splits depends only on its two endpoints, so an interval that was not
+    split stays final, and the point set is the one a left-to-right walk
+    inserting one midpoint at a time gives.  The frontier is kept in
+    curve order, each split interval's two halves side by side, so each
+    round's midpoints ascend; the level is put in curve order once, by a
+    stable sort of its log-offsets, which merges those runs.
+    """
+    # log-offsets, their offsets and points, one array each per round
+    log_parts, offset_parts, p_parts, q_parts = [logs], [offsets], [p], [q]
+    count = logs.size
+    # the frontier: log-offsets and points at both ends of every interval
+    # still to test
+    lo_log, hi_log = logs[:-1], logs[1:]
+    lo_p, hi_p, lo_q, hi_q = p[:-1], p[1:], q[:-1], q[1:]
+    while True:
+        if count > _MAX_CURVE_POINTS:
+            raise NumericalError("manifold refinement exceeded the point-count cap")
+        gaps = np.hypot(hi_p - lo_p, hi_q - lo_q)
+        split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
+        if not split.any():
+            break
+        lo_log, hi_log = lo_log[split], hi_log[split]
+        mids = 0.5 * (lo_log + hi_log)
+        mid_offsets = np.exp(mids)
+        mid_p, mid_q = point_at(mid_offsets)
+        log_parts.append(mids)
+        offset_parts.append(mid_offsets)
+        p_parts.append(mid_p)
+        q_parts.append(mid_q)
+        count += mids.size
+        # each split interval's two halves, side by side: the frontier
+        # stays in curve order, so each round's midpoints ascend
+        lo_log, hi_log = _halves(lo_log, mids, hi_log)
+        lo_p, hi_p = _halves(lo_p[split], mid_p, hi_p[split])
+        lo_q, hi_q = _halves(lo_q[split], mid_q, hi_q[split])
+    # a level's points in curve order are its log-offsets in order: no two
+    # are equal, and they form one ascending run per round
+    order = np.argsort(np.concatenate(log_parts), kind="stable")
+    return tuple(np.concatenate(parts)[order] for parts in (offset_parts, p_parts, q_parts))
+
+
 def _grow_invariant_curve(
     fp: tuple[float, float], params: RotorParams, inverse: bool
 ) -> np.ndarray:
@@ -444,38 +427,39 @@ def _grow_invariant_curve(
     The curve is parametrized by the signed distance along the germ
     eigenvector; a fundamental segment [s0, |lambda| s0) on each side of
     the fixed point is iterated level by level, and each level's images
-    are refined by inserting log-midpoints until consecutive points are
+    are refined by :func:`_refine_level` until consecutive points are
     closer than ``_CURVE_SPACING``.  Iterating with the map itself keeps
-    every emitted point on the manifold to machine precision.  Growth
-    stops once the arc length reaches ``_ARC_BUDGET``, and refinement past
-    ``_MAX_CURVE_POINTS`` points on one level is refused.
+    every emitted point on the manifold to machine precision.
 
-    Refinement is breadth-first and tests only the frontier: the first
-    round tests every interval of the level's log grid, and each later
-    round tests just the two halves of every interval the round before
-    split, mapping all of their midpoints in one call.  Whether an
-    interval splits depends only on its two endpoints, so an interval
-    that was not split stays final, and the point set is the one a
-    left-to-right walk inserting one midpoint at a time gives.  The
-    frontier is kept in curve order, each split interval's two halves side
-    by side, so each round's midpoints ascend; each (level, side) is put
-    in curve order once, by a stable sort of its log-offsets, which merges
-    those runs.
+    The curve is grown branch by branch, a branch being its points of one
+    sign of the parameter: at level n, branch b takes its points from
+    germ side b sign(lambda**n).  A branch's points are in curve order
+    when stably sorted by parameter in growth order: a level's first
+    point and the level before's last point have equal parameters up to
+    rounding, and no other points of two levels interleave.  After each
+    level the branch's arc from the fixed point is read in that order,
+    and the branch stops once it reaches ``_ARC_BUDGET / 2``.  The
+    low-parameter end keeps the points with arc up to the half budget,
+    the high-parameter end those and the first point past it.  Every
+    hyperbolic fixed point of the standard map, (n, 0) or (n, 1/2) up to
+    a whole q, is a centre of point symmetry of the map and so of its
+    curves, so this is the window of ``_ARC_BUDGET`` centred on the middle
+    of the whole curve's arc; the tests compare the two cuts bit for bit.
+
+    Within the last level only a prefix of the base intervals is refined.
+    The base polyline's arc is a lower bound on the refined arc over any
+    prefix, so the half budget is crossed no later than the base
+    interval where the branch's arc so far plus the base segments first
+    reaches it; intervals up to one past that one are refined, the one
+    past a margin for rounding.  A level whose base polyline falls short
+    is refined whole.  Refinement splits an interval by its two
+    endpoints alone, so a prefix's points are those of the whole level.
 
     The 48 base points of level n on both sides are one map step of level
     n - 1's, the same operations in the same order as n steps from the
     germ; a midpoint has no point at the level before and is stepped n
     times from the germ.  Points are kept as flat p and q arrays and
     stacked into (p, q) rows once, at the end.
-
-    Each (level, side), in growth order, is merged into the curve grown so
-    far by its signed curve parameter, after any point with an equal one:
-    the order a stable sort of every parameter in growth order gives.
-    The arc length after each level decides whether growth goes on.  The
-    whole last level must be grown, because the curve is then cut to the
-    window of ``_ARC_BUDGET`` centred on the middle of its full arc
-    length, so the cut depends on every point of that level; the cut
-    reuses that level's segment lengths.
 
     The unfolded map fixes (p, q) only at p = 0: it moves a fixed point at
     integer p = n_p by n_p in q at every step.  Growth runs at (p - n_p, q)
@@ -522,6 +506,7 @@ def _grow_invariant_curve(
 
     logs = np.linspace(np.log(s0), np.log(abs(lam) * s0), n_base)
     offsets = np.exp(logs)
+    half = _ARC_BUDGET / 2.0
 
     # grown at p - n_p; a zero n_p is not added, as adding 0.0 would turn
     # -0.0 into +0.0
@@ -533,81 +518,70 @@ def _grow_invariant_curve(
     def germ(side, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return fp_p + (side * s) * v[0], fp_q + (side * s) * v[1]
 
-    # the base points of the current level, the + side's first
-    base_p, base_q = germ(np.repeat([1.0, -1.0], n_base), np.tile(offsets, 2))
+    def level_points(side: float, n: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points p, q of germ offsets s on one side after n steps."""
+        p, q = germ(side, s)
+        step(p, q, n, K)
+        return p, q
 
-    def grow_level(side: float, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Signed curve parameters and points p, q of level n on one side,
-        in ascending parameter order, from the level's base points; the
-        round lists die with the call."""
-        # log-offsets, their offsets and points, one array each per round
-        log_parts, offset_parts, p_parts, q_parts = [logs], [offsets], [p], [q]
-        count = n_base
-        # the frontier: log-offsets and points at both ends of every
-        # interval still to test
-        lo_log, hi_log = logs[:-1], logs[1:]
-        lo_p, hi_p, lo_q, hi_q = p[:-1], p[1:], q[:-1], q[1:]
-        while True:
-            if count > _MAX_CURVE_POINTS:
-                raise NumericalError("manifold refinement exceeded the point-count cap")
-            gaps = np.hypot(hi_p - lo_p, hi_q - lo_q)
-            split = (gaps > _CURVE_SPACING) & (hi_log - lo_log > 1e-14)
-            if not split.any():
+    def grow_branch(b: float) -> tuple[np.ndarray, np.ndarray]:
+        """p and q of the branch of sign b, outward from the fixed point
+        and cut to the half budget, the fixed point first."""
+        # the base points of the current level, the + side's first; a
+        # branch takes its points from both sides when lambda < 0
+        base_p, base_q = germ(np.repeat([1.0, -1.0], n_base), np.tile(offsets, 2))
+        # the branch in outward order: settled points, then the last two
+        # points (at first the fixed point alone) with the arc at the first
+        p_parts, q_parts = [], []
+        tail_param, tail_p, tail_q = np.zeros(1), np.array([fp_p]), np.array([fp_q])
+        tail_arc = end = 0.0
+        for n in range(n_levels):
+            if n:
+                step(base_p, base_q, 1, K)
+            # the signed curve parameter of offset s after n steps is s lam**n
+            scale = lam**n
+            side = b if scale > 0.0 else -b
+            base = slice(0, n_base) if side > 0.0 else slice(n_base, None)
+            p, q = base_p[base], base_q[base]
+            reach = end + np.cumsum(np.hypot(np.diff(p), np.diff(q))) >= half
+            # base points up to the end of the interval past the first
+            # that reaches the half budget
+            m = min(int(reach.argmax()) + 3, n_base) if reach.any() else n_base
+            s, p, q = _refine_level(
+                logs[:m], offsets[:m], p[:m], q[:m], partial(level_points, side, n)
+            )
+            # only the level's first point can go before the branch's last,
+            # so one stable sort of the last two and the level, in growth
+            # order, puts the branch in order; reversed on the - branch
+            param = np.concatenate([tail_param, side * s * scale])
+            order = np.argsort(param, kind="stable")
+            if b < 0.0:
+                order = order[::-1]
+            param = param[order]
+            p = np.concatenate([tail_p, p])[order]
+            q = np.concatenate([tail_q, q])[order]
+            # cumsum adds in order, so the arc is the whole branch's sum
+            seg = np.hypot(np.diff(p), np.diff(q))
+            arc = np.cumsum(np.concatenate([[tail_arc], seg]))
+            end = float(arc[-1])
+            if end >= half:
+                keep = int(np.searchsorted(arc, half, side="right")) + (b > 0.0)
+                p_parts.append(p[:keep])
+                q_parts.append(q[:keep])
                 break
-            lo_log, hi_log = lo_log[split], hi_log[split]
-            mids = 0.5 * (lo_log + hi_log)
-            mid_offsets = np.exp(mids)
-            mid_p, mid_q = germ(side, mid_offsets)
-            step(mid_p, mid_q, n, K)
-            log_parts.append(mids)
-            offset_parts.append(mid_offsets)
-            p_parts.append(mid_p)
-            q_parts.append(mid_q)
-            count += mids.size
-            # each split interval's two halves, side by side: the frontier
-            # stays in curve order, so each round's midpoints ascend
-            lo_log, hi_log = _halves(lo_log, mids, hi_log)
-            lo_p, hi_p = _halves(lo_p[split], mid_p, hi_p[split])
-            lo_q, hi_q = _halves(lo_q[split], mid_q, hi_q[split])
-        # a level's points in curve order are its log-offsets in order: no
-        # two are equal, and they form one ascending run per round, which
-        # the stable sort merges
-        order = np.argsort(np.concatenate(log_parts), kind="stable")
-        # the signed curve parameter of offset s after n steps is s lam**n
-        scale = lam**n
-        if side * scale < 0.0:
-            # only intervals wider than 1e-14 split, so the offsets of one
-            # level differ by over 20 ulps and no two of its parameters
-            # are equal: reversing keeps the stable order
-            order = order[::-1]
-        param = side * np.concatenate(offset_parts)[order] * scale
-        return np.stack(
-            [param, np.concatenate(p_parts)[order], np.concatenate(q_parts)[order]]
-        )
+            p_parts.append(p[:-2])
+            q_parts.append(q[:-2])
+            tail_param, tail_p, tail_q, tail_arc = param[-2:], p[-2:], q[-2:], arc[-2]
+        else:
+            p_parts.append(tail_p)
+            q_parts.append(tail_q)
+        return np.concatenate(p_parts), np.concatenate(q_parts)
 
-    # the curve grown so far, starting from the fixed point
-    curve = _OrderedCurve(fp_p, fp_q)
-    total_len = 0.0
-    for n in range(n_levels):
-        if total_len >= _ARC_BUDGET:
-            break
-        if n:
-            step(base_p, base_q, 1, K)
-        for side, base in ((+1.0, slice(0, n_base)), (-1.0, slice(n_base, None))):
-            curve.insert(grow_level(side, n, base_p[base], base_q[base]))
-        # one sum over the whole curve: its pairwise order sets the last
-        # bits the budget test sees
-        total_len = float(np.sum(curve.rows(3)[:-1]))
-    p, q, seglen = curve.rows(1), curve.rows(2), curve.rows(3)[:-1]
-    # truncate symmetrically in parameter once the budget is exceeded
-    if total_len > _ARC_BUDGET:
-        cum = np.concatenate([[0.0], np.cumsum(seglen)])
-        # keep the centered window of the requested length
-        excess = (cum[-1] - _ARC_BUDGET) / 2.0
-        lo = int(np.searchsorted(cum, excess))
-        hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
-        keep = slice(max(lo, 0), min(hi + 1, len(p)))
-        p, q = p[keep], q[keep]
+    low_p, low_q = grow_branch(-1.0)
+    high_p, high_q = grow_branch(+1.0)
+    # the low branch reversed, without its copy of the fixed point
+    p = np.concatenate([low_p[:0:-1], high_p])
+    q = np.concatenate([low_q[:0:-1], high_q])
     if n_p:
         p = p + n_p
     return np.column_stack([p, q])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ggwpd import experiment, rotor
+from ggwpd import cli, experiment, rotor
 from ggwpd.cli import main
 from ggwpd.experiment import (
     config_from_dict,
@@ -232,6 +232,42 @@ def test_label_that_is_no_plain_file_name_exits_2(tmp_path, capsys, command, lab
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "label must be a plain file name" in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["label.json"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "manifolds"])
+def test_label_too_long_for_a_file_name_exits_2_before_any_computation(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A 300-character label used to exit 2 only when the first output
+    file was opened, after the whole sweep or both curves had run."""
+
+    def refuse(*args):
+        raise AssertionError("computed before the output names were checked")
+
+    for name in ("prepare_scenario", "run_sweep", "unstable_manifold", "stable_manifold"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = _write_json(tmp_path, "label.json", {"label": "x" * 300})
+    out = tmp_path / "out"
+    argv = [command, "--preset", "chaotic-fig6", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert "is longer than 255 bytes" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["label.json"]
+
+
+@pytest.mark.parametrize(
+    "command, longest", [("sweep", "_report.txt"), ("manifolds", "_shearing_alpha_t2.csv")]
+)
+def test_longest_output_name_of_255_bytes_is_written(tmp_path, capsys, command, longest):
+    """A label that makes the longest output name exactly 255 bytes runs;
+    one byte more is refused."""
+    label = "x" * (255 - len(longest))
+    cfg = _write_json(tmp_path, "ok.json", {**MINI_INTEGRABLE, "label": label})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / (label + longest)).exists()
+    cfg = _write_json(tmp_path, "long.json", {**MINI_INTEGRABLE, "label": label + "x"})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "long")]) == 2
+    assert "is longer than 255 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "long").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from ggwpd.rotor import (
     _line_roots,
     _merge_duplicates,
     _monotone_run,
-    _OrderedCurve,
     _scan_line,
     _sign_change_brackets,
     _step_backward,
@@ -421,52 +420,69 @@ def test_level_at_a_time_growth_matches_depth_first_reference(
 
 
 def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it(monkeypatch):
-    _, levels = _grow_depth_first((0.0, 0.0), K_CHAOTIC, 2.0, _CURVE_SPACING, False)
-    largest = max(len(pts) for _, pts in levels)
-    monkeypatch.setattr(rotor, "_ARC_BUDGET", 2.0)
-    for cap in (500, largest - 1):
+    """The cap counts the points one level's refinement makes, of which a
+    branch's last level makes only its refined prefix: at the full budget
+    the largest is level 10's 3,131, while level 11 whole would make
+    16,537.  Both caps that raise are above the 1,248 base points of the
+    13 levels planned, so a level's refinement raises, not the plan."""
+    made = []
+    refine = rotor._refine_level
+
+    def counted(*args):
+        level = refine(*args)
+        made.append(level[0].size)
+        return level
+
+    monkeypatch.setattr(rotor, "_refine_level", counted)
+    unstable_manifold((0.0, 0.0), K_CHAOTIC)
+    largest = max(made)
+    for cap in (1300, largest - 1):
         monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", cap)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="point-count cap"):
             unstable_manifold((0.0, 0.0), K_CHAOTIC)
     monkeypatch.setattr(rotor, "_MAX_CURVE_POINTS", largest)
     curve = unstable_manifold((0.0, 0.0), K_CHAOTIC)
     assert len(curve.points) > largest
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    parts=st.lists(
-        st.lists(st.integers(-6, 6), min_size=1, max_size=40).map(sorted),
-        min_size=1,
-        max_size=8,
-    )
+@pytest.mark.parametrize(
+    "fp, inverse", [((0.0, 0.0), False), ((0.0, 0.5), True)], ids=["unstable", "stable"]
 )
-# whole parts past the right end, then the left end: one insertion place
-@example(parts=[[1, 2, 3], [5, 6, 6], [-4, -3]])
-# the second part straddles exactly one old point, 3, as growth's parts do
-@example(parts=[[1, 2, 3], [2, 4, 5]])
-# a part that interleaves many old points, with ties on both sides
-@example(parts=[[-4, -2, 0, 2, 4], [-5, -4, -4, -3, -1, 0, 0, 1, 2, 3, 4, 5, 5]])
-def test_ordered_curve_merges_as_a_stable_sort_in_growth_order(parts):
-    """Parts with many equal parameters, inside the curve, beyond either
-    end or straddling it: the columns are the stable sort of every point
-    in growth order, and each segment length is the hypot of the
-    neighbours' differences, as one pass over the whole curve gives it.
-    Each point's p is its place in growth order."""
-    curve = _OrderedCurve(0.0, 1.0)
-    rows = [(0.0, 0.0, 1.0)]
-    for keys in parts:
-        param = np.array(keys, dtype=float)
-        p = np.arange(len(rows), len(rows) + param.size, dtype=float)
-        q = np.cos(p)
-        curve.insert(np.stack([param, p, q]))
-        rows.extend(zip(param, p, q))
-    rows = np.array(rows)
-    want = rows[np.argsort(rows[:, 0], kind="stable")]
-    got = np.stack([curve.rows(0), curve.rows(1), curve.rows(2)], axis=1)
-    assert np.array_equal(got, want)
-    seglen = np.hypot(*np.diff(want[:, 1:], axis=0).T)
-    assert np.array_equal(curve.rows(3)[:-1], seglen)
+def test_chaotic_curves_are_cut_at_half_the_budget_from_the_fixed_point(fp, inverse):
+    """Along each branch of the chaotic-fig6 curves the low end lies within
+    ``_ARC_BUDGET / 2`` of the fixed point and the high end past it by at
+    most one segment."""
+    pts = rotor._grow_invariant_curve(fp, K_CHAOTIC, inverse)
+    at = int(np.flatnonzero((pts[:, 0] == fp[0]) & (pts[:, 1] == fp[1]))[0])
+    low = np.cumsum(np.hypot(*np.diff(pts[at::-1], axis=0).T))
+    high = np.cumsum(np.hypot(*np.diff(pts[at:], axis=0).T))
+    half = rotor._ARC_BUDGET / 2.0
+    assert low[-1] <= half
+    assert high[-2] <= half < high[-1]
+
+
+# Map point-steps of each chaotic-fig6 curve's growth; growing each
+# branch's last level whole took 440,738 and 150,024.
+GROWTH_POINT_STEPS = {False: 90_256, True: 74_536}
+
+
+@pytest.mark.parametrize(
+    "fp, inverse", [((0.0, 0.0), False), ((0.0, 0.5), True)], ids=["unstable", "stable"]
+)
+def test_chaotic_curve_growth_takes_its_pinned_map_point_steps(
+    fp, inverse, monkeypatch
+):
+    name = "_step_backward" if inverse else "_step_forward"
+    step = getattr(rotor, name)
+    steps = []
+
+    def counted(p, q, n, K):
+        steps.append(p.size * n)
+        step(p, q, n, K)
+
+    monkeypatch.setattr(rotor, name, counted)
+    rotor._grow_invariant_curve(fp, K_CHAOTIC, inverse)
+    assert sum(steps) == GROWTH_POINT_STEPS[inverse]
 
 
 @pytest.mark.parametrize(
@@ -509,6 +525,11 @@ def _hyperbolic_growths(draw):
 @example(growth=((0.0, 0.0), 8.25, False), budget=1.0)
 @example(growth=((0.0, 0.5), 8.25, True), budget=1.0)
 @example(growth=((0.0, 0.0), 4.05, True), budget=0.5)
+# the half budget is crossed inside the last level's first base interval
+@example(growth=((0.0, 0.5), 7.18, True), budget=0.93)
+# the base polyline of level 24 falls short of the half budget and the
+# refined level passes it, so the whole level is refined
+@example(growth=((0.0, 0.0), 4.55, False), budget=0.855017)
 def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budget):
     """Unstable and stable curves at any K equal the depth-first
     reference's bit for bit.  A fixed point so near parabolic that growth
