@@ -149,8 +149,13 @@ def _resolve_config(args: _Args):
 
 def _output_paths(out: str, label: str, suffixes: list[str]) -> list[str]:
     """The paths in ``out`` of the files named ``label`` + suffix, checked
-    before a command computes anything: a name longer than ``_NAME_MAX``
+    before a command computes anything: an empty ``out``, one that names
+    something other than a directory, or a name longer than ``_NAME_MAX``
     bytes is a ConfigError."""
+    if not out:
+        raise ConfigError("--out is empty; name an output directory")
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out!r} exists and is not a directory")
     names = [label + suffix for suffix in suffixes]
     for name in names:
         if len(os.fsencode(name)) > _NAME_MAX:
@@ -210,7 +215,6 @@ def _cmd_manifolds(args: _Args) -> int:
     paths = _output_paths(args.out, config.label, suffixes)
     params = RotorParams(config.K)
     alpha, beta = packets_for(config, config.seed_N)
-    os.makedirs(args.out, exist_ok=True)
     if chaotic:
         curves = [
             unstable_manifold((alpha.p1, alpha.q1), params),
@@ -219,6 +223,7 @@ def _cmd_manifolds(args: _Args) -> int:
     else:
         shear = shearing_manifold(alpha)
         curves = [shear, propagate_curve(shear, config.t, params)]
+    os.makedirs(args.out, exist_ok=True)
     for curve, path in zip(curves, paths):
         curve_to_csv(curve, path)
     for path in paths:

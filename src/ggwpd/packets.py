@@ -196,9 +196,9 @@ class ResidualPair(_Record):
     ``initial`` measures how far the initial point is from the ket packet's
     constraint set, ``final`` the same for the final point against the bra
     packet (with its momentum term conjugated).  Both vanish exactly on a
-    saddle-point trajectory.  ``max_norm``, the larger of their moduli, is
-    computed once, on construction; it is no field, so ``==``, ``hash``
-    and ``repr`` ignore it.
+    saddle-point trajectory.  ``max_norm``, the larger of their moduli and
+    NaN when either is, is computed once, on construction; it is no field,
+    so ``==``, ``hash`` and ``repr`` ignore it.
     """
 
     _fields = ("initial", "final")
@@ -210,7 +210,9 @@ class ResidualPair(_Record):
             final = _scalar("final", final, complex)
         _set(self, "initial", initial)
         _set(self, "final", final)
-        _set(self, "max_norm", max(abs(initial), abs(final)))
+        a, b = abs(initial), abs(final)
+        # max keeps its first argument against a NaN second one
+        _set(self, "max_norm", b if math.isnan(b) else max(a, b))
 
 
 def ket_norm_exponent(packet: GaussianPacket, point: ComplexPhasePoint) -> complex:

@@ -801,15 +801,14 @@ class LineScan(NamedTuple):
     """Scan nodes of a line q = q0, their end positions and the ends' range.
 
     ``end_min`` and ``end_max`` are Python floats, both NaN when an end is.
-    ``run`` is the ends' :func:`_monotone_run`; a scan built with four
-    fields has none.
+    ``run`` is the ends' :func:`_monotone_run`, None when they have none.
     """
 
     p_grid: np.ndarray
     ends: np.ndarray
     end_min: float
     end_max: float
-    run: tuple | None = None
+    run: tuple | None
 
 
 def _monotone_run(ends: np.ndarray) -> tuple[list, float] | None:
@@ -845,25 +844,22 @@ def _scan_line(p_lo: float, p_hi: float, q0: float, end_q) -> LineScan:
 
 def _crossings(
     ends: np.ndarray, run: tuple | None, target: float
-) -> tuple[list[int], list[tuple]]:
+) -> tuple[list[int], list[int]]:
     """The nodes and brackets of :func:`_sign_change_brackets` of
-    ``ends - target``, for a finite target, as lists in scan order; bracket
-    i as ``(i, flip)``, ``flip`` 1.0 when the end at i is below the target,
-    else -1.0.  In the ends' :func:`_monotone_run` ``run``, which meets the
+    ``ends - target``, for a finite target, as lists of indices in scan
+    order.  In the ends' :func:`_monotone_run` ``run``, which meets the
     target on adjacent nodes and crosses it strictly at most once, two
     binary searches find both; without a run, the pass over all nodes does."""
     if run is None:
-        g = ends - target
-        nodes, brackets = _sign_change_brackets(g)
-        flips = (-np.sign(g[brackets])).tolist()
-        return nodes.tolist(), list(zip(brackets.tolist(), flips))
+        nodes, brackets = _sign_change_brackets(ends - target)
+        return nodes.tolist(), brackets.tolist()
     values, flip = run
     value = flip * target
     i = bisect_left(values, value)
     j = bisect_right(values, value, i)
     if i < j:
         return list(range(i, j)), []
-    return [], [(i - 1, flip)] if 0 < i < len(values) else []
+    return [], [i - 1] if 0 < i < len(values) else []
 
 
 def _scan_crossings(scan: LineScan, targets: list[float]) -> list[tuple]:
@@ -881,12 +877,44 @@ def _scan_crossings(scan: LineScan, targets: list[float]) -> list[tuple]:
     return found
 
 
+def _bisect_brackets(
+    g, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, max_iter: int, width: float
+) -> np.ndarray:
+    """Bisect many sign-change brackets in lockstep; returns one root each.
+
+    ``g(x, rows)`` evaluates the function of each listed bracket row at
+    x.  Every row follows the scalar rule: halve toward the sign change,
+    and stop at the midpoint once g vanishes there or the bracket is
+    narrower than ``width``.  A row also stops once its midpoint rounds
+    onto an endpoint: from then on every halving keeps or collapses the
+    bracket onto that same midpoint, so the scalar loop would return it
+    too.  A row still open after ``max_iter`` halvings returns the
+    midpoint of its last bracket.
+    """
+    lo, hi, glo = lo.copy(), hi.copy(), glo.copy()
+    root = np.empty_like(lo)
+    rows = np.arange(lo.size)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        stop = (mid == lo[rows]) | (mid == hi[rows]) | (hi[rows] - lo[rows] < width)
+        root[rows[stop]] = mid[stop]
+        rows, mid = rows[~stop], mid[~stop]
+        if not rows.size:
+            break
+        gm = g(mid, rows)
+        zero = gm == 0.0
+        root[rows[zero]] = mid[zero]
+        rows, mid, gm = rows[~zero], mid[~zero], gm[~zero]
+        same = np.sign(gm) == np.sign(glo[rows])
+        lo[rows[same]] = mid[same]
+        glo[rows[same]] = gm[same]
+        hi[rows[~same]] = mid[~same]
+    root[rows] = 0.5 * (lo[rows] + hi[rows])
+    return root
+
+
 def _line_roots(
-    scan: LineScan,
-    q0: float,
-    targets: list[float],
-    t: int,
-    K: float,
+    scan: LineScan, q0: float, targets: list[float], t: int, K: float
 ) -> list[list[float]]:
     """Momenta on a scanned line q = q0 whose end position meets each target.
 
@@ -898,52 +926,25 @@ def _line_roots(
     :func:`_sign_change_brackets`, with NaN ends in neither, as
     :func:`_scan_crossings` finds them, so a target the scan cannot reach
     has no root.  The seed search needs the bisection: its off-center sum
-    is evaluated on the seed orbit itself.
-
-    Each midpoint is stepped inline on Python floats with exactly the
-    operations :func:`_forward_many` applies to one row, in the same
-    order, so the two agree bit for bit: one numpy row costs about 25 us
-    of call overhead for two map steps, and a helper call per midpoint
-    almost 1 us.  The first kick, the same for every midpoint since each
-    starts on q0, is computed once.  The width test comes before the
-    step, as a bracket narrower than 1e-13 ends on its midpoint whatever
-    that midpoint's end.
+    is evaluated on the seed orbit itself.  :func:`_bisect_brackets`
+    bisects every target's brackets together, on :func:`_forward_many` ends.
     """
     p_grid = scan.p_grid
-    sin = math.sin
-    kick = K / TWO_PI
-    first = kick * sin(TWO_PI * q0)
-    rest = range(t - 1)
-    roots = []
-    for target, (nodes, brackets) in zip(targets, _scan_crossings(scan, targets)):
-        found = [float(p_grid[i]) for i in nodes]
-        for i, flip in brackets:
-            lo, hi = float(p_grid[i]), float(p_grid[i + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if (hi - lo) < 1e-13:
-                    lo = hi = mid
-                    break
-                if t > 0:
-                    p = mid - first
-                    q = q0 + p
-                    for _ in rest:
-                        p -= kick * sin(TWO_PI * q)
-                        q += p
-                else:
-                    q = q0
-                gm = q - target
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                # ends - target is -flip-signed at lo; a NaN gm moves hi, as np.sign did
-                if flip * gm < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            found.append(0.5 * (lo + hi))
-        roots.append(found)
-    return roots
+    crossings = _scan_crossings(scan, targets)
+    idx = np.array([i for _, b in crossings for i in b], dtype=np.intp)
+    goal = np.array([x for x, (_, b) in zip(targets, crossings) for _ in b], float)
+
+    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        pts = np.column_stack([x, np.full(x.size, q0)])
+        return _forward_many(pts, t, K)[:, 1] - goal[rows]
+
+    bisected = iter(_bisect_brackets(
+        g, p_grid[idx], p_grid[idx + 1], scan.ends[idx] - goal, 200, 1e-13
+    ).tolist())
+    return [
+        [float(p_grid[i]) for i in nodes] + [next(bisected) for _ in brackets]
+        for nodes, brackets in crossings
+    ]
 
 
 def _integrable_seeds(
@@ -1012,47 +1013,6 @@ def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
     out[order, 0] = p
     out[order, 1] = q
     return out
-
-
-def _bisect_brackets(
-    g,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    glo: np.ndarray,
-    max_iter: int,
-    width: float,
-) -> np.ndarray:
-    """Bisect many sign-change brackets in lockstep; returns one root each.
-
-    ``g(x, rows)`` evaluates the function of each listed bracket row at
-    x.  Every row follows the scalar rule: halve toward the sign change,
-    and stop at the midpoint once g vanishes there or the bracket is
-    narrower than ``width``.  A row also stops once its midpoint rounds
-    onto an endpoint: from then on every halving keeps or collapses the
-    bracket onto that same midpoint, so the scalar loop would return it
-    too.  A row still open after ``max_iter`` halvings returns the
-    midpoint of its last bracket.
-    """
-    lo, hi, glo = lo.copy(), hi.copy(), glo.copy()
-    root = np.empty_like(lo)
-    rows = np.arange(lo.size)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo[rows] + hi[rows])
-        stop = (mid == lo[rows]) | (mid == hi[rows]) | (hi[rows] - lo[rows] < width)
-        root[rows[stop]] = mid[stop]
-        rows, mid = rows[~stop], mid[~stop]
-        if not rows.size:
-            break
-        gm = g(mid, rows)
-        zero = gm == 0.0
-        root[rows[zero]] = mid[zero]
-        rows, mid, gm = rows[~zero], mid[~zero], gm[~zero]
-        same = np.sign(gm) == np.sign(glo[rows])
-        lo[rows[same]] = mid[same]
-        glo[rows[same]] = gm[same]
-        hi[rows[~same]] = mid[~same]
-    root[rows] = 0.5 * (lo[rows] + hi[rows])
-    return root
 
 
 def _unstable_coefficient(

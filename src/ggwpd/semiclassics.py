@@ -294,13 +294,15 @@ def _newton_solve(
     The residuals must carry a factor 1/``hbar``.  The search ends when
     their norm times ``hbar`` drops below ``_NEWTON_TOL``, or after a full
     step that moved the point by at most ``_NEWTON_STEP_EPS`` of itself.
+    A NaN norm is never below it, and no step can reduce it: it raises
+    :class:`ConvergenceError` at once.
     """
     ic = ComplexPhasePoint(complex(seed.ic[0]), complex(seed.ic[1]))
     traj = propagate(ic, seed.t, params)
     res = residual_of(traj)
     history = [res.max_norm]  # the seed's residual, then one per Newton step
-    while res.max_norm * hbar >= _NEWTON_TOL:
-        if len(history) > _NEWTON_MAX_ITER:
+    while not res.max_norm * hbar < _NEWTON_TOL:
+        if len(history) > _NEWTON_MAX_ITER or math.isnan(res.max_norm):
             raise ConvergenceError(res.max_norm, len(history) - 1)
         d0, d1 = _solve_newton_step(jacobian_of(traj), (-res.initial, -res.final))
         P0, Q0 = traj.initial.p1, traj.initial.q1
@@ -575,7 +577,7 @@ def ggwpd_wavefunction(
     ):
         for i in nodes:
             seeds.append((n_q, target, p_grid[i]))
-        for i, _ in brackets:
+        for i in brackets:
             seeds.append((n_q, target, 0.5 * (p_grid[i] + p_grid[i + 1])))
     if not seeds:
         return 0j  # the empty sum, as _prune_and_sum((), ()).total gives

@@ -254,6 +254,34 @@ def test_label_too_long_for_a_file_name_exits_2_before_any_computation(
     assert [p.name for p in tmp_path.rglob("*")] == ["label.json"]
 
 
+@pytest.mark.parametrize("command", ["sweep", "manifolds"])
+@pytest.mark.parametrize(
+    "out, message",
+    [("taken", "exists and is not a directory"), ("", "--out is empty")],
+)
+def test_bad_out_exits_2_before_any_computation(
+    tmp_path, capsys, monkeypatch, command, out, message
+):
+    """An ``--out`` that names an existing file used to exit 2 with
+    ``[Errno 17] File exists``, and an empty ``--out=`` with
+    ``[Errno 2]``, only once the output directory was made, after the
+    whole sweep or both curves had run."""
+
+    def refuse(*args):
+        raise AssertionError("computed before --out was checked")
+
+    for name in ("prepare_scenario", "run_sweep", "unstable_manifold", "stable_manifold"):
+        monkeypatch.setattr(cli, name, refuse)
+    if out:
+        (tmp_path / out).write_text("kept\n")
+        out = str(tmp_path / out)
+    assert main([command, "--preset", "chaotic-fig6", f"--out={out}"]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["taken"] if out else [])
+    if out:
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "command, longest", [("sweep", "_report.txt"), ("manifolds", "_shearing_alpha_t2.csv")]
 )
@@ -493,7 +521,8 @@ def test_manifolds_at_a_huge_kick_strength_exits_3(tmp_path, capsys, K):
     """From K of about 2e8 on, ``np.linalg.eig`` returns the stable
     multiplier as 0.0, so the stable curve cannot be grown with 1 / lambda_s.
     That is a one-line numerical failure, not a ZeroDivisionError traceback
-    exiting 1 like a failed gate, and no curve is written."""
+    exiting 1 like a failed gate, and neither a curve nor the ``--out``
+    directory is written."""
     override = _write_json(tmp_path, "k.json", {"K": K})
     out = tmp_path / "curves"
     argv = ["manifolds", "--preset", "chaotic-fig6", "--config", override]
@@ -501,7 +530,7 @@ def test_manifolds_at_a_huge_kick_strength_exits_3(tmp_path, capsys, K):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: the stable multiplier")
     assert err.count("\n") == 1
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

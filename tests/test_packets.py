@@ -119,6 +119,20 @@ def test_residual_pair_max_norm():
     assert abs(pair.max_norm - 5.0) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "initial, final",
+    [
+        (0j, complex(math.nan, 0.0)),
+        (complex(0.0, math.nan), 2j),
+        (1j, complex(math.nan, 1.0)),
+    ],
+)
+def test_residual_pair_max_norm_is_nan_when_either_part_is(initial, final):
+    """``max`` keeps its first argument against a NaN second one, so a NaN
+    final residual used to vanish from the norm."""
+    assert math.isnan(ResidualPair(initial, final).max_norm)
+
+
 def test_residuals_detect_off_manifold_points():
     packet = GaussianPacket(0.0, 0.0, 1.0, 0.1)
     off = ComplexPhasePoint(0.2, 0.0)

@@ -208,6 +208,18 @@ def test_find_saddle_iteration_cap_raises(monkeypatch):
     assert err.value.residual > 0.0
 
 
+def test_nan_residual_is_not_read_as_converged():
+    """A position saddle toward x = NaN has a NaN final residual from its
+    seed on.  It used to return as a saddle after 0 iterations with
+    ``residual_norm`` 0.0: the residual norm dropped the NaN, and the
+    Newton loop read a NaN norm as below the tolerance."""
+    alpha = _packet(0.815, 0.2, 50)
+    with pytest.raises(ConvergenceError) as err:
+        find_position_saddle(alpha, math.nan, alpha.p1, 2, RotorParams(0.05))
+    assert err.value.iterations == 0
+    assert math.isnan(err.value.residual)
+
+
 def test_saddle_location_is_width_scaling_invariant():
     """b = pi N and hbar = 1 / (2 pi N) cancel out of the saddle equations."""
     seed = SeedTrajectory(ic=(0.8075682672865, 0.2), t=2, winding=(0, 1))
@@ -847,7 +859,7 @@ def _crossing_seeds(scan, x, image_range):
         seeds += [(n_q, target, float(scan.p_grid[i])) for i in nodes]
         seeds += [
             (n_q, target, 0.5 * float(scan.p_grid[i] + scan.p_grid[i + 1]))
-            for i, _ in brackets
+            for i in brackets
         ]
     return seeds
 
