@@ -310,30 +310,38 @@ def iterate_map(points: np.ndarray, t: int, params: RotorParams) -> np.ndarray:
     return _forward_many(np.asarray(points, dtype=float), t, params.K)
 
 
-def _single_step_matrix(q: float, K: float) -> np.ndarray:
-    c = K * np.cos(TWO_PI * q)
-    return np.array([[1.0, -c], [1.0, 1.0 - c]])
-
-
 def _hyperbolic_frame(fp: tuple[float, float], K: float):
     """Eigen-decomposition of the single-step stability at a fixed point.
 
     Returns (lam_unstable, v_unstable, lam_stable, v_stable) with unit
     eigenvectors.  Raises ConfigError when the point is not hyperbolic.
+
+    The stability matrix M = [[1, -c], [1, 1 - c]], c = K cos(2 pi q), has
+    det M = 1 and trace 2 - c, so it is hyperbolic for c < 0 or c > 4 and
+    its multipliers are 1 - c/2 -+ h, h = sign(c) sqrt|c| sqrt|c - 4| / 2,
+    with no overflow for any finite c.  The unstable one, 1 - c/2 - h, sums
+    two terms of one sign; the stable one is taken as 1 / lam_u, exact up
+    to rounding since det M = 1, as 1 - c/2 + h cancels.  With
+    w = c/2 + h = 1 - lam_u, also free of cancellation, v_u = (c, w) is the
+    null vector of the first row of M - lam_u, and v_s = (w, 1) that of the
+    second row of M - lam_s, as c + lam_s - 1 = 1 - lam_u by the trace.
+    v_s has a positive second component and v_u one of the sign of c, the
+    orientation LAPACK's ``geev`` gives: it sets the direction of each
+    grown curve and the order of the heteroclinic candidates.
     """
-    M = _single_step_matrix(fp[1], K)
-    if abs(np.trace(M)) <= 2.0:
+    c = K * math.cos(TWO_PI * fp[1])
+    if abs(2.0 - c) <= 2.0:
         raise ConfigError(
-            f"fixed point {fp} is not hyperbolic (|trace| = {abs(np.trace(M)):.4f} <= 2)"
+            f"fixed point {fp} is not hyperbolic (|trace| = {abs(2.0 - c):.4f} <= 2)"
         )
-    evals, evecs = np.linalg.eig(M)
-    evals = evals.real
-    evecs = evecs.real
-    iu = int(np.argmax(np.abs(evals)))
-    js = 1 - iu
-    vu = evecs[:, iu] / np.hypot(*evecs[:, iu])
-    vs = evecs[:, js] / np.hypot(*evecs[:, js])
-    return float(evals[iu]), vu, float(evals[js]), vs
+    h = math.copysign(0.5 * math.sqrt(abs(c)) * math.sqrt(abs(c - 4.0)), c)
+    lam_u = 1.0 - 0.5 * c - h
+    w = 0.5 * c + h
+    # v_u scaled by 1 / w, so that normalizing it cannot overflow
+    r = c / w
+    vu = np.array([r, 1.0]) * (math.copysign(1.0, c) / math.hypot(r, 1.0))
+    vs = np.array([w, 1.0]) / math.hypot(w, 1.0)
+    return lam_u, vu, 1.0 / lam_u, vs
 
 
 def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
@@ -466,30 +474,36 @@ def _grow_invariant_curve(
     and adds n_p to every p of the curve, so the curve at a lattice image
     of a fixed point is the image of its curve, bit for bit.
 
-    The stable curve is grown with 1 / lambda_s, which ``np.linalg.eig``
-    loses to cancellation at large K (0.0 from K of about 2e8).  The
-    relative error of lambda_u lambda_s against det M = 1 is the relative
-    error of every level's span, so a stable growth refuses it, with
-    NumericalError, once it exceeds the curve's relative resolution
-    ``_CURVE_SPACING / _ARC_BUDGET``.  Growth is refused, also with
-    NumericalError and before any map step, when the base points of all
-    levels alone would pass ``_MAX_CURVE_POINTS``: the level count grows
-    like 1 / log|lambda| as the fixed point nears parabolic, and this
-    refuses |lambda| below about 1.011.
+    Both curves are grown with lambda_u: the inverse map stretches the
+    stable curve by 1 / lambda_s = lambda_u.  :func:`_hyperbolic_frame`
+    takes lambda_u in closed form, with no cancellation, so the stable
+    curve grows at any K the unstable one does; a numerical eigen-solver
+    loses lambda_s to cancellation at large K (``np.linalg.eig`` reads it
+    as 0.0 from K of about 2e8).
+
+    Growth is refused with NumericalError, before any map step, in three
+    cases.  A non-finite lambda_u is refused.  So is a K whose kick
+    rounds by more than the curve's resolution: the kick's rounding,
+    4 K max(1, |q|) eps as :func:`_check_fixed_point` allows it, must stay
+    within ``_CURVE_SPACING``, which refuses K from about 1.1e12 on.  Past
+    it each step moves points off the curve by more than the spacing: the
+    chaotic preset's curves map onto themselves to 4e-7 at K = 1e9, to
+    5e-4 at 1e12 and only to 0.47 at 2e15.  And growth is refused when
+    the base points of all levels alone would pass ``_MAX_CURVE_POINTS``:
+    the level count grows like 1 / log|lambda| as the fixed point nears
+    parabolic, and this refuses |lambda| below about 1.011.
     """
     K = params.K
-    lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, K)
-    if inverse:
-        # not abs(...) <= bound, so that a NaN product is refused too
-        if not abs(lam_u * lam_s - 1.0) <= _CURVE_SPACING / _ARC_BUDGET:
-            raise NumericalError(
-                f"the stable multiplier at {fp} is lost to rounding "
-                f"(lambda_u lambda_s = {lam_u * lam_s:.3g}, not 1); "
-                f"K = {K:g} is too large"
-            )
-        lam, v = 1.0 / lam_s, v_s
-    else:
-        lam, v = lam_u, v_u
+    lam, v_u, _, v_s = _hyperbolic_frame(fp, K)
+    kick_rounding = 4.0 * K * max(1.0, abs(fp[1])) * np.finfo(float).eps
+    # not ... > bound, so that a NaN is refused too
+    if not (math.isfinite(lam) and kick_rounding <= _CURVE_SPACING):
+        raise NumericalError(
+            f"the kick rounds by up to {kick_rounding:.3g} a step at {fp}, "
+            f"more than the curve spacing {_CURVE_SPACING:g} (unstable "
+            f"multiplier {lam:.3g}); K = {K:g} is too large"
+        )
+    v = v_s if inverse else v_u
     step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
     n_base = 48
@@ -1061,8 +1075,9 @@ def _heteroclinic_seeds(
     _check_fixed_point(fa, params)
     _check_fixed_point(fb, params)
     lam_u, v_u, _, _ = _hyperbolic_frame(fa, K)
-    lam_u_b, v_u_b, lam_s_b, v_s_b = _hyperbolic_frame(fb, K)
-    frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
+    lam_u_b, (a, c), _, (b, d) = _hyperbolic_frame(fb, K)
+    # the inverse of the frame [[a, b], [c, d]], columns v_u and v_s
+    frame_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     sigma = alpha.sigma
     max_depth = 4
     try:

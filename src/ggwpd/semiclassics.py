@@ -31,6 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import CausticError, ConfigError, ConvergenceError, NumericalError
+from .floquet import grid_hbar
 from .packets import (
     ComplexPhasePoint,
     GaussianPacket,
@@ -210,6 +211,34 @@ def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianP
     """
     n_p, n_q = winding
     return _packet(float(beta.p1 + n_p), float(beta.q1 + n_q), beta.b1, beta.hbar)
+
+
+def _image_turns(beta: GaussianPacket, n_ps: Sequence[int]) -> list[float]:
+    """The torus phase of each momentum image n_p of the bra, in turns.
+
+    On the grid x = j/N, where hbar = 1/(2 pi N), the packet centred at
+    momentum p + n_p is the packet at p times e^{-2 pi i N n_p q}: the
+    factor e^{i n_p (x - q) / hbar} is e^{-i n_p q / hbar} at every grid
+    point.  So a term reaching that image is multiplied by e^{-2 pi i f},
+    f = N n_p q_beta modulo 1, which this returns in [-1/2, 1/2].  For a
+    grid's hbar, f is reduced exactly from the binary fraction of q_beta,
+    and is 0.0 wherever N n_p q_beta is an integer; a term is then left
+    untouched.  Any other hbar gets n_p q_beta / (2 pi hbar) modulo 1 in
+    floating point.  The grid is worked out once for all the images.
+    """
+    if not any(n_ps):
+        return [0.0] * len(n_ps)
+    N = round(1.0 / (2.0 * math.pi * beta.hbar))
+    if N >= 1 and grid_hbar(N) == beta.hbar:
+        num, den = beta.q1.as_integer_ratio()
+        # N q_beta = r / den modulo 1, and N n_p q_beta = n_p r / den
+        r = N * num % den
+        if not r:
+            return [0.0] * len(n_ps)
+        rests = [n_p * r % den for n_p in n_ps]
+        return [(m - den if 2 * m > den else m) / den for m in rests]
+    xs = [n_p * beta.q1 / (2.0 * math.pi * beta.hbar) for n_p in n_ps]
+    return [x - round(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +430,13 @@ def saddle_contribution(
     alpha: GaussianPacket,
     beta: GaussianPacket,
     trajectory: ComplexTrajectory,
+    image_turns: float = 0.0,
 ) -> SaddleContribution:
     """Steepest-descent correlation term of one saddle trajectory.
 
     ``beta`` must be the winding-shifted image the trajectory connects to.
+    A nonzero ``image_turns`` (see :func:`_image_turns`) adds that image's
+    torus phase, -2 pi i ``image_turns``, to the bra exponent.
     """
     hbar = alpha.hbar
     ba, bb = alpha.b1, beta.b1
@@ -413,6 +445,8 @@ def saddle_contribution(
         for m11, m12, m21, m22 in trajectory.legs
     ]
     fp = bra_norm_exponent(beta, trajectory.final)
+    if image_turns:
+        fp -= 2j * math.pi * image_turns
     return _descent_term(alpha, trajectory, dets, (4.0 * ba * bb) ** 0.25, fp)
 
 
@@ -426,17 +460,19 @@ def ggwpd_correlation(
 
     Branches whose exponential magnitude falls below ``_PRUNE_THRESHOLD``
     times the largest branch are dropped.  The winding image each saddle
-    targets is taken from its seed, and the action accumulated on the
-    unfolded torus carries the corresponding phase without correction.
+    targets is taken from its seed.  The action accumulated on the
+    unfolded torus carries the phase of a position image; a momentum
+    image's phase is added to its term (:func:`_image_turns`).
     """
     contributions: list[SaddleContribution] = []
-    for sad in saddles:
+    all_turns = _image_turns(beta, [sad.seed.winding[0] for sad in saddles])
+    for sad, turns in zip(saddles, all_turns):
         if sad.trajectory.t != t:
             raise ConfigError(
                 f"saddle trajectory has {sad.trajectory.t} steps, expected {t}"
             )
         target = _shifted_target(beta, sad.seed.winding)
-        contributions.append(saddle_contribution(alpha, target, sad.trajectory))
+        contributions.append(saddle_contribution(alpha, target, sad.trajectory, turns))
     return _prune_and_sum(contributions, [c.weight for c in contributions])
 
 
@@ -676,13 +712,16 @@ def offcenter_contribution(
     alpha: GaussianPacket,
     beta: GaussianPacket,
     trajectory: ComplexTrajectory,
+    image_turns: float = 0.0,
 ) -> OffCenterContribution:
     """Exact quadratic-form correlation term of one real trajectory.
 
     The dynamics is expanded to second order about the trajectory; for
     quadratic Hamiltonians the result is exact for *any* real trajectory.
     ``beta`` must be the winding-shifted image (equal widths and hbar are
-    required — the underlying expression assumes a common sigma).
+    required — the underlying expression assumes a common sigma).  A
+    nonzero ``image_turns`` (see :func:`_image_turns`) multiplies the term
+    by that image's torus phase e^{-2 pi i image_turns}.
 
     The term is evaluated on Python floats and complex numbers with every
     rounding of the numpy-scalar evaluation it replaced, since each numpy
@@ -720,7 +759,10 @@ def offcenter_contribution(
         gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, sx)
     except (OverflowError, ZeroDivisionError):
         gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, np.float64(sx))
-    return OffCenterContribution(value=_divide(_SQRT2, root) * gauss)
+    value = _divide(_SQRT2, root) * gauss
+    if image_turns:
+        value *= cmath.exp(-2j * math.pi * image_turns)
+    return OffCenterContribution(value=value)
 
 
 # Real seed trajectories kept by :func:`_seed_trajectory`.  A sweep reuses
@@ -751,15 +793,17 @@ def offcenter_correlation(
     """Off-center real-trajectory correlation summed over transport seeds.
 
     Each seed's orbit is propagated once and shared by every later call
-    (:func:`_seed_trajectory`).
+    (:func:`_seed_trajectory`).  A momentum image's torus phase is added to
+    its term (:func:`_image_turns`).
     """
     contributions: list[OffCenterContribution] = []
-    for seed in seeds:
+    all_turns = _image_turns(beta, [seed.winding[0] for seed in seeds])
+    for seed, turns in zip(seeds, all_turns):
         if seed.t != t:
             raise ConfigError(f"seed has t = {seed.t}, expected {t}")
         traj = _seed_trajectory(tuple(seed.ic), t, params.K)
         target = _shifted_target(beta, seed.winding)
-        contributions.append(offcenter_contribution(alpha, target, traj))
+        contributions.append(offcenter_contribution(alpha, target, traj, turns))
     weights = [_modulus(c.value) for c in contributions]
     return _prune_and_sum(contributions, weights)
 
@@ -774,12 +818,13 @@ def linearized_correlation(
 
     Launches the ket center itself (so the initial offsets vanish
     identically) and targets the lattice image of the bra center nearest
-    the endpoint.  At t = 0 this reproduces the closed-form packet overlap
-    exactly.
+    the endpoint, with that image's torus phase (:func:`_image_turns`).
+    At t = 0 this reproduces the closed-form packet overlap exactly.
     """
     ic = ComplexPhasePoint(complex(alpha.p1), complex(alpha.q1))
     traj = propagate(ic, t, params)
     n_p = int(np.round(traj.final.p1.real - beta.p1))
     n_q = int(np.round(traj.final.q1.real - beta.q1))
     target = _shifted_target(beta, (n_p, n_q))
-    return offcenter_contribution(alpha, target, traj).value
+    (turns,) = _image_turns(beta, [n_p])
+    return offcenter_contribution(alpha, target, traj, turns).value

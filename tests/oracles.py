@@ -82,6 +82,32 @@ def inverse_map_step(point: ComplexPhasePoint, params: RotorParams) -> ComplexPh
     return ComplexPhasePoint(point.p1 + (params.K / TWO_PI) * np.sin(TWO_PI * q), q)
 
 
+def stable_invariance_defect(points: np.ndarray, K: float) -> float:
+    """Largest distance of a stable curve's one-step image from its polyline.
+
+    The map takes the stable manifold into itself, nearer its fixed point,
+    so the distance of each image point from the polyline of ``points``
+    ((p, q) rows) measures how well the polyline is invariant.  Each image
+    point is measured against the two segments at its nearest vertex,
+    which bounds its distance from the polyline from above.
+    """
+    p1 = points[:, 0] - (K / TWO_PI) * np.sin(TWO_PI * points[:, 1])
+    image = np.column_stack([p1, points[:, 1] + p1])
+    p, q = points[:, 0], points[:, 1]
+    nearest = np.concatenate([
+        np.argmin((y[:, 0, None] - p) ** 2 + (y[:, 1, None] - q) ** 2, axis=1)
+        for y in np.array_split(image, max(1, len(image) // 128))
+    ])
+    a, d = points[:-1], np.diff(points, axis=0)
+    seg2 = np.maximum(np.einsum("ij,ij->i", d, d), np.finfo(float).tiny)
+    best = np.hypot(*(image - points[nearest]).T)
+    for k in (np.maximum(nearest - 1, 0), np.minimum(nearest, len(a) - 1)):
+        rel = image - a[k]
+        w = np.clip(np.einsum("ij,ij->i", rel, d[k]) / seg2[k], 0.0, 1.0)
+        best = np.minimum(best, np.hypot(*(rel - w[:, None] * d[k]).T))
+    return float(best.max())
+
+
 # ---------------------------------------------------------------------------
 # free motion
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ggwpd.experiment import (
 )
 from ggwpd.floquet import quantum_correlation
 from ggwpd.rotor import RotorParams
+from oracles import stable_invariance_defect
 
 
 MINI_INTEGRABLE = {
@@ -517,18 +518,37 @@ def test_manifolds_at_a_p_shifted_fixed_point_writes_the_shifted_curve(tmp_path,
 
 
 @pytest.mark.parametrize("K", [1e9, 3e9])
-def test_manifolds_at_a_huge_kick_strength_exits_3(tmp_path, capsys, K):
-    """From K of about 2e8 on, ``np.linalg.eig`` returns the stable
-    multiplier as 0.0, so the stable curve cannot be grown with 1 / lambda_s.
-    That is a one-line numerical failure, not a ZeroDivisionError traceback
-    exiting 1 like a failed gate, and neither a curve nor the ``--out``
-    directory is written."""
+def test_manifolds_at_a_huge_kick_strength_writes_invariant_curves(tmp_path, capsys, K):
+    """Both curves grow at K = 1e9 and 3e9: the stable multiplier is taken
+    as 1 / lambda_u, not from a numerical eigen-solver, which loses it to
+    cancellation (0.0 from K of about 2e8).  The stable curve maps into
+    itself to within 1e-6, well inside its 1e-3 point spacing."""
     override = _write_json(tmp_path, "k.json", {"K": K})
+    out = tmp_path / "curves"
+    argv = ["manifolds", "--preset", "chaotic-fig6", "--config", override]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "chaotic-fig6_stable_beta.csv", "chaotic-fig6_unstable_alpha.csv",
+    ]
+    points = np.loadtxt(
+        out / "chaotic-fig6_stable_beta.csv", delimiter=",", skiprows=1
+    )[:, 1:]
+    assert len(points) > 8000
+    assert stable_invariance_defect(points, K) <= 1e-6
+
+
+def test_manifolds_at_a_kick_strength_past_the_curve_resolution_exits_3(tmp_path, capsys):
+    """At K = 2e12 the kick's rounding, up to 4 K eps a step, passes the
+    curves' 1e-3 spacing, and the grown curves would not map into
+    themselves to it (5e-4 at K = 1e12, 0.47 at 2e15): a one-line
+    numerical failure, with no curve and no ``--out`` directory written."""
+    override = _write_json(tmp_path, "k.json", {"K": 2e12})
     out = tmp_path / "curves"
     argv = ["manifolds", "--preset", "chaotic-fig6", "--config", override]
     assert main(argv + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: the stable multiplier")
+    assert err.startswith("numerical failure: the kick rounds by up to")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -42,9 +42,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 MANIFOLD_SHA256 = {
     "chaotic-fig6": {
         "chaotic-fig6_unstable_alpha.csv":
-            "ff91864fdb8b2de05bc11034e7d9d9388b2c81a32e5faf2888e6e647f71ba961",
+            "66dca0c3b106607ab72676e48f6e9cc8293309be36c8143e11262106698309a8",
         "chaotic-fig6_stable_beta.csv":
-            "aab6066c7ae0de7f4f2af8b0f27d2b0a102e9dbc1b7a1ff4bf08a76ca905fec1",
+            "fbddc0833838d2bcd0801087ac15e9a112825300a9a8ab25b9d7e3f55a1d04b2",
     },
     "integrable-fig2": {
         "integrable-fig2_shearing_alpha.csv":

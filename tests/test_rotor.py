@@ -1,5 +1,6 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
 import csv
+import dataclasses
 import hashlib
 import io
 import time
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from ggwpd import rotor
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
-from ggwpd.experiment import packets_for, preset
+from ggwpd.experiment import packets_for, prepare_scenario, preset, run_sweep
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
     _CAPTURE_RADIUS,
@@ -344,8 +345,8 @@ def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
     """Reference growth: one midpoint at a time, left to right, and a full
     re-sort of every point grown so far after each level.  Returns the
     curve and each (level, side) as its (log-offsets, points) pair."""
-    lam_u, v_u, lam_s, v_s = _hyperbolic_frame(fp, params.K)
-    lam, v = (1.0 / lam_s, v_s) if inverse else (lam_u, v_u)
+    lam, v_u, _, v_s = _hyperbolic_frame(fp, params.K)
+    v = v_s if inverse else v_u
     step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
     anchor = np.asarray(fp, dtype=float)
@@ -502,8 +503,7 @@ def test_manifold_at_a_p_shifted_fixed_point_is_the_shifted_p0_curve(grow, n_p):
 def _growth_levels(fp, params, inverse):
     """The level count growth plans for, as ``_grow_invariant_curve`` and
     the depth-first reference work it out."""
-    lam_u, _, lam_s, _ = _hyperbolic_frame(fp, params.K)
-    lam = 1.0 / lam_s if inverse else lam_u
+    lam = _hyperbolic_frame(fp, params.K)[0]
     return max(4, int(np.ceil(np.log(64.0 / _GERM_OFFSET) / np.log(abs(lam)))))
 
 
@@ -563,8 +563,8 @@ def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budge
 # the germ and re-sorted the whole curve at every level.  Growth takes
 # 715 levels there, so base points are stepped on 714 times.
 WEAK_MANIFOLD_SHA256 = {
-    False: "1b9161612c06c58c800751979089c349f4fa1b834ac0e099856bdcaea491ac6e",
-    True: "40144a2d62f425cb1d16ba18ec332e40a5b1a06debc892ada111ade3fc8e74fd",
+    False: "fc765dde2e7a35c85623f67a424866657fe9cdbcdb43ee8bd7a7568db0028bc8",
+    True: "8002b6b71f609374c863be78a7baacbe8b87d26aab7534384edfb96f3a6a63b1",
 }
 
 
@@ -608,6 +608,86 @@ def test_growth_is_refused_exactly_when_the_base_points_pass_the_cap(monkeypatch
 def test_manifold_needs_hyperbolic_fixed_point():
     with pytest.raises(ConfigError):
         unstable_manifold((0.0, 0.0), K_MILD)
+
+
+def _lapack_frame(q, K):
+    """The stability matrix M at q and its eigenframe as ``np.linalg.eig``
+    gives it: (M, lam_u, v_u, v_s), the vectors scaled to unit length."""
+    c = K * np.cos(2.0 * np.pi * q)
+    M = np.array([[1.0, -c], [1.0, 1.0 - c]])
+    evals, evecs = np.linalg.eig(M)
+    iu = int(np.argmax(np.abs(evals.real)))
+    v_u, v_s = evecs.real[:, iu], evecs.real[:, 1 - iu]
+    return M, float(evals.real[iu]), v_u / np.hypot(*v_u), v_s / np.hypot(*v_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([0.0, 0.5, -0.5, 1.5]),
+    log_excess=st.floats(-12.0, 8.0),
+)
+@example(q=0.0, log_excess=np.log10(4.25))  # the chaotic preset, K = 8.25
+@example(q=0.5, log_excess=np.log10(8.25))
+@example(q=0.5, log_excess=8.0)
+def test_hyperbolic_frame_matches_lapack(q, log_excess):
+    """The closed-form frame against ``np.linalg.eig``, K from 1e-12 past
+    the hyperbolic threshold (4 at q = 0, 0 at q = 1/2) to 1e8 past it:
+    lambda_u to 4 eps relative, lambda_u lambda_s = 1 to 2 eps, unit
+    vectors with residuals |M v - lambda v| within 4 eps max|M|, and the
+    orientation of LAPACK's vectors component by component.  Nearer the
+    threshold than about 1e-14, LAPACK's own vectors turn arbitrary."""
+    K = (4.0 if q == 0.0 else 0.0) + 10.0**log_excess
+    lam_u, v_u, lam_s, v_s = _hyperbolic_frame((0.0, q), K)
+    M, want_lam_u, want_v_u, want_v_s = _lapack_frame(q, K)
+    eps = np.finfo(float).eps
+    assert abs(lam_u - want_lam_u) <= 4.0 * eps * abs(want_lam_u)
+    assert abs(lam_u * lam_s - 1.0) <= 2.0 * eps
+    for lam, v in ((lam_u, v_u), (lam_s, v_s)):
+        assert abs(np.hypot(*v) - 1.0) <= 2.0 * eps
+        assert np.abs(M @ v - lam * v).max() <= 4.0 * eps * np.abs(M).max()
+    assert np.array_equal(np.sign(v_u), np.sign(want_v_u))
+    assert np.array_equal(np.sign(v_s), np.sign(want_v_s))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5])
+@pytest.mark.parametrize("K", [1e300, np.finfo(float).max])
+def test_hyperbolic_frame_stays_finite_up_to_the_largest_float(q, K):
+    """No intermediate of the closed form overflows: at K = 1.8e308,
+    lambda_u is -+K to rounding, lambda_s = 1 / lambda_u is subnormal but
+    still its inverse to 2 eps, and both vectors are finite unit vectors,
+    with no RuntimeWarning (the suite turns warnings into errors)."""
+    lam_u, v_u, lam_s, v_s = _hyperbolic_frame((0.0, q), K)
+    assert abs(abs(lam_u) / K - 1.0) < 1e-15
+    assert abs(lam_u * lam_s - 1.0) <= 2.0 * np.finfo(float).eps
+    for v in (v_u, v_s):
+        assert np.isfinite(v).all() and abs(np.hypot(*v) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("grow", [unstable_manifold, stable_manifold])
+def test_growth_refuses_a_kick_that_rounds_past_the_curve_spacing(grow):
+    """4 K eps passes _CURVE_SPACING from K of about 1.1e12 on; both curves
+    are refused before a map step, up to the largest float."""
+    for K in (1.2e12, np.finfo(float).max):
+        with pytest.raises(NumericalError, match="the kick rounds by up to"):
+            grow((0.0, 0.5), RotorParams(K))
+
+
+def test_no_lapack_routine_runs_in_the_chaotic_preset(monkeypatch):
+    """Seeds, saddles, two sweep rows and both manifolds of chaotic-fig6 run
+    with numpy's LAPACK-backed routines made to raise: the eigenframe and
+    its inverse are written out in closed form."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("eig", "eigvals", "eigh", "inv", "solve", "det", "lstsq", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = dataclasses.replace(preset("chaotic-fig6"), N_list=(50, 100))
+    setup = prepare_scenario(cfg)
+    assert len(setup.saddles) == 7
+    assert len(run_sweep(setup)) == 2
+    assert len(unstable_manifold(cfg.alpha_center, RotorParams(cfg.K)).points) == 9244
+    assert len(stable_manifold(cfg.beta_center, RotorParams(cfg.K)).points) == 9488
 
 
 @pytest.mark.parametrize(
@@ -863,7 +943,7 @@ def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
     _check_fixed_point(fa, params)
     _check_fixed_point(fb, params)
     lam_u, v_u, _, _ = _hyperbolic_frame(fa, K)
-    lam_u_b, v_u_b, lam_s_b, v_s_b = _hyperbolic_frame(fb, K)
+    lam_u_b, v_u_b, _, v_s_b = _hyperbolic_frame(fb, K)
     frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
     sigma = alpha.sigma
     max_depth = 4

@@ -1,6 +1,7 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
 import cmath
 import dataclasses
+import fractions
 import math
 import re
 import struct
@@ -44,6 +45,7 @@ from ggwpd.rotor import (
 )
 from ggwpd import semiclassics
 from ggwpd.semiclassics import (
+    _image_turns,
     _tracked_sqrt,
     find_position_saddle,
     find_saddle,
@@ -679,6 +681,37 @@ def test_zero_kick_correlation_matches_quantum():
     result = ggwpd_correlation(alpha, beta, saddles, t)
     exact = quantum_correlation(alpha, beta, t, N, params)
     assert abs(result.total - exact) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(1, 10**5),
+    q=st.floats(-3.0, 3.0),
+    n_ps=st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+)
+@example(N=400, q=0.864, n_ps=[1])
+@example(N=50, q=0.5, n_ps=[-1, 0, 1, 2])
+@example(N=51, q=0.5, n_ps=[-1, 0, 1, 2])
+def test_image_turns_are_the_exact_fraction_of_n_n_p_q(N, q, n_ps):
+    """On a grid's hbar each turn is N n_p q_beta modulo 1, taken into
+    [-1/2, 1/2] from the exact rational and rounded once, so it is exactly
+    0.0 wherever N n_p q_beta is an integer (q_beta = 1/2 at even N)."""
+    turns = _image_turns(_packet(0.0, q, N), n_ps)
+    want = []
+    for n_p in n_ps:
+        f = N * n_p * fractions.Fraction(q) % 1
+        want.append(float(f - 1 if f > fractions.Fraction(1, 2) else f))
+    assert turns == want
+    if q == 0.5 and N % 2 == 0:
+        assert turns == [0.0] * len(n_ps)
+
+
+def test_image_turns_off_the_grid_are_the_float_phase():
+    """An hbar that is no grid's 1/(2 pi N) gets n_p q / (2 pi hbar)
+    modulo 1 in floating point."""
+    beta = GaussianPacket(0.0, 0.25, 1.0, 1.0)
+    want = [0.0, 0.25 / (2.0 * math.pi), -0.5 / (2.0 * math.pi)]
+    assert _image_turns(beta, [0, 1, -2]) == pytest.approx(want, abs=1e-15)
 
 
 def test_zero_kick_wavefunction_matches_quantum_grid(monkeypatch):
