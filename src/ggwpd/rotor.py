@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -738,6 +739,8 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     out[rows, 41] = 48 + -X[rows] // 10
     out[rows, 42] = 48 + -X[rows] % 10
     slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return
     patterns, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
     texts = np.zeros((patterns.size, out.shape[1]), dtype=np.uint8)
     for row, v in zip(texts, patterns.view(np.float64).tolist()):
@@ -746,31 +749,60 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     out[slow] = texts[which]
 
 
+# rows per :func:`_write_g17` call in :func:`curve_to_csv`: the writer holds
+# one block's text and temporaries, whatever the curve's length
+_CSV_BLOCK_ROWS = 2048
+
+
 def curve_to_csv(curve: ManifoldCurve, path) -> None:
     """Dump a curve as a plot-ready CSV with columns index, p, q.
 
-    The rows are laid out in one NUL-padded uint8 matrix, the p and q
-    columns by :func:`_write_g17`, which renders ``%.17g`` exactly as
-    ``format(v, ".17g")`` does; the file is the matrix without its NULs.
-    The matrix is a view of a ``bytearray``, which drops its NULs without
-    a copy.  Integer points render as ``%`` renders them, through float.
+    The rows go out in blocks of ``_CSV_BLOCK_ROWS`` (the last one
+    shorter), each written as soon as it is formatted, so the writer
+    holds one block, not the whole curve.  One :func:`_write_g17` call per
+    block renders p and q interleaved, exactly as ``format(v, ".17g")``
+    does, into a zeroed (2b, 44) array whose last column holds the ``,``
+    after p and the newline after q.  Reshaped to (b, 88), it follows the
+    index digits and comma in a NUL-padded uint8 matrix, a view of a
+    ``bytearray`` that drops its NULs without a copy.  The index width is
+    the whole curve's, so a row's bytes do not depend on its block.  A
+    block that fails removes the partly written file, and with it any file
+    that was at ``path`` before.  Integer points render as ``%`` renders
+    them, through float.
     """
     pts = np.asarray(curve.points, dtype=np.float64)
     n = len(pts)
     w = len(str(max(n - 1, 0)))
-    text = bytearray(n * (w + 89))
-    m = np.frombuffer(text, dtype=np.uint8).reshape(n, w + 89)
-    idx = np.arange(n)
+    with open(path, "wb") as fh:
+        try:
+            fh.write(b"index,p,q\n")
+            for lo in range(0, n, _CSV_BLOCK_ROWS):
+                fh.write(_csv_rows(pts[lo : lo + _CSV_BLOCK_ROWS], lo, w))
+        except BaseException:
+            fh.close()
+            # a device such as os.devnull is no partial file
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
+
+
+def _csv_rows(pts: np.ndarray, start: int, w: int) -> bytearray:
+    """The CSV rows of ``pts``, indexed from ``start`` in width ``w``."""
+    b = len(pts)
+    values = np.zeros((2 * b, 44), dtype=np.uint8)
+    _write_g17(pts.reshape(-1), values[:, :43])
+    values[0::2, 43] = 44
+    values[1::2, 43] = 10
+    text = bytearray(b * (w + 89))
+    m = np.frombuffer(text, dtype=np.uint8).reshape(b, w + 89)
+    idx = np.arange(start, start + b)
     for c in range(w - 1, -1, -1):
         # a leading zero of the index is a NUL
         m[:, c] = (idx % 10 + 48) * ((idx > 0) | (c == w - 1))
         idx //= 10
-    m[:, [w, w + 44, w + 88]] = (44, 44, 10)
-    _write_g17(pts[:, 0], m[:, w + 1 : w + 44])
-    _write_g17(pts[:, 1], m[:, w + 45 : w + 88])
-    with open(path, "wb") as fh:
-        fh.write(b"index,p,q\n")
-        fh.write(text.translate(None, b"\0"))
+    m[:, w] = 44
+    m[:, w + 1 :] = values.reshape(b, 88)
+    return text.translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------

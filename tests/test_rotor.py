@@ -870,16 +870,58 @@ def test_g17_kernel_renders_every_float_as_format(values):
     assert _g17(values) == [format(v, ".17g") for v in values]
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100, 10_001])
+@pytest.mark.parametrize(
+    "n", [0, 1, 9, 10, 11, 100, 2047, 2048, 2049, 4097, 6145, 10_001]
+)
 def test_curve_to_csv_is_the_percent_rendering_at_every_index_width(n, tmp_path):
-    """The index column crosses each digit-count boundary, with values of
-    every magnitude and the values only ``%`` renders mixed in."""
+    """The index column crosses each digit-count boundary, and the rows
+    each edge of the 2048-row blocks, with values of every magnitude and
+    the values only ``%`` renders mixed in."""
     rng = np.random.default_rng(n)
     points = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-12.0, 16.0, (n, 2))
     points.flat[::7] = rng.choice([0.0, -0.0, np.inf, np.nan, 1e-300], points.size)[::7]
     path = tmp_path / "curve.csv"
     curve_to_csv(ManifoldCurve(points), path)
     assert path.read_bytes() == _percent_csv(points)
+
+
+def test_curve_to_csv_holds_one_block_of_rows_at_a_time(tmp_path):
+    """A curve at the 200,000-point cap writes with a tracemalloc peak
+    under 4 MB; building its whole text at once peaked at 51.8 MB."""
+    rng = np.random.default_rng(7)
+    curve = ManifoldCurve(rng.uniform(-4.0, 4.0, (rotor._MAX_CURVE_POINTS, 2)))
+    path = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        curve_to_csv(curve, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert path.read_bytes() == _percent_csv(curve.points)
+
+
+@pytest.mark.parametrize("earlier", [None, b"index,p,q\n0,1,2\n"])
+def test_curve_to_csv_leaves_no_partial_file(earlier, monkeypatch, tmp_path):
+    """A block that fails to format removes the rows already written,
+    and so any file that was at the path before."""
+    calls = []
+
+    def fail_second(x, out):
+        calls.append(x.size)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        _write_g17(x, out)
+
+    monkeypatch.setattr(rotor, "_write_g17", fail_second)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5_000, 2))
+    path = tmp_path / "curve.csv"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    with pytest.raises(RuntimeError, match="second block"):
+        curve_to_csv(ManifoldCurve(points), path)
+    assert len(calls) == 2
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])

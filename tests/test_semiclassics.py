@@ -433,6 +433,38 @@ def test_scalar_newton_step_matches_numpy_solve(a, b, c, d, r0, r1, swap):
     assert err <= 64 * np.finfo(float).eps * kappa * math.hypot(*np.abs(want))
 
 
+def test_scalar_newton_step_rounds_a_subnormal_solution_correctly():
+    """A system whose solution lies below the smallest normal number,
+    against its exact rational solution by Cramer's rule: every component
+    is the correctly rounded one.  ``np.linalg.solve`` puts Im x0 here one
+    step of 2**-1074 away, more than the relative bound above allows, so
+    the comparison with LAPACK cannot hold this case."""
+    tiny = np.finfo(float).tiny
+    (a, b), (c, d) = jac = ((1 + 213j, 1j), (0j, 280 + 0j))
+    r0, r1 = rhs = (tiny * 1j, tiny * 1j)
+
+    def exact(z):
+        return fractions.Fraction(z.real), fractions.Fraction(z.imag)
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def div(x, y):
+        n = y[0] ** 2 + y[1] ** 2
+        return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+    a, b, c, d, r0, r1 = map(exact, (a, b, c, d, r0, r1))
+    det = sub(mul(a, d), mul(b, c))
+    x0 = div(sub(mul(r0, d), mul(b, r1)), det)
+    x1 = div(sub(mul(a, r1), mul(c, r0)), det)
+    got = semiclassics._solve_newton_step(jac, rhs)
+    assert got == tuple(complex(float(re), float(im)) for re, im in (x0, x1))
+    assert 0 < abs(got[0].imag) < abs(got[1].imag) < abs(got[0].real) < tiny
+
+
 def _numpy_newton_solve(seed, params, residual_of, jacobian_of, hbar):
     """The Newton loop as it ran on numpy arrays: one ``np.linalg.solve``
     per step, and residual norms through ``np.abs``."""
