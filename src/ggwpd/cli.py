@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import ConfigError, GgwpdError
 from .experiment import (
@@ -43,6 +43,7 @@ from .experiment import (
     preset,
     run_sweep,
 )
+from .packets import _Record, _set
 from .rotor import (
     RotorParams,
     curve_to_csv,
@@ -85,13 +86,18 @@ options, each as --opt value or --opt=value:
 """
 
 
-class _Args(NamedTuple):
+class _Args(_Record):
     """A parsed command line: the subcommand and its three options."""
 
-    command: str
-    config: str | None
-    preset: str | None
-    out: str
+    __slots__ = _fields = ("command", "config", "preset", "out")
+
+    def __init__(
+        self, command: str, config: str | None, preset: str | None, out: str
+    ) -> None:
+        _set(self, "command", command)
+        _set(self, "config", config)
+        _set(self, "preset", preset)
+        _set(self, "out", out)
 
 
 def _usage_error(message: str) -> NoReturn:

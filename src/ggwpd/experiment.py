@@ -10,13 +10,11 @@ reused across the whole sweep.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import numbers
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,57 +38,71 @@ _REGIMES = ("integrable", "chaotic")
 _SEED_SEARCH_N = 50
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Everything needed to reproduce one sweep.
 
     Packet widths are derived from each N as b = pi N (so sigma^2 equals
     hbar/2 on the N-state torus) — there is no independent width knob.
+    Every value is checked on construction, and a bad one raises
+    :class:`ConfigError`; the centers are kept as tuples of floats and
+    ``N_list`` as a tuple of ints.  :func:`config_from_dict` with ``base``
+    overrides some fields of a config.
     """
 
-    K: float
-    t: int
-    alpha_center: tuple[float, float]
-    beta_center: tuple[float, float]
-    N_list: tuple[int, ...]
-    regime: str
-    image_range: int = 1
-    label: str = "custom"
+    __slots__ = _fields = (
+        "K", "t", "alpha_center", "beta_center", "N_list", "regime",
+        "image_range", "label",
+    )
 
-    def __post_init__(self) -> None:
-        if self.regime not in _REGIMES:
-            raise ConfigError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if not isinstance(self.label, str):
-            raise ConfigError(f"label must be a string, got {self.label!r}")
+    def __init__(
+        self,
+        K: float,
+        t: int,
+        alpha_center: tuple[float, float],
+        beta_center: tuple[float, float],
+        N_list: tuple[int, ...],
+        regime: str,
+        image_range: int = 1,
+        label: str = "custom",
+    ) -> None:
+        if regime not in _REGIMES:
+            raise ConfigError(f"regime must be one of {_REGIMES}, got {regime!r}")
+        if not isinstance(label, str):
+            raise ConfigError(f"label must be a string, got {label!r}")
         # the label prefixes every output file name, inside --out
-        if any(c and c in self.label for c in ("\0", os.sep, os.altsep)):
-            raise ConfigError(f"label must be a plain file name, got {self.label!r}")
-        _require_finite("K", self.K)
-        if self.K < 0.0:
+        if any(c and c in label for c in ("\0", os.sep, os.altsep)):
+            raise ConfigError(f"label must be a plain file name, got {label!r}")
+        _require_finite("K", K)
+        if K < 0.0:
             raise ConfigError("K must be non-negative")
-        for name in ("alpha_center", "beta_center"):
-            center = getattr(self, name)
+        centers = {"alpha_center": alpha_center, "beta_center": beta_center}
+        for name, center in centers.items():
             if not _is_sequence(center) or len(center) != 2:
                 raise ConfigError(f"{name} must be a (p, q) pair, got {center!r}")
             for x in center:
                 _require_finite(name, x)
-        _require_int("t", self.t, 1)
-        _require_int("image_range", self.image_range, 0)
-        if not _is_sequence(self.N_list):
-            raise ConfigError(f"N_list must be a list of integers, got {self.N_list!r}")
-        if not self.N_list:
+        _require_int("t", t, 1)
+        _require_int("image_range", image_range, 0)
+        if not _is_sequence(N_list):
+            raise ConfigError(f"N_list must be a list of integers, got {N_list!r}")
+        if not N_list:
             raise ConfigError("a sweep needs at least one N: empty N_list")
-        for n in self.N_list:
+        for n in N_list:
             _require_int("every N", n, 2)
-        odd = [n for n in self.N_list if n % 2]
+        odd = [n for n in N_list if n % 2]
         if odd:
             raise ConfigError(
                 f"odd N {odd} is refused: the torus boundary phase for odd N "
                 "is not implemented yet in the semiclassical image sum"
             )
-        object.__setattr__(self, "alpha_center", tuple(map(float, self.alpha_center)))
-        object.__setattr__(self, "beta_center", tuple(map(float, self.beta_center)))
-        object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
+        _set(self, "K", K)
+        _set(self, "t", t)
+        _set(self, "alpha_center", tuple(map(float, alpha_center)))
+        _set(self, "beta_center", tuple(map(float, beta_center)))
+        _set(self, "N_list", tuple(int(n) for n in N_list))
+        _set(self, "regime", regime)
+        _set(self, "image_range", image_range)
+        _set(self, "label", label)
 
     @property
     def seed_N(self) -> int:
@@ -134,6 +146,12 @@ PRESETS: dict[str, ExperimentConfig] = {
         label="chaotic-fig6",
     ),
 }
+
+# The fields a config may leave out, the last ones, with the values
+# ExperimentConfig gives them: read from its signature, so they cannot differ.
+_CONFIG_DEFAULTS = dict(
+    zip(ExperimentConfig._fields[::-1], ExperimentConfig.__init__.__defaults__[::-1])
+)
 
 # Pinned reference values for the built-in presets, keyed by winding pair.
 # Used by emit_report to regression-gate the saddle search.
@@ -180,16 +198,16 @@ def config_from_dict(
     Keys present in ``data`` override the base; unknown keys are rejected
     so typos fail loudly.
     """
-    fields = dataclasses.fields(ExperimentConfig)
-    unknown = set(data) - {f.name for f in fields}
+    fields = ExperimentConfig._fields
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged: dict = {}
-    if base is not None:
-        merged.update(dataclasses.asdict(base))
+    if base is None:
+        merged = dict(_CONFIG_DEFAULTS)
+    else:
+        merged = {name: getattr(base, name) for name in fields}
     merged.update(data)
-    required = {f.name for f in fields if f.default is dataclasses.MISSING}
-    missing = required - set(merged)
+    missing = set(fields) - set(merged)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     return ExperimentConfig(**merged)
@@ -249,30 +267,32 @@ class ScenarioSetup(_Record):
 _METHODS = ("oc", "ggwpd")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One N of a sweep: the three correlations and their error metrics.
 
     Only the measured values are arguments; for each method m of
     ``_METHODS`` the metrics ``abs_err_m``, ``ratio_m`` and ``phase_err_m``
-    are derived from ``C_qm`` and ``C_m`` here.  An error row carries NaN
+    are derived from ``C_qm`` and ``C_m`` here.  They are fields too, so
+    ``==``, ``hash`` and ``repr`` read them.  An error row carries NaN
     sums, so its metrics are NaN.  A sum that is exactly zero raises
     :class:`NumericalError`: its magnitude ratio is undefined.
     """
 
-    N: int
-    C_qm: complex
-    C_oc: complex
-    C_ggwpd: complex
-    error: str = ""
-    abs_err_oc: float = field(init=False)
-    abs_err_ggwpd: float = field(init=False)
-    ratio_oc: float = field(init=False)
-    ratio_ggwpd: float = field(init=False)
-    phase_err_oc: float = field(init=False)
-    phase_err_ggwpd: float = field(init=False)
+    __slots__ = _fields = (
+        "N", "C_qm", "C_oc", "C_ggwpd", "error",
+        "abs_err_oc", "abs_err_ggwpd",
+        "ratio_oc", "ratio_ggwpd",
+        "phase_err_oc", "phase_err_ggwpd",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, N: int, C_qm: complex, C_oc: complex, C_ggwpd: complex, error: str = ""
+    ) -> None:
+        _set(self, "N", N)
+        _set(self, "C_qm", C_qm)
+        _set(self, "C_oc", C_oc)
+        _set(self, "C_ggwpd", C_ggwpd)
+        _set(self, "error", error)
         for m in _METHODS:
             c = getattr(self, f"C_{m}")
             if c == 0:
@@ -280,12 +300,22 @@ class SweepRow:
                     "a semiclassical sum underflowed to zero; "
                     "its magnitude ratio is undefined"
                 )
-            object.__setattr__(self, f"abs_err_{m}", _modulus(self.C_qm - c))
-            object.__setattr__(self, f"ratio_{m}", _modulus(self.C_qm) / _modulus(c))
+            _set(self, f"abs_err_{m}", _modulus(C_qm - c))
+            _set(self, f"ratio_{m}", _modulus(C_qm) / _modulus(c))
             # np.angle's arctan2, without its array wrapping
-            z = self.C_qm * np.conj(c)
-            phase = float(np.arctan2(z.imag, z.real))
-            object.__setattr__(self, f"phase_err_{m}", phase)
+            z = C_qm * np.conj(c)
+            _set(self, f"phase_err_{m}", float(np.arctan2(z.imag, z.real)))
+
+    def __reduce__(self):
+        # __init__ takes the measured values; the metrics follow as they
+        # are, so that a copy's NaN metric is the same object and compares
+        # equal, as a copied dataclass's does
+        values = self._values()
+        return self.__class__, values[:5], values[5:]
+
+    def __setstate__(self, metrics: tuple) -> None:
+        for name, value in zip(self._fields[5:], metrics):
+            _set(self, name, value)
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
@@ -434,7 +464,10 @@ def emit_report(rows: list[SweepRow], setup: ScenarioSetup) -> tuple[str, bool]:
     # scenario, which an override that keeps the label but moves anything
     # other than N_list no longer is.
     base = PRESETS.get(cfg.label)
-    pinned = base is not None and dataclasses.replace(cfg, N_list=base.N_list) == base
+    pinned = (
+        base is not None
+        and config_from_dict({"N_list": base.N_list}, base=cfg) == base
+    )
     saddle_targets = REGRESSION_SADDLES.get(cfg.label, {}) if pinned else {}
     seed_targets = REGRESSION_SEEDS.get(cfg.label, {}) if pinned else {}
     by_winding = {s.seed.winding: s for s in setup.saddles}

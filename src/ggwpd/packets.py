@@ -56,15 +56,16 @@ def _modulus(z: complex) -> float:
 
 
 class _Record:
-    """Base of the package's immutable records.
+    """Base of every record in the package.
 
     A record stores its fields, ``_fields`` in order, in ``__slots__`` set
     once by its ``__init__``; assignment and deletion raise
     ``AttributeError``.  ``==``, ``hash`` and ``repr`` read the fields the
     way a frozen dataclass's generated methods do, and pickling or copying
-    rebuilds a record through its ``__init__``.  Records are plain classes,
-    not dataclasses, because generating a dataclass's methods dominated the
-    cost of importing the package.
+    rebuilds a record through its ``__init__``; a record whose ``__init__``
+    takes fewer arguments than its fields overrides ``__reduce__``.
+    Records are plain classes, not dataclasses or named tuples, because
+    generating their methods dominated the cost of importing the package.
     """
 
     __slots__ = ()

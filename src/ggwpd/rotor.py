@@ -32,9 +32,7 @@ import cmath
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -193,11 +191,13 @@ class ComplexTrajectory(_Record):
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class ManifoldCurve:
+class ManifoldCurve(_Record):
     """An ordered polyline approximating an invariant curve."""
 
-    points: np.ndarray  # (n, 2) columns (p, q)
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points: np.ndarray) -> None:
+        _set(self, "points", points)  # (n, 2) columns (p, q)
 
 
 def propagate(ic: ComplexPhasePoint, t: int, params: RotorParams) -> ComplexTrajectory:
@@ -843,18 +843,28 @@ def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(sign == 0.0)[0], np.nonzero(sign[:-1] * sign[1:] < 0)[0]
 
 
-class LineScan(NamedTuple):
+class LineScan(_Record):
     """Scan nodes of a line q = q0, their end positions and the ends' range.
 
     ``end_min`` and ``end_max`` are Python floats, both NaN when an end is.
     ``run`` is the ends' :func:`_monotone_run`, None when they have none.
     """
 
-    p_grid: np.ndarray
-    ends: np.ndarray
-    end_min: float
-    end_max: float
-    run: tuple | None
+    __slots__ = _fields = ("p_grid", "ends", "end_min", "end_max", "run")
+
+    def __init__(
+        self,
+        p_grid: np.ndarray,
+        ends: np.ndarray,
+        end_min: float,
+        end_max: float,
+        run: tuple | None,
+    ) -> None:
+        _set(self, "p_grid", p_grid)
+        _set(self, "ends", ends)
+        _set(self, "end_min", end_min)
+        _set(self, "end_max", end_max)
+        _set(self, "run", run)
 
 
 def _monotone_run(ends: np.ndarray) -> tuple[list, float] | None:
@@ -912,7 +922,7 @@ def _scan_crossings(scan: LineScan, targets: list[float]) -> list[tuple]:
     """:func:`_crossings` of each target on a scan, or none, ``((), ())``,
     for a target outside [end_min, end_max] of the scan or not finite.  A
     NaN end makes both bounds NaN, and then no finite target is skipped."""
-    _, ends, end_min, end_max, run = scan
+    ends, end_min, end_max, run = scan.ends, scan.end_min, scan.end_max, scan.run
     found = []
     for target in targets:
         # comparisons with NaN are false, so a NaN end never skips

@@ -30,7 +30,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import CausticError, ConfigError, ConvergenceError, NumericalError
+from .errors import (
+    CausticError,
+    ConfigError,
+    ConvergenceError,
+    NumericalError,
+    RunawayError,
+)
 from .floquet import grid_hbar
 from .packets import (
     ComplexPhasePoint,
@@ -318,7 +324,9 @@ def _newton_solve(
     :func:`_solve_newton_step`; the whole loop runs on Python complex
     scalars.  A step that fails to reduce the residual norm is halved up
     to six times before the search is abandoned.  Every candidate is
-    propagated through this module's ``propagate``.
+    propagated through this module's ``propagate``; a candidate whose
+    trajectory runs away counts as one that did not reduce the norm, and
+    only the seventh one's :class:`RunawayError` propagates.
 
     The residuals must carry a factor 1/``hbar``.  The search ends when
     their norm times ``hbar`` drops below ``_NEWTON_TOL``, or after a full
@@ -336,12 +344,19 @@ def _newton_solve(
         d0, d1 = _solve_newton_step(jacobian_of(traj), (-res.initial, -res.final))
         P0, Q0 = traj.initial.p1, traj.initial.q1
         scale = 1.0
-        for _ in range(7):
+        for trial in range(7):
             cand_ic = _complex_point(P0 + scale * d0, Q0 + scale * d1)
-            cand = propagate(cand_ic, seed.t, params)
-            cand_res = residual_of(cand)
-            if cand_res.max_norm < res.max_norm:
-                break
+            try:
+                cand = propagate(cand_ic, seed.t, params)
+            except RunawayError:
+                # an overshooting step reduced nothing: halve it, unless
+                # it was the last trial
+                if trial == 6:
+                    raise
+            else:
+                cand_res = residual_of(cand)
+                if cand_res.max_norm < res.max_norm:
+                    break
             scale *= 0.5
         else:
             raise ConvergenceError(
@@ -380,7 +395,8 @@ def find_saddle(
         After ``_NEWTON_MAX_ITER`` updates, or when damping cannot reduce
         the residual (the last residual norm rides along on the exception).
     RunawayError
-        If an iterate's trajectory escapes to large imaginary parts.
+        If the seed's trajectory, or the last of a step's seven halved
+        trials, escapes to large imaginary parts.
     CausticError
         On a singular Newton system.
     """

@@ -1,6 +1,5 @@
 """Configuration handling, sweep bookkeeping, CSV output, and report gates."""
 import csv
-import dataclasses
 import math
 import string
 
@@ -59,18 +58,18 @@ def test_preset_literals():
 
 
 def test_config_validation_rejects_bad_values():
-    base = dataclasses.asdict(preset("integrable-fig2"))
+    base = preset("integrable-fig2")
 
     with pytest.raises(ConfigError):
-        config_from_dict({**base, "regime": "laminar"})
+        config_from_dict({"regime": "laminar"}, base=base)
     with pytest.raises(ConfigError):
-        config_from_dict({**base, "K": -1.0})
+        config_from_dict({"K": -1.0}, base=base)
     with pytest.raises(ConfigError):
-        config_from_dict({**base, "t": 0})
+        config_from_dict({"t": 0}, base=base)
     with pytest.raises(ConfigError):
-        config_from_dict({**base, "N_list": [50, 1]})
+        config_from_dict({"N_list": [50, 1]}, base=base)
     with pytest.raises(ConfigError):
-        config_from_dict({**base, "image_range": -1})
+        config_from_dict({"image_range": -1}, base=base)
 
 
 @pytest.mark.parametrize(
@@ -100,9 +99,8 @@ def test_config_validation_rejects_bad_values():
     ],
 )
 def test_config_rejects_wrong_types_and_non_finite_values(override):
-    base = dataclasses.asdict(preset("integrable-fig2"))
     with pytest.raises(ConfigError):
-        config_from_dict({**base, **override})
+        config_from_dict(override, base=preset("integrable-fig2"))
 
 
 def test_config_from_dict_unknown_and_missing_keys():
@@ -192,7 +190,7 @@ def test_chaotic_saddles_are_found_from_a_larger_reference_n(
     """The saddle equations do not depend on N, so a sweep that starts at
     N = 150 or 100 still finds every saddle at the seed N, 50: the preset's
     seven, and at K = 6 the four with which the sweep passes its gates."""
-    cfg = dataclasses.replace(chaotic_bundle.config, **changes)
+    cfg = config_from_dict(changes, base=chaotic_bundle.config)
     setup = prepare_scenario(cfg)
     assert len(setup.saddles) == count
     assert emit_report(run_sweep(setup), setup)[1]
@@ -202,7 +200,7 @@ def test_integrable_saddle_is_found_from_a_larger_reference_n(integrable_bundle)
     """The pinned (0, 1) saddle does not depend on N, so a sweep that
     starts at N = 3000 finds it at the seed N, 50, and the report names
     that N."""
-    cfg = dataclasses.replace(integrable_bundle.config, N_list=(3000, 6000))
+    cfg = config_from_dict({"N_list": (3000, 6000)}, base=integrable_bundle.config)
     setup = prepare_scenario(cfg)
     assert [s.seed.winding for s in setup.saddles] == [(0, 1)]
     report, _ = emit_report([], setup)
@@ -249,7 +247,7 @@ def test_sweep_propagates_each_seed_once(chaotic_bundle, monkeypatch):
     monkeypatch.setattr(semiclassics, "propagate", counting)
     counts = []
     for n_list in ((50, 100), (50, 100, 150, 200, 250, 300)):
-        cfg = dataclasses.replace(chaotic_bundle.config, N_list=n_list)
+        cfg = config_from_dict({"N_list": n_list}, base=chaotic_bundle.config)
         setup = ScenarioSetup(cfg, chaotic_bundle.setup.saddles)
         semiclassics._seed_trajectory.cache_clear()
         calls.clear()

@@ -2,12 +2,16 @@
 
 Each record is checked against a frozen dataclass twin built here with the
 record's field names, in order: equality, hashing and repr must agree on
-drawn values, as they did when the records were frozen dataclasses.
+drawn values, as they did when the records were frozen dataclasses or
+named tuples.
 """
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,15 @@ from hypothesis import strategies as st
 from ggwpd import cli, errors, experiment, floquet, packets, rotor, semiclassics
 from ggwpd.experiment import ExperimentConfig, ScenarioSetup, SweepRow, preset
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket, ResidualPair
-from ggwpd.rotor import ComplexTrajectory, ManifoldCurve, RotorParams, SeedTrajectory
+from ggwpd.rotor import (
+    ComplexTrajectory,
+    LineScan,
+    ManifoldCurve,
+    RotorParams,
+    SeedTrajectory,
+    _scan_line,
+    shearing_manifold,
+)
 from ggwpd.semiclassics import (
     CorrelationResult,
     OffCenterContribution,
@@ -79,10 +91,78 @@ RECORD_FIELDS[ScenarioSetup] = {
     "saddles": _tuples(_built(SaddleTrajectory)),
 }
 
+RECORD_FIELDS[ExperimentConfig] = {
+    "K": st.floats(0.0, 1e3),
+    "t": st.integers(1, 8),
+    "alpha_center": st.tuples(_floats, _floats),
+    "beta_center": st.tuples(_floats, _floats),
+    "N_list": _tuples(st.integers(1, 400).map(lambda n: 2 * n), min_size=1),
+    "regime": st.sampled_from(["integrable", "chaotic"]),
+    "image_range": st.integers(0, 4),
+    "label": st.text("abc-_.09", max_size=8),
+}
+_sums = st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+)
+RECORD_FIELDS[SweepRow] = {
+    "N": st.integers(2, 4000),
+    "C_qm": _complex,
+    "C_oc": _sums,
+    "C_ggwpd": _sums,
+    "error": st.text(max_size=8),
+}
+# The array fields hold drawn tuples here, so that equality and hashing
+# read values; a record holding arrays compares them as numpy does.
+RECORD_FIELDS[ManifoldCurve] = {"points": _tuples(st.tuples(_floats, _floats))}
+RECORD_FIELDS[LineScan] = {
+    "p_grid": _tuples(_floats),
+    "ends": _tuples(_floats),
+    "end_min": _floats,
+    "end_max": _floats,
+    "run": st.none() | st.tuples(_tuples(_floats), st.sampled_from([1.0, -1.0])),
+}
+RECORD_FIELDS[cli._Args] = {
+    "command": st.sampled_from(["sweep", "saddle", "manifolds"]),
+    "config": st.none() | st.text(max_size=8),
+    "preset": st.none() | st.sampled_from(["integrable-fig2", "chaotic-fig6"]),
+    "out": st.text(max_size=8),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _SweepRowTwin:
+    """The sweep row as a frozen dataclass: five measured values, and the
+    metrics its ``__post_init__`` derives as fields outside ``__init__``."""
+
+    N: int
+    C_qm: complex
+    C_oc: complex
+    C_ggwpd: complex
+    error: str = ""
+    abs_err_oc: float = dataclasses.field(init=False)
+    abs_err_ggwpd: float = dataclasses.field(init=False)
+    ratio_oc: float = dataclasses.field(init=False)
+    ratio_ggwpd: float = dataclasses.field(init=False)
+    phase_err_oc: float = dataclasses.field(init=False)
+    phase_err_ggwpd: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        for m in ("oc", "ggwpd"):
+            c = getattr(self, f"C_{m}")
+            object.__setattr__(self, f"abs_err_{m}", abs(self.C_qm - c))
+            object.__setattr__(self, f"ratio_{m}", abs(self.C_qm) / abs(c))
+            z = self.C_qm * np.conj(c)
+            phase = float(np.arctan2(z.imag, z.real))
+            object.__setattr__(self, f"phase_err_{m}", phase)
+
+
+_SweepRowTwin.__qualname__ = "SweepRow"
+
 _TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
     for cls, fields in RECORD_FIELDS.items()
 }
+_TWINS[SweepRow] = _SweepRowTwin
 
 
 _records = pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)
@@ -173,11 +253,40 @@ def test_record_refuses_bad_values(build):
         build()
 
 
-def test_only_the_three_field_reflected_records_are_dataclasses():
-    """Defining a dataclass generates and compiles its methods when the
-    package is imported, most of that import's own cost.  Only the records
-    read through ``dataclasses.fields``, ``asdict`` or ``replace`` are
-    dataclasses; every other record is a plain slotted class."""
+def test_a_copied_error_row_equals_it():
+    """An error row's metrics are NaN, equal only to themselves: a copy
+    keeps the same objects, as a copied dataclass did."""
+    nan = complex(np.nan, np.nan)
+    row = SweepRow(50, 0.5 + 0j, nan, nan, "NumericalError: x")
+    for clone in (copy.copy(row), copy.deepcopy(row)):
+        assert clone == row and hash(clone) == hash(row)
+    assert repr(pickle.loads(pickle.dumps(row))) == repr(row)
+
+
+def test_array_records_copy_and_pickle_their_arrays():
+    """The records that hold arrays rebuild them, values and shape, when
+    copied or pickled."""
+    records = [
+        shearing_manifold(GaussianPacket(0.815, 0.2, 50 * np.pi, 1 / (100 * np.pi))),
+        _scan_line(-0.5, 0.5, 0.2, lambda pts: pts[:, 0] ** 3),
+    ]
+    for record in records:
+        clones = (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)))
+        for clone in clones:
+            assert type(clone) is type(record)
+            assert repr(clone) == repr(record)
+            for name in record._fields:
+                want, got = getattr(record, name), getattr(clone, name)
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    assert got == want
+
+
+def test_no_package_class_is_a_dataclass_or_a_named_tuple():
+    """Defining a dataclass or a named tuple generates and compiles its
+    methods when the package is imported, most of that import's own cost.
+    Every record is a plain slotted ``_Record``."""
     modules = (cli, errors, experiment, floquet, packets, rotor, semiclassics)
     classes = {
         obj
@@ -185,9 +294,20 @@ def test_only_the_three_field_reflected_records_are_dataclasses():
         for obj in vars(module).values()
         if inspect.isclass(obj) and obj.__module__ == module.__name__
     }
-    assert {c for c in classes if dataclasses.is_dataclass(c)} == {
-        ExperimentConfig,
-        SweepRow,
-        ManifoldCurve,
-    }
+    generated = [c for c in classes if dataclasses.is_dataclass(c) or issubclass(c, tuple)]
+    assert generated == []
     assert set(RECORD_FIELDS) <= {c for c in classes if issubclass(c, packets._Record)}
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    code = (
+        "import sys\n"
+        "import ggwpd, ggwpd.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"

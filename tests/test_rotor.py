@@ -1,6 +1,5 @@
 """Kicked-rotor map, stability, action bookkeeping, and transport geometry."""
 import csv
-import dataclasses
 import hashlib
 import io
 import time
@@ -13,7 +12,13 @@ from hypothesis import strategies as st
 
 from ggwpd import rotor
 from ggwpd.errors import ConfigError, NumericalError, RunawayError
-from ggwpd.experiment import packets_for, prepare_scenario, preset, run_sweep
+from ggwpd.experiment import (
+    config_from_dict,
+    packets_for,
+    prepare_scenario,
+    preset,
+    run_sweep,
+)
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import (
     _CAPTURE_RADIUS,
@@ -682,7 +687,7 @@ def test_no_lapack_routine_runs_in_the_chaotic_preset(monkeypatch):
 
     for name in ("eig", "eigvals", "eigh", "inv", "solve", "det", "lstsq", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    cfg = dataclasses.replace(preset("chaotic-fig6"), N_list=(50, 100))
+    cfg = config_from_dict({"N_list": (50, 100)}, base=preset("chaotic-fig6"))
     setup = prepare_scenario(cfg)
     assert len(setup.saddles) == 7
     assert len(run_sweep(setup)) == 2

@@ -1,6 +1,5 @@
 """Saddle search, branch tracking, and the three correlation evaluators."""
 import cmath
-import dataclasses
 import fractions
 import math
 import re
@@ -19,7 +18,7 @@ from ggwpd.errors import (
     NumericalError,
     RunawayError,
 )
-from ggwpd.experiment import packets_for, preset
+from ggwpd.experiment import config_from_dict, packets_for, preset
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
@@ -270,15 +269,18 @@ _CHAOTIC = preset("chaotic-fig6")
     [
         (preset("integrable-fig2"), {}),
         (_CHAOTIC, {}),
-        (dataclasses.replace(_CHAOTIC, t=3), {}),
-        (dataclasses.replace(_CHAOTIC, K=6.0), {}),
+        (config_from_dict({"t": 3}, base=_CHAOTIC), {}),
+        (config_from_dict({"K": 6.0}, base=_CHAOTIC), {}),
         # known failures: five of the 47 seeds do not converge at N = 50,
         # and the two winding-(1, 2) saddles sit on Newton's residual floor
         # and fail at some N; a fix of either has to update this list
         (
-            dataclasses.replace(
-                _CHAOTIC, K=10.9385, t=3, alpha_center=(0.0, 1.0),
-                beta_center=(0.0, 0.5), image_range=4,
+            config_from_dict(
+                {
+                    "K": 10.9385, "t": 3, "alpha_center": (0.0, 1.0),
+                    "beta_center": (0.0, 0.5), "image_range": 4,
+                },
+                base=_CHAOTIC,
             ),
             {
                 50: [(-2, -4), (-1, -3), (0, -1), (0, 1), (1, 1)],
@@ -366,7 +368,7 @@ def test_every_long_time_chaotic_seed_converges_at_small_and_large_n():
     a saddle at N = 50 and at N = 1e5.  A stop on hbar times the residual
     at 1e-12 / (2 pi 50), about 3e-15, fails 7 of them without the step
     stop and 2 with it: their residuals do not get that far."""
-    cfg = dataclasses.replace(preset("chaotic-fig6"), t=3)
+    cfg = config_from_dict({"t": 3}, base=preset("chaotic-fig6"))
     params = RotorParams(cfg.K)
     seeds = find_seeds(
         *packets_for(cfg, 50), cfg.t, params,
@@ -402,7 +404,72 @@ def test_newton_stops_after_a_full_step_at_the_rounding_limit():
     assert sad.residual_norm == floor
 
 
+def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
+    """``chaotic-fig6`` at t = 4 and image range 5: 12 of its 101 seeds
+    take a Newton step whose trajectory runs away.  Counted as a step that
+    did not reduce the residual and halved, it lets 4 of them converge
+    below ``_NEWTON_TOL``; the other 8 stall (``ConvergenceError``), and no
+    seed raises ``RunawayError``, which every one of the 12 did when the
+    first runaway trial ended the search."""
+    cfg = config_from_dict({"t": 4, "image_range": 5}, base=preset("chaotic-fig6"))
+    params = RotorParams(cfg.K)
+    alpha, beta = packets_for(cfg, cfg.seed_N)
+    seeds = find_seeds(
+        alpha, beta, cfg.t, params, image_range=cfg.image_range, regime=cfg.regime
+    )
+    runaways = 0
+
+    def counting(ic, t, params):
+        nonlocal runaways
+        try:
+            return propagate(ic, t, params)
+        except RunawayError:
+            runaways += 1
+            raise
+
+    monkeypatch.setattr(semiclassics, "propagate", counting)
+    recovered, stalled = [], 0
+    for seed in seeds:
+        runaways = 0
+        try:
+            sad = find_saddle(alpha, beta, seed, params)
+        except ConvergenceError:
+            stalled += runaways > 0
+            continue
+        if runaways:
+            recovered.append(sad)
+    assert len(seeds) == 101
+    assert (len(recovered), stalled) == (4, 8)
+    assert all(
+        sad.residual_norm * alpha.hbar < semiclassics._NEWTON_TOL for sad in recovered
+    )
+
+
 _entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+# The smallest subnormal double, the spacing of every double below the
+# smallest normal one.
+_SUBNORMAL_STEP = 2.0**-1074
+
+
+def _within_solve_bound(got, want, jac: np.ndarray) -> bool:
+    """Whether ``got`` and ``want``, two solutions of the 2x2 system
+    ``jac``, agree as two backward-stable solves must.
+
+    Each is within c eps kappa |x| of the exact solution x, and within a
+    few steps of 2**-1074 more where the solve rounds below the smallest
+    normal number: the last rounding of x itself, and the earlier ones,
+    which ``jac``'s inverse amplifies by at most 1/sigma_min.  A relative
+    bound alone is below one such step for a subnormal x.
+    """
+    kappa = np.linalg.cond(jac)
+    sigma_min = np.linalg.norm(jac, -2)
+    # 2-norms through hypot: np.linalg.norm squares the entries, which
+    # overflows for solutions near 1e155 and beyond
+    err = math.hypot(*np.abs(np.array(got) - want))
+    floor = 4 * _SUBNORMAL_STEP * (1.0 + 1.0 / sigma_min)
+    return err <= 64 * np.finfo(float).eps * kappa * math.hypot(*np.abs(want)) + floor
 
 
 @settings(max_examples=300, deadline=None)
@@ -410,27 +477,39 @@ _entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity
        swap=st.booleans())
 @example(a=0j, b=4.078777363881325e-159 + 0j, c=4.078777363881325e-159 + 0j, d=0j,
          r0=0j, r1=1 + 0j, swap=False)
+@example(a=139 + 0j, b=1 + 0j, c=1 + 1j, d=149 + 0j, r0=2.0**-1022 + 0j, r1=0j,
+         swap=False)
 def test_scalar_newton_step_matches_numpy_solve(a, b, c, d, r0, r1, swap):
     """Random complex 2x2 systems, half of them with the larger first
     entry in the lower row, so that the elimination swaps rows; the
-    solution agrees with LAPACK's to 64 eps times the condition number."""
+    solution agrees with LAPACK's to 64 eps times the condition number,
+    plus a few steps of 2**-1074 for a subnormal solution
+    (:func:`_within_solve_bound`)."""
     if abs(a) == abs(c):
         reject()
     if (abs(c) > abs(a)) != swap:
         a, b, c, d, r0, r1 = c, d, a, b, r1, r0
     jac = np.array([[a, b], [c, d]])
-    kappa = np.linalg.cond(jac)
-    if not kappa < 1e12:
+    if not np.linalg.cond(jac) < 1e12:
         reject()
     want = np.linalg.solve(jac, np.array([r0, r1]))
     if not np.all(np.isfinite(want)):
         reject()
     got = semiclassics._solve_newton_step(((a, b), (c, d)), (r0, r1))
     assert all(type(x) is complex for x in got)
-    # 2-norms through hypot: np.linalg.norm squares the entries, which
-    # overflows for solutions near 1e155 and beyond
-    err = math.hypot(*np.abs(np.array(got) - want))
-    assert err <= 64 * np.finfo(float).eps * kappa * math.hypot(*np.abs(want))
+    assert _within_solve_bound(got, want, jac)
+
+
+def test_solve_bound_refuses_a_zero_or_negated_subnormal_solution():
+    """The bound's subnormal term is a few steps of 2**-1074, not a floor
+    on |x|: at the subnormal solution of the second example above, about
+    1.6e-310, a zero or sign-flipped answer still fails."""
+    jac = np.array([[139, 1], [1 + 1j, 149]], dtype=complex)
+    want = np.linalg.solve(jac, np.array([2.0**-1022, 0j]))
+    assert 0 < np.abs(want).max() < np.finfo(float).tiny
+    assert _within_solve_bound(want, want, jac)
+    assert not _within_solve_bound([0j, 0j], want, jac)
+    assert not _within_solve_bound(-want, want, jac)
 
 
 def test_scalar_newton_step_rounds_a_subnormal_solution_correctly():
