@@ -475,6 +475,25 @@ def _grow_invariant_curve(
     and adds n_p to every p of the curve, so the curve at a lattice image
     of a fixed point is the image of its curve, bit for bit.
 
+    At (0, 0) after that shift, a zero of either sign in p and in q, the
+    float map is exactly odd: the germ's two sides are negations of each
+    other, and rounding is symmetric in sign, so the sine, the kick and
+    the drift take a negated point to the negated image.  There only the
+    + branch is grown, and the - branch is built from its points by three
+    rules.  A point is negated as 0.0 - x: growth from a +0.0 germ never
+    makes -0.0, which -x would make of a zero.  The + branch's first
+    point past the half budget is dropped, as the low-parameter end keeps
+    none; a branch that never reaches the budget keeps all its points.
+    And each run of equal parameter is listed in reverse, the order the
+    - branch's stable sort of the negated parameters, read from its high
+    end, gives.  The points of such a run agree to a few roundings, so
+    the two branches' arcs do too, and the - branch is cut where the
+    + branch is unless the half budget falls within that rounding of a
+    point's arc; the tests compare the two paths bit for bit.  Every
+    other fixed point grows both branches: (n, 1/2), and a point the
+    fixed-point check allows a rounding away from the origin, such as
+    (1e-13, 0).
+
     Both curves are grown with lambda_u: the inverse map stretches the
     stable curve by 1 / lambda_s = lambda_u.  :func:`_hyperbolic_frame`
     takes lambda_u in closed form, with no cancellation, so the stable
@@ -539,17 +558,29 @@ def _grow_invariant_curve(
         step(p, q, n, K)
         return p, q
 
-    def grow_branch(b: float) -> tuple[np.ndarray, np.ndarray]:
+    def grow_branch(b: float, mirror: bool) -> list[tuple[np.ndarray, np.ndarray]]:
         """p and q of the branch of sign b, outward from the fixed point
-        and cut to the half budget, the fixed point first."""
+        and cut to the half budget, the fixed point first; with ``mirror``,
+        then those of the branch of sign -b, built from the same points."""
         # the base points of the current level, the + side's first; a
         # branch takes its points from both sides when lambda < 0
         base_p, base_q = germ(np.repeat([1.0, -1.0], n_base), np.tile(offsets, 2))
         # the branch in outward order: settled points, then the last two
         # points (at first the fixed point alone) with the arc at the first
-        p_parts, q_parts = [], []
+        p_parts, q_parts, mirror_p, mirror_q = [], [], [], []
         tail_param, tail_p, tail_q = np.zeros(1), np.array([fp_p]), np.array([fp_q])
         tail_arc = end = 0.0
+
+        def settle(param, p, q, keep, mirror_keep):
+            p_parts.append(p[:keep])
+            q_parts.append(q[:keep])
+            if mirror:
+                # the -b branch's order: this one's with each run of equal
+                # parameter reversed
+                order = np.argsort(-param, kind="stable")[::-1][:mirror_keep]
+                mirror_p.append(0.0 - p[order])
+                mirror_q.append(0.0 - q[order])
+
         for n in range(n_levels):
             if n:
                 step(base_p, base_q, 1, K)
@@ -580,20 +611,24 @@ def _grow_invariant_curve(
             arc = np.cumsum(np.concatenate([[tail_arc], seg]))
             end = float(arc[-1])
             if end >= half:
-                keep = int(np.searchsorted(arc, half, side="right")) + (b > 0.0)
-                p_parts.append(p[:keep])
-                q_parts.append(q[:keep])
+                keep = int(np.searchsorted(arc, half, side="right"))
+                settle(param, p, q, keep + (b > 0.0), keep)
                 break
-            p_parts.append(p[:-2])
-            q_parts.append(q[:-2])
+            settle(param, p, q, -2, -2)
             tail_param, tail_p, tail_q, tail_arc = param[-2:], p[-2:], q[-2:], arc[-2]
         else:
-            p_parts.append(tail_p)
-            q_parts.append(tail_q)
-        return np.concatenate(p_parts), np.concatenate(q_parts)
+            settle(tail_param, tail_p, tail_q, None, None)
+        branches = [(np.concatenate(p_parts), np.concatenate(q_parts))]
+        if mirror:
+            branches.append((np.concatenate(mirror_p), np.concatenate(mirror_q)))
+        return branches
 
-    low_p, low_q = grow_branch(-1.0)
-    high_p, high_q = grow_branch(+1.0)
+    # the map is odd about the origin: its - branch is the + branch mirrored
+    if fp_p == 0.0 and fp_q == 0.0:
+        (high_p, high_q), (low_p, low_q) = grow_branch(+1.0, mirror=True)
+    else:
+        ((low_p, low_q),) = grow_branch(-1.0, mirror=False)
+        ((high_p, high_q),) = grow_branch(+1.0, mirror=False)
     # the low branch reversed, without its copy of the fixed point
     p = np.concatenate([low_p[:0:-1], high_p])
     q = np.concatenate([low_q[:0:-1], high_q])

@@ -468,16 +468,27 @@ def test_chaotic_curves_are_cut_at_half_the_budget_from_the_fixed_point(fp, inve
 
 
 # Map point-steps of each chaotic-fig6 curve's growth; growing each
-# branch's last level whole took 440,738 and 150,024.
-GROWTH_POINT_STEPS = {False: 90_256, True: 74_536}
+# branch's last level whole took 440,738 and 150,024.  The unstable curve,
+# at (0, 0), grows its + branch and mirrors the - branch: growing both
+# took 90,256.  The stable curve, at (0, 1/2), grows both branches.
+GROWTH_POINT_STEPS = {False: 45_128, True: 74_536}
 
 
 @pytest.mark.parametrize(
-    "fp, inverse", [((0.0, 0.0), False), ((0.0, 0.5), True)], ids=["unstable", "stable"]
+    "fp, inverse, point_steps",
+    [
+        ((0.0, 0.0), False, GROWTH_POINT_STEPS[False]),
+        ((0.0, 0.5), True, GROWTH_POINT_STEPS[True]),
+        ((1e-13, 0.0), False, 2 * GROWTH_POINT_STEPS[False]),
+    ],
+    ids=["unstable", "stable", "unstable-off-origin"],
 )
 def test_chaotic_curve_growth_takes_its_pinned_map_point_steps(
-    fp, inverse, monkeypatch
+    fp, inverse, point_steps, monkeypatch
 ):
+    """(1e-13, 0), which the fixed-point check allows as a rounding away
+    from the origin, grows both branches of the unstable curve: twice the
+    steps of (0, 0)."""
     name = "_step_backward" if inverse else "_step_forward"
     step = getattr(rotor, name)
     steps = []
@@ -488,7 +499,7 @@ def test_chaotic_curve_growth_takes_its_pinned_map_point_steps(
 
     monkeypatch.setattr(rotor, name, counted)
     rotor._grow_invariant_curve(fp, K_CHAOTIC, inverse)
-    assert sum(steps) == GROWTH_POINT_STEPS[inverse]
+    assert sum(steps) == point_steps
 
 
 @pytest.mark.parametrize(
@@ -515,11 +526,13 @@ def _growth_levels(fp, params, inverse):
 @st.composite
 def _hyperbolic_growths(draw):
     """A hyperbolic fixed point of the standard map with K, and a direction:
-    (0, 0) needs K > 4 and (0, 1/2) any K > 0."""
-    fp = draw(st.sampled_from([(0.0, 0.0), (0.0, 0.5)]))
-    low = 4.0 if fp == (0.0, 0.0) else 0.0
-    K = draw(st.floats(low, 12.0, exclude_min=True))
-    return fp, K, draw(st.booleans())
+    (n, 0) needs K > 4 and (n, 1/2) any K > 0.  n is a whole number from
+    -3 to 3, and a zero p or q may be -0.0."""
+    p = draw(st.sampled_from([0.0, -0.0]) | st.integers(-3, 3).map(float))
+    q = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    low = 4.0 if q == 0.0 else 0.0
+    K = draw(st.floats(low, 60.0, exclude_min=True))
+    return (p, q), K, draw(st.booleans())
 
 
 @settings(max_examples=20, deadline=None)
@@ -535,12 +548,26 @@ def _hyperbolic_growths(draw):
 # the base polyline of level 24 falls short of the half budget and the
 # refined level passes it, so the whole level is refined
 @example(growth=((0.0, 0.0), 4.55, False), budget=0.855017)
+# budget 24: the mirrored branch's cut far from the fixed point
+@example(growth=((0.0, 0.0), 8.25, False), budget=24.0)
+# neither branch reaches the half budget, so each keeps all its points
+@example(growth=((0.0, 0.0), 4.01, True), budget=0.3)
+# a lattice image of the origin with a -0.0: mirrored at (0.0, -0.0), then
+# shifted back by -1 in p
+@example(growth=((-1.0, -0.0), 8.25, True), budget=1.0)
+# levels 1, 4, 5, 6, 9 and 11 begin at the parameter the level before
+# ends at, and the mirrored branch lists each such pair in the other order
+@example(growth=((0.0, 0.0), 8.704859240613551, False), budget=1.0)
+# a rounding away from the origin: both branches are grown
+@example(growth=((1e-13, 0.0), 8.25, False), budget=1.0)
 def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budget):
     """Unstable and stable curves at any K equal the depth-first
     reference's bit for bit.  A fixed point so near parabolic that growth
     is refused up front is refused whatever the budget; one that needs
     more than 400 levels is left to the pinned K = 1e-3 curves, as the
-    reference re-sorts every point at every level."""
+    reference re-sorts every point at every level.  At (n, q) with a whole
+    n other than 0 the reference grows the (0, q) curve and shifts it by n
+    in p, as growth does."""
     fp, K, inverse = growth
     grow = stable_manifold if inverse else unstable_manifold
     try:
@@ -559,28 +586,45 @@ def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budge
         if levels > 400:
             reject()
         curve = grow(fp, RotorParams(K))
-    ref, _ = _grow_depth_first(fp, RotorParams(K), budget, _CURVE_SPACING, inverse)
-    assert np.array_equal(curve.points, ref)
+    n_p = float(round(fp[0]))
+    at = (fp[0] - n_p, fp[1]) if n_p else fp
+    ref, _ = _grow_depth_first(at, RotorParams(K), budget, _CURVE_SPACING, inverse)
+    if n_p:
+        ref[:, 0] += n_p
+    assert curve.points.tobytes() == ref.tobytes()
 
 
-# SHA-256 of the points of the K = 1e-3 curves at (0, 1/2), 68,641 rows
-# each, written by a growth that stepped every level's base points from
-# the germ and re-sorted the whole curve at every level.  Growth takes
-# 715 levels there, so base points are stepped on 714 times.
+# The fixed point, levels planned and rows of each pinned weakly hyperbolic
+# curve, by K.  Growth takes 715 levels at K = 1e-3, so base points are
+# stepped on 714 times.  At K = 4.01 neither branch reaches the half
+# budget in its 226 levels, so each keeps all its points.
+WEAK_MANIFOLDS = {1e-3: ((0.0, 0.5), 715, 68641), 4.01: ((0.0, 0.0), 226, 21697)}
+
+# SHA-256 of the points of those curves, by K and direction.  The K = 1e-3
+# curves were written by a growth that stepped every level's base points
+# from the germ and re-sorted the whole curve at every level, the K = 4.01
+# curves by one that grew both branches at the origin.
 WEAK_MANIFOLD_SHA256 = {
-    False: "fc765dde2e7a35c85623f67a424866657fe9cdbcdb43ee8bd7a7568db0028bc8",
-    True: "8002b6b71f609374c863be78a7baacbe8b87d26aab7534384edfb96f3a6a63b1",
+    (1e-3, False): "fc765dde2e7a35c85623f67a424866657fe9cdbcdb43ee8bd7a7568db0028bc8",
+    (1e-3, True): "8002b6b71f609374c863be78a7baacbe8b87d26aab7534384edfb96f3a6a63b1",
+    (4.01, False): "f474c044310c2cfbbafea2993071d80bf88e29f1eb600c2df62ca53c7ff7e0f4",
+    (4.01, True): "eb9545d46a67c9269d2e40c6890fd1b94abd63675008b5f5ca2fda71b6fe16c8",
 }
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["unstable", "stable"])
-def test_weakly_hyperbolic_curves_keep_their_pinned_points(inverse):
+@pytest.mark.parametrize(
+    "K, inverse",
+    [(1e-3, False), (1e-3, True), (4.01, False), (4.01, True)],
+    ids=["unstable", "stable", "unstable-K4.01", "stable-K4.01"],
+)
+def test_weakly_hyperbolic_curves_keep_their_pinned_points(K, inverse):
     grow = stable_manifold if inverse else unstable_manifold
-    assert _growth_levels((0.0, 0.5), RotorParams(1e-3), inverse) == 715
-    curve = grow((0.0, 0.5), RotorParams(1e-3))
-    assert curve.points.shape == (68641, 2)
+    fp, levels, rows = WEAK_MANIFOLDS[K]
+    assert _growth_levels(fp, RotorParams(K), inverse) == levels
+    curve = grow(fp, RotorParams(K))
+    assert curve.points.shape == (rows, 2)
     digest = hashlib.sha256(np.ascontiguousarray(curve.points).tobytes()).hexdigest()
-    assert digest == WEAK_MANIFOLD_SHA256[inverse]
+    assert digest == WEAK_MANIFOLD_SHA256[K, inverse]
 
 
 @pytest.mark.parametrize("grow", [unstable_manifold, stable_manifold])

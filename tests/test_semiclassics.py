@@ -410,7 +410,9 @@ def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
     did not reduce the residual and halved, it lets 4 of them converge
     below ``_NEWTON_TOL``; the other 8 stall (``ConvergenceError``), and no
     seed raises ``RunawayError``, which every one of the 12 did when the
-    first runaway trial ended the search."""
+    first runaway trial ended the search.  The numpy reference loop, which
+    halves such a step too, finds the 4 recovered saddles within 1e-15 per
+    component and in as many steps."""
     cfg = config_from_dict({"t": 4, "image_range": 5}, base=preset("chaotic-fig6"))
     params = RotorParams(cfg.K)
     alpha, beta = packets_for(cfg, cfg.seed_N)
@@ -443,6 +445,14 @@ def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
     assert all(
         sad.residual_norm * alpha.hbar < semiclassics._NEWTON_TOL for sad in recovered
     )
+    monkeypatch.setattr(semiclassics, "_newton_solve", _numpy_newton_solve)
+    for sad in recovered:
+        want = find_saddle(alpha, beta, sad.seed, params)
+        assert sad.iterations == want.iterations
+        got_ic, want_ic = sad.trajectory.initial, want.trajectory.initial
+        for g, w in ((got_ic.p1, want_ic.p1), (got_ic.q1, want_ic.q1)):
+            assert abs(g.real - w.real) <= 1e-15
+            assert abs(g.imag - w.imag) <= 1e-15
 
 
 _entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -546,7 +556,9 @@ def test_scalar_newton_step_rounds_a_subnormal_solution_correctly():
 
 def _numpy_newton_solve(seed, params, residual_of, jacobian_of, hbar):
     """The Newton loop as it ran on numpy arrays: one ``np.linalg.solve``
-    per step, and residual norms through ``np.abs``."""
+    per step, and residual norms through ``np.abs``.  A trial step whose
+    trajectory runs away is halved, as one that does not reduce the norm
+    is; only the seventh trial's ``RunawayError`` propagates."""
     def norm(res):
         return float(max(np.abs(res.initial), np.abs(res.final)))
 
@@ -559,18 +571,23 @@ def _numpy_newton_solve(seed, params, residual_of, jacobian_of, hbar):
         jac = np.array(jacobian_of(traj))
         delta = np.linalg.solve(jac, -np.array([res.initial, res.final]))
         scale = 1.0
-        for _ in range(7):
-            cand = propagate(
-                ComplexPhasePoint(
-                    traj.initial.p1 + scale * delta[0],
-                    traj.initial.q1 + scale * delta[1],
-                ),
-                seed.t,
-                params,
-            )
-            cand_res = residual_of(cand)
-            if norm(cand_res) < history[-1]:
-                break
+        for trial in range(7):
+            try:
+                cand = propagate(
+                    ComplexPhasePoint(
+                        traj.initial.p1 + scale * delta[0],
+                        traj.initial.q1 + scale * delta[1],
+                    ),
+                    seed.t,
+                    params,
+                )
+            except RunawayError:
+                if trial == 6:
+                    raise
+            else:
+                cand_res = residual_of(cand)
+                if norm(cand_res) < history[-1]:
+                    break
             scale *= 0.5
         else:
             raise AssertionError("the numpy reference failed to reduce the residual")
