@@ -21,10 +21,10 @@ import numpy as np
 from .errors import ConfigError, GgwpdError, NumericalError
 from .floquet import grid_hbar, quantum_correlation
 from .packets import GaussianPacket, _Record, _modulus, _require_int, _set
-from .rotor import RotorParams, SeedTrajectory, _merge_duplicates, find_seeds
+from .rotor import RotorParams, SeedTrajectory, find_seeds
 from .semiclassics import (
     SaddleTrajectory,
-    _saddle_place,
+    _merge_saddles,
     find_saddle,
     ggwpd_correlation,
     offcenter_correlation,
@@ -337,9 +337,10 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:
             f"image range {config.image_range}"
         )
     converged = [find_saddle(alpha, beta, s, params) for s in seeds]
-    # distinct transport seeds can flow to the same complex saddle (two
-    # primary intersections on the same lobe); keep one contribution each
-    return ScenarioSetup(config, tuple(_merge_duplicates(converged, _saddle_place)))
+    # distinct transport seeds, or copies of one, can flow to the same
+    # complex saddle (two primary intersections on the same lobe); keep one
+    # contribution each
+    return ScenarioSetup(config, tuple(_merge_saddles(converged)))
 
 
 def run_sweep(setup: ScenarioSetup) -> list[SweepRow]:

@@ -53,13 +53,6 @@ TWO_PI = 2.0 * np.pi
 # of the linear segment against roundoff amplification along the orbit.
 _GERM_OFFSET = 1e-8
 
-# Seeds or saddles of one winding closer than this in every real and
-# imaginary component of their initial point are one stationary point
-# reached twice.  Such copies agree to rounding (1.4e-17 apart for the two
-# merges of the chaotic-fig6 preset), while distinct ones sit many orders
-# further apart, so a tolerance well inside that gap separates them.
-_MERGE_TOL = 1e-9
-
 # Largest gap between consecutive points of a grown invariant curve, and the
 # node spacing of a shearing line: the resolution of the curves that
 # ``ggwpd manifolds`` writes.  The seed searches scan grids of their own.
@@ -844,28 +837,6 @@ def _csv_rows(pts: np.ndarray, start: int, w: int) -> bytearray:
 # seed trajectories
 # ---------------------------------------------------------------------------
 
-def _merge_duplicates(items, place) -> list:
-    """``items`` without duplicates, the first of each group kept, in input order.
-
-    ``place(item)`` returns ``(winding, P, Q)``.  An item duplicates a kept
-    one when their windings are equal and every real and imaginary part of
-    P and Q differs by at most ``_MERGE_TOL``.  This is a distance test, so
-    two copies on either side of a rounding edge still merge.
-    """
-    kept, places = [], []
-    for item in items:
-        winding, P, Q = place(item)
-        parts = (P.real, P.imag, Q.real, Q.imag)
-        if not any(
-            w == winding
-            and all(abs(a - b) <= _MERGE_TOL for a, b in zip(parts, other))
-            for w, other in places
-        ):
-            kept.append(item)
-            places.append((winding, parts))
-    return kept
-
-
 def _sign_change_brackets(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots and brackets of a function sampled on scan nodes.
 
@@ -1106,19 +1077,6 @@ def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
     return out
 
 
-def _unstable_coefficient(
-    points: np.ndarray,
-    centers: np.ndarray,
-    frame_inv: np.ndarray,
-) -> np.ndarray:
-    """Coefficient along the local unstable direction, one per row.
-
-    One 2x2 matrix-vector product per row, so each row rounds exactly as
-    it would if projected on its own.
-    """
-    return (frame_inv @ (points - centers)[:, :, None])[:, 0, 0]
-
-
 def _heteroclinic_seeds(
     alpha: GaussianPacket,
     beta: GaussianPacket,
@@ -1139,12 +1097,12 @@ def _heteroclinic_seeds(
 
     Each level is scanned in one pass over both sides and every image:
     an endpoint is assigned the one image center it can be near, and
-    only neighbours on one side near one image can bracket a root.  Every
-    bracket of every level is gathered first, ordered by level, side,
-    image, node roots before brackets and scan index, and all of them are
-    bisected together; the capture filter and the duplicate merge then
-    run in that order, so the first of several merging connectors is the
-    one kept.
+    only neighbours on one side near one image can bracket a root.  The
+    node roots and brackets of every level are gathered first, and all the
+    brackets are bisected together.  The connectors that pass the capture
+    filter are returned in (winding, ic) order.  Copies of one connector
+    are not merged here: the saddles they refine to are, in
+    :func:`~ggwpd.semiclassics._merge_saddles`.
     """
     K = params.K
     fa = (alpha.p1, alpha.q1)
@@ -1181,16 +1139,17 @@ def _heteroclinic_seeds(
         return anchor[None, :] + (side * s)[:, None] * v_u[None, :]
 
     def coefficient(w: np.ndarray, centers: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Unstable coefficient of w in the depth-m frame at ``centers``."""
-        return _unstable_coefficient(w, centers, frame_inv) / depth_scale[m]
+        """Unstable coefficient of w in the depth-m frame at ``centers``:
+        one 2x2 matrix-vector product per row, so each row rounds exactly
+        as it would if projected on its own."""
+        return (frame_inv @ (w - centers)[:, :, None])[:, 0, 0] / depth_scale[m]
 
-    # per level, ordered by side, image, node roots before brackets and
-    # scan index: curve log-offset (a bracket's lower end), side, level,
-    # image (n_p, n_q) and whether the candidate is a bracket still to
-    # refine
-    cands: list[tuple[np.ndarray, ...]] = []
-    # per bracket: upper end, value at the lower end, frozen frame depth
-    # and where its image center's orbit is at that depth
+    # per level: each node root's curve log-offset, side, level and image
+    # (n_p, n_q)
+    roots: list[tuple[np.ndarray, ...]] = []
+    # per level: the same of each bracket's lower end, then its upper end,
+    # value at the lower end, frozen frame depth and where its image
+    # center's orbit is at that depth
     brackets: list[tuple[np.ndarray, ...]] = []
     # t-step endpoints of the current level's scan points, the + side's rows
     # first: level n's are one map step of level n - 1's
@@ -1254,51 +1213,38 @@ def _heteroclinic_seeds(
         # depth switching
         real = np.sign(glo) * np.sign(ghi) < 0
         cross, m, glo, center = cross[real], m[real], glo[real], center[real]
-        # each candidate's index into near, then the order of the list above
-        slot = np.concatenate([nodes, cross])
-        is_bracket = np.arange(slot.size) >= nodes.size
-        row = near[slot]
-        order = np.lexsort((row, is_bracket, k[slot], row >= n_scan))
-        slot, row, is_bracket = slot[order], row[order], is_bracket[order]
-        cands.append((
-            scan_logs[row], sides[row], np.full(row.size, n), named[slot],
-            is_bracket,
+        row = near[nodes]
+        roots.append((scan_logs[row], sides[row], np.full(row.size, n), named[nodes]))
+        row = near[cross]
+        brackets.append((
+            scan_logs[row], sides[row], np.full(row.size, n), named[cross],
+            scan_logs[row + 1], glo, m, center,
         ))
-        b = order[is_bracket] - nodes.size
-        brackets.append((scan_logs[near[cross[b]] + 1], glo[b], m[b], center[b]))
-    if not cands:
+    if not roots:
         return []
 
-    log_star, c_side, c_level, c_image, is_bracket = map(np.concatenate, zip(*cands))
-    hi, glo, b_depth, b_center = map(np.concatenate, zip(*brackets))
-    b_slot = np.nonzero(is_bracket)[0]
-    b_side = c_side[b_slot]
-    b_steps = c_level[b_slot] + t + b_depth
+    lo, b_side, b_level, b_image, hi, glo, b_depth, b_center = map(
+        np.concatenate, zip(*brackets)
+    )
+    b_steps = b_level + t + b_depth
 
     def g_bracket(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         w = _forward_ragged(germ(b_side[rows], np.exp(x)), b_steps[rows], K)
         return coefficient(w, b_center[rows], b_depth[rows])
 
-    log_star[b_slot] = _bisect_brackets(
-        g_bracket, log_star[b_slot], hi, glo, 80, 1e-15
+    bisected = _bisect_brackets(g_bracket, lo, hi, glo, 80, 1e-15)
+    log_star, side, level, image = map(
+        np.concatenate, zip(*roots, (bisected, b_side, b_level, b_image))
     )
-
-    z_star = _forward_ragged(germ(c_side, np.exp(log_star)), c_level, K)
+    z_star = _forward_ragged(germ(side, np.exp(log_star)), level, K)
     end = _forward_many(z_star, t, K)
     start_d = np.hypot(*(z_star - anchor[None, :]).T) / sigma
-    end_d = np.hypot(*(end - (c_image + (beta.p1, beta.q1))).T) / sigma
-    found = _merge_duplicates(
-        (
-            SeedTrajectory(
-                ic=(float(z[0]), float(z[1])),
-                t=t,
-                winding=tuple(n),
-            )
-            for z, d0, d1, n in zip(z_star, start_d, end_d, c_image.tolist())
-            if max(d0, d1) <= _CAPTURE_SIGMA
-        ),
-        lambda s: (s.winding, *s.ic),
-    )
+    end_d = np.hypot(*(end - (image + (beta.p1, beta.q1))).T) / sigma
+    found = [
+        SeedTrajectory(ic=(float(z[0]), float(z[1])), t=t, winding=tuple(n))
+        for z, d0, d1, n in zip(z_star, start_d, end_d, image.tolist())
+        if max(d0, d1) <= _CAPTURE_SIGMA
+    ]
     found.sort(key=lambda s: (s.winding, s.ic))
     return found
 

@@ -57,7 +57,6 @@ from .rotor import (
     LineScan,
     RotorParams,
     SeedTrajectory,
-    _merge_duplicates,
     _scan_crossings,
     _scan_line,
     iterate_map,
@@ -201,10 +200,35 @@ def _prune_and_sum(contributions, weights) -> CorrelationResult:
     return CorrelationResult(branches=kept)
 
 
-def _saddle_place(sad: SaddleTrajectory):
-    """Winding and initial point, the location :func:`_merge_duplicates` compares."""
-    ic = sad.trajectory.initial
-    return sad.seed.winding, ic.p1, ic.q1
+# Saddles of one winding closer than this in every real and imaginary
+# component of their initial point are one stationary point reached twice.
+# Such copies agree to rounding (1.4e-17 apart for the two merges of the
+# chaotic-fig6 preset), while distinct ones sit many orders further apart,
+# so a tolerance well inside that gap separates them.  This merge is the
+# one place duplicate connectors meet: the seed searches merge nothing.
+_MERGE_TOL = 1e-9
+
+
+def _merge_saddles(saddles) -> list:
+    """``saddles`` without duplicates, the first of each group kept, in input order.
+
+    A saddle duplicates a kept one when their seeds' windings are equal and
+    every real and imaginary part of their initial P and Q differs by at
+    most ``_MERGE_TOL``.  This is a distance test, so two copies on either
+    side of a rounding edge still merge.
+    """
+    kept, places = [], []
+    for sad in saddles:
+        winding, ic = sad.seed.winding, sad.trajectory.initial
+        parts = (ic.p1.real, ic.p1.imag, ic.q1.real, ic.q1.imag)
+        if not any(
+            w == winding
+            and all(abs(a - b) <= _MERGE_TOL for a, b in zip(parts, other))
+            for w, other in places
+        ):
+            kept.append(sad)
+            places.append((winding, parts))
+    return kept
 
 
 def _shifted_target(beta: GaussianPacket, winding: tuple[int, int]) -> GaussianPacket:
@@ -640,7 +664,7 @@ def ggwpd_wavefunction(
     ]
     terms = [
         wavefunction_contribution(alpha, sad.trajectory)
-        for sad in _merge_duplicates(saddles, _saddle_place)
+        for sad in _merge_saddles(saddles)
     ]
     return _prune_and_sum(terms, [c.weight for c in terms]).total
 
@@ -781,22 +805,22 @@ def offcenter_contribution(
     return OffCenterContribution(value=value)
 
 
-# Real seed trajectories kept by :func:`_seed_trajectory`.  A sweep reuses
-# one scenario's seeds (7 on chaotic-fig6) at every N, so this holds them
-# all with room for a second scenario.
-_SEED_CACHE_SIZE = 32
+@functools.lru_cache(maxsize=1)
+def _seed_trajectories(
+    ics: tuple[tuple[float, float], ...], t: int, K: float
+) -> tuple[ComplexTrajectory, ...]:
+    """The real orbits of one scenario's transport seeds, propagated once.
 
-
-@functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
-def _seed_trajectory(ic: tuple[float, float], t: int, K: float) -> ComplexTrajectory:
-    """The real orbit of a transport seed, propagated once per scenario.
-
-    It depends on neither packet nor N, so every N of a sweep shares it.
-    It runs through this module's ``propagate``; the trajectory is an
-    immutable record, safe to hand to every caller.
+    They depend on neither packet nor N, so every N of a sweep shares the
+    one entry, whatever the number of seeds.  They run through this
+    module's ``propagate``; each trajectory is an immutable record, safe to
+    hand to every caller.
     """
-    ic_point = ComplexPhasePoint(complex(ic[0]), complex(ic[1]))
-    return propagate(ic_point, t, RotorParams(K))
+    params = RotorParams(K)
+    return tuple(
+        propagate(ComplexPhasePoint(complex(p), complex(q)), t, params)
+        for p, q in ics
+    )
 
 
 def offcenter_correlation(
@@ -808,18 +832,19 @@ def offcenter_correlation(
 ) -> CorrelationResult:
     """Off-center real-trajectory correlation summed over transport seeds.
 
-    Each seed's orbit is propagated once and shared by every later call
-    (:func:`_seed_trajectory`).  A momentum image's torus phase is added to
-    its term (:func:`_image_turns`).
+    The seeds' orbits are propagated once and shared by every later call
+    with the same seeds (:func:`_seed_trajectories`).  A momentum image's
+    torus phase is added to its term (:func:`_image_turns`).
     """
-    contributions: list[OffCenterContribution] = []
     all_turns = _image_turns(beta, [seed.winding[0] for seed in seeds])
-    for seed, turns in zip(seeds, all_turns):
+    for seed in seeds:
         if seed.t != t:
             raise ConfigError(f"seed has t = {seed.t}, expected {t}")
-        traj = _seed_trajectory(tuple(seed.ic), t, params.K)
-        target = _shifted_target(beta, seed.winding)
-        contributions.append(offcenter_contribution(alpha, target, traj, turns))
+    trajs = _seed_trajectories(tuple(tuple(seed.ic) for seed in seeds), t, params.K)
+    contributions = [
+        offcenter_contribution(alpha, _shifted_target(beta, seed.winding), traj, turns)
+        for seed, traj, turns in zip(seeds, trajs, all_turns)
+    ]
     weights = [_modulus(c.value) for c in contributions]
     return _prune_and_sum(contributions, weights)
 

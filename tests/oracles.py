@@ -6,8 +6,11 @@ the free-particle closed forms, H = p^2/2 with the kicked rotor's unit
 mass.  Free motion is quadratic, so the generic saddle evaluators of
 :mod:`ggwpd.semiclassics` must reproduce the evolved packet to machine
 precision; :func:`free_trajectory` packages a free-motion orbit for them,
-and :func:`free_motion_errors` measures all three evaluators.
+and :func:`free_motion_errors` measures all three evaluators.  Rotor
+saddles are judged by :func:`mp_saddle`, the same Newton search in
+mpmath at 40 digits.
 """
+import mpmath
 import numpy as np
 
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
@@ -106,6 +109,57 @@ def stable_invariance_defect(points: np.ndarray, K: float) -> float:
         w = np.clip(np.einsum("ij,ij->i", rel, d[k]) / seg2[k], 0.0, 1.0)
         best = np.minimum(best, np.hypot(*(rel - w[:, None] * d[k]).T))
     return float(best.max())
+
+
+def mp_saddle(
+    alpha: GaussianPacket,
+    target: GaussianPacket,
+    P0: complex,
+    Q0: complex,
+    t: int,
+    K: float,
+    dps: int = 40,
+) -> tuple:
+    """The correlation saddle nearest (P0, Q0), to ``dps`` digits in mpmath.
+
+    Newton's method on the two residuals of :func:`ggwpd.packets.residuals`,
+    the ket ``alpha`` at the start and the bra image ``target`` after t
+    steps, with the Jacobian built from the monodromy matrix as
+    ``find_saddle`` builds it.  The map takes 2 pi exactly; every packet
+    value and K enter as the doubles they are.  Returns (P0, Q0) as
+    ``mpmath.mpc``, once a full step is below 10**(5 - dps); raises
+    ``ArithmeticError`` when 50 steps do not get there.
+    """
+    with mpmath.workdps(dps):
+        K = mpmath.mpf(K)
+        two_pi = 2 * mpmath.pi
+        ba, bb = mpmath.mpf(alpha.b1), mpmath.mpf(target.b1)
+        i_hbar = 1j / mpmath.mpf(alpha.hbar)
+        pa, qa = mpmath.mpf(alpha.p1), mpmath.mpf(alpha.q1)
+        pb, qb = mpmath.mpf(target.p1), mpmath.mpf(target.q1)
+        P0, Q0 = mpmath.mpc(P0), mpmath.mpc(Q0)
+        for _ in range(50):
+            P, Q = P0, Q0
+            m11, m12, m21, m22 = 1, 0, 0, 1
+            for _ in range(t):
+                c = K * mpmath.cos(two_pi * Q)
+                P = P - K / two_pi * mpmath.sin(two_pi * Q)
+                Q = Q + P
+                m11, m12 = m11 - c * m21, m12 - c * m22
+                m21, m22 = m21 + m11, m22 + m12
+            jac = mpmath.matrix([
+                [i_hbar, 2 * ba],
+                [2 * bb * m21 - i_hbar * m11, 2 * bb * m22 - i_hbar * m12],
+            ])
+            res = mpmath.matrix([
+                2 * ba * (Q0 - qa) + i_hbar * (P0 - pa),
+                2 * bb * (Q - qb) - i_hbar * (P - pb),
+            ])
+            dP, dQ = mpmath.lu_solve(jac, -res)
+            P0, Q0 = P0 + dP, Q0 + dQ
+            if max(abs(dP), abs(dQ)) < mpmath.mpf(10) ** (5 - dps):
+                return P0, Q0
+    raise ArithmeticError(f"no {dps}-digit saddle near ({P0}, {Q0}) after 50 steps")
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from ggwpd.experiment import (
 from ggwpd.floquet import discretize_packet, floquet_matrix, quantum_correlation
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import RotorParams, iterate_map, propagate
-from ggwpd.semiclassics import find_saddle, linearized_correlation
-from oracles import evolved_center, free_motion_errors
+from ggwpd.semiclassics import _shifted_target, find_saddle, linearized_correlation
+from oracles import evolved_center, free_motion_errors, mp_saddle
 
 
 def _by_winding(setup):
@@ -359,6 +359,27 @@ def _branch_guess(q0: float, qt: float, t: int, params: RotorParams) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "name, t, count",
+    [("integrable-fig2", 2, 1), ("chaotic-fig6", 2, 7), ("chaotic-fig6", 3, 21)],
+)
+def test_saddles_match_the_40_digit_oracle(name, t, count):
+    """Every saddle of the scenario is within 1e-15, in each real and
+    imaginary part of P0 and Q0, of the saddle that Newton's method in
+    40-digit mpmath reaches from it (:func:`oracles.mp_saddle`)."""
+    cfg = config_from_dict({"t": t}, base=preset(name))
+    setup = prepare_scenario(cfg)
+    alpha, beta = packets_for(cfg, cfg.seed_N)
+    assert len(setup.saddles) == count
+    for sad in setup.saddles:
+        start = sad.trajectory.initial
+        target = _shifted_target(beta, sad.seed.winding)
+        P0, Q0 = mp_saddle(alpha, target, start.p1, start.q1, t, cfg.K)
+        for got, want in ((start.p1, P0), (start.q1, Q0)):
+            assert abs(got.real - float(want.real)) <= 1e-15
+            assert abs(got.imag - float(want.imag)) <= 1e-15
 
 
 def test_action_is_the_generating_function_of_the_map():

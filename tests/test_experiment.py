@@ -26,7 +26,7 @@ from ggwpd.experiment import (
     preset,
     run_sweep,
 )
-from ggwpd.rotor import propagate
+from ggwpd.rotor import SeedTrajectory, propagate
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,9 @@ def test_row_metrics_recompute_from_the_correlations(
 
 def test_sweep_propagates_each_seed_once(chaotic_bundle, monkeypatch):
     """The seed orbits do not depend on N, so a sweep over six N makes as
-    many ``propagate`` calls as one over two."""
+    many ``propagate`` calls as one over two, one per seed.  The orbits of
+    one scenario are one cache entry, however many seeds it has: the 51 of
+    K = 12, t = 3 and image range 3 are propagated once each over three N."""
     calls = []
 
     def counting(*args):
@@ -245,16 +247,54 @@ def test_sweep_propagates_each_seed_once(chaotic_bundle, monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(semiclassics, "propagate", counting)
-    counts = []
-    for n_list in ((50, 100), (50, 100, 150, 200, 250, 300)):
-        cfg = config_from_dict({"N_list": n_list}, base=chaotic_bundle.config)
-        setup = ScenarioSetup(cfg, chaotic_bundle.setup.saddles)
-        semiclassics._seed_trajectory.cache_clear()
+
+    def sweep_calls(setup):
+        semiclassics._seed_trajectories.cache_clear()
         calls.clear()
         rows = run_sweep(setup)
         assert not any(r.error for r in rows)
-        counts.append(len(calls))
+        return len(calls)
+
+    base = chaotic_bundle.config
+    counts = [
+        sweep_calls(ScenarioSetup(
+            config_from_dict({"N_list": n_list}, base=base), chaotic_bundle.setup.saddles
+        ))
+        for n_list in ((50, 100), (50, 100, 150, 200, 250, 300))
+    ]
     assert counts[0] == counts[1] == len(chaotic_bundle.setup.seeds)
+    wide = prepare_scenario(config_from_dict(
+        {"K": 12.0, "t": 3, "image_range": 3, "N_list": (50, 100, 150)}, base=base
+    ))
+    assert len(wide.seeds) == 51
+    assert sweep_calls(wide) == 51
+
+
+def test_copies_of_a_connector_meet_at_the_saddle_merge(chaotic_bundle, monkeypatch):
+    """Duplicate connectors are resolved in one place, the saddle merge of
+    ``prepare_scenario``: a seed search that returned each chaotic-fig6
+    seed followed by a copy one ulp away in p gives the preset's scenario
+    and the same sweep rows."""
+    find_seeds = experiment.find_seeds
+
+    def doubled(*args, **kwargs):
+        return [
+            copy
+            for s in find_seeds(*args, **kwargs)
+            for copy in (
+                s,
+                SeedTrajectory(
+                    ic=(math.nextafter(s.ic[0], math.inf), s.ic[1]),
+                    t=s.t,
+                    winding=s.winding,
+                ),
+            )
+        ]
+
+    monkeypatch.setattr(experiment, "find_seeds", doubled)
+    setup = prepare_scenario(chaotic_bundle.config)
+    assert setup == chaotic_bundle.setup
+    assert run_sweep(setup) == chaotic_bundle.rows
 
 
 def test_rows_are_ordered_by_grid_size(integrable_bundle):

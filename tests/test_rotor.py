@@ -24,8 +24,8 @@ from ggwpd.rotor import (
     _CAPTURE_RADIUS,
     _CURVE_SPACING,
     _GERM_OFFSET,
-    _MERGE_TOL,
     _SHEAR_HALFWIDTH_SIGMA,
+    ComplexTrajectory,
     LineScan,
     ManifoldCurve,
     RotorParams,
@@ -37,7 +37,6 @@ from ggwpd.rotor import (
     _forward_ragged,
     _hyperbolic_frame,
     _line_roots,
-    _merge_duplicates,
     _monotone_run,
     _scan_line,
     _sign_change_brackets,
@@ -53,7 +52,12 @@ from ggwpd.rotor import (
     stable_manifold,
     unstable_manifold,
 )
-from ggwpd.semiclassics import _WAVE_HALFWIDTH_SIGMA
+from ggwpd.semiclassics import (
+    _MERGE_TOL,
+    _WAVE_HALFWIDTH_SIGMA,
+    SaddleTrajectory,
+    _merge_saddles,
+)
 from oracles import inverse_map_step, map_step
 
 K_CHAOTIC = RotorParams(K=8.25)
@@ -1026,8 +1030,10 @@ def test_chaotic_seed_search_finds_paired_connectors():
 def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
                                     capture_sigma=5.0, capture_radius=0.3):
     """Reference search: one bracket at a time, each point walked and
-    bisected on its own, and strict sign changes only.  Returns the seeds
-    and how many brackets were dropped as depth-switching artifacts."""
+    bisected on its own, and strict sign changes only.  Like the search,
+    it merges no seed: copies of one connector meet at the saddle merge.
+    Returns the seeds and how many brackets were dropped as
+    depth-switching artifacts."""
     K = params.K
     fa = (alpha.p1, alpha.q1)
     fb = (beta.p1, beta.q1)
@@ -1074,7 +1080,7 @@ def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
             orbit.append(_forward_many(orbit[-1][None, :], 1, K)[0])
         orbits[(n_p, n_q)] = np.array(orbit)
 
-    found, seen, artifacts = [], set(), 0
+    found, artifacts = [], 0
     for n in range(n_levels):
         logs = np.linspace(np.log(s0), np.log(abs(lam_u) * s0), n_scan)
         for side in (+1.0, -1.0):
@@ -1122,10 +1128,6 @@ def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
                     end_d = np.hypot(*(end - orbit[0])) / sigma
                     if max(start_d, end_d) > capture_sigma:
                         continue
-                    key = (int(np.round(z_star[0] * 1e9)), int(np.round(z_star[1] * 1e9)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     found.append(
                         SeedTrajectory(
                             ic=(float(z_star[0]), float(z_star[1])),
@@ -1145,7 +1147,7 @@ def test_lockstep_heteroclinic_search_matches_per_bracket_reference(
     K, t, image_range, count, artifacts
 ):
     """Gathering every bracket and bisecting them together gives the
-    reference's seeds bit for bit, merged duplicates included.  The
+    reference's seeds bit for bit, with no seed merged by either.  The
     K = 7 case also drops brackets as depth-switching artifacts."""
     alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
     params = RotorParams(K)
@@ -1529,19 +1531,34 @@ def test_unknown_regime_rejected():
 # duplicate merge
 # ---------------------------------------------------------------------------
 
-def _place(item):
-    return item[1:]
+def _saddle(winding, P, Q):
+    """A saddle record of ``winding`` whose trajectory starts at (P, Q),
+    all that :func:`_merge_saddles` reads of it."""
+    start = ComplexPhasePoint(complex(P), complex(Q))
+    return SaddleTrajectory(
+        trajectory=ComplexTrajectory(
+            points=(start,), action=0j, legs=((1 + 0j, 0j, 0j, 1 + 0j),)
+        ),
+        seed=SeedTrajectory(ic=(0.0, 0.0), t=0, winding=winding),
+        residual_history=(0.0,),
+    )
+
+
+def _merged(named):
+    """The names :func:`_merge_saddles` keeps of (name, saddle) pairs."""
+    names = {id(sad): name for name, sad in named}
+    return [names[id(sad)] for sad in _merge_saddles([sad for _, sad in named])]
 
 
 def test_merge_keeps_the_first_item_in_input_order():
     items = [
-        ("a", (0, 1), 0.1 + 0.2j, 0.3),
-        ("b", (0, 0), 0.1 + 0.2j, 0.3),
-        ("c", (0, 1), 0.1 + 0.2j, 0.3),
-        ("d", (0, 0), 0.4, 0.3 - 0.1j),
-        ("e", (0, 0), 0.1 + 0.2j, 0.3),
+        ("a", _saddle((0, 1), 0.1 + 0.2j, 0.3)),
+        ("b", _saddle((0, 0), 0.1 + 0.2j, 0.3)),
+        ("c", _saddle((0, 1), 0.1 + 0.2j, 0.3)),
+        ("d", _saddle((0, 0), 0.4, 0.3 - 0.1j)),
+        ("e", _saddle((0, 0), 0.1 + 0.2j, 0.3)),
     ]
-    assert [i[0] for i in _merge_duplicates(items, _place)] == ["a", "b", "d"]
+    assert _merged(items) == ["a", "b", "d"]
 
 
 @pytest.mark.parametrize("part", range(4))
@@ -1551,25 +1568,29 @@ def test_merge_tolerance_applies_to_every_component(part):
     def item(name, offset):
         x = base.copy()
         x[part] += offset
-        return (name, (1, -1), complex(x[0], x[1]), complex(x[2], x[3]))
+        return (name, _saddle((1, -1), complex(x[0], x[1]), complex(x[2], x[3])))
 
     near = [item("first", 0.0), item("near", 0.9 * _MERGE_TOL)]
     far = [item("first", 0.0), item("far", 1.1 * _MERGE_TOL)]
-    assert [i[0] for i in _merge_duplicates(near, _place)] == ["first"]
-    assert [i[0] for i in _merge_duplicates(far, _place)] == ["first", "far"]
+    assert _merged(near) == ["first"]
+    assert _merged(far) == ["first", "far"]
 
 
 @pytest.mark.parametrize("part", range(4))
 def test_merge_never_joins_an_item_with_a_nan_part(part):
     """A NaN part fails the distance test wherever it sits among the four,
-    so neither its exact copy nor the finite item it came from merges."""
+    so neither its exact copy nor the finite saddle it came from merges."""
     parts = [0.2, -0.05, 0.7, 0.01]
-    finite = ("finite", (0, 0), complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+    finite = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
     parts[part] = float("nan")
-    nan = ("nan", (0, 0), complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    items = [finite, nan, ("copy",) + nan[1:]]
-    assert [i[0] for i in _merge_duplicates(items, _place)] == ["finite", "nan", "copy"]
-    assert [i[0] for i in _merge_duplicates(items[1:], _place)] == ["nan", "copy"]
+    nan = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+    items = [
+        ("finite", _saddle((0, 0), *finite)),
+        ("nan", _saddle((0, 0), *nan)),
+        ("copy", _saddle((0, 0), *nan)),
+    ]
+    assert _merged(items) == ["finite", "nan", "copy"]
+    assert _merged(items[1:]) == ["nan", "copy"]
 
 
 def test_merge_joins_copies_on_either_side_of_a_rounding_edge():
@@ -1578,8 +1599,8 @@ def test_merge_joins_copies_on_either_side_of_a_rounding_edge():
     lo, hi = 1.5e-9 - 5e-18, 1.5e-9 + 5e-18
     assert round(lo, 9) != round(hi, 9)
     assert int(np.round(lo * 1e9)) != int(np.round(hi * 1e9))
-    items = [("lo", (0, 0), complex(lo), 0j), ("hi", (0, 0), complex(hi), 0j)]
-    assert [i[0] for i in _merge_duplicates(items, _place)] == ["lo"]
+    items = [("lo", _saddle((0, 0), lo, 0j)), ("hi", _saddle((0, 0), hi, 0j))]
+    assert _merged(items) == ["lo"]
 
 
 def test_chaotic_preset_merges_nine_seeds_into_seven_saddles(chaotic_bundle):

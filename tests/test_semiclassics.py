@@ -35,7 +35,6 @@ from ggwpd.rotor import (
     RotorParams,
     SeedTrajectory,
     _line_roots,
-    _merge_duplicates,
     _scan_crossings,
     _scan_line,
     find_seeds,
@@ -1042,7 +1041,7 @@ def _wavefunction_uncached(alpha, x, t, params, image_range):
     ]
     terms = [
         wavefunction_contribution(alpha, sad.trajectory)
-        for sad in _merge_duplicates(saddles, semiclassics._saddle_place)
+        for sad in semiclassics._merge_saddles(saddles)
     ]
     weights = [
         float(np.exp((1j * c.action / alpha.hbar + c.ket_exponent + c.bra_exponent).real))
@@ -1095,7 +1094,7 @@ def _position_saddle_sum(alpha, seeds, t, params, propagations):
         calls = len(propagations) - before
         saddles.append(sad)
         solves.append((sad.iterations, calls - 1 - sad.iterations))
-    merged = _merge_duplicates(saddles, semiclassics._saddle_place)
+    merged = semiclassics._merge_saddles(saddles)
     terms = [wavefunction_contribution(alpha, sad.trajectory) for sad in merged]
     result = semiclassics._prune_and_sum(terms, [c.weight for c in terms])
     kept = [
