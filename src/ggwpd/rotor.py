@@ -703,21 +703,23 @@ def _round_scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``"%.17g" % x[i]``, NUL-padded, into row i of the zeroed ``out``.
 
-    ``out`` is (n, 43) uint8: a sign, the "0." and three zeros of 0.000ddd,
-    the 17 digits with a point slot after each of the first 16, and "e-XX".
-    Finite |x| in [1e-10, 1e14) is formatted over the whole array with
-    integer arithmetic.  With |x| = M 2**E, the 17-digit significand is
-    D = round-half-even(M 10**k 2**E) with k = 16 - X, for the decimal
-    exponent X of the rounded value.  X starts from floor(log10 |x|), one
-    off at worst, and steps once: up where D reaches 10**17, and down
-    where D is at most 10**16 (10**16 itself may be |x| 10**k rounded up)
-    unless the step down reaches 10**17 again.  There k is at most 27 and
-    the shift -(E + k) lies in [1, 63] (:func:`_round_scaled`).  The
-    digits are laid out by %g's rules: fixed notation for -4 <= X < 17 and
-    d.ddd e-XX below, with trailing zeros dropped, and the point too when
-    no digit follows it.  Every other value (±0, non-finite values and
-    magnitudes outside the range) is formatted by ``%`` itself, once per
-    distinct bit pattern, so a column of zeros costs one call.
+    ``out`` is (n, 28) uint8: a sign, the "0." and three zeros of 0.000ddd,
+    the 17 digits with one point slot, and "e-XX".  The slot follows digit
+    0 (in 0.000ddd it stays empty), except for 10 <= |x| < 1e14, whose
+    point follows digit X: there digits 1 to X move one column left, over
+    the slot.  Finite |x| in [1e-10, 1e14) is formatted over the whole
+    array with integer arithmetic.  With |x| = M 2**E, the 17-digit
+    significand is D = round-half-even(M 10**k 2**E) with k = 16 - X, for
+    the decimal exponent X of the rounded value.  X starts from
+    floor(log10 |x|), one off at worst, and steps once: up where D reaches
+    10**17, and down where D is at most 10**16 (10**16 itself may be
+    |x| 10**k rounded up) unless the step down reaches 10**17 again.  There
+    k is at most 27 and the shift -(E + k) lies in [1, 63]
+    (:func:`_round_scaled`).  The digits are laid out by %g's rules: fixed
+    notation for -4 <= X < 17 and d.ddd e-XX below, with trailing zeros
+    dropped, and the point too when no digit follows it.  Every other value
+    (±0, non-finite values and magnitudes outside the range) is formatted
+    by :func:`_percent_g17`.
     """
     a = np.abs(x)
     fast = (a >= 1e-10) & (a < 1e14)
@@ -754,27 +756,43 @@ def _write_g17(x: np.ndarray, out: np.ndarray) -> None:
     point = np.where(sci, 0, np.where(lead, -1, X))
     digits += 48
     digits *= np.arange(17)[:, None] <= np.maximum(last, point)
-    out[:, 6:39:2] = digits.T
+    out[:, 6] = digits[0]
+    out[:, 8:24] = digits[1:].T
     out[:, 0] = np.signbit(x) * np.uint8(45)
     out[:, 1] = lead * np.uint8(48)
     out[:, 2] = lead * np.uint8(46)
     for c in range(3):
         out[:, 3 + c] = (lead & (X < -1 - c)) * np.uint8(48)
-    rows = np.flatnonzero((last > point) & (point >= 0))
-    out[rows, 7 + 2 * point[rows]] = 46
+    out[:, 7] = ((last > point) & (point >= 0)) * np.uint8(46)
+    rows = np.flatnonzero(point > 0)
+    if rows.size:
+        # the slot's byte moves from column 7 to column 7 + X, and the X
+        # digits after it one column left
+        c = np.arange(7, 24)
+        at = 7 + point[rows, None]
+        src = np.where(c < at, c + 1, np.where(c == at, 7, c))
+        out[rows, 7:24] = np.take_along_axis(out[rows], src, axis=1)
     rows = np.flatnonzero(sci)
-    out[rows, 39:41] = (101, 45)
-    out[rows, 41] = 48 + -X[rows] // 10
-    out[rows, 42] = 48 + -X[rows] % 10
+    out[rows, 24:26] = (101, 45)
+    out[rows, 26] = 48 + -X[rows] // 10
+    out[rows, 27] = 48 + -X[rows] % 10
     slow = np.flatnonzero(~fast)
-    if not slow.size:
-        return
-    patterns, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
-    texts = np.zeros((patterns.size, out.shape[1]), dtype=np.uint8)
+    if slow.size:
+        out[slow] = _percent_g17(x[slow], out.shape[1])
+
+
+def _percent_g17(x: np.ndarray, width: int) -> np.ndarray:
+    """``"%.17g" % x[i]``, NUL-padded to ``width`` bytes, in row i.
+
+    ``%`` runs once per distinct bit pattern, so a column of zeros costs
+    one call.
+    """
+    patterns, which = np.unique(x.view(np.uint64), return_inverse=True)
+    texts = np.zeros((patterns.size, width), dtype=np.uint8)
     for row, v in zip(texts, patterns.view(np.float64).tolist()):
         text = ("%.17g" % v).encode()
         row[: len(text)] = np.frombuffer(text, np.uint8)
-    out[slow] = texts[which]
+    return texts[which]
 
 
 # rows per :func:`_write_g17` call in :func:`curve_to_csv`: the writer holds
@@ -789,8 +807,8 @@ def curve_to_csv(curve: ManifoldCurve, path) -> None:
     shorter), each written as soon as it is formatted, so the writer
     holds one block, not the whole curve.  One :func:`_write_g17` call per
     block renders p and q interleaved, exactly as ``format(v, ".17g")``
-    does, into a zeroed (2b, 44) array whose last column holds the ``,``
-    after p and the newline after q.  Reshaped to (b, 88), it follows the
+    does, into a zeroed (2b, 29) array whose last column holds the ``,``
+    after p and the newline after q.  Reshaped to (b, 58), it follows the
     index digits and comma in a NUL-padded uint8 matrix, a view of a
     ``bytearray`` that drops its NULs without a copy.  The index width is
     the whole curve's, so a row's bytes do not depend on its block.  A
@@ -817,19 +835,21 @@ def curve_to_csv(curve: ManifoldCurve, path) -> None:
 def _csv_rows(pts: np.ndarray, start: int, w: int) -> bytearray:
     """The CSV rows of ``pts``, indexed from ``start`` in width ``w``."""
     b = len(pts)
-    values = np.zeros((2 * b, 44), dtype=np.uint8)
-    _write_g17(pts.reshape(-1), values[:, :43])
-    values[0::2, 43] = 44
-    values[1::2, 43] = 10
-    text = bytearray(b * (w + 89))
-    m = np.frombuffer(text, dtype=np.uint8).reshape(b, w + 89)
-    idx = np.arange(start, start + b)
+    values = np.zeros((2 * b, 29), dtype=np.uint8)
+    _write_g17(pts.reshape(-1), values[:, :28])
+    values[0::2, 28] = 44
+    values[1::2, 28] = 10
+    text = bytearray(b * (w + 59))
+    m = np.frombuffer(text, dtype=np.uint8).reshape(b, w + 59)
+    # uint32 holds the index of any curve under 2**32 points (64 GiB of
+    # them), and divides faster than int64
+    idx = np.arange(start, start + b, dtype=np.uint32)
     for c in range(w - 1, -1, -1):
         # a leading zero of the index is a NUL
         m[:, c] = (idx % 10 + 48) * ((idx > 0) | (c == w - 1))
         idx //= 10
     m[:, w] = 44
-    m[:, w + 1 :] = values.reshape(b, 88)
+    m[:, w + 1 :] = values.reshape(b, 58)
     return text.translate(None, b"\0")
 
 
@@ -1077,6 +1097,22 @@ def _forward_ragged(pts: np.ndarray, steps: np.ndarray, K: float) -> np.ndarray:
     return out
 
 
+def _capturable(
+    z_lo: np.ndarray, z_hi: np.ndarray, center: np.ndarray, radius: float
+) -> np.ndarray:
+    """Whether the curve arc from z_lo[i] to z_hi[i] can come within
+    ``radius`` of ``center``.
+
+    The arc is taken to stay within twice its chord of either end: the
+    roots of 66,675 heteroclinic brackets (K from 4.5 to 20, t <= 3,
+    ``image_range`` <= 3, N from 20 to 200) lay within 0.9998 chords of
+    both.  A NaN distance keeps its arc.
+    """
+    chord = np.hypot(*(z_hi - z_lo).T)
+    near = np.minimum(np.hypot(*(z_lo - center).T), np.hypot(*(z_hi - center).T))
+    return ~(near - 2.0 * chord > radius)
+
+
 def _heteroclinic_seeds(
     alpha: GaussianPacket,
     beta: GaussianPacket,
@@ -1225,6 +1261,17 @@ def _heteroclinic_seeds(
 
     lo, b_side, b_level, b_image, hi, glo, b_depth, b_center = map(
         np.concatenate, zip(*brackets)
+    )
+    # a bracket's root starts on the curve between its ends' start points;
+    # only the brackets whose root can pass the start test below are bisected
+    starts = _forward_ragged(
+        germ(np.tile(b_side, 2), np.exp(np.concatenate([lo, hi]))),
+        np.tile(b_level, 2),
+        K,
+    )
+    keep = _capturable(*np.split(starts, 2), anchor, _CAPTURE_SIGMA * sigma)
+    lo, b_side, b_level, b_image, hi, glo, b_depth, b_center = (
+        v[keep] for v in (lo, b_side, b_level, b_image, hi, glo, b_depth, b_center)
     )
     b_steps = b_level + t + b_depth
 

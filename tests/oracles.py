@@ -8,7 +8,7 @@ mass.  Free motion is quadratic, so the generic saddle evaluators of
 precision; :func:`free_trajectory` packages a free-motion orbit for them,
 and :func:`free_motion_errors` measures all three evaluators.  Rotor
 saddles are judged by :func:`mp_saddle`, the same Newton search in
-mpmath at 40 digits.
+mpmath at 40 digits, and their terms by :func:`mp_contribution`.
 """
 import mpmath
 import numpy as np
@@ -160,6 +160,76 @@ def mp_saddle(
             if max(abs(dP), abs(dQ)) < mpmath.mpf(10) ** (5 - dps):
                 return P0, Q0
     raise ArithmeticError(f"no {dps}-digit saddle near ({P0}, {Q0}) after 50 steps")
+
+
+def mp_contribution(
+    alpha: GaussianPacket,
+    target: GaussianPacket,
+    P0,
+    Q0,
+    t: int,
+    K: float,
+    turns: float = 0.0,
+    dps: int = 40,
+):
+    """The steepest-descent term of the saddle at (P0, Q0), to ``dps`` digits.
+
+    The term of :func:`ggwpd.semiclassics.saddle_contribution` in mpmath:
+    the orbit's action S, the ket norm exponent at its start and the bra
+    norm exponent at its end (:mod:`ggwpd.packets`), the image phase
+    -2 pi i ``turns``, and the square root of the prefactor's determinant,
+    continued leg by leg from the principal root at the start as
+    ``_tracked_sqrt`` continues it.  The map takes 2 pi exactly; every
+    packet value and K enter as the doubles they are.  Returns the term as
+    ``mpmath.mpc``; raises ``ArithmeticError`` at a caustic, where a leg's
+    determinant passes through zero.
+    """
+    with mpmath.workdps(dps):
+        K = mpmath.mpf(K)
+        two_pi = 2 * mpmath.pi
+        hbar = mpmath.mpf(alpha.hbar)
+        ba, bb = mpmath.mpf(alpha.b1), mpmath.mpf(target.b1)
+
+        def det(m11, m12, m21, m22):
+            return m11 * ba + bb * m22 + 2j * hbar * bb * m21 * ba - 0.5j / hbar * m12
+
+        def norm_exponent(b, P, Q, cross):
+            # the ket's exponent for cross = -1, the bra's for cross = +1
+            PR, PI, QI = P.real, P.imag, Q.imag
+            return (
+                1j * PR * PI / (2 * hbar**2 * b)
+                - PI**2 / (4 * hbar**2 * b)
+                - QI**2 * b
+                + cross * PR * QI / hbar
+            )
+
+        P0, Q0 = mpmath.mpc(P0), mpmath.mpc(Q0)
+        P, Q, S = P0, Q0, mpmath.mpc(0)
+        m11, m12, m21, m22 = 1, 0, 0, 1
+        dets = [det(m11, m12, m21, m22)]
+        for _ in range(t):
+            c = K * mpmath.cos(two_pi * Q)
+            P = P - K / two_pi * mpmath.sin(two_pi * Q)
+            S += P**2 / 2 + c / two_pi**2
+            Q = Q + P
+            m11, m12 = m11 - c * m21, m12 - c * m22
+            dets.append(det(m11, m12, m21, m22))
+            m21, m22 = m21 + m11, m22 + m12
+            dets.append(det(m11, m12, m21, m22))
+        angle = mpmath.arg(dets[0])
+        for z0, z1 in zip(dets, dets[1:]):
+            leg = z1 * mpmath.conj(z0)
+            if leg.imag == 0 and leg.real <= 0:
+                raise ArithmeticError("determinant passes through zero: caustic")
+            angle += mpmath.arg(z1 / z0)
+        root = mpmath.sqrt(abs(dets[-1])) * mpmath.expj(angle / 2)
+        exponent = (
+            1j * S / hbar
+            + norm_exponent(ba, P0, Q0, -1)
+            + norm_exponent(bb, P, Q, 1)
+            - 2j * mpmath.pi * turns
+        )
+        return (4 * ba * bb) ** 0.25 * mpmath.exp(exponent) / root
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,14 @@ from ggwpd.experiment import (
 from ggwpd.floquet import discretize_packet, floquet_matrix, quantum_correlation
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import RotorParams, iterate_map, propagate
-from ggwpd.semiclassics import _shifted_target, find_saddle, linearized_correlation
-from oracles import evolved_center, free_motion_errors, mp_saddle
+from ggwpd.semiclassics import (
+    _image_turns,
+    _shifted_target,
+    find_saddle,
+    linearized_correlation,
+    saddle_contribution,
+)
+from oracles import evolved_center, free_motion_errors, mp_contribution, mp_saddle
 
 
 def _by_winding(setup):
@@ -380,6 +386,35 @@ def test_saddles_match_the_40_digit_oracle(name, t, count):
         for got, want in ((start.p1, P0), (start.q1, Q0)):
             assert abs(got.real - float(want.real)) <= 1e-15
             assert abs(got.imag - float(want.imag)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "name, N",
+    [
+        ("integrable-fig2", 50),
+        ("integrable-fig2", 700),
+        ("integrable-fig2", 4000),
+        ("chaotic-fig6", 50),
+        ("chaotic-fig6", 700),
+    ],
+)
+def test_contributions_match_the_40_digit_oracle(name, N):
+    """Each preset saddle's descent term at N is within 2e-14 N relative,
+    1e-12 at the saddle-solving N = 50, of the term that
+    :func:`oracles.mp_contribution` takes at its 40-digit saddle.  The
+    bound grows with N as the phase S / hbar = 2 pi N S does: a few ulps
+    of the action are a phase error proportional to N."""
+    cfg = preset(name)
+    setup = prepare_scenario(cfg)
+    alpha, beta = packets_for(cfg, N)
+    turns = _image_turns(beta, [sad.seed.winding[0] for sad in setup.saddles])
+    for sad, turn in zip(setup.saddles, turns):
+        start = sad.trajectory.initial
+        target = _shifted_target(beta, sad.seed.winding)
+        P0, Q0 = mp_saddle(alpha, target, start.p1, start.q1, cfg.t, cfg.K)
+        want = mp_contribution(alpha, target, P0, Q0, cfg.t, cfg.K, turn)
+        got = saddle_contribution(alpha, target, sad.trajectory, turn).value
+        assert abs(got - want) <= 2e-14 * N * abs(want)
 
 
 def test_action_is_the_generating_function_of_the_map():

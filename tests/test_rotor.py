@@ -872,7 +872,7 @@ def test_curve_to_csv_matches_csv_writer_bytes(tmp_path):
 def _g17(values) -> list[str]:
     """Each value as the curve CSV's %.17g kernel renders it."""
     x = np.asarray(values, dtype=np.float64)
-    out = np.zeros((x.size, 43), dtype=np.uint8)
+    out = np.zeros((x.size, 28), dtype=np.uint8)
     _write_g17(x, out)
     return [row[row != 0].tobytes().decode() for row in out]
 
@@ -921,6 +921,25 @@ def test_g17_kernel_renders_every_float_as_format(values):
     """Every float64, subnormals, signed zeros and non-finite values
     included, renders exactly as ``format(v, ".17g")``."""
     assert _g17(values) == [format(v, ".17g") for v in values]
+
+
+def test_g17_kernel_formats_the_whole_fast_range_without_percent(monkeypatch):
+    """Every decimal exponent from -10 to 13, both signs, and the edges of
+    [1e-10, 1e14) render exactly, and none of them through ``%``."""
+    rng = np.random.default_rng(3)
+    exps = np.repeat(np.arange(-10, 14), 100)
+    values = 10.0**exps * rng.uniform(1.0, 10.0, exps.size)
+    values = np.concatenate([values, 10.0 ** np.arange(-10, 14), [np.nextafter(1e14, 0)]])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    sent = []
+
+    def counting(x, width):
+        sent.append(x.size)
+        return rotor._percent_g17(x, width)
+
+    monkeypatch.setattr(rotor, "_percent_g17", counting)
+    assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+    assert sum(sent) == 0
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1174,55 @@ def test_lockstep_heteroclinic_search_matches_per_bracket_reference(
     seeds = find_seeds(alpha, beta, t, params, image_range=image_range, regime="chaotic")
     assert (len(ref), dropped) == (count, artifacts)
     assert seeds == ref
+
+
+def _chaotic_search(K, t, image_range, N, centers):
+    """``find_seeds`` as (winding, ic hex) rows, or the error it raises."""
+    alpha, beta = _packet_pair(*centers[0], *centers[1], N=N)
+    try:
+        seeds = find_seeds(
+            alpha, beta, t, RotorParams(K), image_range=image_range, regime="chaotic"
+        )
+    except NumericalError as exc:
+        return str(exc)
+    return [(s.winding, s.ic[0].hex(), s.ic[1].hex()) for s in seeds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.floats(4.5, 20.0),
+    t=st.integers(1, 4),
+    image_range=st.integers(0, 4),
+    N=st.sampled_from([20, 50, 100, 200]),
+    centers=st.sampled_from(
+        [((0, 0), (0, 0.5)), ((0, 0.5), (0, 0)), ((0, 1), (0, 0.5)), ((0, 0), (0, 1))]
+    ),
+)
+@example(K=8.25, t=4, image_range=4, N=20, centers=((0, 0), (0, 0.5)))
+def test_capture_prefilter_drops_no_seed(K, t, image_range, N, centers):
+    """Bisecting only the brackets whose root can start within the capture
+    width gives the seeds of bisecting every bracket, bit for bit."""
+    got = _chaotic_search(K, t, image_range, N, centers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotor, "_capturable", lambda z_lo, z_hi, c, r: np.ones(len(z_lo), bool))
+        want = _chaotic_search(K, t, image_range, N, centers)
+    assert got == want
+
+
+def test_preset_bisects_only_the_brackets_it_keeps(monkeypatch):
+    """On ``chaotic-fig6`` each of the 9 seeds comes from a bracket, and
+    only those 9 of the 105 brackets are bisected; the other 96 fail the
+    start test."""
+    bisected = []
+
+    def counting(g, lo, *args):
+        bisected.append(lo.size)
+        return _bisect_brackets(g, lo, *args)
+
+    monkeypatch.setattr(rotor, "_bisect_brackets", counting)
+    alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
+    seeds = find_seeds(alpha, beta, 2, K_CHAOTIC, image_range=2, regime="chaotic")
+    assert (len(seeds), bisected) == (9, [9])
 
 
 def test_heteroclinic_search_builds_only_the_images_it_reaches():
