@@ -270,16 +270,16 @@ _METHODS = ("oc", "ggwpd")
 class SweepRow(_Record):
     """One N of a sweep: the three correlations and their error metrics.
 
-    Only the measured values are arguments; for each method m of
-    ``_METHODS`` the metrics ``abs_err_m``, ``ratio_m`` and ``phase_err_m``
-    are derived from ``C_qm`` and ``C_m`` here.  They are fields too, so
-    ``==``, ``hash`` and ``repr`` read them.  An error row carries NaN
-    sums, so its metrics are NaN.  A sum that is exactly zero raises
-    :class:`NumericalError`: its magnitude ratio is undefined.
+    The fields are the measured values; for each method m of ``_METHODS``
+    the metrics ``abs_err_m``, ``ratio_m`` and ``phase_err_m`` are derived
+    from ``C_qm`` and ``C_m`` here, in slots outside the fields.  An error
+    row carries NaN sums, so its metrics are NaN.  A sum that is exactly
+    zero raises :class:`NumericalError`: its magnitude ratio is undefined.
     """
 
-    __slots__ = _fields = (
-        "N", "C_qm", "C_oc", "C_ggwpd", "error",
+    _fields = ("N", "C_qm", "C_oc", "C_ggwpd", "error")
+    __slots__ = (
+        *_fields,
         "abs_err_oc", "abs_err_ggwpd",
         "ratio_oc", "ratio_ggwpd",
         "phase_err_oc", "phase_err_ggwpd",
@@ -305,17 +305,6 @@ class SweepRow(_Record):
             # np.angle's arctan2, without its array wrapping
             z = C_qm * np.conj(c)
             _set(self, f"phase_err_{m}", float(np.arctan2(z.imag, z.real)))
-
-    def __reduce__(self):
-        # __init__ takes the measured values; the metrics follow as they
-        # are, so that a copy's NaN metric is the same object and compares
-        # equal, as a copied dataclass's does
-        values = self._values()
-        return self.__class__, values[:5], values[5:]
-
-    def __setstate__(self, metrics: tuple) -> None:
-        for name, value in zip(self._fields[5:], metrics):
-            _set(self, name, value)
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioSetup:

@@ -58,12 +58,13 @@ def _modulus(z: complex) -> float:
 class _Record:
     """Base of every record in the package.
 
-    A record stores its fields, ``_fields`` in order, in ``__slots__`` set
-    once by its ``__init__``; assignment and deletion raise
+    A record's fields, ``_fields`` in order, are exactly its ``__init__``
+    arguments.  ``__init__`` sets them in ``__slots__``, together with any
+    value it derives from them in a slot outside ``_fields``, and nothing
+    sets a slot afterwards: assignment and deletion raise
     ``AttributeError``.  ``==``, ``hash`` and ``repr`` read the fields the
     way a frozen dataclass's generated methods do, and pickling or copying
-    rebuilds a record through its ``__init__``; a record whose ``__init__``
-    takes fewer arguments than its fields overrides ``__reduce__``.
+    rebuilds a record through its ``__init__``, derived slots included.
     Records are plain classes, not dataclasses or named tuples, because
     generating their methods dominated the cost of importing the package.
     """

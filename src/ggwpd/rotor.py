@@ -307,15 +307,16 @@ def iterate_map(points: np.ndarray, t: int, params: RotorParams) -> np.ndarray:
 def _hyperbolic_frame(fp: tuple[float, float], K: float):
     """Eigen-decomposition of the single-step stability at a fixed point.
 
-    Returns (lam_unstable, v_unstable, lam_stable, v_stable) with unit
-    eigenvectors.  Raises ConfigError when the point is not hyperbolic.
+    Returns (lam_unstable, v_unstable, v_stable) with unit eigenvectors;
+    the stable multiplier is 1 / lam_unstable.  Raises ConfigError when
+    the point is not hyperbolic.
 
     The stability matrix M = [[1, -c], [1, 1 - c]], c = K cos(2 pi q), has
     det M = 1 and trace 2 - c, so it is hyperbolic for c < 0 or c > 4 and
     its multipliers are 1 - c/2 -+ h, h = sign(c) sqrt|c| sqrt|c - 4| / 2,
     with no overflow for any finite c.  The unstable one, 1 - c/2 - h, sums
-    two terms of one sign; the stable one is taken as 1 / lam_u, exact up
-    to rounding since det M = 1, as 1 - c/2 + h cancels.  With
+    two terms of one sign; the stable one is 1 / lam_u since det M = 1,
+    whereas 1 - c/2 + h cancels.  With
     w = c/2 + h = 1 - lam_u, also free of cancellation, v_u = (c, w) is the
     null vector of the first row of M - lam_u, and v_s = (w, 1) that of the
     second row of M - lam_s, as c + lam_s - 1 = 1 - lam_u by the trace.
@@ -335,7 +336,7 @@ def _hyperbolic_frame(fp: tuple[float, float], K: float):
     r = c / w
     vu = np.array([r, 1.0]) * (math.copysign(1.0, c) / math.hypot(r, 1.0))
     vs = np.array([w, 1.0]) / math.hypot(w, 1.0)
-    return lam_u, vu, 1.0 / lam_u, vs
+    return lam_u, vu, vs
 
 
 def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
@@ -507,7 +508,7 @@ def _grow_invariant_curve(
     parabolic, and this refuses |lambda| below about 1.011.
     """
     K = params.K
-    lam, v_u, _, v_s = _hyperbolic_frame(fp, K)
+    lam, v_u, v_s = _hyperbolic_frame(fp, K)
     kick_rounding = 4.0 * K * max(1.0, abs(fp[1])) * np.finfo(float).eps
     # not ... > bound, so that a NaN is refused too
     if not (math.isfinite(lam) and kick_rounding <= _CURVE_SPACING):
@@ -1145,8 +1146,8 @@ def _heteroclinic_seeds(
     fb = (beta.p1, beta.q1)
     _check_fixed_point(fa, params)
     _check_fixed_point(fb, params)
-    lam_u, v_u, _, _ = _hyperbolic_frame(fa, K)
-    lam_u_b, (a, c), _, (b, d) = _hyperbolic_frame(fb, K)
+    lam_u, v_u, _ = _hyperbolic_frame(fa, K)
+    lam_u_b, (a, c), (b, d) = _hyperbolic_frame(fb, K)
     # the inverse of the frame [[a, b], [c, d]], columns v_u and v_s
     frame_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     sigma = alpha.sigma

@@ -131,13 +131,12 @@ class SaddleContribution(_Record):
     there).
 
     ``weight``, exp of the real part of that exponent, is the term's weight
-    for pruning.  The evaluators set it from the exponent they formed for
-    ``value``; it is no field, so ``==``, ``hash`` and ``repr`` ignore it,
-    and a term built by hand or copied has none.
+    for pruning, taken from the exponent formed for ``value``.
     """
 
-    _fields = ("action", "ket_exponent", "bra_exponent", "prefactor", "value")
-    __slots__ = (*_fields, "weight")
+    __slots__ = _fields = (
+        "action", "ket_exponent", "bra_exponent", "prefactor", "value", "weight"
+    )
 
     def __init__(
         self,
@@ -146,12 +145,14 @@ class SaddleContribution(_Record):
         bra_exponent: complex,
         prefactor: complex,
         value: complex,
+        weight: float,
     ) -> None:
         _set(self, "action", action)
         _set(self, "ket_exponent", ket_exponent)
         _set(self, "bra_exponent", bra_exponent)
         _set(self, "prefactor", prefactor)
         _set(self, "value", value)
+        _set(self, "weight", weight)
 
 
 class OffCenterContribution(_Record):
@@ -285,9 +286,9 @@ _NEWTON_TOL = 1e-13
 # its last bits: the iterate is as converged as double precision allows.
 _NEWTON_STEP_EPS = 4.0 * sys.float_info.epsilon
 
-# Newton updates before a search is abandoned.  The presets' saddles take
-# at most eight (the report gates that), so this only stops a stalled search.
-_NEWTON_MAX_ITER = 25
+# Newton updates before a stalled search is abandoned: about twice the 49
+# that the slowest seed known needs (chaotic-fig6 at t = 4, image range 5).
+_NEWTON_MAX_ITER = 100
 
 
 # A Jacobian of the two residuals with respect to (P0, Q0), as its two rows.
@@ -455,15 +456,14 @@ def _descent_term(
     root = _tracked_sqrt(dets)
     fm = ket_norm_exponent(alpha, trajectory.initial)
     exponent = 1j * trajectory.action / alpha.hbar + fm + bra_exponent
-    term = SaddleContribution(
+    return SaddleContribution(
         action=trajectory.action,
         ket_exponent=fm,
         bra_exponent=bra_exponent,
         prefactor=1.0 / root,
         value=complex(norm * np.exp(exponent) / root),
+        weight=float(np.exp(exponent.real)),
     )
-    _set(term, "weight", float(np.exp(exponent.real)))
-    return term
 
 
 def saddle_contribution(
@@ -673,36 +673,13 @@ def ggwpd_wavefunction(
 # off-center real-trajectory and linearized evaluators
 # ---------------------------------------------------------------------------
 
-def _divide(a: complex, b: complex) -> complex:
-    """``a / b`` rounded as numpy's complex128 division, on Python scalars.
-
-    numpy scales the denominator by the ratio of its smaller to its larger
-    part and multiplies by the reciprocal of the result; CPython's ``/``
-    divides by it instead, which rounds differently in about 40 % of
-    random draws.  The operands of every product and sum are in numpy's
-    order, so even the sign of a NaN agrees.  A zero denominator, or a
-    NaN real part over a zero imaginary one, raises in Python's float
-    division; numpy's inf or NaN is returned there.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    try:
-        if abs(br) >= abs(bi):
-            rat = bi / br
-            scl = 1.0 / (br + bi * rat)
-            return complex(scl * (ai * rat + ar), (ai - rat * ar) * scl)
-        rat = br / bi
-        scl = 1.0 / (bi + br * rat)
-        return complex((ai + rat * ar) * scl, (rat * ai - ar) * scl)
-    except ZeroDivisionError:
-        return complex(np.complex128(a) / b)
-
-
 # Below this real part, cmath.exp and numpy's complex exp both return
 # exp(x) cos(y) + i exp(x) sin(y), bit for bit; from log(DBL_MAX / 4) ~ 708.4
 # on, cmath scales exp(x) differently, and it raises on overflow.
 _CMATH_EXP_MAX = 708.0
 
-_SQRT2 = complex(math.sqrt(2.0))
+# a numpy scalar, so that dividing it by a Python complex is numpy's division
+_SQRT2 = np.complex128(math.sqrt(2.0))
 
 
 def _offcenter_exp(
@@ -742,7 +719,7 @@ def _offcenter_exp(
         + pt * (beta.q1 - qt)
         - p0 * (alpha.q1 - q0)
     ) / hbar
-    z = 1j * phase - _divide(quad, 2.0 * a0)
+    z = 1j * phase - complex(np.complex128(quad) / (2.0 * a0))
     if z.real < _CMATH_EXP_MAX and cmath.isfinite(z):
         return cmath.exp(z)
     return complex(np.exp(z))
@@ -765,11 +742,12 @@ def offcenter_contribution(
 
     The term is evaluated on Python floats and complex numbers with every
     rounding of the numpy-scalar evaluation it replaced, since each numpy
-    scalar operation costs several times its arithmetic.  Sums, products, ``math.sqrt`` and ``**2`` (the
-    same libm ``pow``) round alike in both.  The two complex quotients go
-    through :func:`_divide`, which copies numpy's division, and the
-    exponential is ``cmath.exp``, equal to numpy's below a real part of
-    ``_CMATH_EXP_MAX``; numpy's exp serves beyond it and for inf or NaN.
+    scalar operation costs several times its arithmetic.  Sums, products,
+    ``math.sqrt`` and ``**2`` (the same libm ``pow``) round alike in both.
+    The two complex quotients are numpy's own division, since CPython's
+    ``/`` rounds differently.  The exponential is ``cmath.exp``, equal to
+    numpy's below a real part of ``_CMATH_EXP_MAX``; numpy's exp serves
+    beyond it and for inf or NaN.
     Where Python floats raise instead of overflowing -- a square past
     1.8e308, or a zero ``sx`` when 2b overflows -- the Gaussian factor is
     evaluated again on numpy scalars, for numpy's inf or NaN.
@@ -799,7 +777,7 @@ def offcenter_contribution(
         gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, sx)
     except (OverflowError, ZeroDivisionError):
         gauss = _offcenter_exp(alpha, beta, trajectory, a0, r1, r2, np.float64(sx))
-    value = _divide(_SQRT2, root) * gauss
+    value = complex(_SQRT2 / root) * gauss
     if image_turns:
         value *= cmath.exp(-2j * math.pi * image_turns)
     return OffCenterContribution(value=value)

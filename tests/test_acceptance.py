@@ -8,7 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggwpd.errors import CausticError, ConvergenceError, RunawayError
 from ggwpd.experiment import (
     REGRESSION_SADDLES,
     REGRESSION_SEEDS,
@@ -22,7 +25,7 @@ from ggwpd.experiment import (
 )
 from ggwpd.floquet import discretize_packet, floquet_matrix, quantum_correlation
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
-from ggwpd.rotor import RotorParams, iterate_map, propagate
+from ggwpd.rotor import RotorParams, find_seeds, iterate_map, propagate
 from ggwpd.semiclassics import (
     _image_turns,
     _shifted_target,
@@ -367,6 +370,18 @@ def _branch_guess(q0: float, qt: float, t: int, params: RotorParams) -> float:
     return 0.5 * (lo + hi)
 
 
+def _oracle_drift(alpha, beta, sad, t, K) -> float:
+    """The largest real or imaginary component by which the saddle's start
+    differs from the 40-digit saddle Newton reaches from it."""
+    start = sad.trajectory.initial
+    target = _shifted_target(beta, sad.seed.winding)
+    P0, Q0 = mp_saddle(alpha, target, start.p1, start.q1, t, K)
+    return max(
+        max(abs(got.real - float(want.real)), abs(got.imag - float(want.imag)))
+        for got, want in ((start.p1, P0), (start.q1, Q0))
+    )
+
+
 @pytest.mark.parametrize(
     "name, t, count",
     [("integrable-fig2", 2, 1), ("chaotic-fig6", 2, 7), ("chaotic-fig6", 3, 21)],
@@ -380,12 +395,7 @@ def test_saddles_match_the_40_digit_oracle(name, t, count):
     alpha, beta = packets_for(cfg, cfg.seed_N)
     assert len(setup.saddles) == count
     for sad in setup.saddles:
-        start = sad.trajectory.initial
-        target = _shifted_target(beta, sad.seed.winding)
-        P0, Q0 = mp_saddle(alpha, target, start.p1, start.q1, t, cfg.K)
-        for got, want in ((start.p1, P0), (start.q1, Q0)):
-            assert abs(got.real - float(want.real)) <= 1e-15
-            assert abs(got.imag - float(want.imag)) <= 1e-15
+        assert _oracle_drift(alpha, beta, sad, t, cfg.K) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -415,6 +425,62 @@ def test_contributions_match_the_40_digit_oracle(name, N):
         want = mp_contribution(alpha, target, P0, Q0, cfg.t, cfg.K, turn)
         got = saddle_contribution(alpha, target, sad.trajectory, turn).value
         assert abs(got - want) <= 2e-14 * N * abs(want)
+
+
+def test_every_t4_seed_converges_and_ggwpd_beats_off_center():
+    """``chaotic-fig6`` at t = 4 needs image range 5 for a complete seed
+    set.  Newton converges from all 101 seeds, some in up to 49 steps,
+    each saddle within 1e-15 per component of its 40-digit saddle, and the
+    saddle sum beats the off-center sum at N = 800 and 1600."""
+    cfg = config_from_dict(
+        {"t": 4, "image_range": 5, "N_list": [800, 1600]}, base=preset("chaotic-fig6")
+    )
+    setup = prepare_scenario(cfg)
+    alpha, beta = packets_for(cfg, cfg.seed_N)
+    assert len(setup.saddles) == 101
+    assert max(sad.iterations for sad in setup.saddles) > 25
+    for sad in setup.saddles:
+        assert _oracle_drift(alpha, beta, sad, cfg.t, cfg.K) <= 1e-15
+    rows = run_sweep(setup)
+    assert [row.N for row in rows] == [800, 1600]
+    for row in rows:
+        assert row.error == ""
+        assert row.abs_err_ggwpd < row.abs_err_oc
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    K=st.floats(6.0, 12.0),
+    centers=st.sampled_from(
+        [
+            ((0, 0), (0, 0.5)),
+            ((0, 0.5), (0, 0)),
+            ((0, 1), (0, 0.5)),
+            ((0, 0), (0, 1)),
+            ((1, 0), (0, 0.5)),
+        ]
+    ),
+    t=st.integers(1, 3),
+    image_range=st.integers(0, 2),
+)
+def test_converged_saddles_match_the_40_digit_oracle(K, centers, t, image_range):
+    """Chaotic kicks in [6, 12], fixed-point centres, t <= 3: every saddle
+    whose double Newton converges is within 1e-14 per component of the
+    40-digit saddle Newton reaches from it.  A seed on which double Newton
+    fails is skipped."""
+    cfg = ExperimentConfig(
+        K=K, t=t, alpha_center=centers[0], beta_center=centers[1],
+        N_list=(50,), regime="chaotic", image_range=image_range,
+    )
+    params = RotorParams(K)
+    alpha, beta = packets_for(cfg, cfg.seed_N)
+    seeds = find_seeds(alpha, beta, t, params, image_range=image_range, regime="chaotic")
+    for seed in seeds:
+        try:
+            sad = find_saddle(alpha, beta, seed, params)
+        except (CausticError, ConvergenceError, RunawayError):
+            continue
+        assert _oracle_drift(alpha, beta, sad, t, K) <= 1e-14
 
 
 def test_action_is_the_generating_function_of_the_map():

@@ -489,3 +489,14 @@ def test_report_gates_every_pinned_seed(integrable_bundle, monkeypatch):
     assert not ok
     assert "[FAIL] seed (0, 1) regression" in text
     assert text.endswith("overall: FAIL\n")
+
+
+def test_report_fails_when_a_pinned_saddle_is_missing(integrable_bundle, monkeypatch):
+    """A pinned winding with no saddle in the setup fails the report."""
+    text, ok = emit_report(integrable_bundle.rows, integrable_bundle.setup)
+    assert ok and "saddle (2, 2) present" not in text
+    monkeypatch.setitem(REGRESSION_SADDLES["integrable-fig2"], (2, 2), (0j, 0j))
+    text, ok = emit_report(integrable_bundle.rows, integrable_bundle.setup)
+    assert not ok
+    assert "[FAIL] saddle (2, 2) present" in text
+    assert text.endswith("overall: FAIL\n")

@@ -26,6 +26,11 @@ def test_grid_scale_ties_hbar_to_dimension():
         assert abs(2.0 * np.pi * grid_hbar(N) * N - 1.0) < 1e-15
 
 
+def test_grid_hbar_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="at least one basis state"):
+        grid_hbar(0)
+
+
 def test_unitarity():
     for K in (0.05, 8.25):
         F = floquet_matrix(128, RotorParams(K))

@@ -5,6 +5,7 @@ record's field names, in order: equality, hashing and repr must agree on
 drawn values, as they did when the records were frozen dataclasses or
 named tuples.
 """
+import ast
 import copy
 import dataclasses
 import inspect
@@ -80,10 +81,9 @@ RECORD_FIELDS[SaddleTrajectory] = {
     "seed": _built(SeedTrajectory),
     "residual_history": _tuples(_positive, min_size=1),
 }
-RECORD_FIELDS[SaddleContribution] = {
-    name: _complex
-    for name in ("action", "ket_exponent", "bra_exponent", "prefactor", "value")
-}
+RECORD_FIELDS[SaddleContribution] = dict.fromkeys(
+    ("action", "ket_exponent", "bra_exponent", "prefactor", "value"), _complex
+) | {"weight": _positive}
 RECORD_FIELDS[OffCenterContribution] = {"value": _complex}
 RECORD_FIELDS[CorrelationResult] = {"branches": _tuples(_built(OffCenterContribution))}
 RECORD_FIELDS[ScenarioSetup] = {
@@ -129,40 +129,10 @@ RECORD_FIELDS[cli._Args] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class _SweepRowTwin:
-    """The sweep row as a frozen dataclass: five measured values, and the
-    metrics its ``__post_init__`` derives as fields outside ``__init__``."""
-
-    N: int
-    C_qm: complex
-    C_oc: complex
-    C_ggwpd: complex
-    error: str = ""
-    abs_err_oc: float = dataclasses.field(init=False)
-    abs_err_ggwpd: float = dataclasses.field(init=False)
-    ratio_oc: float = dataclasses.field(init=False)
-    ratio_ggwpd: float = dataclasses.field(init=False)
-    phase_err_oc: float = dataclasses.field(init=False)
-    phase_err_ggwpd: float = dataclasses.field(init=False)
-
-    def __post_init__(self):
-        for m in ("oc", "ggwpd"):
-            c = getattr(self, f"C_{m}")
-            object.__setattr__(self, f"abs_err_{m}", abs(self.C_qm - c))
-            object.__setattr__(self, f"ratio_{m}", abs(self.C_qm) / abs(c))
-            z = self.C_qm * np.conj(c)
-            phase = float(np.arctan2(z.imag, z.real))
-            object.__setattr__(self, f"phase_err_{m}", phase)
-
-
-_SweepRowTwin.__qualname__ = "SweepRow"
-
 _TWINS = {
     cls: dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
     for cls, fields in RECORD_FIELDS.items()
 }
-_TWINS[SweepRow] = _SweepRowTwin
 
 
 _records = pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)
@@ -219,6 +189,59 @@ def test_record_survives_copy_and_pickle(cls, data):
         assert type(clone) is cls
         assert clone == record and hash(clone) == hash(record)
         assert repr(clone) == repr(record)
+        for name in cls.__slots__:  # the derived slots are rebuilt too
+            assert repr(getattr(clone, name)) == repr(getattr(record, name))
+
+
+_MODULES = (cli, errors, experiment, floquet, packets, rotor, semiclassics)
+_PACKAGE_RECORDS = sorted(
+    (
+        obj
+        for module in _MODULES
+        for obj in vars(module).values()
+        if inspect.isclass(obj)
+        and obj.__module__ == module.__name__
+        and issubclass(obj, packets._Record)
+        and obj is not packets._Record
+    ),
+    key=lambda c: c.__qualname__,
+)
+
+
+@pytest.mark.parametrize("cls", _PACKAGE_RECORDS, ids=lambda c: c.__qualname__)
+def test_record_fields_are_exactly_its_init_arguments(cls):
+    """One rule for every record: ``_fields`` is the ``__init__`` signature,
+    every field is a slot, and pickling and copying are ``_Record``'s own."""
+    assert cls._fields == tuple(inspect.signature(cls).parameters)
+    assert set(cls._fields) <= set(cls.__slots__)
+    assert "__reduce__" not in vars(cls) and "__setstate__" not in vars(cls)
+
+
+def test_only_an_init_sets_a_record_slot():
+    """``_set`` fills a slot past the record's refusing ``__setattr__``; it
+    is called only by an ``__init__``, on its own ``self``, so that no
+    record changes after it is built."""
+    calls = []
+    for module in _MODULES:
+        for func in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_set":
+                    target = getattr(node.args[0], "id", "")
+                    calls.append((module.__name__, func.name, target))
+    assert calls and {(name, target) for _, name, target in calls} == {("__init__", "self")}
+
+
+def test_sweep_row_metrics_are_derived_slots():
+    """The six metrics are computed from the five fields on construction,
+    also by a copy, and stay out of equality and repr."""
+    row = SweepRow(50, 1 + 0j, 0.5 + 0j, 2j)
+    assert SweepRow._fields == ("N", "C_qm", "C_oc", "C_ggwpd", "error")
+    assert repr(row) == "SweepRow(N=50, C_qm=(1+0j), C_oc=(0.5+0j), C_ggwpd=2j, error='')"
+    for clone in (copy.copy(row), pickle.loads(pickle.dumps(row))):
+        assert (clone.abs_err_oc, clone.ratio_oc, clone.phase_err_oc) == (0.5, 2.0, 0.0)
+        assert clone.ratio_ggwpd == 0.5 and clone.phase_err_ggwpd == -np.pi / 2
 
 
 def test_residual_pair_max_norm_is_no_field():
@@ -287,10 +310,9 @@ def test_no_package_class_is_a_dataclass_or_a_named_tuple():
     """Defining a dataclass or a named tuple generates and compiles its
     methods when the package is imported, most of that import's own cost.
     Every record is a plain slotted ``_Record``."""
-    modules = (cli, errors, experiment, floquet, packets, rotor, semiclassics)
     classes = {
         obj
-        for module in modules
+        for module in _MODULES
         for obj in vars(module).values()
         if inspect.isclass(obj) and obj.__module__ == module.__name__
     }

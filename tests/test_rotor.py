@@ -87,6 +87,32 @@ def test_non_finite_kick_strength_is_refused(K):
         RotorParams(K)
 
 
+def test_step_counts_below_their_minimum_are_refused():
+    """``propagate`` allows t = 0, the identity; a seed search needs a step."""
+    with pytest.raises(ValueError, match="non-negative"):
+        propagate(ComplexPhasePoint(0.1, 0.2), -1, K_CHAOTIC)
+    alpha, beta = packets_for(preset("integrable-fig2"), 50)
+    with pytest.raises(ValueError, match="at least one step"):
+        find_seeds(alpha, beta, 0, K_MILD, image_range=1, regime="integrable")
+
+
+def test_integrable_seeds_beyond_the_image_range_are_dropped():
+    """``integrable-fig2`` with beta at (-1.23, 0.8): the shearing root
+    lands two momentum images away, so image range 1 drops it and range 2
+    keeps it as winding (2, 1)."""
+    cfg = config_from_dict({"beta_center": (-1.23, 0.8)}, base=preset("integrable-fig2"))
+    alpha, beta = packets_for(cfg, cfg.seed_N)
+
+    def windings(image_range):
+        seeds = find_seeds(
+            alpha, beta, cfg.t, K_MILD, image_range=image_range, regime="integrable"
+        )
+        return [seed.winding for seed in seeds]
+
+    assert windings(1) == []
+    assert windings(2) == [(2, 1)]
+
+
 def test_inverse_map_round_trip():
     for z in (
         ComplexPhasePoint(0.11, 0.83),
@@ -354,7 +380,7 @@ def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
     """Reference growth: one midpoint at a time, left to right, and a full
     re-sort of every point grown so far after each level.  Returns the
     curve and each (level, side) as its (log-offsets, points) pair."""
-    lam, v_u, _, v_s = _hyperbolic_frame(fp, params.K)
+    lam, v_u, v_s = _hyperbolic_frame(fp, params.K)
     v = v_s if inverse else v_u
     step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
@@ -690,7 +716,8 @@ def test_hyperbolic_frame_matches_lapack(q, log_excess):
     orientation of LAPACK's vectors component by component.  Nearer the
     threshold than about 1e-14, LAPACK's own vectors turn arbitrary."""
     K = (4.0 if q == 0.0 else 0.0) + 10.0**log_excess
-    lam_u, v_u, lam_s, v_s = _hyperbolic_frame((0.0, q), K)
+    lam_u, v_u, v_s = _hyperbolic_frame((0.0, q), K)
+    lam_s = 1.0 / lam_u
     M, want_lam_u, want_v_u, want_v_s = _lapack_frame(q, K)
     eps = np.finfo(float).eps
     assert abs(lam_u - want_lam_u) <= 4.0 * eps * abs(want_lam_u)
@@ -709,7 +736,8 @@ def test_hyperbolic_frame_stays_finite_up_to_the_largest_float(q, K):
     lambda_u is -+K to rounding, lambda_s = 1 / lambda_u is subnormal but
     still its inverse to 2 eps, and both vectors are finite unit vectors,
     with no RuntimeWarning (the suite turns warnings into errors)."""
-    lam_u, v_u, lam_s, v_s = _hyperbolic_frame((0.0, q), K)
+    lam_u, v_u, v_s = _hyperbolic_frame((0.0, q), K)
+    lam_s = 1.0 / lam_u
     assert abs(abs(lam_u) / K - 1.0) < 1e-15
     assert abs(lam_u * lam_s - 1.0) <= 2.0 * np.finfo(float).eps
     for v in (v_u, v_s):
@@ -1058,8 +1086,8 @@ def _heteroclinic_seeds_per_bracket(alpha, beta, t, params, image_range,
     fb = (beta.p1, beta.q1)
     _check_fixed_point(fa, params)
     _check_fixed_point(fb, params)
-    lam_u, v_u, _, _ = _hyperbolic_frame(fa, K)
-    lam_u_b, v_u_b, _, v_s_b = _hyperbolic_frame(fb, K)
+    lam_u, v_u, _ = _hyperbolic_frame(fa, K)
+    lam_u_b, v_u_b, v_s_b = _hyperbolic_frame(fb, K)
     frame_inv = np.linalg.inv(np.column_stack([v_u_b, v_s_b]))
     sigma = alpha.sigma
     max_depth = 4

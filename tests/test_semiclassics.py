@@ -406,12 +406,12 @@ def test_newton_stops_after_a_full_step_at_the_rounding_limit():
 def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
     """``chaotic-fig6`` at t = 4 and image range 5: 12 of its 101 seeds
     take a Newton step whose trajectory runs away.  Counted as a step that
-    did not reduce the residual and halved, it lets 4 of them converge
-    below ``_NEWTON_TOL``; the other 8 stall (``ConvergenceError``), and no
-    seed raises ``RunawayError``, which every one of the 12 did when the
-    first runaway trial ended the search.  The numpy reference loop, which
-    halves such a step too, finds the 4 recovered saddles within 1e-15 per
-    component and in as many steps."""
+    did not reduce the residual and halved, it lets all 12 converge below
+    ``_NEWTON_TOL`` (8 of them only past the 25 iterations Newton was once
+    capped at), and no seed raises ``RunawayError``, which every one of
+    the 12 did when the first runaway trial ended the search.  The numpy
+    reference loop, which halves such a step too, finds the 12 recovered
+    saddles within 1e-15 per component and in as many steps."""
     cfg = config_from_dict({"t": 4, "image_range": 5}, base=preset("chaotic-fig6"))
     params = RotorParams(cfg.K)
     alpha, beta = packets_for(cfg, cfg.seed_N)
@@ -440,7 +440,7 @@ def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
         if runaways:
             recovered.append(sad)
     assert len(seeds) == 101
-    assert (len(recovered), stalled) == (4, 8)
+    assert (len(recovered), stalled) == (12, 0)
     assert all(
         sad.residual_norm * alpha.hbar < semiclassics._NEWTON_TOL for sad in recovered
     )
@@ -452,6 +452,26 @@ def test_a_newton_trial_step_that_runs_away_is_halved(monkeypatch):
         for g, w in ((got_ic.p1, want_ic.p1), (got_ic.q1, want_ic.q1)):
             assert abs(g.real - w.real) <= 1e-15
             assert abs(g.imag - w.imag) <= 1e-15
+
+
+def test_the_seventh_runaway_trial_of_a_newton_step_raises(monkeypatch):
+    """When every trial of a step runs away, the step is halved six times
+    and the seventh trial's ``RunawayError`` ends the search."""
+    alpha, beta = packets_for(preset("integrable-fig2"), 50)
+    calls = 0
+
+    def runaway_after_the_seed(ic, t, params):
+        nonlocal calls
+        calls += 1
+        if calls > 1:
+            raise RunawayError(calls, ic.p1)
+        return propagate(ic, t, params)
+
+    monkeypatch.setattr(semiclassics, "propagate", runaway_after_the_seed)
+    seed = SeedTrajectory(ic=(0.1, 0.2), t=2, winding=(0, 1))
+    with pytest.raises(RunawayError, match="at step 8"):
+        find_saddle(alpha, beta, seed, RotorParams(0.05))
+    assert calls == 8
 
 
 _entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -906,6 +926,18 @@ def test_wavefunction_refuses_a_scan_whose_ends_overflowed(t):
             ggwpd_wavefunction(alpha, 0.5, t, RotorParams(1.7e308), image_range=2)
 
 
+def test_wavefunction_needs_a_step():
+    with pytest.raises(ValueError, match="at least one step"):
+        ggwpd_wavefunction(_packet(0.815, 0.2, 50), 0.5, 0, RotorParams(0.05))
+
+
+def test_offcenter_correlation_refuses_a_seed_of_another_t():
+    alpha, beta = packets_for(preset("integrable-fig2"), 50)
+    seed = SeedTrajectory(ic=(0.1, 0.2), t=3, winding=(0, 1))
+    with pytest.raises(ConfigError, match="seed has t = 3, expected 2"):
+        offcenter_correlation(alpha, beta, [seed], RotorParams(0.05), 2)
+
+
 def test_wavefunction_refusal_writes_far_images_briefly():
     """At K = 1e300 the ends are finite but some 3e299 images away; the
     refusal names those images in exponent form, not in 300 digits."""
@@ -1338,25 +1370,3 @@ def test_offcenter_contribution_matches_the_numpy_scalar_expression(N, centers, 
         reject()
     want = _bits_or_error(lambda: _offcenter_numpy(alpha, beta, traj))
     assert _bits_or_error(lambda: offcenter_contribution(alpha, beta, traj).value) == want
-
-
-_division_parts = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]),
-)
-_division_operands = st.builds(complex, _division_parts, _division_parts)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(a=_division_operands, b=_division_operands)
-@example(a=1 + 1j, b=0j)
-@example(a=0j, b=-0.0 + 0j)
-@example(a=1 + 1j, b=complex(math.nan, 0.0))
-@example(a=complex(-math.nan, 1.0), b=complex(math.inf, -math.inf))
-@example(a=1 + 2j, b=3 - 1j)
-def test_divide_copies_numpy_complex_division_bit_for_bit(a, b):
-    """``_divide`` gives the bits of ``np.complex128`` division, NaN signs
-    included, for signed zeros, infinities and NaN parts; CPython's ``/``
-    rounds differently, and raises on a zero denominator."""
-    want = _bits_or_error(lambda: np.complex128(a) / np.complex128(b))
-    assert _bits_or_error(lambda: semiclassics._divide(a, b)) == want
