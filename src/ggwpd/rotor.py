@@ -434,20 +434,36 @@ def _grow_invariant_curve(
     closer than ``_CURVE_SPACING``.  Iterating with the map itself keeps
     every emitted point on the manifold to machine precision.
 
-    The curve is grown branch by branch, a branch being its points of one
-    sign of the parameter: at level n, branch b takes its points from
-    germ side b sign(lambda**n).  A branch's points are in curve order
-    when stably sorted by parameter in growth order: a level's first
-    point and the level before's last point have equal parameters up to
-    rounding, and no other points of two levels interleave.  After each
-    level the branch's arc from the fixed point is read in that order,
-    and the branch stops once it reaches ``_ARC_BUDGET / 2``.  The
-    low-parameter end keeps the points with arc up to the half budget,
-    the high-parameter end those and the first point past it.  Every
-    hyperbolic fixed point of the standard map, (n, 0) or (n, 1/2) up to
-    a whole q, is a centre of point symmetry of the map and so of its
-    curves, so this is the window of ``_ARC_BUDGET`` centred on the middle
-    of the whole curve's arc; the tests compare the two cuts bit for bit.
+    Every hyperbolic fixed point of the standard map is (n_p, q*), with
+    n_p whole and q* whole or half.  The unfolded map moves it by n_p in q
+    at every step, and sin 2pi(q* + x) = cos(2pi q*) sin 2pi x, so the
+    curve is grown at the origin with the kick K cos(2pi q*), exactly +-K,
+    and shifted by (n_p, q*) once, at the end: the curve at a lattice
+    image of a fixed point is the image of its curve, bit for bit.  A
+    point the fixed-point check allows a rounding away, such as (1e-13,
+    0), is grown at (n_p, q*).  The centre row is (n_p, q*), a zero of it
+    keeping its sign in fp.
+
+    At the origin the float map is exactly odd, rounding being symmetric
+    in sign, so only the germ's + side is stepped, and the - side is its
+    points negated as 0.0 - x (-x would make -0.0 of a zero, which growth
+    from a +0.0 germ never makes).  The 48 base points of level n are one
+    map step of level n - 1's, the same operations in the same order as n
+    steps from the germ; a midpoint is stepped n times from the germ.
+
+    Only the branch of positive parameter is grown; at level n it takes
+    germ side sign(lambda**n).  Its points are in curve order when stably
+    sorted by parameter in growth order: a level's first point and the
+    level before's last point have equal parameters up to rounding, and
+    no other points of two levels interleave.  The branch stops once its
+    arc from the fixed point reaches ``_ARC_BUDGET / 2``, keeping the
+    points up to it and the first point past it.  The other branch is
+    this one negated, without that point past the half budget, in the
+    order a stable sort of the negated parameters gives.  So the curve is
+    the window of ``_ARC_BUDGET`` centred on the middle of the whole
+    curve's arc, up to the few roundings by which the points of a run of
+    equal parameter differ; the tests compare it with a reference that
+    grows both branches and sorts the whole curve, bit for bit.
 
     Within the last level only a prefix of the base intervals is refined.
     The base polyline's arc is a lower bound on the refined arc over any
@@ -457,36 +473,6 @@ def _grow_invariant_curve(
     past a margin for rounding.  A level whose base polyline falls short
     is refined whole.  Refinement splits an interval by its two
     endpoints alone, so a prefix's points are those of the whole level.
-
-    The 48 base points of level n on both sides are one map step of level
-    n - 1's, the same operations in the same order as n steps from the
-    germ; a midpoint has no point at the level before and is stepped n
-    times from the germ.  Points are kept as flat p and q arrays and
-    stacked into (p, q) rows once, at the end.
-
-    The unfolded map fixes (p, q) only at p = 0: it moves a fixed point at
-    integer p = n_p by n_p in q at every step.  Growth runs at (p - n_p, q)
-    and adds n_p to every p of the curve, so the curve at a lattice image
-    of a fixed point is the image of its curve, bit for bit.
-
-    At (0, 0) after that shift, a zero of either sign in p and in q, the
-    float map is exactly odd: the germ's two sides are negations of each
-    other, and rounding is symmetric in sign, so the sine, the kick and
-    the drift take a negated point to the negated image.  There only the
-    + branch is grown, and the - branch is built from its points by three
-    rules.  A point is negated as 0.0 - x: growth from a +0.0 germ never
-    makes -0.0, which -x would make of a zero.  The + branch's first
-    point past the half budget is dropped, as the low-parameter end keeps
-    none; a branch that never reaches the budget keeps all its points.
-    And each run of equal parameter is listed in reverse, the order the
-    - branch's stable sort of the negated parameters, read from its high
-    end, gives.  The points of such a run agree to a few roundings, so
-    the two branches' arcs do too, and the - branch is cut where the
-    + branch is unless the half budget falls within that rounding of a
-    point's arc; the tests compare the two paths bit for bit.  Every
-    other fixed point grows both branches: (n, 1/2), and a point the
-    fixed-point check allows a rounding away from the origin, such as
-    (1e-13, 0).
 
     Both curves are grown with lambda_u: the inverse map stretches the
     stable curve by 1 / lambda_s = lambda_u.  :func:`_hyperbolic_frame`
@@ -536,98 +522,72 @@ def _grow_invariant_curve(
     offsets = np.exp(logs)
     half = _ARC_BUDGET / 2.0
 
-    # grown at p - n_p; a zero n_p is not added, as adding 0.0 would turn
-    # -0.0 into +0.0
+    # the fixed point (n_p, q*), and the kick K cos(2 pi q*) at the origin
     fp_p, fp_q = map(float, fp)
     n_p = float(round(fp_p))
-    if n_p:
-        fp_p -= n_p
+    q_star = round(2.0 * fp_q) / 2.0
+    kick = -K if q_star % 1.0 else K
 
-    def germ(side, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return fp_p + (side * s) * v[0], fp_q + (side * s) * v[1]
-
-    def level_points(side: float, n: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points p, q of germ offsets s on one side after n steps."""
-        p, q = germ(side, s)
-        step(p, q, n, K)
+    def level_points(n: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points p, q of germ offsets s on the + side after n steps."""
+        p, q = s * v[0], s * v[1]
+        step(p, q, n, kick)
         return p, q
 
-    def grow_branch(b: float, mirror: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-        """p and q of the branch of sign b, outward from the fixed point
-        and cut to the half budget, the fixed point first; with ``mirror``,
-        then those of the branch of sign -b, built from the same points."""
-        # the base points of the current level, the + side's first; a
-        # branch takes its points from both sides when lambda < 0
-        base_p, base_q = germ(np.repeat([1.0, -1.0], n_base), np.tile(offsets, 2))
-        # the branch in outward order: settled points, then the last two
-        # points (at first the fixed point alone) with the arc at the first
-        p_parts, q_parts, mirror_p, mirror_q = [], [], [], []
-        tail_param, tail_p, tail_q = np.zeros(1), np.array([fp_p]), np.array([fp_q])
-        tail_arc = end = 0.0
-
-        def settle(param, p, q, keep, mirror_keep):
-            p_parts.append(p[:keep])
-            q_parts.append(q[:keep])
-            if mirror:
-                # the -b branch's order: this one's with each run of equal
-                # parameter reversed
-                order = np.argsort(-param, kind="stable")[::-1][:mirror_keep]
-                mirror_p.append(0.0 - p[order])
-                mirror_q.append(0.0 - q[order])
-
-        for n in range(n_levels):
-            if n:
-                step(base_p, base_q, 1, K)
-            # the signed curve parameter of offset s after n steps is s lam**n
-            scale = lam**n
-            side = b if scale > 0.0 else -b
-            base = slice(0, n_base) if side > 0.0 else slice(n_base, None)
-            p, q = base_p[base], base_q[base]
-            reach = end + np.cumsum(np.hypot(np.diff(p), np.diff(q))) >= half
-            # base points up to the end of the interval past the first
-            # that reaches the half budget
-            m = min(int(reach.argmax()) + 3, n_base) if reach.any() else n_base
-            s, p, q = _refine_level(
-                logs[:m], offsets[:m], p[:m], q[:m], partial(level_points, side, n)
-            )
-            # only the level's first point can go before the branch's last,
-            # so one stable sort of the last two and the level, in growth
-            # order, puts the branch in order; reversed on the - branch
-            param = np.concatenate([tail_param, side * s * scale])
-            order = np.argsort(param, kind="stable")
-            if b < 0.0:
-                order = order[::-1]
-            param = param[order]
-            p = np.concatenate([tail_p, p])[order]
-            q = np.concatenate([tail_q, q])[order]
-            # cumsum adds in order, so the arc is the whole branch's sum
-            seg = np.hypot(np.diff(p), np.diff(q))
-            arc = np.cumsum(np.concatenate([[tail_arc], seg]))
-            end = float(arc[-1])
-            if end >= half:
-                keep = int(np.searchsorted(arc, half, side="right"))
-                settle(param, p, q, keep + (b > 0.0), keep)
-                break
-            settle(param, p, q, -2, -2)
-            tail_param, tail_p, tail_q, tail_arc = param[-2:], p[-2:], q[-2:], arc[-2]
-        else:
-            settle(tail_param, tail_p, tail_q, None, None)
-        branches = [(np.concatenate(p_parts), np.concatenate(q_parts))]
-        if mirror:
-            branches.append((np.concatenate(mirror_p), np.concatenate(mirror_q)))
-        return branches
-
-    # the map is odd about the origin: its - branch is the + branch mirrored
-    if fp_p == 0.0 and fp_q == 0.0:
-        (high_p, high_q), (low_p, low_q) = grow_branch(+1.0, mirror=True)
+    base_p, base_q = level_points(0, offsets)
+    # the branch in outward order: settled parameters and points, then the
+    # last two (at first the fixed point alone) with the arc at the first
+    parts = []
+    tail_param = np.zeros(1)
+    tail_p = np.array([math.copysign(0.0, fp_p)])
+    tail_q = np.array([math.copysign(0.0, fp_q)])
+    tail_arc = end = 0.0
+    for n in range(n_levels):
+        if n:
+            step(base_p, base_q, 1, kick)
+        reach = end + np.cumsum(np.hypot(np.diff(base_p), np.diff(base_q))) >= half
+        # base points up to the end of the interval past the first that
+        # reaches the half budget
+        m = min(int(reach.argmax()) + 3, n_base) if reach.any() else n_base
+        s, p, q = _refine_level(
+            logs[:m], offsets[:m], base_p[:m], base_q[:m], partial(level_points, n)
+        )
+        # the signed curve parameter of offset s after n steps is s lam**n:
+        # where that is negative the branch takes the - side's points
+        scale = lam**n
+        if scale < 0.0:
+            p, q = 0.0 - p, 0.0 - q
+        # only the level's first point can go before the branch's last, so
+        # one stable sort of the last two and the level, in growth order,
+        # puts the branch in order
+        param = np.concatenate([tail_param, s * abs(scale)])
+        order = np.argsort(param, kind="stable")
+        param = param[order]
+        p = np.concatenate([tail_p, p])[order]
+        q = np.concatenate([tail_q, q])[order]
+        # cumsum adds in order, so the arc is the whole branch's sum
+        seg = np.hypot(np.diff(p), np.diff(q))
+        arc = np.cumsum(np.concatenate([[tail_arc], seg]))
+        end = float(arc[-1])
+        if end >= half:
+            keep = int(np.searchsorted(arc, half, side="right")) + 1
+            parts.append((param[:keep], p[:keep], q[:keep]))
+            break
+        parts.append((param[:-2], p[:-2], q[:-2]))
+        tail_param, tail_p, tail_q, tail_arc = param[-2:], p[-2:], q[-2:], arc[-2]
     else:
-        ((low_p, low_q),) = grow_branch(-1.0, mirror=False)
-        ((high_p, high_q),) = grow_branch(+1.0, mirror=False)
-    # the low branch reversed, without its copy of the fixed point
-    p = np.concatenate([low_p[:0:-1], high_p])
-    q = np.concatenate([low_q[:0:-1], high_q])
+        parts.append((tail_param, tail_p, tail_q))
+    param, p, q = (np.concatenate(part) for part in zip(*parts))
+    # the other branch, without the point past the half budget and the
+    # fixed point, then this one; a zero shift is not added, as adding 0.0
+    # would turn -0.0 into +0.0
+    low = np.argsort(-param, kind="stable")[int(end >= half) : -1]
+    p = np.concatenate([0.0 - p[low], p])
+    q = np.concatenate([0.0 - q[low], q])
     if n_p:
         p = p + n_p
+    if q_star:
+        q = q + q_star
     return np.column_stack([p, q])
 
 

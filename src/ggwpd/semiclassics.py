@@ -165,17 +165,15 @@ class OffCenterContribution(_Record):
 
 
 class CorrelationResult(_Record):
-    """The kept branches of a semiclassical correlation; ``total`` is their sum."""
+    """The kept branches of a semiclassical correlation; ``total``, a slot
+    outside the fields, is their values summed in order (0j for none)."""
 
-    __slots__ = _fields = ("branches",)
+    _fields = ("branches",)
+    __slots__ = (*_fields, "total")
 
     def __init__(self, branches: tuple) -> None:
         _set(self, "branches", branches)
-
-    @property
-    def total(self) -> complex:
-        """The branch values summed in order; no branches sum to 0j."""
-        return complex(sum(c.value for c in self.branches))
+        _set(self, "total", complex(sum(c.value for c in branches)))
 
 
 # A branch is dropped from a sum when its weight is below this fraction of
@@ -187,18 +185,24 @@ def _prune_and_sum(contributions, weights) -> CorrelationResult:
     """The branches weighing at least ``_PRUNE_THRESHOLD`` times the largest.
 
     The kept branches stay in input order, the order in which ``total`` sums
-    them.  A NaN weight is refused with :class:`NumericalError`: it would
-    fail the cutoff test, and as the maximum it would make every branch
-    fail it, so the sum would be a silent ``0j``.  Weights, moduli or real
-    exponentials, are never negative, so their sum is NaN exactly when one
-    of them is.
+    them.  A weight that is not finite is refused with
+    :class:`NumericalError` naming its branch: a NaN would fail the cutoff
+    test and, as the maximum, make every branch fail it, so the sum would
+    be a silent ``0j``; an infinite one would leave only infinite or NaN
+    terms.  Weights, moduli or real exponentials, are never negative, so
+    their sum is finite unless one of them is not or the sum overflows.
+    A total that is not finite is refused too.
     """
-    if math.isnan(sum(weights)):
-        index = next(i for i, w in enumerate(weights) if math.isnan(w))
-        raise NumericalError(f"branch {index} of the sum has a NaN weight")
+    if not math.isfinite(sum(weights)):
+        for index, w in enumerate(weights):
+            if not math.isfinite(w):
+                raise NumericalError(f"branch {index} of the sum has a weight of {w}")
     cutoff = _PRUNE_THRESHOLD * max(weights, default=0.0)
     kept = tuple(c for c, w in zip(contributions, weights) if w >= cutoff)
-    return CorrelationResult(branches=kept)
+    result = CorrelationResult(branches=kept)
+    if not cmath.isfinite(result.total):
+        raise NumericalError(f"the sum of the kept branches is {result.total}")
+    return result
 
 
 # Saddles of one winding closer than this in every real and imaginary
@@ -838,7 +842,9 @@ def linearized_correlation(
     Launches the ket center itself (so the initial offsets vanish
     identically) and targets the lattice image of the bra center nearest
     the endpoint, with that image's torus phase (:func:`_image_turns`).
-    At t = 0 this reproduces the closed-form packet overlap exactly.
+    At t = 0 this reproduces the closed-form packet overlap exactly.  A
+    value that is not finite is refused with :class:`NumericalError`, as
+    the other two evaluators' sums refuse it.
     """
     ic = ComplexPhasePoint(complex(alpha.p1), complex(alpha.q1))
     traj = propagate(ic, t, params)
@@ -846,4 +852,7 @@ def linearized_correlation(
     n_q = int(np.round(traj.final.q1.real - beta.q1))
     target = _shifted_target(beta, (n_p, n_q))
     (turns,) = _image_turns(beta, [n_p])
-    return offcenter_contribution(alpha, target, traj, turns).value
+    value = offcenter_contribution(alpha, target, traj, turns).value
+    if not cmath.isfinite(value):
+        raise NumericalError(f"the linearized correlation is {value}")
+    return value

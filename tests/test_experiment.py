@@ -26,7 +26,8 @@ from ggwpd.experiment import (
     preset,
     run_sweep,
 )
-from ggwpd.rotor import SeedTrajectory, propagate
+from ggwpd.rotor import ComplexTrajectory, SeedTrajectory, propagate
+from ggwpd.semiclassics import SaddleTrajectory
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,27 @@ def test_sweep_propagates_each_seed_once(chaotic_bundle, monkeypatch):
     ))
     assert len(wide.seeds) == 51
     assert sweep_calls(wide) == 51
+
+
+def test_sweep_records_an_overflowing_term_in_its_row(integrable_bundle):
+    """A saddle whose weight overflows to inf is refused by the sum, which
+    names its branch, and the sweep records the refusal in the row instead
+    of an infinite or NaN C_ggwpd."""
+    saddles = integrable_bundle.setup.saddles
+    traj = saddles[0].trajectory
+    huge = ComplexTrajectory(
+        points=traj.points, action=complex(traj.action.real, -1e300), legs=traj.legs
+    )
+    bad = SaddleTrajectory(
+        trajectory=huge, seed=saddles[0].seed, residual_history=saddles[0].residual_history
+    )
+    config = config_from_dict({"N_list": [50]}, base=integrable_bundle.config)
+    with np.errstate(all="ignore"):
+        (row,) = run_sweep(ScenarioSetup(config, saddles + (bad,)))
+    assert row.error == (
+        f"NumericalError: branch {len(saddles)} of the sum has a weight of inf"
+    )
+    assert math.isfinite(abs(row.C_qm)) and math.isnan(abs(row.C_ggwpd))
 
 
 def test_copies_of_a_connector_meet_at_the_saddle_merge(chaotic_bundle, monkeypatch):

@@ -44,7 +44,7 @@ MANIFOLD_SHA256 = {
         "chaotic-fig6_unstable_alpha.csv":
             "66dca0c3b106607ab72676e48f6e9cc8293309be36c8143e11262106698309a8",
         "chaotic-fig6_stable_beta.csv":
-            "fbddc0833838d2bcd0801087ac15e9a112825300a9a8ab25b9d7e3f55a1d04b2",
+            "eae00ba1c1919d230ac2ae4ad03d53939934683311140fe03b719fadb4731669",
     },
     "integrable-fig2": {
         "integrable-fig2_shearing_alpha.csv":

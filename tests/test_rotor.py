@@ -376,21 +376,32 @@ def test_stable_manifold_contracts_forwards(monkeypatch):
         assert np.hypot(z.p1.real, z.q1.real - 0.5) < 1e-3
 
 
-def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
-    """Reference growth: one midpoint at a time, left to right, and a full
-    re-sort of every point grown so far after each level.  Returns the
-    curve and each (level, side) as its (log-offsets, points) pair."""
+def _grow_depth_first(fp, params, arc_budget, spacing, inverse, centred=True):
+    """Reference growth: one midpoint at a time, left to right, both germ
+    sides stepped, and a full re-sort of every point grown so far after
+    each level.  Returns the curve and each (level, side) as its
+    (log-offsets, points) pair.
+
+    Centred, it grows the curve of (n_p, q*), the whole p and the whole
+    or half q nearest fp, at the origin with the kick K cos(2 pi q*) and
+    shifts it by (n_p, q*), its fixed point a zero of fp's sign where fp
+    has one.  Otherwise it grows the curve at fp itself with the kick K."""
     lam, v_u, v_s = _hyperbolic_frame(fp, params.K)
     v = v_s if inverse else v_u
     step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
-    anchor = np.asarray(fp, dtype=float)
+    if centred:
+        shift = np.array([round(fp[0]), round(2.0 * fp[1]) / 2.0], dtype=float)
+        anchor = np.copysign(0.0, fp)
+        kick = params.K * np.cos(2.0 * np.pi * shift[1])
+    else:
+        shift, anchor, kick = np.zeros(2), np.asarray(fp, dtype=float), params.K
     n_levels = max(4, int(np.ceil(np.log(64.0 / s0) / np.log(abs(lam)))))
 
     def level_points(side, n, s_vals):
         pts = anchor[None, :] + side * s_vals[:, None] * v[None, :]
         p, q = pts[:, 0].copy(), pts[:, 1].copy()
-        step(p, q, n, params.K)
+        step(p, q, n, kick)
         return np.column_stack([p, q])
 
     entries = [(0.0, float(anchor[0]), float(anchor[1]))]
@@ -411,7 +422,7 @@ def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
                     pts.insert(i + 1, level_points(side, n, np.exp(np.array([mid])))[0])
                 else:
                     i += 1
-            levels.append((np.array(logs), np.array(pts)))
+            levels.append((np.array(logs), np.array(pts) + shift))
             params_arr = side * np.exp(np.array(logs)) * lam**n
             for par, pt in zip(params_arr, pts):
                 entries.append((float(par), float(pt[0]), float(pt[1])))
@@ -425,6 +436,9 @@ def _grow_depth_first(fp, params, arc_budget, spacing, inverse):
         lo = int(np.searchsorted(cum, excess))
         hi = int(np.searchsorted(cum, cum[-1] - excess, side="right"))
         pts = pts[max(lo, 0) : min(hi + 1, len(pts))]
+    # a zero shift is not added, so that a -0.0 stays
+    for axis in np.flatnonzero(shift):
+        pts[:, axis] += shift[axis]
     return pts, levels
 
 
@@ -453,6 +467,46 @@ def test_level_at_a_time_growth_matches_depth_first_reference(
     long = np.hypot(*np.diff(curve.points, axis=0).T) > spacing
     pairs = zip(curve.points[:-1][long], curve.points[1:][long])
     assert all((tuple(a), tuple(b)) in floor_stopped for a, b in pairs)
+
+
+def _polyline_gap(points, line, reach):
+    """Largest distance of a row of ``points`` from the polyline ``line``,
+    each row measured against every segment, not only those at its
+    nearest vertex.  A segment within ``reach`` of a row has a p-range
+    within ``reach`` of the row's p, so only those segments are measured,
+    and a row farther than ``reach`` from every segment reads inf."""
+    a, d = line[:-1], np.diff(line, axis=0)
+    order = np.argsort(points[:, 0], kind="stable")
+    start = np.searchsorted(points[order, 0], np.minimum(a, line[1:])[:, 0] - reach)
+    stop = np.searchsorted(
+        points[order, 0], np.maximum(a, line[1:])[:, 0] + reach, side="right"
+    )
+    count = stop - start
+    seg = np.repeat(np.arange(len(a)), count)
+    row = order[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
+    rel = points[row] - a[seg]
+    seg2 = np.maximum(np.einsum("ij,ij->i", d, d), np.finfo(float).tiny)
+    w = np.clip(np.einsum("ij,ij->i", rel, d[seg]) / seg2[seg], 0.0, 1.0)
+    best = np.full(len(points), np.inf)
+    np.minimum.at(best, row, np.hypot(*(rel - w[:, None] * d[seg]).T))
+    return float(best.max())
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["unstable", "stable"])
+@pytest.mark.parametrize("K", [4.5, 8.25, 12.0, 20.0])
+def test_curves_at_half_q_lie_on_the_curves_grown_at_the_fixed_point(K, inverse):
+    """Growth at the origin, shifted by 1/2 in q, moves no curve at (0, 1/2)
+    by more than 3e-8 from the reference grown at (0, 1/2) itself with the
+    kick K, in either direction; the two roundings of the map part by
+    about 1.6e-8 at most."""
+    grow = stable_manifold if inverse else unstable_manifold
+    got = grow((0.0, 0.5), RotorParams(K)).points
+    ref, _ = _grow_depth_first(
+        (0.0, 0.5), RotorParams(K), rotor._ARC_BUDGET, _CURVE_SPACING, inverse,
+        centred=False,
+    )
+    assert _polyline_gap(got, ref, 3e-8) <= 3e-8
+    assert _polyline_gap(ref, got, 3e-8) <= 3e-8
 
 
 def test_manifold_point_cap_raises_exactly_when_a_level_exceeds_it(monkeypatch):
@@ -497,11 +551,12 @@ def test_chaotic_curves_are_cut_at_half_the_budget_from_the_fixed_point(fp, inve
     assert high[-2] <= half < high[-1]
 
 
-# Map point-steps of each chaotic-fig6 curve's growth; growing each
-# branch's last level whole took 440,738 and 150,024.  The unstable curve,
-# at (0, 0), grows its + branch and mirrors the - branch: growing both
-# took 90,256.  The stable curve, at (0, 1/2), grows both branches.
-GROWTH_POINT_STEPS = {False: 45_128, True: 74_536}
+# Map point-steps of each chaotic-fig6 curve's growth, which steps one
+# germ side and grows one branch at the origin.  Growing each branch's last
+# level whole took 440,738 and 150,024; stepping both germ sides took
+# 45,128 and, growing both branches of the stable curve at (0, 1/2) itself,
+# 74,536.
+GROWTH_POINT_STEPS = {False: 44_600, True: 36_884}
 
 
 @pytest.mark.parametrize(
@@ -509,7 +564,7 @@ GROWTH_POINT_STEPS = {False: 45_128, True: 74_536}
     [
         ((0.0, 0.0), False, GROWTH_POINT_STEPS[False]),
         ((0.0, 0.5), True, GROWTH_POINT_STEPS[True]),
-        ((1e-13, 0.0), False, 2 * GROWTH_POINT_STEPS[False]),
+        ((1e-13, 0.0), False, GROWTH_POINT_STEPS[False]),
     ],
     ids=["unstable", "stable", "unstable-off-origin"],
 )
@@ -517,8 +572,8 @@ def test_chaotic_curve_growth_takes_its_pinned_map_point_steps(
     fp, inverse, point_steps, monkeypatch
 ):
     """(1e-13, 0), which the fixed-point check allows as a rounding away
-    from the origin, grows both branches of the unstable curve: twice the
-    steps of (0, 0)."""
+    from the origin, is grown at the origin: the steps of (0, 0), where
+    growing both branches there took twice as many."""
     name = "_step_backward" if inverse else "_step_forward"
     step = getattr(rotor, name)
     steps = []
@@ -582,22 +637,22 @@ def _hyperbolic_growths(draw):
 @example(growth=((0.0, 0.0), 8.25, False), budget=24.0)
 # neither branch reaches the half budget, so each keeps all its points
 @example(growth=((0.0, 0.0), 4.01, True), budget=0.3)
-# a lattice image of the origin with a -0.0: mirrored at (0.0, -0.0), then
-# shifted back by -1 in p
+# a lattice image of the origin with a -0.0: grown at the origin, shifted
+# by -1 in p, and its centre row keeps q = -0.0
 @example(growth=((-1.0, -0.0), 8.25, True), budget=1.0)
 # levels 1, 4, 5, 6, 9 and 11 begin at the parameter the level before
 # ends at, and the mirrored branch lists each such pair in the other order
 @example(growth=((0.0, 0.0), 8.704859240613551, False), budget=1.0)
-# a rounding away from the origin: both branches are grown
+# a rounding away from the origin: grown at the origin it rounds to
 @example(growth=((1e-13, 0.0), 8.25, False), budget=1.0)
 def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budget):
     """Unstable and stable curves at any K equal the depth-first
     reference's bit for bit.  A fixed point so near parabolic that growth
     is refused up front is refused whatever the budget; one that needs
     more than 400 levels is left to the pinned K = 1e-3 curves, as the
-    reference re-sorts every point at every level.  At (n, q) with a whole
-    n other than 0 the reference grows the (0, q) curve and shifts it by n
-    in p, as growth does."""
+    reference re-sorts every point at every level.  Both grow at the
+    origin and shift the curve to the fixed point, but the reference steps
+    both germ sides and grows both branches."""
     fp, K, inverse = growth
     grow = stable_manifold if inverse else unstable_manifold
     try:
@@ -616,11 +671,7 @@ def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budge
         if levels > 400:
             reject()
         curve = grow(fp, RotorParams(K))
-    n_p = float(round(fp[0]))
-    at = (fp[0] - n_p, fp[1]) if n_p else fp
-    ref, _ = _grow_depth_first(at, RotorParams(K), budget, _CURVE_SPACING, inverse)
-    if n_p:
-        ref[:, 0] += n_p
+    ref, _ = _grow_depth_first(fp, RotorParams(K), budget, _CURVE_SPACING, inverse)
     assert curve.points.tobytes() == ref.tobytes()
 
 
@@ -631,12 +682,12 @@ def test_growth_matches_depth_first_reference_for_any_hyperbolic_k(growth, budge
 WEAK_MANIFOLDS = {1e-3: ((0.0, 0.5), 715, 68641), 4.01: ((0.0, 0.0), 226, 21697)}
 
 # SHA-256 of the points of those curves, by K and direction.  The K = 1e-3
-# curves were written by a growth that stepped every level's base points
-# from the germ and re-sorted the whole curve at every level, the K = 4.01
-# curves by one that grew both branches at the origin.
+# curves were written by a growth at the origin with the kick -K, shifted
+# by 1/2 in q, the K = 4.01 curves by one that grew both branches at the
+# origin.
 WEAK_MANIFOLD_SHA256 = {
-    (1e-3, False): "fc765dde2e7a35c85623f67a424866657fe9cdbcdb43ee8bd7a7568db0028bc8",
-    (1e-3, True): "8002b6b71f609374c863be78a7baacbe8b87d26aab7534384edfb96f3a6a63b1",
+    (1e-3, False): "1d36c5febb98fa8849474c6c5ca8980a53fcad6647451642f773942863263052",
+    (1e-3, True): "daa422a7c2f828f4bebaa0b1f6055b62decdb3657d96b1a908fd5bf6ac056cf7",
     (4.01, False): "f474c044310c2cfbbafea2993071d80bf88e29f1eb600c2df62ca53c7ff7e0f4",
     (4.01, True): "eb9545d46a67c9269d2e40c6890fd1b94abd63675008b5f5ca2fda71b6fe16c8",
 }

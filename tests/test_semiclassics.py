@@ -1272,6 +1272,32 @@ def test_offcenter_correlation_of_a_nan_term_raises_numerical_error():
         offcenter_correlation(alpha, beta, [seed], RotorParams(1e200), 1)
 
 
+def test_sum_refuses_an_infinite_weight_naming_its_branch():
+    """An infinite weight is refused as a NaN one is: kept, it would make
+    the cutoff infinite and leave only its own infinite or NaN term."""
+    terms = [semiclassics.OffCenterContribution(1.0 + 0j)] * 2
+    with pytest.raises(NumericalError, match="branch 1 of the sum has a weight of inf"):
+        semiclassics._prune_and_sum(terms, [1.0, math.inf])
+
+
+def test_sum_refuses_a_total_that_overflows():
+    """Two finite terms of 1e308 sum to inf + 0j, which is refused."""
+    terms = [semiclassics.OffCenterContribution(1e308 + 0j)] * 2
+    with pytest.raises(NumericalError, match=r"kept branches is \(inf\+0j\)"):
+        semiclassics._prune_and_sum(terms, [1e308] * 2)
+
+
+@pytest.mark.parametrize("K", [1e200, 1e300])
+def test_linearized_correlation_refuses_a_value_that_is_not_finite(K):
+    """From about K = 1e200 the stability matrix overflows and the value
+    is NaN, which is refused; at K = 1e100 it is still finite."""
+    alpha, beta = packets_for(preset("integrable-fig2"), 50)
+    value = linearized_correlation(alpha, beta, RotorParams(1e100), 2)
+    assert abs(value - (2.79e-100 - 8.95e-101j)) < 1e-102
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="nan"):
+        linearized_correlation(alpha, beta, RotorParams(K), 2)
+
+
 def test_ggwpd_correlation_of_a_nan_term_raises_numerical_error():
     """A saddle whose action is NaN has a NaN weight: the sum refuses it,
     naming the branch, and does not drop it beside a finite one."""
