@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .packets import GaussianPacket
 
 # exp(-x) underflows to exactly 0 in double precision once x > 745.14, so a
@@ -51,6 +51,19 @@ _LOG_INV_EPS = -math.log(sys.float_info.epsilon)
 # unbounded count lets a nearly flat packet (b = 1e-8 needs 60,037 images a
 # side) run for seconds to days; 64 admits every width b >= 0.0088.
 _MAX_IMAGES = 64
+
+# Largest distance of a packet's hbar from 1/(2 pi N) for which it is taken
+# to be the N-state grid's, as the oracle samples it and the semiclassical
+# evaluators recognise an odd-N grid.
+_GRID_HBAR_TOL = 1e-15
+
+# Largest rounding, in radians, that the kick phases of all |t| periods may
+# add to the correlation: the phase N K cos(2 pi s / N) / (2 pi) rounds by
+# up to eps N K / (2 pi) a period, and the relative error of C_qm follows
+# it (1e-4 to 3e-4 at K = 1e10, N = 700, t = 2).  1e-9 keeps the oracle well below
+# the semiclassical errors it judges, and admits every preset (at most
+# 4.1e-13) and chaotic-fig6 at N = 10^5 and t = 5 (1.5e-10).
+_KICK_PHASE_TOL = 1e-9
 
 
 def grid_hbar(n_states: int) -> float:
@@ -99,7 +112,7 @@ def discretize_packet(packet: GaussianPacket, n_states: int) -> np.ndarray:
     costs O(sqrt(N)) exponentials instead of 3N.
     """
     hbar = grid_hbar(n_states)
-    if abs(packet.hbar - hbar) > 1e-15:
+    if abs(packet.hbar - hbar) > _GRID_HBAR_TOL:
         raise ConfigError(
             f"packet hbar {packet.hbar!r} does not match the N = {n_states} grid"
         )
@@ -142,9 +155,18 @@ def quantum_correlation(
     the exact adjoint: the two diagonal factors swap and conjugate, and so
     do the circulant's eigenvalues.  Both packets are periodized as
     :func:`discretize_packet` describes, so a centre anywhere on the
-    covering space gives the value of its folded copy.
+    covering space gives the value of its folded copy.  A kick whose phase
+    rounds by more than ``_KICK_PHASE_TOL`` over the |t| periods, |t| eps
+    N K / (2 pi), is refused with :class:`NumericalError`.
     """
     N = n_states
+    phase_rounding = abs(t) * sys.float_info.epsilon * N * params.K / (2.0 * np.pi)
+    if phase_rounding > _KICK_PHASE_TOL:
+        raise NumericalError(
+            f"the kick phase rounds by up to {phase_rounding:.3g} rad over "
+            f"{abs(t)} periods at N = {N}, more than {_KICK_PHASE_TOL:g}; "
+            f"K = {params.K:g} is too large for the exact oracle"
+        )
     s = np.arange(1, N + 1)
     kick = np.exp(1j * N * params.K * np.cos(2.0 * np.pi * s / N) / (2.0 * np.pi))
     # the same entries exp(i pi d^2 / N) as floquet_matrix, rounding

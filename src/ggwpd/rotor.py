@@ -345,18 +345,30 @@ def _check_fixed_point(fp: tuple[float, float], params: RotorParams) -> None:
     At a fixed point sin(2 pi q) vanishes, but rounding 2 pi q leaves the
     float sine up to pi |q| eps off zero (1.2e-16 at q = 0.5), and the
     kick scales that by K / 2pi: a move of about K |q| eps / 2 in p and in
-    q.  The bound allows several times that on top of 1e-12.  From K of
-    about 1e15 on it passes every point: the kick's rounding then exceeds
-    the largest folded displacement, 0.71.  A non-finite point is refused
-    before it is stepped.
+    q.  The bound allows 4 K max(1, |q|) eps, several times that, on top
+    of 1e-12.  A non-finite point is refused before it is stepped.
+
+    This is the one refusal of a kick too large for double precision: a
+    rounding 4 K max(1, |q|) eps above ``_CURVE_SPACING`` (K above about
+    1.13e12 at |q| <= 1) raises NumericalError.  Past it each map step
+    moves points off an invariant curve by more than the spacing (the
+    chaotic preset's curves map onto themselves to 5e-4 at K = 1e12, 0.47
+    at 2e15).  Below it the allowance stays under 1e-12 + 1e-3, far below
+    the largest folded move, 0.71, so a moved point is always refused.
     """
     if not (math.isfinite(fp[0]) and math.isfinite(fp[1])):
         raise ConfigError(f"{fp} is not a finite point")
+    kick_rounding = 4.0 * params.K * max(1.0, abs(fp[1])) * np.finfo(float).eps
+    if kick_rounding > _CURVE_SPACING:
+        raise NumericalError(
+            f"the kick rounds by up to {kick_rounding:.3g} a step at {fp}, "
+            f"more than the curve spacing {_CURVE_SPACING:g}; "
+            f"K = {params.K:g} is too large"
+        )
     nxt = _forward_many(np.array([fp], dtype=float), 1, params.K)[0]
     dp = (nxt[0] - fp[0]) - round(nxt[0] - fp[0])
     dq = (nxt[1] - fp[1]) - round(nxt[1] - fp[1])
-    eps = np.finfo(float).eps
-    if np.hypot(dp, dq) > 1e-12 + 4.0 * params.K * max(1.0, abs(fp[1])) * eps:
+    if np.hypot(dp, dq) > 1e-12 + kick_rounding:
         raise ConfigError(f"{fp} is not a fixed point of the folded map")
 
 
@@ -481,28 +493,15 @@ def _grow_invariant_curve(
     loses lambda_s to cancellation at large K (``np.linalg.eig`` reads it
     as 0.0 from K of about 2e8).
 
-    Growth is refused with NumericalError, before any map step, in three
-    cases.  A non-finite lambda_u is refused.  So is a K whose kick
-    rounds by more than the curve's resolution: the kick's rounding,
-    4 K max(1, |q|) eps as :func:`_check_fixed_point` allows it, must stay
-    within ``_CURVE_SPACING``, which refuses K from about 1.1e12 on.  Past
-    it each step moves points off the curve by more than the spacing: the
-    chaotic preset's curves map onto themselves to 4e-7 at K = 1e9, to
-    5e-4 at 1e12 and only to 0.47 at 2e15.  And growth is refused when
-    the base points of all levels alone would pass ``_MAX_CURVE_POINTS``:
-    the level count grows like 1 / log|lambda| as the fixed point nears
-    parabolic, and this refuses |lambda| below about 1.011.
+    The caller has run :func:`_check_fixed_point`, which refuses a kick
+    too large for the curve spacing.  Growth is refused with
+    NumericalError, before any map step, when the base points of all
+    levels alone would pass ``_MAX_CURVE_POINTS``: the level count grows
+    like 1 / log|lambda| as the fixed point nears parabolic, and this
+    refuses |lambda| below about 1.011.
     """
     K = params.K
     lam, v_u, v_s = _hyperbolic_frame(fp, K)
-    kick_rounding = 4.0 * K * max(1.0, abs(fp[1])) * np.finfo(float).eps
-    # not ... > bound, so that a NaN is refused too
-    if not (math.isfinite(lam) and kick_rounding <= _CURVE_SPACING):
-        raise NumericalError(
-            f"the kick rounds by up to {kick_rounding:.3g} a step at {fp}, "
-            f"more than the curve spacing {_CURVE_SPACING:g} (unstable "
-            f"multiplier {lam:.3g}); K = {K:g} is too large"
-        )
     v = v_s if inverse else v_u
     step = _step_backward if inverse else _step_forward
     s0 = _GERM_OFFSET
@@ -1112,13 +1111,7 @@ def _heteroclinic_seeds(
     frame_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     sigma = alpha.sigma
     max_depth = 4
-    try:
-        depth_scale = np.array([lam_u_b**m for m in range(max_depth + 1)])
-    except OverflowError:
-        raise NumericalError(
-            f"the unstable multiplier {lam_u_b:.3g} at {fb} overflows at "
-            f"frame depth {max_depth}; K = {K:g} is too large"
-        ) from None
+    depth_scale = np.array([lam_u_b**m for m in range(max_depth + 1)])
 
     s0 = _GERM_OFFSET
     n_levels = max(10, int(np.ceil(np.log(50.0 / s0) / np.log(abs(lam_u)))))

@@ -37,7 +37,7 @@ from .errors import (
     NumericalError,
     RunawayError,
 )
-from .floquet import grid_hbar
+from .floquet import _GRID_HBAR_TOL, grid_hbar
 from .packets import (
     ComplexPhasePoint,
     GaussianPacket,
@@ -506,8 +506,10 @@ def ggwpd_correlation(
     times the largest branch are dropped.  The winding image each saddle
     targets is taken from its seed.  The action accumulated on the
     unfolded torus carries the phase of a position image; a momentum
-    image's phase is added to its term (:func:`_image_turns`).
+    image's phase is added to its term (:func:`_image_turns`).  The hbar
+    of an odd-N grid is refused (:func:`_refuse_odd_grid`).
     """
+    _refuse_odd_grid(alpha.hbar)
     contributions: list[SaddleContribution] = []
     all_turns = _image_turns(beta, [sad.seed.winding[0] for sad in saddles])
     for sad, turns in zip(saddles, all_turns):
@@ -581,6 +583,27 @@ _WAVE_HALFWIDTH_SIGMA = 8.0
 
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _refuse_odd_grid(hbar: float) -> None:
+    """Refuse the hbar of an odd-N grid with :class:`ConfigError`.
+
+    For odd N the torus drift kernel changes sign from one lattice image
+    to the next, a boundary phase no semiclassical term carries yet, so
+    every evaluator would return about -C_qm (at K = 0 and N = 101 the
+    error is 2.0 relative).  An hbar within ``_GRID_HBAR_TOL`` of 1/(2 pi N)
+    is the grid's, as the exact oracle takes it.  The verdict depends on
+    hbar alone, so a wavefunction's positions share one check per packet.
+    """
+    n = 1.0 / (2.0 * math.pi * hbar)
+    N = round(n) if math.isfinite(n) else 0
+    if N % 2 and abs(grid_hbar(N) - hbar) <= _GRID_HBAR_TOL:
+        raise ConfigError(
+            f"hbar = {hbar!r} is the grid of odd N = {N}, refused: the "
+            "torus boundary phase for odd N is not implemented yet in the "
+            "semiclassical image sum"
+        )
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _wavefunction_scan(
     p_lo: float, p_hi: float, q0: float, t: int, K: float
 ) -> LineScan:
@@ -621,7 +644,8 @@ def ggwpd_wavefunction(
     Raises
     ------
     ConfigError
-        When ``image_range`` is not an integer of at least 0.
+        When ``image_range`` is not an integer of at least 0, or hbar is
+        that of an odd-N grid (:func:`_refuse_odd_grid`).
     NumericalError
         When the scanned line's end positions reach a lattice image
         x + n with |n| > ``image_range``: that image's saddles would be
@@ -633,6 +657,7 @@ def ggwpd_wavefunction(
         raise ValueError("position saddles need at least one step")
     if type(image_range) is not int or image_range < 0:
         image_range = _require_int("image_range", image_range, 0)
+    _refuse_odd_grid(alpha.hbar)
     sig_p = alpha.hbar / (2.0 * alpha.sigma)
     w = _WAVE_HALFWIDTH_SIGMA * sig_p
     windings = range(-image_range, image_range + 1)
@@ -816,8 +841,10 @@ def offcenter_correlation(
 
     The seeds' orbits are propagated once and shared by every later call
     with the same seeds (:func:`_seed_trajectories`).  A momentum image's
-    torus phase is added to its term (:func:`_image_turns`).
+    torus phase is added to its term (:func:`_image_turns`).  The hbar of
+    an odd-N grid is refused (:func:`_refuse_odd_grid`).
     """
+    _refuse_odd_grid(alpha.hbar)
     all_turns = _image_turns(beta, [seed.winding[0] for seed in seeds])
     for seed in seeds:
         if seed.t != t:
@@ -844,8 +871,10 @@ def linearized_correlation(
     the endpoint, with that image's torus phase (:func:`_image_turns`).
     At t = 0 this reproduces the closed-form packet overlap exactly.  A
     value that is not finite is refused with :class:`NumericalError`, as
-    the other two evaluators' sums refuse it.
+    the other two evaluators' sums refuse it, and the hbar of an odd-N
+    grid with :class:`ConfigError` (:func:`_refuse_odd_grid`).
     """
+    _refuse_odd_grid(alpha.hbar)
     ic = ComplexPhasePoint(complex(alpha.p1), complex(alpha.q1))
     traj = propagate(ic, t, params)
     n_p = int(np.round(traj.final.p1.real - beta.p1))

@@ -8,11 +8,13 @@ mass.  Free motion is quadratic, so the generic saddle evaluators of
 precision; :func:`free_trajectory` packages a free-motion orbit for them,
 and :func:`free_motion_errors` measures all three evaluators.  Rotor
 saddles are judged by :func:`mp_saddle`, the same Newton search in
-mpmath at 40 digits, and their terms by :func:`mp_contribution`.
+mpmath at 40 digits, and their terms by :func:`mp_contribution`; the
+exact oracle's kick phase by :func:`long_double_kick_correlation`.
 """
 import mpmath
 import numpy as np
 
+from ggwpd.floquet import discretize_packet
 from ggwpd.packets import ComplexPhasePoint, GaussianPacket
 from ggwpd.rotor import TWO_PI, ComplexTrajectory, RotorParams
 from ggwpd.semiclassics import (
@@ -109,6 +111,38 @@ def stable_invariance_defect(points: np.ndarray, K: float) -> float:
         w = np.clip(np.einsum("ij,ij->i", rel, d[k]) / seg2[k], 0.0, 1.0)
         best = np.minimum(best, np.hypot(*(rel - w[:, None] * d[k]).T))
     return float(best.max())
+
+
+# pi to the 64-bit significand of x86 extended precision
+_LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def long_double_kick_correlation(
+    alpha: GaussianPacket, beta: GaussianPacket, t: int, N: int, K: float
+) -> complex:
+    """<beta| F^t |alpha> with each kick phase reduced in long double.
+
+    The dense one-period unitary of :func:`ggwpd.floquet.floquet_matrix`,
+    but the kick phase N K cos(2 pi s / N) / (2 pi) is formed in long
+    double and reduced modulo 2 pi there before it becomes a double: its
+    rounding is eps_ld N K / (2 pi), 2000 times below the double one's
+    (with eps_ld = 1.1e-19 on x86).  Packets are sampled by
+    :func:`ggwpd.floquet.discretize_packet`.  Needs t >= 0.
+    """
+    assert t >= 0
+    s = np.arange(1, N + 1)
+    phase = (
+        np.longdouble(N) * np.longdouble(K)
+        * np.cos(2 * _LONG_PI * s.astype(np.longdouble) / N) / (2 * _LONG_PI)
+    )
+    phase -= 2 * _LONG_PI * np.round(phase / (2 * _LONG_PI))
+    kick = np.exp(1j * phase.astype(float))
+    drift = np.exp(1j * np.pi * (s[:, None] - s[None, :]) ** 2 / N)
+    F = drift * kick[None, :] / (np.sqrt(N) * np.exp(1j * np.pi / 4.0))
+    v = discretize_packet(alpha, N)
+    for _ in range(t):
+        v = F @ v
+    return complex(np.vdot(discretize_packet(beta, N), v))
 
 
 def mp_saddle(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwpd.errors import CausticError, ConvergenceError, RunawayError
+from ggwpd.errors import CausticError, ConfigError, ConvergenceError, RunawayError
 from ggwpd.experiment import (
     REGRESSION_SADDLES,
     REGRESSION_SEEDS,
@@ -30,7 +30,10 @@ from ggwpd.semiclassics import (
     _image_turns,
     _shifted_target,
     find_saddle,
+    ggwpd_correlation,
+    ggwpd_wavefunction,
     linearized_correlation,
+    offcenter_correlation,
     saddle_contribution,
 )
 from oracles import evolved_center, free_motion_errors, mp_contribution, mp_saddle
@@ -274,6 +277,82 @@ def test_zero_kick_sweep_is_exact_across_a_momentum_image(N):
     c_qm = quantum_correlation(alpha, beta, 1, N, RotorParams(0.0))
     c_lin = linearized_correlation(alpha, beta, RotorParams(0.0), 1)
     assert abs(c_lin - c_qm) <= 1e-13 + 1e-10 * abs(c_qm)
+
+
+def _zero_kick_correlations(N):
+    """C_qm and the three correlation evaluators on integrable-fig2's
+    centres at K = 0 and grid N, with the seeds and saddles found there."""
+    config = preset("integrable-fig2")
+    params, t = RotorParams(0.0), config.t
+    alpha, beta = packets_for(config, N)
+    seeds = find_seeds(
+        alpha, beta, t, params, image_range=config.image_range, regime=config.regime
+    )
+    saddles = [find_saddle(alpha, beta, seed, params) for seed in seeds]
+    return quantum_correlation(alpha, beta, t, N, params), {
+        "ggwpd": lambda: ggwpd_correlation(alpha, beta, saddles, t).total,
+        "offcenter": lambda: offcenter_correlation(alpha, beta, seeds, params, t).total,
+        "linearized": lambda: linearized_correlation(alpha, beta, params, t),
+    }
+
+
+@pytest.mark.parametrize("N", [100, 101, 400, 401])
+@pytest.mark.parametrize("evaluator", ["ggwpd", "linearized", "offcenter"])
+def test_zero_kick_correlation_is_exact_or_refuses_odd_n(evaluator, N):
+    """At K = 0 each correlation evaluator is exact on integrable-fig2's
+    centres.  For odd N it lacks the torus boundary phase and returned
+    -C_qm, a relative error of 2.0; the grid hbar of odd N is refused."""
+    c_qm, evaluators = _zero_kick_correlations(N)
+    if N % 2:
+        with pytest.raises(ConfigError, match=f"odd N = {N}"):
+            evaluators[evaluator]()
+        return
+    assert abs(evaluators[evaluator]() - c_qm) <= 1e-12 * abs(c_qm)
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+def test_an_hbar_the_oracle_takes_for_an_odd_grid_is_refused(direction):
+    """One ulp off 1/(2 pi 101) the oracle still samples the N = 101 grid,
+    where linearized_correlation returned -C_qm; all four evaluators
+    refuse such an hbar as they refuse the grid's own."""
+    config = preset("integrable-fig2")
+    params = RotorParams(0.0)
+    alpha, beta = packets_for(config, 101)
+    hbar = float(np.nextafter(alpha.hbar, direction))
+    alpha, beta = (GaussianPacket(p.p1, p.q1, p.b1, hbar) for p in (alpha, beta))
+    assert abs(quantum_correlation(alpha, beta, config.t, 101, params)) > 0.5
+    calls = [
+        lambda: ggwpd_correlation(alpha, beta, [], config.t),
+        lambda: offcenter_correlation(alpha, beta, [], params, config.t),
+        lambda: linearized_correlation(alpha, beta, params, config.t),
+        lambda: ggwpd_wavefunction(alpha, 0.5, config.t, params),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="odd N = 101"):
+            call()
+
+
+@pytest.mark.parametrize("N", [100, 101, 700, 701])
+def test_zero_kick_wavefunction_is_exact_or_refuses_odd_n(N):
+    """At K = 0 ``ggwpd_wavefunction`` on integrable-fig2's ket matches
+    sqrt(N) F^t psi_alpha on the grid to 2.4e-6 of its peak at N = 100 and
+    700.  For odd N it returned -psi, an error of 2.0 times the peak; the
+    grid hbar of odd N is refused."""
+    config = preset("integrable-fig2")
+    params = RotorParams(0.0)
+    alpha, _ = packets_for(config, N)
+    if N % 2:
+        with pytest.raises(ConfigError, match=f"odd N = {N}"):
+            ggwpd_wavefunction(alpha, 0.5, config.t, params, image_range=3)
+        return
+    v = discretize_packet(alpha, N)
+    F = floquet_matrix(N, params)
+    for _ in range(config.t):
+        v = F @ v
+    exact = np.sqrt(N) * v
+    j = np.arange(0, N, 7)
+    psi = [ggwpd_wavefunction(alpha, x, config.t, params, image_range=3) for x in (j + 1) / N]
+    assert np.abs(psi - exact[j]).max() <= 1e-5 * np.abs(exact).max()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggwpd.errors import ConfigError
+from ggwpd.errors import ConfigError, NumericalError
+from ggwpd.experiment import ExperimentConfig, ScenarioSetup, run_sweep
 from ggwpd.floquet import (
     discretize_packet,
     floquet_matrix,
@@ -15,6 +16,7 @@ from ggwpd.floquet import (
 )
 from ggwpd.packets import GaussianPacket
 from ggwpd.rotor import RotorParams
+from oracles import long_double_kick_correlation
 
 
 def _packet(p, q, N):
@@ -261,3 +263,33 @@ def test_fft_correlation_matches_dense_oracle_at_n4096():
     ref = _dense_correlation(alpha, beta, 2, N, params)
     assert abs(ref) > 0.5
     assert abs(c - ref) < 1e-12
+
+
+@pytest.mark.parametrize("N, t", [(700, 2), (100, 3)])
+@pytest.mark.parametrize("K", [8.25, 1e3, 1e5, 1e7, 1e10, 1e12])
+def test_correlation_matches_the_long_double_kick_phase_or_refuses(K, N, t):
+    """The kick phase N K cos(2 pi s / N) / (2 pi) rounds by up to
+    eps N K / (2 pi) a period.  Against the same oracle with that phase
+    reduced in long double, C_qm was 6.8e-6 off at K = 1e10, N = 700 and
+    t = 2, with nothing to flag it.  A kick whose phase rounds by more
+    than 1e-9 over the t periods is refused; below that C_qm agrees to
+    1e-9, the FFT's 1e-13 aside."""
+    alpha, beta = _packet(0.815, 0.2, N), _packet(0.85, 0.6, N)
+    params = RotorParams(K)
+    if t * np.finfo(float).eps * N * K / (2 * np.pi) > 1e-9:
+        with pytest.raises(NumericalError, match="the kick phase rounds by up to"):
+            quantum_correlation(alpha, beta, t, N, params)
+        return
+    c = quantum_correlation(alpha, beta, t, N, params)
+    assert abs(c - long_double_kick_correlation(alpha, beta, t, N, K)) <= 1e-9 + 1e-13
+
+
+def test_a_sweep_records_the_kick_phase_refusal_in_its_row():
+    """run_sweep keeps going past the oracle's refusal: the row carries it."""
+    config = ExperimentConfig(
+        K=1e10, t=2, alpha_center=(0.815, 0.2), beta_center=(0.85, 0.6),
+        N_list=(700,), regime="integrable", image_range=2,
+    )
+    (row,) = run_sweep(ScenarioSetup(config, ()))
+    assert row.error.startswith("NumericalError: the kick phase rounds by up to")
+    assert np.isnan(row.C_qm)

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import io
+import re
 import time
 import tracemalloc
 
@@ -804,6 +805,28 @@ def test_growth_refuses_a_kick_that_rounds_past_the_curve_spacing(grow):
             grow((0.0, 0.5), RotorParams(K))
 
 
+def test_growth_and_the_chaotic_seed_search_refuse_the_same_kicks():
+    """On the chaotic-fig6 centres both curves and the heteroclinic seed
+    search run at K = 1e12 and are refused at 1.2e12, all three by
+    _check_fixed_point's one message: the search once let K through to
+    about 1e77, where its frame depth overflowed."""
+    alpha, beta = _packet_pair(0.0, 0.0, 0.0, 0.5)
+    calls = [
+        lambda params: unstable_manifold((0.0, 0.0), params),
+        lambda params: stable_manifold((0.0, 0.5), params),
+        lambda params: find_seeds(alpha, beta, 2, params, image_range=2, regime="chaotic"),
+    ]
+    for call in calls:
+        call(RotorParams(1e12))
+        with pytest.raises(NumericalError) as err:
+            call(RotorParams(1.2e12))
+        assert re.fullmatch(
+            r"the kick rounds by up to 0\.00107 a step at \(0\.0, 0\.[05]\), more "
+            r"than the curve spacing 0\.001; K = 1\.2e\+12 is too large",
+            str(err.value),
+        )
+
+
 def test_no_lapack_routine_runs_in_the_chaotic_preset(monkeypatch):
     """Seeds, saddles, two sweep rows and both manifolds of chaotic-fig6 run
     with numpy's LAPACK-backed routines made to raise: the eigenframe and
@@ -837,12 +860,23 @@ def test_heteroclinic_search_refuses_a_nearly_parabolic_fixed_point(fp, K):
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("K", [8.25, 2e4, 1e5, 1e8, 1e20, 1e100])
+@pytest.mark.parametrize("K", [8.25, 2e4, 1e5, 1e8])
 def test_fixed_point_check_allows_the_rounding_of_the_kick(K):
     """The float sin(2 pi 0.5) is 1.2e-16, so the kick moves the true
     fixed point (0, 0.5) by about K 2e-17; that is rounding, not a move."""
     _check_fixed_point((0.0, 0.5), RotorParams(K))
     _check_fixed_point((0.0, 0.0), RotorParams(K))
+
+
+@pytest.mark.parametrize("K", [1.2e12, 1e15, 1e20, 1e100, np.finfo(float).max])
+@pytest.mark.parametrize("fp", [(0.0, 0.5), (0.0, 0.0), (0.1, 0.3)], ids=str)
+def test_fixed_point_check_refuses_a_kick_that_rounds_past_the_curve_spacing(fp, K):
+    """From K of about 1.13e12 on, the kick's rounding 4 K eps passes the
+    1e-3 curve spacing.  Such a kick is refused as too large, a fixed
+    point or not: the rounding allowance would otherwise pass every point
+    from K of about 8e14 on, (0.1, 0.3) at K = 1e15 among them."""
+    with pytest.raises(NumericalError, match="the kick rounds by up to"):
+        _check_fixed_point(fp, RotorParams(K))
 
 
 @pytest.mark.parametrize(
